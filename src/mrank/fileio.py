@@ -45,7 +45,8 @@ def write_tensor(path, t) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read an MTEN file; validates magic, version, order, and payload size."""
+    """Read an MTEN file; validates magic, version, order, payload size, and
+    that every entry is finite."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 6 or raw[:4] != MAGIC:
@@ -67,6 +68,9 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: payload is {len(raw) - head} bytes, expected {16 * count}"
         )
     flat = np.frombuffer(raw, dtype="<c16", count=count, offset=head)
+    bad = count - int(np.count_nonzero(np.isfinite(flat)))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite entries (NaN or Inf)")
     return flat.astype(np.complex128).reshape(dims, order="F")
 
 

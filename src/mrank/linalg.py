@@ -2,6 +2,14 @@
 
 All routines work on complex128 matrices. Singular values are always
 returned in nonincreasing order (LAPACK convention).
+
+svt, the nuclear-norm prox every solver iterates, picks one of three exact
+routes per call from the matrix shape and the caller's warm state: a Gram
+eigendecomposition for tall matrices, a warm-started block subspace
+iteration when the previous call's kept rank is small against the matrix,
+and the full LAPACK SVD otherwise. The warm state (SvtWarm) belongs
+to the caller; there is no module-level cache and no randomness, so results
+are deterministic and independent of threading.
 """
 
 from dataclasses import dataclass
@@ -18,6 +26,7 @@ __all__ = [
     "nuclear_norm",
     "spectral_norm",
     "takagi",
+    "SvtWarm",
     "svt",
     "complex_soft_threshold",
     "complex_l1",
@@ -114,12 +123,145 @@ def takagi(m, sym_tol: float = 1e-10, group_tol: float = 1e-8) -> TakagiResult:
     return TakagiResult(u @ q.conj(), s)
 
 
-def svt(m, tau: float) -> np.ndarray:
+@dataclass
+class SvtWarm:
+    """Warm state carried from one `svt` call to the next at one call site.
+
+    v holds the previous call's kept right singular vectors plus up to
+    OVERSAMPLE more (columns, orthonormal); it seeds the next call's
+    subspace iteration. path names the route the last call took: "gram",
+    "subspace" or "full". A solver creates one per call site (one per mode
+    for the mode-unfolding solvers) and passes it to every call there.
+    """
+
+    v: np.ndarray | None = None
+    path: str = ""
+
+
+# Warm block width = previous kept rank + OVERSAMPLE (Halko, Martinsson and
+# Tropp 2011 use 5 to 10 extra columns).
+OVERSAMPLE = 8
+# Subspace sweeps before giving up and running the full SVD.
+SWEEP_CAP = 16
+# A sweep stops when the kept Ritz triplets satisfy ||M v - s u|| <=
+# SUBSPACE_TOL * s_max: the output is then the exact svt of a matrix within
+# about that distance of M.
+SUBSPACE_TOL = 1e-12
+# One full SVD of an m x n matrix costs about as much as
+# FULL_SVD_SWEEPS * min(m, n) / k subspace sweeps of a k-wide block
+# (complex128, one BLAS thread, square n = 100..600: the SVD costs 7 to 20
+# products of width n, a sweep 4 to 11 of width k, ratio 1.8 to 1.9).
+FULL_SVD_SWEEPS = 1.8
+# rows >= TALL_RATIO * cols takes the Gram route (mode unfoldings are tall).
+# It ran 2.0 to 3.2 times faster than the thin SVD from aspect 2 up
+# (200 x 100 .. 8000 x 20); at aspect 1 the cols^3 eigendecomposition eats
+# the gain (slower than the SVD at 400 x 400), and square low-rank iterates
+# belong to the subspace route anyway.
+TALL_RATIO = 4
+# The Gram route squares the spectrum, so eigenvalue noise of eps * s_max^2
+# shows up as singular values near sqrt(eps) * s_max. It runs only when tau
+# clears that noise by this factor; the output error is then about
+# eps * s_max / tau <= sqrt(eps) / GRAM_TAU_MARGIN = 1.5e-12 relative.
+GRAM_TAU_MARGIN = 1e4
+
+
+def _svt_gram(m, tau):
+    """Path 1: svt of a tall matrix through the eigendecomposition of its
+    small Gram matrix; None when tau is too close to the noise the squaring
+    introduces."""
+    w, v = np.linalg.eigh(m.conj().T @ m)
+    if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps * max(w[-1], 0.0)):
+        return None
+    s = np.sqrt(np.maximum(w, 0.0))
+    keep = s > tau
+    if not keep.any():
+        return np.zeros_like(m)
+    vk = v[:, keep]
+    return ((m @ vk) * (1.0 - tau / s[keep])) @ vk.conj().T
+
+
+def _subspace_pays(rows, cols, k):
+    """Whether a k-wide block may try subspace iteration on a rows x cols
+    matrix: its whole sweep budget must cost no more than one full SVD, so
+    a fallback at most doubles a call. That is k <= 0.11 * min(rows, cols):
+    kept rank <= 37 at 400 x 400, <= 3 at 100 x 100."""
+    return SWEEP_CAP * k <= FULL_SVD_SWEEPS * min(rows, cols)
+
+
+def _svt_subspace(m, tau, warm):
+    """Path 2: block subspace iteration from the warm block with
+    Rayleigh-Ritz through the SVD of Q^H M. None when the block fills (every
+    Ritz value above tau) or SWEEP_CAP sweeps do not converge."""
+    v = warm.v
+    k = v.shape[1]
+    y = m @ v
+    for _ in range(SWEEP_CAP):
+        q = np.linalg.qr(y)[0]
+        ub, s, vh = np.linalg.svd(q.conj().T @ m, full_matrices=False)
+        keep = int(np.count_nonzero(s > tau))
+        if keep == k:
+            return None
+        v = vh.conj().T
+        y = m @ v
+        u = q @ ub[:, :keep]
+        if np.linalg.norm(y[:, :keep] - u * s[:keep]) <= SUBSPACE_TOL * s[0]:
+            warm.v = v[:, : keep + OVERSAMPLE]
+            if keep == 0:
+                return np.zeros_like(m)
+            return (u * (s[:keep] - tau)) @ vh[:keep]
+    return None
+
+
+def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau,
-    clipping at zero. The proximal map of tau * nuclear norm."""
+    clipping at zero. The proximal map of tau * nuclear norm.
+
+    Three exact routes, chosen from the shape and the warm state:
+
+    1. gram -- a tall matrix (rows >= TALL_RATIO * cols):
+       eigendecompose the small Gram matrix M^H M = V diag(s^2) V^H and
+       return M V diag(max(1 - tau/s, 0)) V^H. Taken only when tau exceeds
+       GRAM_TAU_MARGIN * sqrt(eps) * s_max (s_max from the same
+       eigenvalues); otherwise the full SVD runs.
+    2. subspace -- any other matrix whose warm block (the previous call's
+       kept right singular vectors plus OVERSAMPLE more) is narrow enough
+       that SWEEP_CAP sweeps cost no more than one full SVD: block subspace
+       iteration with Rayleigh-Ritz until the kept triplets' residual is
+       below SUBSPACE_TOL * s_max. The full SVD runs instead when the block
+       fills (kept rank = block width) or the sweep cap is hit.
+    3. full -- the LAPACK SVD of M, which also seeds the warm block.
+
+    All three agree with the full SVD to about 1e-12 relative. Path 2 only
+    sees directions its block reaches: a new singular direction exactly
+    orthogonal to the block would be missed. In the solvers each iterate
+    moves a little from the last, and the OVERSAMPLE spare columns hold the
+    directions just below tau, the ones that can rise above it next.
+
+    warm is the caller's SvtWarm for this call site, updated in place
+    (paths 2 and 3 store the next block and every path records its name).
+    The caller owns it, so calls stay independent across threads and the
+    result is a deterministic function of the call sequence. Without warm,
+    paths 1 and 3 run as above.
+    """
     m = np.asarray(m, dtype=np.complex128)
+    rows, cols = m.shape
+    if cols > 0 and rows >= TALL_RATIO * cols:
+        out = _svt_gram(m, tau)
+        if out is not None:
+            if warm is not None:
+                warm.path = "gram"
+            return out
+    if (warm is not None and warm.v is not None and warm.v.shape[0] == cols
+            and _subspace_pays(rows, cols, warm.v.shape[1])):
+        out = _svt_subspace(m, tau, warm)
+        if out is not None:
+            warm.path = "subspace"
+            return out
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s > tau
+    if warm is not None:
+        warm.v = vh[: int(keep.sum()) + OVERSAMPLE].conj().T
+        warm.path = "full"
     if not keep.any():
         return np.zeros_like(m)
     return (u[:, keep] * (s[keep] - tau)) @ vh[keep]

@@ -11,7 +11,16 @@ Five solvers share one config:
 
 All are deterministic. The ADMM penalty is made scale-invariant by dividing
 by the spectral norm of the data unfolding, so the dimensionless defaults
-work at any data scale; `cfg.rho` stays fixed during a solve.
+work at any data scale; `cfg.rho` stays fixed during a solve. Data must be
+finite: NaN or Inf raises ValueError on entry.
+
+Every svt call site keeps its own SvtWarm (one per mode in complete_n and
+rpca_n), created inside the solve, so consecutive iterations warm-start the
+kernel and concurrent solves share nothing. In practice the square 400x400
+iterates of rpca_m and complete_supersym, whose kept rank stays small, take
+the warm subspace route; the tall mode unfoldings of complete_n and rpca_n
+take the Gram route; complete_m's 100x100 iterates keep too high a rank for
+the subspace route and stay on the full SVD (see linalg.svt).
 
 complete_m runs fixed-point continuation (singular value thresholding with
 a shrinking threshold mu) and then a spectral-gap-guided rank-projection
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import complex_soft_threshold, spectral_norm, svt
+from .linalg import SvtWarm, complex_soft_threshold, spectral_norm, svt
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import Pairing, as_tensor, mode_fold, mode_unfold, square_fold, square_unfold
@@ -118,6 +127,13 @@ class SolveResult:
         return row
 
 
+def _require_finite(a, name: str) -> None:
+    """Reject NaN/Inf data before it reaches LAPACK, which would fail with
+    an unrelated "SVD did not converge" or return a NaN solution."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contain non-finite entries (NaN or Inf)")
+
+
 def _rel_err(est, truth) -> float | None:
     if truth is None:
         return None
@@ -166,11 +182,13 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     shrinking along cfg.mu_schedule (fractions of the masked unfolding's
     spectral norm), then the rank-projection refinement described in the
     module docstring. Observed entries of the result match the data within
-    cfg.rel_tol (relative).
+    cfg.rel_tol (relative). rel_err_all is the observed-entry residual of
+    the returned tensor, also when every refinement candidate is rejected.
     """
     cfg = cfg or SolverConfig()
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
     b = np.asarray(values, dtype=np.complex128)
+    _require_finite(b, "observed values")
     flat = _mask_matrix_flat(mask, pr)
     nrow, ncol = pr.matrix_shape(mask.dims)
     xf = np.zeros(nrow * ncol, dtype=np.complex128)
@@ -189,11 +207,13 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     trace = []
     it = 0
     converged = False
+    warm = SvtWarm()
+    g, rnorm = _residual_grad(x, flat, b)
     while it < cfg.max_iters:
-        g, rnorm = _residual_grad(x, flat, b)
-        xn = svt(x - GRAD_STEP * g, GRAD_STEP * mu)
+        xn = svt(x - GRAD_STEP * g, GRAD_STEP * mu, warm)
         step = np.linalg.norm(xn - x) / max(1.0, np.linalg.norm(x))
         x = xn
+        g, rnorm = _residual_grad(x, flat, b)
         it += 1
         trace.append(rnorm / max(bnorm, np.finfo(float).tiny))
         # inner tolerance loosens with mu so early stages hand off quickly
@@ -208,9 +228,12 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     # (count >= dim of the rank-r manifold), else a perfect data fit would
     # certify nothing
     accept = 0.1 * cfg.rel_tol
+    x_resid = rnorm / max(bnorm, np.finfo(float).tiny)
+    tried = False
     for r in _gap_candidates(x):
         if b.size < r * (nrow + ncol - r):
             continue
+        tried = True
         y = x.copy()
         ok = False
         for _ in range(REFINE_MAX_ITERS):
@@ -231,6 +254,13 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             x = y
             converged = True
             break
+    else:
+        if tried:
+            # every candidate was rejected: stepping back to the continuation
+            # iterate is logged as one more step, so the trace ends with the
+            # residual of the tensor returned
+            it += 1
+            trace.append(x_resid)
 
     rec = square_fold(x, mask.dims, pr)
     return SolveResult(
@@ -239,7 +269,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
         converged=converged,
         rank_report=m_ranks(rec, RECOVERED_RANK_TOL),
         rel_err_vs_truth=_rel_err(rec, truth),
-        rel_err_all=trace[-1] if trace else 0.0,
+        rel_err_all=trace[-1] if trace else x_resid,
         residual_trace=trace,
     )
 
@@ -254,6 +284,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     d = len(dims)
     b = np.asarray(values, dtype=np.complex128)
+    _require_finite(b, "observed values")
     x = mask.fill(b)
     sigma0 = max(spectral_norm(mode_unfold(x, j)) for j in range(d))
     rank_tol = RECOVERED_RANK_TOL
@@ -263,13 +294,15 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     rho = PENALTY_SCALE * cfg.rho / sigma0
     ys = [x.copy() for _ in range(d)]
     us = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
+    warms = [SvtWarm() for _ in range(d)]
     rt_n = np.sqrt(d * x.size)
     trace = []
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
         for j in range(d):
-            ys[j] = mode_fold(svt(mode_unfold(x - us[j], j), (1.0 / d) / rho), dims, j)
+            ys[j] = mode_fold(
+                svt(mode_unfold(x - us[j], j), (1.0 / d) / rho, warms[j]), dims, j)
         xf = np.mean([ys[j] + us[j] for j in range(d)], axis=0).reshape(-1, order="F")
         xf[mask.flat] = b
         xn = xf.reshape(dims, order="F")
@@ -307,6 +340,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     Two-block ADMM; Y comes from svt, Z from modulus soft thresholding."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
+    _require_finite(t, "data")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     f = square_unfold(t, pr)
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
@@ -324,8 +358,9 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     trace = []
     converged = False
     it = 0
+    warm = SvtWarm()
     for it in range(1, cfg.max_iters + 1):
-        y = svt(f - z - u, 1.0 / rho)
+        y = svt(f - z - u, 1.0 / rho, warm)
         zn = complex_soft_threshold(f - y - u, lam / rho)
         r_pri = np.linalg.norm(y + zn - f)
         r_dua = rho * np.linalg.norm(zn - z)
@@ -358,6 +393,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     W_j + Z = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
+    _require_finite(t, "data")
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
@@ -370,6 +406,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     ws = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
     us = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
     z = np.zeros(dims, dtype=np.complex128)
+    warms = [SvtWarm() for _ in range(d)]
     rt_n = np.sqrt(d * t.size)
     fnorm = np.linalg.norm(t)
     trace = []
@@ -377,7 +414,8 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     it = 0
     for it in range(1, cfg.max_iters + 1):
         for j in range(d):
-            ws[j] = mode_fold(svt(mode_unfold(t - z - us[j], j), (1.0 / d) / rho), dims, j)
+            ws[j] = mode_fold(
+                svt(mode_unfold(t - z - us[j], j), (1.0 / d) / rho, warms[j]), dims, j)
         zn = complex_soft_threshold(
             np.mean([t - ws[j] - us[j] for j in range(d)], axis=0), lam / (d * rho)
         )
@@ -450,6 +488,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
     n = dims[0]
     b = np.asarray(values, dtype=np.complex128)
+    _require_finite(b, "observed values")
     ids = _orbit_structure(dims)
     n_orb = int(ids.max()) + 1 if ids.size else 0
     counts = np.bincount(ids, minlength=n_orb).astype(np.float64)
@@ -494,8 +533,9 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     trace = []
     converged = False
     it = 0
+    warm = SvtWarm()
     for it in range(1, cfg.max_iters + 1):
-        x = svt(y - u, 1.0 / rho)
+        x = svt(y - u, 1.0 / rho, warm)
         yn = project((x + u).reshape(-1, order="F")).reshape(nrow, nrow, order="F")
         r_pri = np.linalg.norm(x - yn)
         r_dua = rho * np.linalg.norm(yn - y)

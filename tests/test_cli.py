@@ -125,6 +125,22 @@ def test_exit_io_error(tmp_path, capsys):
     assert run(["rank", bad]) == 3
 
 
+def test_exit_non_finite_input(tmp_path, capsys):
+    # a NaN in the file is a data error (exit 3) caught on reading, before
+    # it can reach LAPACK or a report
+    t = gen_supersym(6, 4, 2, seed=0)
+    t[0, 1, 2, 3] = np.nan
+    path = tmp_path / "nan.mten"
+    write_tensor(path, t)
+    capsys.readouterr()
+    for argv in (["rank", path], ["complete", path, "--ratio", "0.5"],
+                 ["rpca", path], ["sym-complete", path, "--ratio", "0.5"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert "non-finite entries" in captured.err
+        assert "nan" not in captured.out
+
+
 def test_exit_nonconvergence_with_partial_output(tmp_path, capsys):
     # full-rank random data at low sampling cannot be completed: honest fail
     rng = np.random.default_rng(0)

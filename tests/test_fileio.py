@@ -86,6 +86,16 @@ def test_read_tensor_validation(tmp_path):
     expect_fail(zero_dim, "zerodim.mten")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_read_tensor_rejects_non_finite(tmp_path, bad):
+    t = crandn(np.random.default_rng(3), (2, 3, 2))
+    t[1, 2, 0] = bad
+    path = tmp_path / "bad.mten"
+    write_tensor(path, t)
+    with pytest.raises(ValueError, match="1 non-finite entries"):
+        read_tensor(path)
+
+
 def test_write_tensor_rejects_scalar(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(tmp_path / "s.mten", np.complex128(3.0))

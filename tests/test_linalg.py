@@ -2,8 +2,12 @@
 
 svt and complex_soft_threshold are checked against closed forms on diagonal
 or scalar inputs (where the prox is elementary) and against their defining
-identities at the extreme thresholds.
+identities at the extreme thresholds. Each of svt's three routes (Gram,
+warm subspace, full SVD) is checked against a full-SVD reference written
+here, on sequences that keep, change and fill the warm block.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,10 +19,13 @@ from mrank.linalg import (
     nuclear_norm,
     numerical_rank,
     spectral_norm,
+    SvtWarm,
     svd,
     svt,
     takagi,
 )
+from mrank.solvers import rpca_m
+from mrank.synth import gen_cp, gen_sparse_noise
 
 
 def crandn(rng, shape):
@@ -96,6 +103,124 @@ def test_svt_prox_optimality():
         y = x + 0.1 * crandn(rng, x.shape)
         obj_y = tau * nuclear_norm(y) + 0.5 * np.linalg.norm(y - m) ** 2
         assert obj <= obj_y + 1e-12
+
+
+# ------------------------------------------------------------ svt routes
+
+
+def svt_reference(m, tau):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > tau
+    return (u[:, keep] * (s[keep] - tau)) @ vh[keep]
+
+
+def assert_matches_reference(out, m, tau, rel=1e-10):
+    ref = svt_reference(m, tau)
+    assert np.linalg.norm(out - ref) <= rel * np.linalg.norm(ref)
+
+
+def low_rank(rng, shape, r, scale=10.0):
+    return scale * crandn(rng, (shape[0], r)) @ crandn(rng, (r, shape[1])) / np.sqrt(r)
+
+
+def sparse(rng, shape, density, scale):
+    return scale * crandn(rng, shape) * (rng.random(shape) < density)
+
+
+def test_svt_subspace_tracks_drifting_low_rank_plus_sparse():
+    rng = np.random.default_rng(12)
+    n, r = 200, 5
+    a, b = crandn(rng, (n, r)), crandn(rng, (r, n))
+    da, db = crandn(rng, (n, r)), crandn(rng, (r, n))
+    warm = SvtWarm()
+    for step in range(8):
+        drift = (a + 0.02 * step * da) @ (b + 0.02 * step * db)
+        m = drift + sparse(rng, (n, n), 0.05, 0.3)
+        out = svt(m, 5.0, warm)  # the sparse part's spectral norm is about 3
+        assert warm.path == ("full" if step == 0 else "subspace")
+        assert_matches_reference(out, m, 5.0)
+        assert warm.v.shape == (n, r + 8)
+
+
+def test_svt_rank_jump_fills_block_and_falls_back():
+    rng = np.random.default_rng(13)
+    n = 200
+    warm = SvtWarm()
+    m = low_rank(rng, (n, n), 2)
+    svt(m, 1.0, warm)
+    assert warm.v.shape == (n, 10)
+    jump = m + low_rank(rng, (n, n), 30)  # 30 new directions above tau
+    out = svt(jump, 1.0, warm)
+    assert warm.path == "full"
+    assert_matches_reference(out, jump, 1.0)
+    assert warm.v.shape == (n, 40)  # reseeded: kept rank 32 + oversampling
+    # a warm block of the wrong size is ignored
+    small = low_rank(rng, (150, 150), 2)
+    assert_matches_reference(svt(small, 1.0, warm), small, 1.0)
+    assert warm.path == "full"
+
+
+def test_svt_gram_on_rank_deficient_tall_matrix():
+    rng = np.random.default_rng(14)
+    m = low_rank(rng, (300, 20), 5)
+    tau = 0.5 * np.linalg.svd(m, compute_uv=False)[4]
+    warm = SvtWarm()
+    out = svt(m, tau, warm)
+    assert warm.path == "gram"
+    assert_matches_reference(out, m, tau)
+
+
+def test_svt_gram_threshold_above_spectral_norm_gives_zero():
+    rng = np.random.default_rng(15)
+    m = crandn(rng, (400, 10))
+    warm = SvtWarm()
+    out = svt(m, spectral_norm(m) * (1 + 1e-9), warm)
+    assert warm.path == "gram"
+    assert not out.any()
+
+
+def test_svt_small_tau_on_tall_matrix_takes_full_svd():
+    # tau below sqrt(eps) * s_max times the margin: squaring the spectrum
+    # would blur singular values near tau, so the exact full route runs
+    rng = np.random.default_rng(16)
+    m = crandn(rng, (400, 10))
+    tau = 1e-9 * spectral_norm(m)
+    warm = SvtWarm()
+    out = svt(m, tau, warm)
+    assert warm.path == "full"
+    assert np.array_equal(out, svt_reference(m, tau))
+    assert np.allclose(svt(m, 0.0), m, atol=1e-12)
+
+
+def test_svt_identical_sequences_are_bitwise_equal():
+    def run():
+        rng = np.random.default_rng(17)
+        a, b, da = crandn(rng, (160, 4)), crandn(rng, (4, 160)), crandn(rng, (160, 4))
+        warm = SvtWarm()
+        outs = []
+        for step in range(6):
+            m = (a + 0.02 * step * da) @ b + sparse(rng, (160, 160), 0.05, 0.2)
+            outs.append(svt(m, 4.0, warm))
+        return outs, warm.path
+
+    (first, path1), (second, path2) = run(), run()
+    assert path1 == path2 == "subspace"
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
+def test_rpca_m_threaded_matches_serial_bitwise():
+    # each solve owns its warm state, so concurrent solves cannot interact
+    dims = (12, 12, 12, 12)
+    datas = [gen_cp(dims, 2, seed=s) + gen_sparse_noise(dims, 0.05, seed=s + 10)
+             for s in (0, 1)]
+    serial = [rpca_m(f) for f in datas]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(rpca_m, datas * 2))
+    for k, res in enumerate(threaded):
+        ref = serial[k % 2]
+        assert res.iters == ref.iters
+        assert np.array_equal(res.recovered, ref.recovered)
+        assert np.array_equal(res.sparse, ref.sparse)
 
 
 # ------------------------------------------------------------ soft threshold

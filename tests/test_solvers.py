@@ -55,6 +55,23 @@ def test_complete_m_recovers_and_is_feasible():
     assert res.iters == len(res.residual_trace)
 
 
+def test_complete_m_reports_residual_of_returned_tensor_when_all_rejected():
+    # every refinement candidate is rejected here; the result is the
+    # continuation iterate, and its own residual must be the one reported
+    # (the last rejected candidate's was about 7.5e-05)
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=0)
+    mask = gen_mask(dims, 0.2, seed=0)
+    b = mask.observe(t)
+    res = complete_m(mask, b, cfg=SolverConfig(max_iters=400), truth=t)
+    assert not res.converged
+    resid = np.linalg.norm(mask.observe(res.recovered) - b) / np.linalg.norm(b)
+    assert res.rel_err_all == pytest.approx(resid, rel=1e-9)
+    assert res.rel_err_all > 1e-3
+    assert res.rel_err_all == res.residual_trace[-1]
+    assert res.iters == len(res.residual_trace)
+
+
 def test_complete_m_crossed_pairing():
     t = gen_cp(DIMS, 2, seed=2)
     mask = gen_mask(DIMS, 0.6, seed=3)
@@ -201,6 +218,29 @@ def test_complete_supersym_rejects_bad_dims():
 def test_complete_supersym_empty_mask():
     res = complete_supersym(gen_mask((4, 4, 4, 4), 0.0, seed=0), np.zeros(0))
     assert res.converged and not res.recovered.any()
+
+
+# ------------------------------------------------------- non-finite input
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_solvers_reject_non_finite_input(bad):
+    t = gen_supersym(4, 4, 2, seed=0)
+    mask = gen_mask(t.shape, 0.5, seed=0)
+    b = mask.observe(t)
+    b[3] = bad
+    data = t.copy()
+    data[1, 2, 3, 0] = bad
+    calls = [
+        lambda: complete_m(mask, b),
+        lambda: complete_n(mask, b),
+        lambda: complete_supersym(mask, b),
+        lambda: rpca_m(data),
+        lambda: rpca_n(data),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 # ----------------------------------------------------------------- reports
