@@ -16,14 +16,12 @@ from .fileio import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    SvdResult,
     TakagiResult,
     complex_l1,
     complex_soft_threshold,
     nuclear_norm,
     numerical_rank,
     spectral_norm,
-    svd,
     svt,
     takagi,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "Pairing",
     "RankReport",
     "MDecomposition",
-    "SvdResult",
     "TakagiResult",
     "InstanceSpec",
     "Mask",
@@ -102,7 +99,6 @@ __all__ = [
     "mode_fold",
     "symmetrize",
     "is_super_symmetric",
-    "svd",
     "svt",
     "takagi",
     "numerical_rank",

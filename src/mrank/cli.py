@@ -10,9 +10,11 @@ Subcommands:
     video-complete  -- mask and complete a PPM frame stack
     video-decompose -- split a PPM frame stack into background/foreground
 
-Exit codes: 0 success, 2 bad flags, 3 I/O or file-format failure, 4 solver
-did not converge (the partial result and report are still written). Table
-commands never exit 4: failed trials show up as converged=False rows.
+Exit codes: 0 success, 2 bad flags, 3 I/O, format or invalid input data
+(an unreadable file, NaN or Inf entries, data a solver rejects such as
+observations no super-symmetric tensor matches), 4 solver did not converge
+(the partial result and report are still written). Table commands never
+exit 4: failed trials show up as converged=False rows.
 
 Reports are deterministic: same flags and seed give byte-identical output.
 Trials of a table command run in a thread pool sized by MRANK_THREADS

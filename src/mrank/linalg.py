@@ -19,9 +19,7 @@ from scipy.linalg import block_diag, sqrtm
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "SvdResult",
     "TakagiResult",
-    "svd",
     "numerical_rank",
     "nuclear_norm",
     "spectral_norm",
@@ -39,18 +37,6 @@ DEFAULT_RANK_TOL = 1e-8
 
 
 @dataclass
-class SvdResult:
-    """Thin SVD, m = u @ diag(s) @ v.conj().T."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.conj().T
-
-
-@dataclass
 class TakagiResult:
     """Symmetric factorization m = w @ diag(s) @ w.T with unitary w, s >= 0."""
 
@@ -59,12 +45,6 @@ class TakagiResult:
 
     def reconstruct(self) -> np.ndarray:
         return (self.w * self.s) @ self.w.T
-
-
-def svd(m) -> SvdResult:
-    m = np.asarray(m, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u, s, vh.conj().T)
 
 
 def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -9,10 +9,16 @@ Five solvers share one config:
     rpca_n            -- the mode-unfolding analogue of rpca_m
     complete_supersym -- completion constrained to super-symmetric tensors
 
-All are deterministic. The ADMM penalty is made scale-invariant by dividing
-by the spectral norm of the data unfolding, so the dimensionless defaults
-work at any data scale; `cfg.rho` stays fixed during a solve. Data must be
-finite: NaN or Inf raises ValueError on entry.
+All are deterministic. Data must be finite: NaN or Inf raises ValueError on
+entry.
+
+complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
+_admm, run on the constraint x - z = c with two prox steps each (see its
+docstring for the variables of each model). It owns the penalty, the dual
+update, the stopping test and the trace. The penalty is made
+scale-invariant by dividing by the spectral norm of the data unfolding, so
+the dimensionless defaults work at any data scale; `cfg.rho` stays fixed
+during a solve. All five solvers build their SolveResult with _result.
 
 Every svt call site keeps its own SvtWarm (one per mode in complete_n and
 rpca_n), created inside the solve, so consecutive iterations warm-start the
@@ -39,7 +45,16 @@ import numpy as np
 from .linalg import SvtWarm, complex_soft_threshold, spectral_norm, svt
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
-from .tensor import Pairing, as_tensor, mode_fold, mode_unfold, square_fold, square_unfold
+from .tensor import (
+    Pairing,
+    as_tensor,
+    mode_fold,
+    mode_unfold,
+    orbit_ids,
+    orbit_sum,
+    square_fold,
+    square_unfold,
+)
 
 __all__ = [
     "PENALTY_SCALE",
@@ -98,8 +113,11 @@ class SolveResult:
     when the caller supplies the ground truth. rel_err_all is the relative
     constraint violation: observed-entry residual for completion, full
     additive-split residual for the robust solvers. rank_report is computed
-    at the recovered-rank tolerance. residual_trace logs one relative
-    residual per iteration.
+    at the recovered-rank tolerance. residual_trace holds one entry per
+    iteration, so len(residual_trace) == iters. For the four ADMM solvers
+    the entry is r_pri / max(||x||, ||z||, ||c||): the primal residual over
+    the scale that rel_tol multiplies in the stopping test. For complete_m
+    it is the observed-entry residual relative to the data.
     """
 
     recovered: np.ndarray
@@ -140,6 +158,13 @@ def _rel_err(est, truth) -> float | None:
     truth = as_tensor(truth)
     denom = np.linalg.norm(truth)
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
+
+
+def _result(rec, iters, converged, truth, rel_err_all, trace,
+            sparse=None) -> SolveResult:
+    return SolveResult(rec, iters, converged, m_ranks(rec, RECOVERED_RANK_TOL),
+                       sparse=sparse, rel_err_vs_truth=_rel_err(rec, truth),
+                       rel_err_all=rel_err_all, residual_trace=trace)
 
 
 def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
@@ -197,9 +222,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     bnorm = float(np.linalg.norm(b))
     sigma0 = spectral_norm(x)
     if sigma0 == 0.0:
-        rec = square_fold(x, mask.dims, pr)
-        return SolveResult(rec, 0, True, m_ranks(rec, RECOVERED_RANK_TOL),
-                           rel_err_vs_truth=_rel_err(rec, truth), rel_err_all=0.0)
+        return _result(square_fold(x, mask.dims, pr), 0, True, truth, 0.0, [])
 
     mu0, shrink, floor_frac = cfg.mu_schedule
     mu = mu0 * sigma0
@@ -262,207 +285,155 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             it += 1
             trace.append(x_resid)
 
-    rec = square_fold(x, mask.dims, pr)
-    return SolveResult(
-        recovered=rec,
-        iters=it,
-        converged=converged,
-        rank_report=m_ranks(rec, RECOVERED_RANK_TOL),
-        rel_err_vs_truth=_rel_err(rec, truth),
-        rel_err_all=trace[-1] if trace else x_resid,
-        residual_trace=trace,
-    )
+    return _result(square_fold(x, mask.dims, pr), it, converged, truth,
+                   trace[-1] if trace else x_resid, trace)
+
+
+def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
+    """Scaled-form ADMM for min f(x) + g(z) subject to x - z = c (Boyd et
+    al. 2011, section 3.1.1), the one loop behind complete_n, rpca_m,
+    rpca_n and complete_supersym.
+
+    x_step(v, rho) = prox_{f/rho}(v) and z_step(w, rho) = prox_{g/rho}(w);
+    z_step returns a new array, since w's buffer is reused.
+    x carries the constraint's full shape; z and c may be compact arrays
+    that broadcast to it (a consensus tensor shared by stacked mode copies),
+    and their norms count every copy. The models:
+
+        complete_n         x = the d mode copies, stacked; z = the consensus
+                           tensor with observed entries pinned; c = 0
+        rpca_m             x = Y; z = -Z; c = the data unfolding F
+        rpca_n             x = the stacked mode copies; z = -Z; c = t
+        complete_supersym  x = svt(z - u); z = the orbit projection; c = 0
+
+    Soft thresholding is odd, so z = -Z needs no sign handling in the robust
+    z steps. The penalty is rho = PENALTY_SCALE * cfg.rho / scale. The loop
+    stops when r_pri = ||x - z - c|| <= e_pri and r_dua = rho * ||z - z_old||
+    <= e_dua, with
+        e_pri = sqrt(n) * abs_tol + rel_tol * max(||x||, ||z||, ||c||)
+        e_dua = sqrt(n) * abs_tol + rel_tol * rho * ||u||
+    over the n constraint entries; each iteration logs r_pri over the
+    relative part of e_pri's scale. Zero scale means zero data: the feasible
+    point (z0 + c, z0) is returned as converged after 0 iterations (and
+    unconverged when cfg.max_iters is 0).
+
+    Returns (x, z, iters, converged, trace).
+    """
+    x, z, trace, it = z0 + c, z0, [], 0
+    if scale == 0.0:
+        return x, z, it, True, trace
+    rho = PENALTY_SCALE * cfg.rho / scale
+    c_norm = float(np.linalg.norm(c))
+    u = 0.0  # the scaled dual; it takes x's shape after the first step
+    for it in range(1, cfg.max_iters + 1):
+        x = x_step(z + c - u, rho)
+        w = x - c
+        w += u
+        z_old, z = z, z_step(w, rho)
+        # in place, so no more than three arrays of x's size live at once:
+        # r = x - z - c reuses w, then u + r reuses r
+        r = np.subtract(x, z, out=w)
+        r -= c
+        r_pri = np.linalg.norm(r)
+        r += u
+        u = r
+        n = x.size
+        k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
+        r_dua = rho * k * np.linalg.norm(z - z_old)
+        size_pri = max(np.linalg.norm(x), k * np.linalg.norm(z),
+                       np.sqrt(n / np.size(c)) * c_norm)
+        trace.append(r_pri / max(size_pri, np.finfo(float).tiny))
+        e_abs = np.sqrt(n) * cfg.abs_tol
+        if (r_pri <= e_abs + cfg.rel_tol * size_pri
+                and r_dua <= e_abs + cfg.rel_tol * rho * np.linalg.norm(u)):
+            return x, z, it, True, trace
+    return x, z, it, False, trace
+
+
+def _mode_prox(stack, warms):
+    """x_step of the mode-unfolding models: stack[j] = the (1/d)-weighted
+    nuclear-norm prox of v[j] on mode unfolding j, written in place. v
+    broadcasts to the stack (it is one tensor before the first dual step)."""
+    d = stack.shape[0]
+    dims = stack.shape[1:]
+
+    def x_step(v, rho):
+        v = np.broadcast_to(v, stack.shape)
+        for j in range(d):
+            stack[j] = mode_fold(svt(mode_unfold(v[j], j), (1.0 / d) / rho, warms[j]),
+                                 dims, j)
+        return stack
+
+    return x_step
 
 
 def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
                truth=None) -> SolveResult:
     """Complete a tensor by minimizing the (1/d)-weighted sum of the mode
-    unfoldings' nuclear norms: consensus ADMM with one auxiliary tensor and
-    one svt per mode per iteration. The consensus tensor keeps observed
-    entries pinned to the data, so the result is exactly feasible."""
+    unfoldings' nuclear norms: consensus ADMM with x the d mode copies
+    (stacked, one svt per mode per iteration) and z the consensus tensor,
+    x_j - z = 0. The consensus keeps observed entries pinned to the data,
+    so the result is exactly feasible."""
     cfg = cfg or SolverConfig()
     dims = mask.dims
     d = len(dims)
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
-    x = mask.fill(b)
-    sigma0 = max(spectral_norm(mode_unfold(x, j)) for j in range(d))
-    rank_tol = RECOVERED_RANK_TOL
-    if sigma0 == 0.0:
-        return SolveResult(x, 0, True, m_ranks(x, rank_tol),
-                           rel_err_vs_truth=_rel_err(x, truth), rel_err_all=0.0)
-    rho = PENALTY_SCALE * cfg.rho / sigma0
-    ys = [x.copy() for _ in range(d)]
-    us = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
-    warms = [SvtWarm() for _ in range(d)]
-    rt_n = np.sqrt(d * x.size)
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        for j in range(d):
-            ys[j] = mode_fold(
-                svt(mode_unfold(x - us[j], j), (1.0 / d) / rho, warms[j]), dims, j)
-        xf = np.mean([ys[j] + us[j] for j in range(d)], axis=0).reshape(-1, order="F")
-        xf[mask.flat] = b
-        xn = xf.reshape(dims, order="F")
-        r_pri = np.sqrt(sum(np.linalg.norm(ys[j] - xn) ** 2 for j in range(d)))
-        r_dua = rho * np.sqrt(d) * np.linalg.norm(xn - x)
-        x = xn
-        for j in range(d):
-            us[j] = us[j] + ys[j] - x
-        trace.append(r_pri / max(1.0, np.sqrt(d) * np.linalg.norm(x)))
-        e_pri = rt_n * cfg.abs_tol + cfg.rel_tol * max(
-            np.sqrt(sum(np.linalg.norm(y) ** 2 for y in ys)),
-            np.sqrt(d) * np.linalg.norm(x),
-        )
-        e_dua = rt_n * cfg.abs_tol + cfg.rel_tol * rho * np.sqrt(
-            sum(np.linalg.norm(u) ** 2 for u in us)
-        )
-        if r_pri <= e_pri and r_dua <= e_dua:
-            converged = True
-            break
-    return SolveResult(
-        recovered=x,
-        iters=it,
-        converged=converged,
-        rank_report=m_ranks(x, rank_tol),
-        rel_err_vs_truth=_rel_err(x, truth),
-        rel_err_all=0.0,  # observed entries pinned exactly
-        residual_trace=trace,
-    )
+    x0 = mask.fill(b)
+
+    def z_step(w, rho):
+        zf = w.mean(axis=0).reshape(-1, order="F")
+        zf[mask.flat] = b
+        return zf.reshape(dims, order="F")
+
+    stack = np.zeros((d,) + dims, dtype=np.complex128)
+    x_step = _mode_prox(stack, [SvtWarm() for _ in range(d)])
+    sigma0 = max(spectral_norm(mode_unfold(x0, j)) for j in range(d))
+    _, z, it, conv, trace = _admm(0.0, x_step, z_step, x0, sigma0, cfg)
+    # observed entries pinned exactly
+    return _result(z, it, conv, truth, 0.0, trace)
 
 
 def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
            truth=None) -> SolveResult:
     """Split a tensor into low-rank + sparse parts on a square unfolding:
     minimize ||Y||_* + lam * sum|Z_ij| subject to Y + Z = unfold(t).
-    Two-block ADMM; Y comes from svt, Z from modulus soft thresholding."""
+    ADMM with x = Y (svt), z = -Z (modulus soft thresholding, which is odd)
+    and c = unfold(t)."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
     _require_finite(t, "data")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     f = square_unfold(t, pr)
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
-    sigma0 = spectral_norm(f)
-    if sigma0 == 0.0:
-        z = np.zeros_like(t)
-        return SolveResult(z, 0, True, m_ranks(z, RECOVERED_RANK_TOL), sparse=z,
-                           rel_err_vs_truth=_rel_err(z, truth), rel_err_all=0.0)
-    rho = PENALTY_SCALE * cfg.rho / sigma0
-    y = np.zeros_like(f)
-    z = np.zeros_like(f)
-    u = np.zeros_like(f)
-    rt_n = np.sqrt(f.size)
-    fnorm = np.linalg.norm(f)
-    trace = []
-    converged = False
-    it = 0
     warm = SvtWarm()
-    for it in range(1, cfg.max_iters + 1):
-        y = svt(f - z - u, 1.0 / rho, warm)
-        zn = complex_soft_threshold(f - y - u, lam / rho)
-        r_pri = np.linalg.norm(y + zn - f)
-        r_dua = rho * np.linalg.norm(zn - z)
-        z = zn
-        u = u + y + z - f
-        trace.append(r_pri / max(fnorm, np.finfo(float).tiny))
-        e_pri = rt_n * cfg.abs_tol + cfg.rel_tol * max(
-            np.linalg.norm(y), np.linalg.norm(z), fnorm
-        )
-        e_dua = rt_n * cfg.abs_tol + cfg.rel_tol * rho * np.linalg.norm(u)
-        if r_pri <= e_pri and r_dua <= e_dua:
-            converged = True
-            break
-    rec = square_fold(y, t.shape, pr)
-    return SolveResult(
-        recovered=rec,
-        iters=it,
-        converged=converged,
-        rank_report=m_ranks(rec, RECOVERED_RANK_TOL),
-        sparse=square_fold(z, t.shape, pr),
-        rel_err_vs_truth=_rel_err(rec, truth),
-        rel_err_all=float(np.linalg.norm(y + z - f) / max(fnorm, np.finfo(float).tiny)),
-        residual_trace=trace,
-    )
+    y, z, it, conv, trace = _admm(
+        f, lambda v, rho: svt(v, 1.0 / rho, warm),
+        lambda w, rho: complex_soft_threshold(w, lam / rho),
+        np.zeros_like(f), spectral_norm(f), cfg)
+    return _result(square_fold(y, t.shape, pr), it, conv, truth, _rel_err(y - z, f),
+                   trace, sparse=square_fold(-z, t.shape, pr))
 
 
 def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     """Mode-unfolding analogue of rpca_m: minimize (1/d) * sum_j ||W_j||_*
-    over mode unfoldings plus lam * l1 of the sparse part, with every
-    W_j + Z = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
+    over mode unfoldings plus lam * l1 of the sparse part Z, with every
+    W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
+    and c = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
     _require_finite(t, "data")
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
+    stack = np.zeros((d,) + dims, dtype=np.complex128)
+    x_step = _mode_prox(stack, [SvtWarm() for _ in range(d)])
     sigma0 = max(spectral_norm(mode_unfold(t, j)) for j in range(d))
-    if sigma0 == 0.0:
-        z = np.zeros_like(t)
-        return SolveResult(z, 0, True, m_ranks(z, RECOVERED_RANK_TOL), sparse=z,
-                           rel_err_vs_truth=_rel_err(z, truth), rel_err_all=0.0)
-    rho = PENALTY_SCALE * cfg.rho / sigma0
-    ws = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
-    us = [np.zeros(dims, dtype=np.complex128) for _ in range(d)]
-    z = np.zeros(dims, dtype=np.complex128)
-    warms = [SvtWarm() for _ in range(d)]
-    rt_n = np.sqrt(d * t.size)
-    fnorm = np.linalg.norm(t)
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        for j in range(d):
-            ws[j] = mode_fold(
-                svt(mode_unfold(t - z - us[j], j), (1.0 / d) / rho, warms[j]), dims, j)
-        zn = complex_soft_threshold(
-            np.mean([t - ws[j] - us[j] for j in range(d)], axis=0), lam / (d * rho)
-        )
-        r_pri = np.sqrt(sum(np.linalg.norm(ws[j] + zn - t) ** 2 for j in range(d)))
-        r_dua = rho * np.sqrt(d) * np.linalg.norm(zn - z)
-        z = zn
-        for j in range(d):
-            us[j] = us[j] + ws[j] + z - t
-        trace.append(r_pri / max(np.sqrt(d) * fnorm, np.finfo(float).tiny))
-        e_pri = rt_n * cfg.abs_tol + cfg.rel_tol * max(
-            np.sqrt(sum(np.linalg.norm(w) ** 2 for w in ws)),
-            np.sqrt(d) * np.linalg.norm(z),
-            np.sqrt(d) * fnorm,
-        )
-        e_dua = rt_n * cfg.abs_tol + cfg.rel_tol * rho * np.sqrt(
-            sum(np.linalg.norm(u) ** 2 for u in us)
-        )
-        if r_pri <= e_pri and r_dua <= e_dua:
-            converged = True
-            break
-    y = np.mean(ws, axis=0)
-    return SolveResult(
-        recovered=y,
-        iters=it,
-        converged=converged,
-        rank_report=m_ranks(y, RECOVERED_RANK_TOL),
-        sparse=z,
-        rel_err_vs_truth=_rel_err(y, truth),
-        rel_err_all=float(np.linalg.norm(y + z - t) / max(fnorm, np.finfo(float).tiny)),
-        residual_trace=trace,
-    )
-
-
-def _orbit_structure(dims):
-    """Orbit id per Fortran-order flat index under axis-index permutations.
-
-    Entries whose multi-indices are permutations of each other form one
-    orbit; a super-symmetric tensor is exactly one that is constant on every
-    orbit."""
-    n = dims[0]
-    order = len(dims)
-    multi = np.array(np.unravel_index(np.arange(n**order), dims, order="F"))
-    key = np.sort(multi, axis=0)
-    strides = (n ** np.arange(order)).astype(np.int64)
-    canon = (key * strides[:, None]).sum(axis=0)
-    _, ids = np.unique(canon, return_inverse=True)
-    return ids
+    _, z, it, conv, trace = _admm(
+        t, x_step, lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
+        np.zeros_like(t), sigma0, cfg)
+    y = stack.mean(axis=0)
+    return _result(y, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
 
 
 def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -471,13 +442,13 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     square unfolding over tensors that are super-symmetric and match the
     observed entries.
 
-    ADMM splits the unfolding variable (svt step) from the constrained
-    tensor variable. The projection onto {super-symmetric} intersect
-    {observed entries fixed} has a closed form because both sets are affine
-    and symmetry means constancy on index-permutation orbits: free orbits
-    take their orbit mean, observed orbits take their observed value. The
-    returned tensor is therefore exactly super-symmetric and exactly
-    feasible.
+    ADMM with x the unfolding (svt step) and z the constrained tensor,
+    x - z = 0. The projection onto {super-symmetric} intersect {observed
+    entries fixed} has a closed form because both sets are affine and
+    symmetry means constancy on index-permutation orbits (tensor.orbit_ids):
+    free orbits take their orbit mean, observed orbits take their observed
+    value. The returned tensor is therefore exactly super-symmetric and
+    exactly feasible.
 
     Raises ValueError when observed values disagree inside one orbit beyond
     feas_tol (relative): no super-symmetric tensor can match such data.
@@ -486,21 +457,17 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     if len(set(dims)) > 1 or len(dims) % 2:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
-    n = dims[0]
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
-    ids = _orbit_structure(dims)
-    n_orb = int(ids.max()) + 1 if ids.size else 0
-    counts = np.bincount(ids, minlength=n_orb).astype(np.float64)
+    ids = orbit_ids(dims)
+    counts = np.bincount(ids)
+    n_orb = counts.size
 
     ob_ids = ids[mask.flat]
     ob_cnt = np.bincount(ob_ids, minlength=n_orb)
     observed = ob_cnt > 0
-    ob_sum = np.bincount(ob_ids, weights=b.real, minlength=n_orb) + 1j * np.bincount(
-        ob_ids, weights=b.imag, minlength=n_orb
-    )
     ob_val = np.zeros(n_orb, dtype=np.complex128)
-    ob_val[observed] = ob_sum[observed] / ob_cnt[observed]
+    ob_val[observed] = orbit_sum(b, ob_ids, n_orb)[observed] / ob_cnt[observed]
     spread = np.abs(b - ob_val[ob_ids])
     scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
     if b.size and spread.max() > feas_tol * scale:
@@ -510,52 +477,16 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
             "tensor matches the data"
         )
 
-    def project(flat_tensor):
-        sums = np.bincount(ids, weights=flat_tensor.real, minlength=n_orb) + (
-            1j * np.bincount(ids, weights=flat_tensor.imag, minlength=n_orb)
-        )
-        vals = sums / counts
-        vals[observed] = ob_val[observed]
-        return vals[ids]
+    nrow, ncol = Pairing.default(len(dims)).matrix_shape(dims)
 
-    nrow = n ** (len(dims) // 2)
-    y = project(np.zeros(n ** len(dims), dtype=np.complex128)).reshape(
-        nrow, nrow, order="F"
-    )
-    sigma0 = spectral_norm(y)
-    if sigma0 == 0.0:
-        rec = square_fold(y, dims)
-        return SolveResult(rec, 0, True, m_ranks(rec, RECOVERED_RANK_TOL),
-                           rel_err_vs_truth=_rel_err(rec, truth), rel_err_all=0.0)
-    rho = PENALTY_SCALE * cfg.rho / sigma0
-    u = np.zeros_like(y)
-    rt_n = float(nrow)
-    trace = []
-    converged = False
-    it = 0
+    def z_step(w, rho):
+        vals = orbit_sum(w.reshape(-1, order="F"), ids, n_orb) / counts
+        vals[observed] = ob_val[observed]
+        return vals[ids].reshape(nrow, ncol, order="F")
+
+    z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
     warm = SvtWarm()
-    for it in range(1, cfg.max_iters + 1):
-        x = svt(y - u, 1.0 / rho, warm)
-        yn = project((x + u).reshape(-1, order="F")).reshape(nrow, nrow, order="F")
-        r_pri = np.linalg.norm(x - yn)
-        r_dua = rho * np.linalg.norm(yn - y)
-        y = yn
-        u = u + x - y
-        trace.append(r_pri / max(1.0, np.linalg.norm(y)))
-        e_pri = rt_n * cfg.abs_tol + cfg.rel_tol * max(
-            np.linalg.norm(x), np.linalg.norm(y)
-        )
-        e_dua = rt_n * cfg.abs_tol + cfg.rel_tol * rho * np.linalg.norm(u)
-        if r_pri <= e_pri and r_dua <= e_dua:
-            converged = True
-            break
-    rec = square_fold(y, dims)
-    return SolveResult(
-        recovered=rec,
-        iters=it,
-        converged=converged,
-        rank_report=m_ranks(rec, RECOVERED_RANK_TOL),
-        rel_err_vs_truth=_rel_err(rec, truth),
-        rel_err_all=0.0,  # projection pins observed orbits exactly
-        residual_trace=trace,
-    )
+    _, z, it, conv, trace = _admm(
+        0.0, lambda v, rho: svt(v, 1.0 / rho, warm), z_step, z0, spectral_norm(z0), cfg)
+    # projection pins observed orbits exactly
+    return _result(square_fold(z, dims), it, conv, truth, 0.0, trace)

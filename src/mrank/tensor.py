@@ -14,13 +14,13 @@ Contents:
     outer               -- tensor (outer) product
     square_unfold/fold  -- balanced matricization for a pairing, and inverse
     mode_unfold/fold    -- single-mode matricization (mode as column index)
-    symmetrize          -- average over all axis permutations
+    orbit_ids/orbit_sum -- index-permutation orbits of a cubical tensor
+    symmetrize          -- orbit mean (average over all axis permutations)
     is_super_symmetric  -- invariance under every axis permutation
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
     "square_fold",
     "mode_unfold",
     "mode_fold",
+    "orbit_ids",
+    "orbit_sum",
     "symmetrize",
     "is_super_symmetric",
 ]
@@ -214,16 +216,46 @@ def mode_fold(m, dims, mode: int) -> np.ndarray:
     return np.moveaxis(m.reshape(rest + (dims[mode],), order="F"), -1, mode)
 
 
+def orbit_ids(dims) -> np.ndarray:
+    """Orbit id of every flat index of a cubical tensor.
+
+    Entries whose multi-indices are permutations of each other form one
+    orbit of the axis permutations; ids run over 0..n_orbits-1. A tensor is
+    super-symmetric exactly when it is constant on every orbit. Fortran and
+    C flat order give the same array, since reversing a multi-index is one
+    of its permutations."""
+    dims = tuple(int(n) for n in dims)
+    if len(set(dims)) > 1:
+        raise ValueError(f"orbits need equal dims, got {dims}")
+    # the sorted multi-index, read as base-n digits, names the orbit; ids
+    # number the names in ascending order. Narrow index types and a table
+    # of used names (in place of np.unique) keep peak memory near one
+    # int64 array of the tensor's size.
+    key = np.sort(np.indices(dims, dtype=np.min_scalar_type(max(dims, default=0))), axis=0)
+    canon = np.zeros(dims, dtype=np.int64)
+    for k, digits in enumerate(key):
+        canon += digits * np.int64(dims[0]) ** k
+    used = np.zeros(canon.size, dtype=bool)
+    used[canon] = True
+    return (np.cumsum(used) - 1)[canon.reshape(-1)]
+
+
+def orbit_sum(v, ids, n_orbits: int) -> np.ndarray:
+    """Per-orbit sums of the complex values v, where v[k] lies in orbit ids[k]."""
+    return np.bincount(ids, weights=v.real, minlength=n_orbits) + 1j * np.bincount(
+        ids, weights=v.imag, minlength=n_orbits
+    )
+
+
 def symmetrize(t) -> np.ndarray:
-    """Average over all axis permutations (orthogonal projection onto the
-    super-symmetric subspace). Requires equal dims."""
+    """Orthogonal projection onto the super-symmetric subspace: every entry
+    becomes the mean of its orbit, which equals the average of t over all
+    axis permutations. Requires equal dims."""
     t = as_tensor(t)
-    if len(set(t.shape)) > 1:
-        raise ValueError(f"symmetrize needs equal dims, got {t.shape}")
-    out = np.zeros_like(t)
-    for p in permutations(range(t.ndim)):
-        out += np.transpose(t, p)
-    return out / factorial(t.ndim)
+    ids = orbit_ids(t.shape)
+    counts = np.bincount(ids)
+    mean = orbit_sum(t.reshape(-1), ids, counts.size) / counts
+    return mean[ids].reshape(t.shape)
 
 
 def is_super_symmetric(t, tol: float = 1e-8) -> bool:

@@ -125,6 +125,16 @@ def test_exit_io_error(tmp_path, capsys):
     assert run(["rank", bad]) == 3
 
 
+def test_exit_inconsistent_supersym_data(tmp_path, capsys):
+    # data that no super-symmetric tensor matches is invalid input (exit 3)
+    path = tmp_path / "t.mten"
+    run(["gen", "--form", "cp", "--dims", "4,4,4,4", "--r", "2", "--seed", "1",
+         "--output", path])
+    capsys.readouterr()
+    assert run(["sym-complete", path, "--ratio", "0.5"]) == 3
+    assert "inconsistent" in capsys.readouterr().err
+
+
 def test_exit_non_finite_input(tmp_path, capsys):
     # a NaN in the file is a data error (exit 3) caught on reading, before
     # it can reach LAPACK or a report

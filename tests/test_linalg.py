@@ -20,7 +20,6 @@ from mrank.linalg import (
     numerical_rank,
     spectral_norm,
     SvtWarm,
-    svd,
     svt,
     takagi,
 )
@@ -57,13 +56,6 @@ def test_norms_against_numpy():
     assert np.isclose(nuclear_norm(m), s.sum())
     assert np.isclose(spectral_norm(m), s[0])
     assert np.isclose(complex_l1(m), np.abs(m).sum())
-
-
-def test_svd_reconstruct():
-    rng = np.random.default_rng(2)
-    m = crandn(rng, (6, 4))
-    res = svd(m)
-    assert np.allclose(res.reconstruct(), m, atol=1e-12)
 
 
 # --------------------------------------------------------------------- svt

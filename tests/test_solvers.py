@@ -243,6 +243,43 @@ def test_solvers_reject_non_finite_input(bad):
             call()
 
 
+# ------------------------------------------------------ shared ADMM driver
+
+# each solve takes a data multiplier k (0 gives all-zero data) and a config
+_T = gen_cp(DIMS, 2, seed=10)
+_MASK = gen_mask(DIMS, 0.6, seed=11)
+_NOISY = _T + gen_sparse_noise(DIMS, 0.05, seed=12)
+_S = gen_supersym(6, 4, 2, seed=13)
+_SMASK = gen_mask(_S.shape, 0.5, seed=14)
+ADMM_SOLVES = {
+    "complete_n": lambda k, cfg: complete_n(_MASK, k * _MASK.observe(_T), cfg),
+    "rpca_m": lambda k, cfg: rpca_m(k * _NOISY, cfg=cfg),
+    "rpca_n": lambda k, cfg: rpca_n(k * _NOISY, cfg=cfg),
+    "complete_supersym": lambda k, cfg: complete_supersym(_SMASK, k * _SMASK.observe(_S), cfg),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMM_SOLVES))
+def test_admm_driver_contract(name):
+    solve = ADMM_SOLVES[name]
+    zero = solve(0.0, SolverConfig())
+    assert zero.iters == 0 and zero.converged and zero.residual_trace == []
+    assert not zero.recovered.any()
+    assert zero.sparse is None or not zero.sparse.any()
+
+    capped = solve(1.0, SolverConfig(max_iters=3))
+    assert capped.iters == 3 and not capped.converged
+    assert len(capped.residual_trace) == 3
+
+    r1 = solve(1.0, SolverConfig())
+    r2 = solve(1.0, SolverConfig())
+    assert r1.converged and r1.iters == len(r1.residual_trace)
+    assert np.array_equal(r1.recovered, r2.recovered)
+    assert (r1.sparse is None) == (r2.sparse is None)
+    assert r1.sparse is None or np.array_equal(r1.sparse, r2.sparse)
+    assert r1.residual_trace == r2.residual_trace
+
+
 # ----------------------------------------------------------------- reports
 
 

@@ -7,6 +7,8 @@ exact sizes/counts, which are deterministic.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrank.ranks import m_ranks
 from mrank.synth import (
@@ -135,6 +137,27 @@ def test_mask_observe_fill_round_trip():
     total = np.zeros(np.prod(dims), dtype=np.complex128)
     total[np.asarray(mask.flat)] = values
     assert np.array_equal(filled, total.reshape(dims, order="F"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
+def test_mask_fill_observe_property(dims, data):
+    # any subset of positions: fill places values at exactly those Fortran
+    # flat positions, observe reads them back bitwise
+    dims = tuple(dims)
+    total = int(np.prod(dims))
+    flat = sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=total)))
+    mask = Mask(dims=dims, flat=flat)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = complex_normal(rng, (mask.count,))
+    filled = mask.fill(values)
+    assert filled.shape == dims
+    assert np.array_equal(mask.observe(filled), values)
+    off = np.ones(total, dtype=bool)
+    off[flat] = False
+    assert not filled.reshape(-1, order="F")[off].any()
+    t = complex_normal(rng, dims)
+    assert np.array_equal(mask.observe(t), t.reshape(-1, order="F")[flat])
 
 
 def test_mask_first_index_fastest_positions():

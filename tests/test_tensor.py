@@ -1,11 +1,19 @@
 """Pairings, matricizations, and symmetry predicates.
 
-Oracles here are either hand-computed small cases (frozen inline) or
-entry-by-entry loop reconstructions of the same mapping.
+Oracles here are either hand-computed small cases (frozen inline),
+entry-by-entry loop reconstructions of the same mapping, or (for
+symmetrize) the plain average over all axis permutations. The property
+tests draw dims, pairings and permutations with hypothesis, derandomized so
+the suite stays deterministic.
 """
+
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrank.tensor import (
     Pairing,
@@ -25,6 +33,17 @@ from mrank.tensor import (
 
 def crandn(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def permutation_average(t):
+    """Reference symmetrize: the mean of t over all (order)! axis transposes."""
+    out = np.zeros_like(t)
+    for p in permutations(range(t.ndim)):
+        out += np.transpose(t, p)
+    return out / factorial(t.ndim)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 # ------------------------------------------------------------------ Pairing
@@ -241,3 +260,57 @@ def test_is_super_symmetric_cases():
     assert is_super_symmetric(t, 1.0)  # loose tolerance accepts it
     assert not is_super_symmetric(np.zeros((2, 3)))  # unequal dims
     assert is_super_symmetric(np.zeros((2, 2)))
+
+
+# ------------------------------------------------------- property tests
+
+
+@st.composite
+def tensors_and_pairings(draw):
+    """An even-order complex tensor (small dims) and a random balanced pairing."""
+    order = draw(st.sampled_from([2, 4, 6]))
+    dims = tuple(draw(st.lists(st.integers(1, 4 if order < 6 else 3),
+                               min_size=order, max_size=order)))
+    axes = draw(st.permutations(range(order)))
+    pairing = Pairing(tuple(axes[: order // 2]), tuple(axes[order // 2:]))
+    t = crandn(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dims)
+    return t, pairing
+
+
+@PROPERTY
+@given(tensors_and_pairings())
+def test_square_fold_inverts_unfold(case):
+    t, pr = case
+    m = square_unfold(t, pr)
+    assert m.shape == pr.matrix_shape(t.shape)
+    assert np.array_equal(square_fold(m, t.shape, pr), t)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.data())
+def test_mode_fold_inverts_unfold(dims, data):
+    dims = tuple(dims)
+    mode = data.draw(st.integers(0, len(dims) - 1))
+    t = crandn(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), dims)
+    m = mode_unfold(t, mode)
+    assert m.shape == (t.size // dims[mode], dims[mode])
+    assert np.array_equal(mode_fold(m, dims, mode), t)
+
+
+@st.composite
+def cubical_tensors(draw):
+    order = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.integers(1, {2: 5, 4: 4, 6: 3}[order]))
+    return crandn(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (n,) * order)
+
+
+@PROPERTY
+@given(cubical_tensors(), st.data())
+def test_symmetrize_properties(t, data):
+    s = symmetrize(t)
+    tol = 1e-13 * max(1.0, float(np.abs(t).max()))
+    assert np.allclose(s, permutation_average(t), rtol=0, atol=tol)
+    assert is_super_symmetric(s, 1e-13)
+    assert np.allclose(symmetrize(s), s, rtol=0, atol=tol)
+    axes = data.draw(st.permutations(range(t.ndim)))
+    assert np.allclose(symmetrize(np.transpose(t, axes)), s, rtol=0, atol=tol)
