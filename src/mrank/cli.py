@@ -75,8 +75,12 @@ def _parse_pairing(text: str | None, order: int) -> Pairing | None:
 def _solver_config(args) -> SolverConfig:
     cfg = SolverConfig()
     if getattr(args, "max_iters", None) is not None:
+        if args.max_iters < 0:
+            raise UsageError(f"--max-iters must be >= 0, got {args.max_iters}")
         cfg.max_iters = args.max_iters
     if getattr(args, "rel_tol", None) is not None:
+        if not (np.isfinite(args.rel_tol) and args.rel_tol >= 0):
+            raise UsageError(f"--rel-tol must be finite and >= 0, got {args.rel_tol}")
         cfg.rel_tol = args.rel_tol
     if getattr(args, "lam", None) is not None:
         cfg.lam = args.lam
@@ -171,8 +175,8 @@ def _load_truth(args):
 
 
 def _cmd_complete(args) -> int:
-    t = read_tensor(args.input)
     cfg = _solver_config(args)
+    t = read_tensor(args.input)
     mask = gen_mask(t.shape, args.ratio, cfg.seed)
     values = mask.observe(t)
     truth = _load_truth(args)
@@ -191,8 +195,8 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_rpca(args) -> int:
-    t = read_tensor(args.input)
     cfg = _solver_config(args)
+    t = read_tensor(args.input)
     truth = _load_truth(args)
     data = t
     if args.density is not None:
@@ -214,8 +218,8 @@ def _cmd_rpca(args) -> int:
 
 
 def _cmd_sym_complete(args) -> int:
-    t = read_tensor(args.input)
     cfg = _solver_config(args)
+    t = read_tensor(args.input)
     mask = gen_mask(t.shape, args.ratio, cfg.seed)
     values = mask.observe(t)
     truth = _load_truth(args)
@@ -477,8 +481,8 @@ def _frame_paths(out_dir: str, stem: str, count: int) -> list:
 
 
 def _cmd_video_complete(args) -> int:
-    t = read_frames(sorted(args.frames))
     cfg = _solver_config(args)
+    t = read_frames(sorted(args.frames))
     mask = gen_mask(t.shape, args.ratio, cfg.seed)
     res = complete_m(mask, mask.observe(t), None, cfg, truth=t)
     _print_result(res, "video complete_m")
@@ -491,8 +495,8 @@ def _cmd_video_complete(args) -> int:
 
 
 def _cmd_video_decompose(args) -> int:
-    t = read_frames(sorted(args.frames))
     cfg = _solver_config(args)
+    t = read_frames(sorted(args.frames))
     res = rpca_m(t, None, cfg)
     _print_result(res, "video rpca_m")
     n_frames = t.shape[3]

@@ -7,9 +7,13 @@ svt, the nuclear-norm prox every solver iterates, picks one of three exact
 routes per call from the matrix shape and the caller's warm state: a Gram
 eigendecomposition for tall matrices, a warm-started block subspace
 iteration when the previous call's kept rank is small against the matrix,
-and the full LAPACK SVD otherwise. The warm state (SvtWarm) belongs
-to the caller; there is no module-level cache and no randomness, so results
-are deterministic and independent of threading.
+and the full LAPACK SVD otherwise. rank_project, the exact rank-r
+projection (best rank-r approximation) behind complete_m's refinement,
+runs the same subspace sweeps from a warm block of r + OVERSAMPLE columns
+and falls back to the full SVD when they do not converge; one sweep loop,
+_sweeps, serves both. The warm state (SvtWarm) belongs to the caller;
+there is no module-level cache and no randomness, so results are
+deterministic and independent of threading.
 """
 
 from dataclasses import dataclass
@@ -26,6 +30,7 @@ __all__ = [
     "takagi",
     "SvtWarm",
     "svt",
+    "rank_project",
     "complex_soft_threshold",
     "complex_l1",
 ]
@@ -105,13 +110,15 @@ def takagi(m, sym_tol: float = 1e-10, group_tol: float = 1e-8) -> TakagiResult:
 
 @dataclass
 class SvtWarm:
-    """Warm state carried from one `svt` call to the next at one call site.
+    """Warm state carried from one `svt` or `rank_project` call to the next
+    at one call site.
 
     v holds the previous call's kept right singular vectors plus up to
     OVERSAMPLE more (columns, orthonormal); it seeds the next call's
     subspace iteration. path names the route the last call took: "gram",
     "subspace" or "full". A solver creates one per call site (one per mode
-    for the mode-unfolding solvers) and passes it to every call there.
+    for the mode-unfolding solvers, one per candidate rank in complete_m's
+    refinement) and passes it to every call there.
     """
 
     v: np.ndarray | None = None
@@ -168,28 +175,42 @@ def _subspace_pays(rows, cols, k):
     return SWEEP_CAP * k <= FULL_SVD_SWEEPS * min(rows, cols)
 
 
-def _svt_subspace(m, tau, warm):
-    """Path 2: block subspace iteration from the warm block with
-    Rayleigh-Ritz through the SVD of Q^H M. None when the block fills (every
-    Ritz value above tau) or SWEEP_CAP sweeps do not converge."""
-    v = warm.v
+def _sweeps(m, v, kept):
+    """Block subspace iteration on m from the orthonormal block v, with
+    Rayleigh-Ritz through the SVD of Q^H M, shared by svt's route 2 and
+    rank_project. kept(s) names how many leading Ritz triplets the caller
+    needs. Returns (u, s, vh, v) once those triplets satisfy
+    ||M v_i - s_i u_i|| <= SUBSPACE_TOL * s_max, with u their left vectors,
+    s and vh every Ritz value and right vector and v = vh^H; None when the
+    block fills (kept >= its width) or SWEEP_CAP sweeps do not converge."""
     k = v.shape[1]
     y = m @ v
     for _ in range(SWEEP_CAP):
         q = np.linalg.qr(y)[0]
         ub, s, vh = np.linalg.svd(q.conj().T @ m, full_matrices=False)
-        keep = int(np.count_nonzero(s > tau))
-        if keep == k:
+        keep = kept(s)
+        if keep >= k:
             return None
         v = vh.conj().T
         y = m @ v
         u = q @ ub[:, :keep]
         if np.linalg.norm(y[:, :keep] - u * s[:keep]) <= SUBSPACE_TOL * s[0]:
-            warm.v = v[:, : keep + OVERSAMPLE]
-            if keep == 0:
-                return np.zeros_like(m)
-            return (u * (s[:keep] - tau)) @ vh[:keep]
+            return u, s, vh, v
     return None
+
+
+def _svt_subspace(m, tau, warm):
+    """Path 2: subspace sweeps from the warm block. None when the block
+    fills (every Ritz value above tau) or the sweeps do not converge."""
+    out = _sweeps(m, warm.v, lambda s: int(np.count_nonzero(s > tau)))
+    if out is None:
+        return None
+    u, s, vh, v = out
+    keep = u.shape[1]
+    warm.v = v[:, : keep + OVERSAMPLE]
+    if keep == 0:
+        return np.zeros_like(m)
+    return (u * (s[:keep] - tau)) @ vh[:keep]
 
 
 def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
@@ -245,6 +266,36 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     if not keep.any():
         return np.zeros_like(m)
     return (u[:, keep] * (s[keep] - tau)) @ vh[keep]
+
+
+def rank_project(m, r: int, warm: SvtWarm | None = None) -> np.ndarray:
+    """The best rank-r approximation of m (Eckart and Young): its leading r
+    singular triplets, or m itself, to rounding, when r >= min(m.shape).
+
+    With a warm block of exactly r + OVERSAMPLE columns from the previous
+    call at this site, the subspace sweeps of svt's route 2 run until the
+    leading r Ritz triplets pass the same SUBSPACE_TOL residual test, and
+    the block moves on. Otherwise, or when the sweeps do not converge, the
+    full SVD runs and seeds the block. Both routes agree with the full-SVD
+    truncation to about 1e-12 relative; as with svt, the warm route only
+    sees directions its block reaches, which suits iterates that move a
+    little per call. Unlike svt's route 2 there is no width gate: on such
+    iterates two or three sweeps of the block replace a full SVD.
+    warm.path records the route taken ("subspace" or "full").
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    width = r + OVERSAMPLE
+    if warm is not None and warm.v is not None and warm.v.shape == (m.shape[1], width):
+        out = _sweeps(m, warm.v, lambda s: r)
+        if out is not None:
+            u, s, vh, warm.v = out
+            warm.path = "subspace"
+            return (u * s[:r]) @ vh[:r]
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    if warm is not None:
+        warm.v = vh[:width].conj().T
+        warm.path = "full"
+    return (u[:, :r] * s[:r]) @ vh[:r]
 
 
 def complex_soft_threshold(m, tau: float) -> np.ndarray:

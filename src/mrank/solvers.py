@@ -25,24 +25,34 @@ rpca_n), created inside the solve, so consecutive iterations warm-start the
 kernel and concurrent solves share nothing. In practice the square 400x400
 iterates of rpca_m and complete_supersym, whose kept rank stays small, take
 the warm subspace route; the tall mode unfoldings of complete_n and rpca_n
-take the Gram route; complete_m's 100x100 iterates keep too high a rank for
-the subspace route and stay on the full SVD (see linalg.svt).
+take the Gram route; complete_m's 100x100 continuation iterates keep too
+high a rank for the subspace route and stay on the full SVD (see
+linalg.svt).
 
 complete_m runs fixed-point continuation (singular value thresholding with
-a shrinking threshold mu) and then a spectral-gap-guided rank-projection
-refinement: candidate ranks are read off the gaps of the continuation
-solution and tried in ascending order, each validated by the observed-entry
-residual. The refinement is what recovers instances near the sampling
-boundary where the plain nuclear-norm optimum is no longer the low-rank
-truth (hard truncation of trailing singular values, the same ingredient the
-classical approximate-SVD continuation solvers rely on).
+a shrinking threshold mu; Ma, Goldfarb and Chen 2011) and validates ranks
+at the end of every continuation stage. Candidate ranks are read off the
+largest spectral gaps of the stage's iterate and tried in ascending order;
+each is refined by singular value projection (Jain, Meka and Dhillon 2010)
+onto rank r and accepted when the observed-entry residual falls to
+0.1 * rel_tol, provided the samples overdetermine rank r. The solve
+returns the first accepted rank; a rejected rank is not tried again, and
+continuation goes on from its own iterate. The refinement is what
+recovers instances near the sampling boundary, where the plain
+nuclear-norm optimum is no longer the low-rank truth, and the right rank
+usually shows after the first stage or two, so the solve stops long
+before the continuation floor. cfg.max_iters caps continuation and
+refinement together. Each projection step runs through linalg.rank_project
+with one warm block per candidate: one full SVD seeds it, and after that
+two or three subspace sweeps of an (r + OVERSAMPLE)-wide block replace
+each full SVD.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SvtWarm, complex_soft_threshold, spectral_norm, svt
+from .linalg import SvtWarm, complex_soft_threshold, rank_project, spectral_norm, svt
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
@@ -77,8 +87,9 @@ PENALTY_SCALE = 40.0
 # has unit Lipschitz constant, so any step below 2 is safe.
 GRAD_STEP = 1.99
 
-# Rank-projection refinement: spectral gaps at least GAP_MIN flag candidate
-# ranks, at most MAX_CANDIDATES are tried (ascending).
+# Rank-projection refinement at each continuation stage end: spectral gaps
+# at least GAP_MIN flag candidate ranks, at most MAX_CANDIDATES are tried
+# (ascending), each for at most REFINE_MAX_ITERS steps.
 GAP_MIN = 2.0
 MAX_CANDIDATES = 4
 REFINE_MAX_ITERS = 500
@@ -117,7 +128,9 @@ class SolveResult:
     iteration, so len(residual_trace) == iters. For the four ADMM solvers
     the entry is r_pri / max(||x||, ||z||, ||c||): the primal residual over
     the scale that rel_tol multiplies in the stopping test. For complete_m
-    it is the observed-entry residual relative to the data.
+    it is the observed-entry residual, relative to the data, of the iterate
+    each step produced: a continuation step, a refinement step, or the
+    step back to the continuation iterate after a rejected candidate.
     """
 
     recovered: np.ndarray
@@ -198,6 +211,28 @@ def _gap_candidates(x) -> list:
     return sorted(cand[:MAX_CANDIDATES]) or [int(pos.size)]
 
 
+def _svp(x, r, flat, b, bscale, iters, trace, accept):
+    """Singular value projection (Jain, Meka and Dhillon 2010) at rank r
+    from x: y <- rank_project(y - GRAD_STEP * grad, r), warm across steps.
+    Each step logs its observed-entry residual. Returns y once that
+    residual is <= accept; None when a step barely moves y or after iters
+    steps."""
+    warm = SvtWarm()
+    y = x
+    g, _ = _residual_grad(y, flat, b)
+    for _ in range(iters):
+        yn = rank_project(y - GRAD_STEP * g, r, warm)
+        change = np.linalg.norm(yn - y) / max(1.0, np.linalg.norm(y))
+        y = yn
+        g, rnorm = _residual_grad(y, flat, b)
+        trace.append(rnorm / bscale)
+        if trace[-1] <= accept:
+            return y
+        if change < 1e-10:
+            return None
+    return None
+
+
 def complete_m(mask: Mask, values, pairing: Pairing | None = None,
                cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     """Complete a tensor from observed entries by minimizing the nuclear
@@ -205,10 +240,16 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
 
     Fixed-point continuation: x <- svt(x - step * grad, step * mu) with mu
     shrinking along cfg.mu_schedule (fractions of the masked unfolding's
-    spectral norm), then the rank-projection refinement described in the
-    module docstring. Observed entries of the result match the data within
-    cfg.rel_tol (relative). rel_err_all is the observed-entry residual of
-    the returned tensor, also when every refinement candidate is rejected.
+    spectral norm). At the end of every stage the stage's gap candidates
+    are validated by rank projection, as the module docstring describes,
+    and the first accepted one is returned (converged). cfg.max_iters
+    bounds continuation and refinement together: a candidate gets
+    min(REFINE_MAX_ITERS, budget left - 1) steps, the one spared for the
+    step back when it is rejected. When the floor stage or the budget is
+    reached with nothing accepted, the continuation iterate is returned,
+    converged only if its observed residual is within cfg.rel_tol.
+    rel_err_all is always the observed-entry residual of the returned
+    tensor, and residual_trace[-1] when iters > 0.
     """
     cfg = cfg or SolverConfig()
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
@@ -219,7 +260,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     xf = np.zeros(nrow * ncol, dtype=np.complex128)
     xf[flat] = b
     x = xf.reshape((nrow, ncol), order="F")
-    bnorm = float(np.linalg.norm(b))
+    bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
     sigma0 = spectral_norm(x)
     if sigma0 == 0.0:
         return _result(square_fold(x, mask.dims, pr), 0, True, truth, 0.0, [])
@@ -227,66 +268,48 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     mu0, shrink, floor_frac = cfg.mu_schedule
     mu = mu0 * sigma0
     mu_floor = floor_frac * sigma0
+    # a candidate rank is only trusted when the samples overdetermine it
+    # (count >= dim of the rank-r manifold), else a perfect data fit would
+    # certify nothing; a rank rejected once is not tried again
+    accept = 0.1 * cfg.rel_tol
+    rejected = set()
     trace = []
-    it = 0
     converged = False
     warm = SvtWarm()
     g, rnorm = _residual_grad(x, flat, b)
-    while it < cfg.max_iters:
+    resid = rnorm / bscale
+    while len(trace) < cfg.max_iters:
         xn = svt(x - GRAD_STEP * g, GRAD_STEP * mu, warm)
         step = np.linalg.norm(xn - x) / max(1.0, np.linalg.norm(x))
         x = xn
         g, rnorm = _residual_grad(x, flat, b)
-        it += 1
-        trace.append(rnorm / max(bnorm, np.finfo(float).tiny))
+        resid = rnorm / bscale
+        trace.append(resid)
         # inner tolerance loosens with mu so early stages hand off quickly
-        if step < max(cfg.rel_tol, 1e-2 * mu / sigma0):
-            if mu <= mu_floor:
-                converged = trace[-1] <= cfg.rel_tol
-                break
-            mu = max(mu * shrink, mu_floor)
-
-    # rank-projection refinement, self-validated by the data residual; a
-    # candidate rank is only trusted when the samples overdetermine it
-    # (count >= dim of the rank-r manifold), else a perfect data fit would
-    # certify nothing
-    accept = 0.1 * cfg.rel_tol
-    x_resid = rnorm / max(bnorm, np.finfo(float).tiny)
-    tried = False
-    for r in _gap_candidates(x):
-        if b.size < r * (nrow + ncol - r):
+        if step >= max(cfg.rel_tol, 1e-2 * mu / sigma0):
             continue
-        tried = True
-        y = x.copy()
-        ok = False
-        for _ in range(REFINE_MAX_ITERS):
-            g, rnorm = _residual_grad(y, flat, b)
-            u, s, vh = np.linalg.svd(y - GRAD_STEP * g, full_matrices=False)
-            yn = (u[:, :r] * s[:r]) @ vh[:r]
-            change = np.linalg.norm(yn - y) / max(1.0, np.linalg.norm(y))
-            y = yn
-            it += 1
-            res = float(np.linalg.norm(y.reshape(-1, order="F")[flat] - b))
-            trace.append(res / max(bnorm, np.finfo(float).tiny))
-            if trace[-1] <= accept:
-                ok = True
+        for r in _gap_candidates(x):
+            if r in rejected or b.size < r * (nrow + ncol - r):
+                continue
+            left = cfg.max_iters - len(trace)
+            if left < 2:
                 break
-            if change < 1e-10:
-                break
-        if ok:
-            x = y
-            converged = True
+            y = _svp(x, r, flat, b, bscale, min(REFINE_MAX_ITERS, left - 1), trace, accept)
+            if y is not None:
+                return _result(square_fold(y, mask.dims, pr), len(trace), True, truth,
+                               trace[-1], trace)
+            rejected.add(r)
+            # stepping back to the continuation iterate is logged as one
+            # more step, so a solve that ends here ends its trace with the
+            # residual of the tensor it returns
+            trace.append(resid)
+        if mu <= mu_floor:
+            converged = resid <= cfg.rel_tol
             break
-    else:
-        if tried:
-            # every candidate was rejected: stepping back to the continuation
-            # iterate is logged as one more step, so the trace ends with the
-            # residual of the tensor returned
-            it += 1
-            trace.append(x_resid)
+        mu = max(mu * shrink, mu_floor)
 
-    return _result(square_fold(x, mask.dims, pr), it, converged, truth,
-                   trace[-1] if trace else x_resid, trace)
+    return _result(square_fold(x, mask.dims, pr), len(trace), converged, truth,
+                   resid, trace)
 
 
 def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):

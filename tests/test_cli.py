@@ -118,6 +118,21 @@ def test_exit_bad_flags(tmp_path, capsys):
                 "--output", tmp_path / "t.mten"]) == 2  # k missing
 
 
+@pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.6"], ["rpca"],
+                                 ["sym-complete", "--ratio", "0.6"]])
+@pytest.mark.parametrize("flag", [["--max-iters", "-3"], ["--rel-tol", "nan"],
+                                  ["--rel-tol", "inf"], ["--rel-tol", "-0.001"]])
+def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
+    # rejected before any solve: a negative budget or a tolerance that no
+    # residual can meet is a usage error, not a solver that did not converge
+    path = tmp_path / "t.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    assert run([cmd[0], path, *cmd[1:], *flag]) == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err
+    assert "converged" not in captured.out
+
+
 def test_exit_io_error(tmp_path, capsys):
     assert run(["rank", tmp_path / "missing.mten"]) == 3
     bad = tmp_path / "bad.mten"

@@ -4,7 +4,8 @@ svt and complex_soft_threshold are checked against closed forms on diagonal
 or scalar inputs (where the prox is elementary) and against their defining
 identities at the extreme thresholds. Each of svt's three routes (Gram,
 warm subspace, full SVD) is checked against a full-SVD reference written
-here, on sequences that keep, change and fill the warm block.
+here, on sequences that keep, change and fill the warm block; rank_project,
+which shares the subspace sweeps, against a full-SVD truncation.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -14,10 +15,12 @@ import pytest
 
 from mrank.linalg import (
     DEFAULT_RANK_TOL,
+    OVERSAMPLE,
     complex_l1,
     complex_soft_threshold,
     nuclear_norm,
     numerical_rank,
+    rank_project,
     spectral_norm,
     SvtWarm,
     svt,
@@ -213,6 +216,78 @@ def test_rpca_m_threaded_matches_serial_bitwise():
         assert res.iters == ref.iters
         assert np.array_equal(res.recovered, ref.recovered)
         assert np.array_equal(res.sparse, ref.sparse)
+
+
+# ------------------------------------------------------------ rank_project
+
+
+def truncation_reference(m, r):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :r] * s[:r]) @ vh[:r]
+
+
+def assert_matches_truncation(out, m, r, rel=1e-12):
+    ref = truncation_reference(m, r)
+    assert np.linalg.norm(out - ref) <= rel * np.linalg.norm(ref)
+
+
+def drifting_rank_6(seed, steps, n=100):
+    # rank 6 drifting a little per step under a dense perturbation, the
+    # shape of the rank-projection refinement's iterates
+    rng = np.random.default_rng(seed)
+    a, b = crandn(rng, (n, 6)), crandn(rng, (6, n))
+    da, db = crandn(rng, (n, 6)), crandn(rng, (6, n))
+    return [(a + 0.02 * k * da) @ (b + 0.02 * k * db) + 0.05 * crandn(rng, (n, n))
+            for k in range(steps)]
+
+
+def test_rank_project_tracks_drifting_rank_6():
+    warm = SvtWarm()
+    for step, m in enumerate(drifting_rank_6(18, 10)):
+        out = rank_project(m, 6, warm)
+        assert warm.path == ("full" if step == 0 else "subspace")
+        assert warm.v.shape == (100, 6 + OVERSAMPLE)
+        assert_matches_truncation(out, m, 6)
+
+
+def test_rank_project_stale_or_wrong_width_block_falls_back():
+    rng = np.random.default_rng(19)
+    m = crandn(rng, (100, 100))  # no spectral gap: sweeps cannot converge
+    stale = SvtWarm(v=np.linalg.qr(crandn(rng, (100, 6 + OVERSAMPLE)))[0])
+    assert_matches_truncation(rank_project(m, 6, stale), m, 6)
+    assert stale.path == "full"
+    assert stale.v.shape == (100, 6 + OVERSAMPLE)  # reseeded from the SVD
+    # a block seeded for another rank, or by svt, is not reused
+    warm = SvtWarm()
+    seq = drifting_rank_6(20, 2)
+    rank_project(seq[0], 4, warm)
+    assert_matches_truncation(rank_project(seq[1], 6, warm), seq[1], 6)
+    assert warm.path == "full"
+    svt(seq[0], 0.9 * spectral_norm(seq[0]), warm)  # keeps fewer than 6
+    assert warm.v.shape[1] != 6 + OVERSAMPLE
+    assert_matches_truncation(rank_project(seq[1], 6, warm), seq[1], 6)
+    assert warm.path == "full"
+
+
+def test_rank_project_full_rank_returns_the_matrix():
+    rng = np.random.default_rng(21)
+    m = crandn(rng, (30, 20))
+    warm = SvtWarm()
+    for _ in range(2):
+        out = rank_project(m, 20, warm)
+        assert_matches_truncation(out, m, 20)
+        assert np.linalg.norm(out - m) <= 1e-12 * np.linalg.norm(m)
+        assert warm.path == "full"  # a block cannot be wider than the matrix
+
+
+def test_rank_project_identical_sequences_are_bitwise_equal():
+    def run():
+        warm = SvtWarm()
+        return [rank_project(m, 6, warm) for m in drifting_rank_6(22, 6)], warm.path
+
+    (first, path1), (second, path2) = run(), run()
+    assert path1 == path2 == "subspace"
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
 # ------------------------------------------------------------ soft threshold

@@ -56,9 +56,9 @@ def test_complete_m_recovers_and_is_feasible():
 
 
 def test_complete_m_reports_residual_of_returned_tensor_when_all_rejected():
-    # every refinement candidate is rejected here; the result is the
-    # continuation iterate, and its own residual must be the one reported
-    # (the last rejected candidate's was about 7.5e-05)
+    # no refinement candidate is accepted within the 400-iteration budget
+    # here; the result is the continuation iterate, and its own residual
+    # must be the one reported, not that of a rejected candidate
     dims = (10, 10, 10, 10)
     t = gen_cp(dims, 6, seed=0)
     mask = gen_mask(dims, 0.2, seed=0)
@@ -70,6 +70,26 @@ def test_complete_m_reports_residual_of_returned_tensor_when_all_rejected():
     assert res.rel_err_all > 1e-3
     assert res.rel_err_all == res.residual_trace[-1]
     assert res.iters == len(res.residual_trace)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 300])
+def test_complete_m_max_iters_caps_continuation_and_refinement(k):
+    # criterion 7, seed 0: one budget covers both phases, and the result
+    # reports the residual of the tensor it returns whatever the cut
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=0)
+    mask = gen_mask(dims, 0.3, seed=0)
+    b = mask.observe(t)
+    cfg = SolverConfig(max_iters=k)
+    res = complete_m(mask, b, cfg=cfg)
+    resid = np.linalg.norm(mask.observe(res.recovered) - b) / np.linalg.norm(b)
+    assert res.iters <= k
+    assert res.iters == len(res.residual_trace)
+    assert res.rel_err_all == pytest.approx(resid, rel=1e-9)
+    assert not res.converged or resid <= cfg.rel_tol
+    if k == 300:
+        # rank 6 is validated at a stage end, well inside the budget
+        assert res.converged
 
 
 def test_complete_m_crossed_pairing():
