@@ -10,7 +10,8 @@ Subcommands:
     video-complete  -- mask and complete a PPM frame stack
     video-decompose -- split a PPM frame stack into background/foreground
 
-Exit codes: 0 success, 2 bad flags, 3 I/O, format or invalid input data
+Exit codes: 0 success, 2 bad flags (out-of-range numbers included, such as
+a --ratio outside [0, 1]), 3 I/O, format or invalid input data
 (an unreadable file, NaN or Inf entries, data a solver rejects such as
 observations no super-symmetric tensor matches), 4 solver did not converge
 (the partial result and report are still written). Table commands never
@@ -72,15 +73,33 @@ def _parse_pairing(text: str | None, order: int) -> Pairing | None:
         raise UsageError(str(exc)) from None
 
 
+def _check_flags(args) -> None:
+    """Reject out-of-range numeric flags of any command before it reads
+    input or starts a solve: these are usage errors, not a solver that did
+    not converge or data that cannot be read."""
+    max_iters = getattr(args, "max_iters", None)
+    if max_iters is not None and max_iters < 0:
+        raise UsageError(f"--max-iters must be >= 0, got {max_iters}")
+    rel_tol = getattr(args, "rel_tol", None)
+    if rel_tol is not None and not (np.isfinite(rel_tol) and rel_tol >= 0):
+        raise UsageError(f"--rel-tol must be finite and >= 0, got {rel_tol}")
+    lam = getattr(args, "lam", None)
+    if lam is not None and not (np.isfinite(lam) and lam > 0):
+        raise UsageError(f"--lam must be finite and > 0, got {lam}")
+    for name in ("ratio", "density"):
+        frac = getattr(args, name, None)
+        if frac is not None and not 0.0 <= frac <= 1.0:
+            raise UsageError(f"--{name} must be in [0, 1], got {frac}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
+
+
 def _solver_config(args) -> SolverConfig:
     cfg = SolverConfig()
     if getattr(args, "max_iters", None) is not None:
-        if args.max_iters < 0:
-            raise UsageError(f"--max-iters must be >= 0, got {args.max_iters}")
         cfg.max_iters = args.max_iters
     if getattr(args, "rel_tol", None) is not None:
-        if not (np.isfinite(args.rel_tol) and args.rel_tol >= 0):
-            raise UsageError(f"--rel-tol must be finite and >= 0, got {args.rel_tol}")
         cfg.rel_tol = args.rel_tol
     if getattr(args, "lam", None) is not None:
         cfg.lam = args.lam
@@ -641,6 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,12 @@ entry.
 complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
 docstring for the variables of each model). It owns the penalty, the dual
-update, the stopping test and the trace. The penalty is made
+update, the stopping test and the trace. The initial penalty is made
 scale-invariant by dividing by the spectral norm of the data unfolding, so
-the dimensionless defaults work at any data scale; `cfg.rho` stays fixed
-during a solve. All five solvers build their SolveResult with _result.
+the dimensionless defaults work at any data scale; from there, residual
+balancing moves it by factors of two when the primal and dual residuals
+drift far apart (see _admm), which is what lets the complete_n baseline
+meet its dual test. All five solvers build their SolveResult with _result.
 
 Every svt call site keeps its own SvtWarm (one per mode in complete_n and
 rpca_n), created inside the solve, so consecutive iterations warm-start the
@@ -83,6 +85,14 @@ __all__ = [
 # sigma_max(data unfolding).
 PENALTY_SCALE = 40.0
 
+# Residual balancing of the ADMM penalty (see _admm): every BALANCE_PERIOD
+# iterations, rho is multiplied or divided by BALANCE_FACTOR when one
+# relative residual exceeds BALANCE_BAND times the other. A power of two
+# keeps the rescaled dual exact.
+BALANCE_PERIOD = 10
+BALANCE_BAND = 50.0
+BALANCE_FACTOR = 2.0
+
 # Gradient step for the masked least-squares sweeps; the sampling operator
 # has unit Lipschitz constant, so any step below 2 is safe.
 GRAD_STEP = 1.99
@@ -102,8 +112,10 @@ class SolverConfig:
     mu_schedule drives the completion continuation: (initial fraction of
     sigma_max, shrink factor per stage, floor fraction of sigma_max).
     lam is the sparsity weight for the robust solvers; None means
-    1/sqrt(rows of the unfolding). seed is carried for interface parity;
-    the solvers are deterministic and draw no randomness.
+    1/sqrt(rows of the unfolding). rho is the initial multiplier of the
+    ADMM penalty, PENALTY_SCALE * rho / sigma_max(data unfolding);
+    residual balancing adapts the penalty from there. seed is carried for
+    interface parity; the solvers are deterministic and draw no randomness.
     """
 
     max_iters: int = 2000
@@ -318,7 +330,8 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     rpca_n and complete_supersym.
 
     x_step(v, rho) = prox_{f/rho}(v) and z_step(w, rho) = prox_{g/rho}(w);
-    z_step returns a new array, since w's buffer is reused.
+    z_step returns a new array, since w's buffer is reused. z0 is
+    overwritten.
     x carries the constraint's full shape; z and c may be compact arrays
     that broadcast to it (a consensus tensor shared by stacked mode copies),
     and their norms count every copy. The models:
@@ -330,15 +343,27 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
         complete_supersym  x = svt(z - u); z = the orbit projection; c = 0
 
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
-    z steps. The penalty is rho = PENALTY_SCALE * cfg.rho / scale. The loop
-    stops when r_pri = ||x - z - c|| <= e_pri and r_dua = rho * ||z - z_old||
-    <= e_dua, with
+    z steps. The loop stops when r_pri = ||x - z - c|| <= e_pri and
+    r_dua = rho * ||z - z_old|| <= e_dua, with
         e_pri = sqrt(n) * abs_tol + rel_tol * max(||x||, ||z||, ||c||)
         e_dua = sqrt(n) * abs_tol + rel_tol * rho * ||u||
     over the n constraint entries; each iteration logs r_pri over the
     relative part of e_pri's scale. Zero scale means zero data: the feasible
     point (z0 + c, z0) is returned as converged after 0 iterations (and
     unconverged when cfg.max_iters is 0).
+
+    The penalty starts at rho = PENALTY_SCALE * cfg.rho / scale and is
+    balanced on the residuals (Boyd et al. 2011, section 3.4.1; He, Yang
+    and Wang 2000; relative form as in Wohlberg 2017, "ADMM penalty
+    parameter selection by residual balancing"): every BALANCE_PERIOD
+    iterations the relative residuals r_pri / max(||x||, ||z||, ||c||) and
+    r_dua / (rho * ||u||) are compared, and when one exceeds BALANCE_BAND
+    times the other, rho is multiplied (primal larger) or divided (dual
+    larger) by BALANCE_FACTOR. u is rescaled by old/new rho at the change,
+    so the unscaled dual rho * u is continuous. The band is wide so that
+    solves whose residuals shrink together keep their penalty; it acts on
+    a solve whose primal residual has met its tolerance long before its
+    dual one, as in the fixed-penalty complete_n, which ran out its budget.
 
     Returns (x, z, iters, converged, trace).
     """
@@ -347,29 +372,44 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
         return x, z, it, True, trace
     rho = PENALTY_SCALE * cfg.rho / scale
     c_norm = float(np.linalg.norm(c))
+    tiny = np.finfo(float).tiny
     u = 0.0  # the scaled dual; it takes x's shape after the first step
     for it in range(1, cfg.max_iters + 1):
         x = x_step(z + c - u, rho)
+        if it == 1:
+            # x's shape, and so the constraint's size, is known from here on
+            n = x.size
+            k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
+            c_term = np.sqrt(n / np.size(c)) * c_norm
+            e_abs = np.sqrt(n) * cfg.abs_tol
         w = x - c
         w += u
         z_old, z = z, z_step(w, rho)
         # in place, so no more than three arrays of x's size live at once:
-        # r = x - z - c reuses w, then u + r reuses r
+        # r = x - z - c reuses w, then u + r reuses r; z - z_old reuses z_old
         r = np.subtract(x, z, out=w)
         r -= c
         r_pri = np.linalg.norm(r)
         r += u
         u = r
-        n = x.size
-        k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
-        r_dua = rho * k * np.linalg.norm(z - z_old)
-        size_pri = max(np.linalg.norm(x), k * np.linalg.norm(z),
-                       np.sqrt(n / np.size(c)) * c_norm)
-        trace.append(r_pri / max(size_pri, np.finfo(float).tiny))
-        e_abs = np.sqrt(n) * cfg.abs_tol
+        r_dua = rho * k * np.linalg.norm(np.subtract(z, z_old, out=z_old))
+        size_pri = max(np.linalg.norm(x), k * np.linalg.norm(z), c_term)
+        rel_pri = r_pri / max(size_pri, tiny)
+        trace.append(rel_pri)
+        size_dua = rho * np.linalg.norm(u)
         if (r_pri <= e_abs + cfg.rel_tol * size_pri
-                and r_dua <= e_abs + cfg.rel_tol * rho * np.linalg.norm(u)):
+                and r_dua <= e_abs + cfg.rel_tol * size_dua):
             return x, z, it, True, trace
+        if it % BALANCE_PERIOD == 0:
+            rel_dua = r_dua / max(size_dua, tiny)
+            if rel_pri > BALANCE_BAND * rel_dua:
+                step = BALANCE_FACTOR
+            elif rel_dua > BALANCE_BAND * rel_pri:
+                step = 1.0 / BALANCE_FACTOR
+            else:
+                continue
+            rho *= step
+            u /= step  # rho * u, the unscaled dual, is unchanged
     return x, z, it, False, trace
 
 

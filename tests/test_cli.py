@@ -121,16 +121,48 @@ def test_exit_bad_flags(tmp_path, capsys):
 @pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.6"], ["rpca"],
                                  ["sym-complete", "--ratio", "0.6"]])
 @pytest.mark.parametrize("flag", [["--max-iters", "-3"], ["--rel-tol", "nan"],
-                                  ["--rel-tol", "inf"], ["--rel-tol", "-0.001"]])
+                                  ["--rel-tol", "inf"], ["--rel-tol", "-0.001"],
+                                  ["--lam", "-1"], ["--lam", "0"], ["--lam", "nan"],
+                                  ["--lam", "inf"]])
 def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
-    # rejected before any solve: a negative budget or a tolerance that no
-    # residual can meet is a usage error, not a solver that did not converge
+    # rejected before any solve: a negative budget, a tolerance that no
+    # residual can meet or a sparsity weight that is not a positive number
+    # is a usage error, not a solver that did not converge
     path = tmp_path / "t.mten"
     write_tensor(path, gen_supersym(4, 4, 2, seed=0))
     assert run([cmd[0], path, *cmd[1:], *flag]) == 2
     captured = capsys.readouterr()
     assert flag[0] in captured.err
     assert "converged" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [["complete", "--ratio", "1.5"],
+                                  ["sym-complete", "--ratio", "1.5"],
+                                  ["rpca", "--density", "-0.1"]])
+def test_exit_bad_fraction_flags(tmp_path, capsys, argv):
+    # a fraction outside [0, 1] is a bad flag (2), not an input error (3)
+    path = tmp_path / "t.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    assert run([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert argv[1] in captured.err
+    assert "converged" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [["table3", "--trials", "0"],
+                                  ["table3", "--trials", "-2"],
+                                  ["table3", "--ratio", "1.5"],
+                                  ["table5", "--lam", "-1"],
+                                  ["table5", "--lam", "0"],
+                                  ["table5", "--lam", "nan"],
+                                  ["table5", "--lam", "inf"],
+                                  ["table5", "--density", "-0.1"]])
+def test_exit_bad_table_flags(capsys, argv):
+    # rejected before any trial runs, so no report row is printed
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert argv[1] in captured.err
+    assert captured.out == ""
 
 
 def test_exit_io_error(tmp_path, capsys):
