@@ -80,9 +80,11 @@ def _check_flags(args) -> None:
     max_iters = getattr(args, "max_iters", None)
     if max_iters is not None and max_iters < 0:
         raise UsageError(f"--max-iters must be >= 0, got {max_iters}")
-    rel_tol = getattr(args, "rel_tol", None)
-    if rel_tol is not None and not (np.isfinite(rel_tol) and rel_tol >= 0):
-        raise UsageError(f"--rel-tol must be finite and >= 0, got {rel_tol}")
+    for name in ("rel_tol", "tol"):
+        tol = getattr(args, name, None)
+        if tol is not None and not (np.isfinite(tol) and tol >= 0):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be finite and >= 0, got {tol}")
     lam = getattr(args, "lam", None)
     if lam is not None and not (np.isfinite(lam) and lam > 0):
         raise UsageError(f"--lam must be finite and > 0, got {lam}")

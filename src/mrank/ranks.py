@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, numerical_rank, takagi
+from .linalg import DEFAULT_RANK_TOL, numerical_rank, spectrum_rank, takagi
 from .tensor import (
     Pairing,
     as_tensor,
@@ -89,7 +89,9 @@ class RankReport:
 
 def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Rank report over all canonical pairings and modes of an even-order
-    tensor. Raises ValueError for odd order."""
+    tensor. Every entry is numerical_rank's count at rel_tol, the same as
+    a full SVD's: large low-rank unfoldings get it from a certified sketch.
+    Raises ValueError for odd order."""
     t = as_tensor(t)
     if t.ndim % 2 or t.ndim < 2:
         raise ValueError(f"m_ranks needs even order >= 2, got order {t.ndim}")
@@ -156,7 +158,7 @@ def m_decompose(t, pairing: Pairing | None = None,
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     m = square_unfold(t, pr)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = numerical_rank(m, rel_tol)
+    r = spectrum_rank(s, rel_tol)
     row_dims = tuple(t.shape[a] for a in pr.row)
     col_dims = tuple(t.shape[a] for a in pr.col)
     factors = [
@@ -180,7 +182,7 @@ def symmetric_m_decompose(t, rel_tol: float = DEFAULT_RANK_TOL,
     pr = Pairing.default(t.ndim)
     m = square_unfold(t, pr)
     res = takagi(m)
-    r = numerical_rank(m, rel_tol)
+    r = spectrum_rank(res.s, rel_tol)
     half_dims = tuple(t.shape[a] for a in pr.row)
     factors = []
     for i in range(r):
@@ -259,10 +261,9 @@ def rank_one_factorize(t, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise ValueError("rank_one_factorize needs a super-symmetric tensor")
     d = t.ndim // 2
     n = t.shape[0]
-    m = square_unfold(t)
-    if numerical_rank(m, rel_tol) != 1:
+    res = takagi(square_unfold(t))
+    if spectrum_rank(res.s, rel_tol) != 1:
         raise ValueError("square unfolding rank is not one")
-    res = takagi(m)
     a = unvec(np.sqrt(res.s[0]) * res.w[:, 0], (n,) * d)
 
     if d == 2:

@@ -136,6 +136,18 @@ def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
+def test_exit_bad_rank_tol(tmp_path, capsys, tol):
+    # a negative threshold counts every singular value and a non-finite one
+    # none: a usage error, not a report
+    path = tmp_path / "t.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    assert run(["rank", path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["complete", "--ratio", "1.5"],
                                   ["sym-complete", "--ratio", "1.5"],
                                   ["rpca", "--density", "-0.1"]])

@@ -6,26 +6,35 @@ identities at the extreme thresholds. Each of svt's three routes (Gram,
 warm subspace, full SVD) is checked against a full-SVD reference written
 here, on sequences that keep, change and fill the warm block; rank_project,
 which shares the subspace sweeps, against a full-SVD truncation.
+numerical_rank's certified sketch route and its full-SVD fallback are both
+checked against a full-SVD count written here, and a spy on numpy's SVD
+tells which route ran.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrank.linalg import (
     DEFAULT_RANK_TOL,
     OVERSAMPLE,
+    SKETCH_COST,
+    SKETCH_WIDTH,
     complex_l1,
     complex_soft_threshold,
     nuclear_norm,
     numerical_rank,
     rank_project,
     spectral_norm,
+    spectrum_rank,
     SvtWarm,
     svt,
     takagi,
 )
+from mrank.ranks import RECOVERED_RANK_TOL
 from mrank.solvers import rpca_m
 from mrank.synth import gen_cp, gen_sparse_noise
 
@@ -50,6 +59,117 @@ def test_numerical_rank_constructed_spectrum():
     assert numerical_rank(m, 1e-5) == 2
     assert numerical_rank(m, 1e-12) == 4
     assert numerical_rank(np.zeros((4, 7))) == 0
+
+
+def svd_rank(m, rel_tol):
+    """Reference count: singular values of the full SVD above
+    rel_tol * sigma_max."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices numpy's SVD sees from here on. The sketch
+    only decomposes its narrow B; the input's own shape means the fallback
+    ran."""
+    seen = []
+    orig = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (625, 900), (900, 625)])
+@pytest.mark.parametrize("r", [1, 12, 40])
+def test_numerical_rank_sketch_exact_low_rank(shape, r, svd_shapes):
+    m = low_rank(np.random.default_rng(r), shape, r)
+    ref = svd_rank(m, DEFAULT_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m) == ref == r
+    assert m.shape not in svd_shapes  # certified by the sketch
+
+
+def test_numerical_rank_sketch_low_rank_plus_noise(svd_shapes):
+    rng = np.random.default_rng(2)
+    m = low_rank(rng, (400, 400), 8) + 1e-7 * crandn(rng, (400, 400))
+    ref = svd_rank(m, RECOVERED_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m, RECOVERED_RANK_TOL) == ref == 8
+    assert m.shape not in svd_shapes
+
+
+def test_numerical_rank_value_at_threshold_takes_full_svd(svd_shapes):
+    # sigma_11 sits 1e-13 relative above the threshold: no sketch can
+    # separate it from the threshold, so the full SVD decides
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(crandn(rng, (300, 300)))[0]
+    v = np.linalg.qr(crandn(rng, (300, 300)))[0]
+    s = np.zeros(300)
+    s[:10] = np.linspace(10.0, 1.0, 10)
+    s[10] = 10.0 * RECOVERED_RANK_TOL * (1 + 1e-13)
+    m = (u * s) @ v.conj().T
+    ref = svd_rank(m, RECOVERED_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m, RECOVERED_RANK_TOL) == ref
+    assert svd_shapes[-1] == m.shape
+
+
+def test_numerical_rank_full_rank_fills_block_and_falls_back(svd_shapes):
+    m = crandn(np.random.default_rng(4), (200, 260))
+    ref = svd_rank(m, DEFAULT_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m) == ref == 200
+    assert svd_shapes[-1] == m.shape
+
+
+def test_numerical_rank_zero_matrix_and_zero_tol(svd_shapes):
+    assert numerical_rank(np.zeros((300, 200))) == 0
+    assert (300, 200) not in svd_shapes  # s_0 = e = 0 certifies it
+    m = low_rank(np.random.default_rng(5), (120, 120), 3)
+    ref = svd_rank(m, 0.0)
+    svd_shapes.clear()
+    assert numerical_rank(m, 0.0) == ref  # every rounding-level value counts
+    assert svd_shapes == [m.shape]
+
+
+@pytest.mark.parametrize("rel_tol", [-1e-9, -1.0, np.nan, np.inf])
+def test_numerical_rank_rejects_bad_tolerance(rel_tol):
+    m = low_rank(np.random.default_rng(6), (60, 60), 2)
+    with pytest.raises(ValueError, match="rel_tol"):
+        numerical_rank(m, rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
+
+
+def test_numerical_rank_threaded_matches_serial():
+    # the test matrix is drawn inside each call, so concurrent calls share
+    # no random state
+    rng = np.random.default_rng(7)
+    ms = [low_rank(rng, (200, 240), r) for r in (2, 9, 30)]
+    ms.append(low_rank(rng, (200, 200), 5) + 1e-7 * crandn(rng, (200, 200)))
+    serial = [numerical_rank(m, RECOVERED_RANK_TOL) for m in ms]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda m: numerical_rank(m, RECOVERED_RANK_TOL), ms * 3))
+    assert threaded == serial * 3
+    assert serial == [svd_rank(m, RECOVERED_RANK_TOL) for m in ms]
+
+
+SKETCH_GATE = int(np.ceil(SKETCH_COST * SKETCH_WIDTH))  # smallest sketched side
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(SKETCH_GATE, 160), st.integers(SKETCH_GATE, 160), st.data())
+def test_numerical_rank_matches_full_svd_property(rows, cols, data):
+    # any rank from 1 to full, so both the sketch and the fallback decide
+    r = data.draw(st.integers(1, min(rows, cols)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = low_rank(rng, (rows, cols), r)
+    assert numerical_rank(m) == svd_rank(m, DEFAULT_RANK_TOL)
 
 
 def test_norms_against_numpy():

@@ -8,6 +8,7 @@ independent of the code under test.
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from mrank.linalg import numerical_rank
 from mrank.ranks import (
@@ -21,7 +22,14 @@ from mrank.ranks import (
     symmetric_m_decompose,
 )
 from mrank.synth import gen_cp, gen_kron, gen_supersym
-from mrank.tensor import Pairing, is_super_symmetric, outer, square_fold, square_unfold
+from mrank.tensor import (
+    Pairing,
+    is_super_symmetric,
+    mode_unfold,
+    outer,
+    square_fold,
+    square_unfold,
+)
 
 
 def crandn(rng, shape):
@@ -91,6 +99,26 @@ def test_m_ranks_zero_tensor():
     assert rep.m_plus == rep.m_minus == 0
     assert rep.tucker == (0, 0, 0, 0)
     assert rep.cp_lower == 0 and rep.cp_upper == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_cp((20,) * 4, 30, seed=0),
+    lambda: gen_cp((8,) * 6, 20, seed=0),
+    lambda: gen_kron((16,) * 4, 3, 3, seed=0),
+    lambda: gen_supersym(4, 8, 6, seed=0),
+], ids=["cp_20", "cp_order6", "kron", "supersym_order8"])
+def test_m_ranks_match_full_svd_counts(make):
+    # the benchmark's rank-report families at smaller sizes: every entry,
+    # certified by the sketch or not, equals a full-SVD count made here
+    def count(m):
+        s = svdvals(m)
+        return int(np.count_nonzero(s > 1e-8 * s[0]))
+
+    t = make()
+    rep = m_ranks(t)
+    for name, rk in rep.pairing_ranks.items():
+        assert rk == count(square_unfold(t, Pairing.parse(name, t.ndim))), name
+    assert rep.tucker == tuple(count(mode_unfold(t, j)) for j in range(t.ndim))
 
 
 def test_rank_report_to_dict():
