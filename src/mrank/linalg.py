@@ -16,7 +16,8 @@ eigendecomposition for tall matrices, a warm-started block subspace
 iteration when the previous call's kept rank is small against the matrix,
 and the full LAPACK SVD otherwise. rank_project, the exact rank-r
 projection (best rank-r approximation) behind complete_m's refinement,
-runs the same subspace sweeps from a warm block of r + OVERSAMPLE columns
+which also hands back the projection's column space, runs the same
+subspace sweeps from a warm block of r + OVERSAMPLE columns
 and falls back to the full SVD when they do not converge; one sweep loop,
 _sweeps, serves both. The warm state (SvtWarm) belongs to the caller;
 there is no module-level cache or random state, so results are
@@ -385,7 +386,7 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     return (u[:, keep] * (s[keep] - tau)) @ vh[keep]
 
 
-def rank_project(m, r: int, warm: SvtWarm | None = None) -> np.ndarray:
+def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The best rank-r approximation of m (Eckart and Young): its leading r
     singular triplets, or m itself, to rounding, when r >= min(m.shape).
 
@@ -399,6 +400,11 @@ def rank_project(m, r: int, warm: SvtWarm | None = None) -> np.ndarray:
     little per call. Unlike svt's route 2 there is no width gate: on such
     iterates two or three sweeps of the block replace a full SVD.
     warm.path records the route taken ("subspace" or "full").
+
+    Returns (x, u): the projection and its leading left singular vectors
+    (min(r, rows, cols) orthonormal columns spanning x's column space),
+    which both routes already hold, so a caller that needs the column space
+    runs no second SVD.
     """
     m = np.asarray(m, dtype=np.complex128)
     width = r + OVERSAMPLE
@@ -407,12 +413,13 @@ def rank_project(m, r: int, warm: SvtWarm | None = None) -> np.ndarray:
         if out is not None:
             u, s, vh, warm.v = out
             warm.path = "subspace"
-            return (u * s[:r]) @ vh[:r]
+            return (u * s[:r]) @ vh[:r], u
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if warm is not None:
         warm.v = vh[:width].conj().T
         warm.path = "full"
-    return (u[:, :r] * s[:r]) @ vh[:r]
+    u = u[:, :r]
+    return (u * s[:r]) @ vh[:r], u
 
 
 def complex_soft_threshold(m, tau: float) -> np.ndarray:

@@ -35,19 +35,24 @@ complete_m runs fixed-point continuation (singular value thresholding with
 a shrinking threshold mu; Ma, Goldfarb and Chen 2011) and validates ranks
 at the end of every continuation stage. Candidate ranks are read off the
 largest spectral gaps of the stage's iterate and tried in ascending order;
-each is refined by singular value projection (Jain, Meka and Dhillon 2010)
-onto rank r and accepted when the observed-entry residual falls to
-0.1 * rel_tol, provided the samples overdetermine rank r. The solve
-returns the first accepted rank; a rejected rank is not tried again, and
-continuation goes on from its own iterate. The refinement is what
-recovers instances near the sampling boundary, where the plain
-nuclear-norm optimum is no longer the low-rank truth, and the right rank
-usually shows after the first stage or two, so the solve stops long
-before the continuation floor. cfg.max_iters caps continuation and
-refinement together. Each projection step runs through linalg.rank_project
-with one warm block per candidate: one full SVD seeds it, and after that
-two or three subspace sweeps of an (r + OVERSAMPLE)-wide block replace
-each full SVD.
+each is refined on the rank-r matrices by conjugate gradient iterative
+hard thresholding (CGIHT; Blanchard, Tanner and Wei 2015), singular value
+projection (Jain, Meka and Dhillon 2010) with exact line-search steps along
+conjugate directions. A candidate is accepted when the observed-entry
+residual falls to 0.1 * rel_tol, provided the samples overdetermine rank
+r, and rejected as soon as that residual plateaus: a rank below the truth
+cannot fit the data, and its residual flattens within a few dozen steps,
+while the right rank's keeps falling geometrically. The solve returns the
+first accepted rank; a rejected rank is not tried again, and continuation
+goes on from its own iterate. The refinement is what recovers instances
+near the sampling boundary, where the plain nuclear-norm optimum is no
+longer the low-rank truth, and the right rank usually shows after the
+first stage or two, so the solve stops long before the continuation floor.
+cfg.max_iters caps continuation and refinement together. Each projection
+runs through linalg.rank_project with one warm block per candidate: one
+full SVD seeds it, and after that two or three subspace sweeps of an
+(r + OVERSAMPLE)-wide block replace each full SVD; it also hands back the
+column space the line search needs.
 """
 
 from dataclasses import dataclass, field
@@ -93,8 +98,8 @@ BALANCE_PERIOD = 10
 BALANCE_BAND = 50.0
 BALANCE_FACTOR = 2.0
 
-# Gradient step for the masked least-squares sweeps; the sampling operator
-# has unit Lipschitz constant, so any step below 2 is safe.
+# Gradient step of the continuation's masked least-squares sweeps; the
+# sampling operator has unit Lipschitz constant, so any step below 2 is safe.
 GRAD_STEP = 1.99
 
 # Rank-projection refinement at each continuation stage end: spectral gaps
@@ -103,6 +108,14 @@ GRAD_STEP = 1.99
 GAP_MIN = 2.0
 MAX_CANDIDATES = 4
 REFINE_MAX_ITERS = 500
+# A candidate is rejected once its observed residual has plateaued: more
+# than PLATEAU_WINDOW steps in, still above PLATEAU_RATIO times its value
+# PLATEAU_WINDOW steps earlier. Right candidates converge linearly: on the
+# 17 criterion-7-family parity instances (rank 6 at 30% and 25%, rank 4 at
+# 20%) their worst 20-step ratio is 0.25 under CGIHT and was 0.664 under
+# plain projection steps, while wrong ones flatten at 0.91 to 0.98.
+PLATEAU_WINDOW = 20
+PLATEAU_RATIO = 0.9
 
 
 @dataclass
@@ -203,11 +216,15 @@ def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
     return rows + nrow * cols
 
 
+def _sampled(m, flat):
+    """The entries of the unfolding m at the Fortran-order flat indices."""
+    return m.reshape(-1, order="F")[flat]
+
+
 def _residual_grad(x, flat, b):
     """Gradient of 0.5*||P_obs(x) - b||^2 in matrix form, plus the residual norm."""
-    xf = x.reshape(-1, order="F")
-    g = np.zeros_like(xf)
-    r = xf[flat] - b
+    g = np.zeros(x.size, dtype=x.dtype)
+    r = _sampled(x, flat) - b
     g[flat] = r
     return g.reshape(x.shape, order="F"), float(np.linalg.norm(r))
 
@@ -224,23 +241,56 @@ def _gap_candidates(x) -> list:
 
 
 def _svp(x, r, flat, b, bscale, iters, trace, accept):
-    """Singular value projection (Jain, Meka and Dhillon 2010) at rank r
-    from x: y <- rank_project(y - GRAD_STEP * grad, r), warm across steps.
+    """Rank-r refinement from x by conjugate gradient iterative hard
+    thresholding (CGIHT; Blanchard, Tanner and Wei 2015), the accelerated
+    form of singular value projection (Jain, Meka and Dhillon 2010).
+
+    The first step projects x onto rank r. Each later step moves the rank-r
+    iterate y along d = R + beta * d_prev, R the residual on the observed
+    entries (zero elsewhere), and projects back:
+    y <- rank_project(y + alpha * d, r), warm across steps. With P_U the
+    projection onto y's column space U (which rank_project hands back) and
+    A the sampling of the observed entries, beta makes A(P_U d) orthogonal
+    to A(P_U d_prev), and alpha minimizes the observed residual along
+    P_U d, both exactly:
+
+        beta  = -<A(P_U d_prev), A(P_U R)> / ||A(P_U d_prev)||^2
+        alpha =  <A(P_U d), A(R)> / ||A(P_U d)||^2
+
+    with <a, b> = a^H b, so on complex data both are complex scalars. The
+    first direction is R itself.
+
     Each step logs its observed-entry residual. Returns y once that
-    residual is <= accept; None when a step barely moves y or after iters
-    steps."""
+    residual is <= accept; None after iters steps, when a step barely moves
+    y, or when the residual has plateaued: more than PLATEAU_WINDOW steps
+    in, it is still above PLATEAU_RATIO times its value PLATEAU_WINDOW
+    steps earlier."""
+    tiny = np.finfo(float).tiny
     warm = SvtWarm()
-    y = x
-    g, _ = _residual_grad(y, flat, b)
-    for _ in range(iters):
-        yn = rank_project(y - GRAD_STEP * g, r, warm)
-        change = np.linalg.norm(yn - y) / max(1.0, np.linalg.norm(y))
-        y = yn
+    y, u = rank_project(x, r, warm)
+    change = np.inf
+    d = None
+    for it in range(iters):
+        if it:
+            rm = -g  # R: b - y on the observed entries, zero elsewhere
+            pr = _sampled(u @ (u.conj().T @ rm), flat)
+            if d is None:
+                d, pd = rm, pr
+            else:
+                pp = _sampled(u @ (u.conj().T @ d), flat)
+                beta = -np.vdot(pp, pr) / max(np.vdot(pp, pp).real, tiny)
+                d = rm + beta * d
+                pd = pr + beta * pp  # A(P_U d), by linearity
+            alpha = np.vdot(pd, _sampled(rm, flat)) / max(np.vdot(pd, pd).real, tiny)
+            yn, u = rank_project(y + alpha * d, r, warm)
+            change = np.linalg.norm(yn - y) / max(np.linalg.norm(y), tiny)
+            y = yn
         g, rnorm = _residual_grad(y, flat, b)
         trace.append(rnorm / bscale)
         if trace[-1] <= accept:
             return y
-        if change < 1e-10:
+        if change < 1e-10 or (it >= PLATEAU_WINDOW and
+                              trace[-1] > PLATEAU_RATIO * trace[-1 - PLATEAU_WINDOW]):
             return None
     return None
 
@@ -253,8 +303,12 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     Fixed-point continuation: x <- svt(x - step * grad, step * mu) with mu
     shrinking along cfg.mu_schedule (fractions of the masked unfolding's
     spectral norm). At the end of every stage the stage's gap candidates
-    are validated by rank projection, as the module docstring describes,
-    and the first accepted one is returned (converged). cfg.max_iters
+    are refined by CGIHT (see _svp) and validated, as the module docstring
+    describes, and the first accepted one is returned (converged). A
+    candidate is rejected when its steps stall, when its residual
+    plateaus (PLATEAU_WINDOW, PLATEAU_RATIO) or after its step budget.
+    The stage and stall tests compare step lengths with the iterate's
+    norm, so the solve takes the same steps at any data scale. cfg.max_iters
     bounds continuation and refinement together: a candidate gets
     min(REFINE_MAX_ITERS, budget left - 1) steps, the one spared for the
     step back when it is rejected. When the floor stage or the budget is
@@ -292,7 +346,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     resid = rnorm / bscale
     while len(trace) < cfg.max_iters:
         xn = svt(x - GRAD_STEP * g, GRAD_STEP * mu, warm)
-        step = np.linalg.norm(xn - x) / max(1.0, np.linalg.norm(x))
+        step = np.linalg.norm(xn - x) / max(np.linalg.norm(x), np.finfo(float).tiny)
         x = xn
         g, rnorm = _residual_grad(x, flat, b)
         resid = rnorm / bscale

@@ -19,6 +19,9 @@ same flag. Tolerances are pinned here and nowhere else:
      1e-6, >=2/3 seeds
   10 property suites: 1000 bitwise fold round trips, prox identities,
      Takagi <= 1e-9 over 100 draws, full determinism
+
+Beside the criteria, the square model's sampling-boundary rows (rank 6 at
+25% and rank 4 at 20% of 10^4) must each be recovered to 1e-3 with ranks r.
 """
 
 import time
@@ -219,6 +222,17 @@ def test_criterion_07_completion_contrast(say):
         f"square model <=1e-3 with ranks {r}: {m_hits}/5, mode baseline "
         f">=0.1: {n_hits}/5 (need >=4/5 each), {elapsed:.1f}s (limit 600s)")
     assert ok, details
+
+
+@pytest.mark.parametrize("r, ratio, seed",
+                         [(6, 0.25, s) for s in range(4)] + [(4, 0.2, s) for s in range(3)])
+def test_completion_boundary_rows(r, ratio, seed):
+    dims = (10, 10, 10, 10)
+    truth = gen_cp(dims, r, seed=seed)
+    mask = gen_mask(dims, ratio, seed=seed)
+    res = complete_m(mask, mask.observe(truth), truth=truth)
+    assert res.rel_err_vs_truth <= 1e-3
+    assert res.rank_report.m_plus == res.rank_report.m_minus == r
 
 
 def test_criterion_08_robust_recovery(say):

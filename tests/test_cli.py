@@ -247,6 +247,18 @@ def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     assert a.read_bytes() == c.read_bytes()  # row order fixed by seed
 
 
+def test_table3_byte_identical_and_threaded(tmp_path, monkeypatch):
+    # two completion solves per trial; rows and their digits are fixed by
+    # the seed, whatever the thread count
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert run(["table3", "--trials", "2", "--output", a]) == 0
+    assert run(["table3", "--trials", "2", "--output", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    monkeypatch.setenv("MRANK_THREADS", "4")
+    assert run(["table3", "--trials", "2", "--output", c]) == 0
+    assert a.read_bytes() == c.read_bytes()
+
+
 def test_table1_seed_changes_nothing_generic(tmp_path):
     # different base seed, same generic ranks
     out = tmp_path / "t1.csv"

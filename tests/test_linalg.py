@@ -346,9 +346,14 @@ def truncation_reference(m, r):
     return (u[:, :r] * s[:r]) @ vh[:r]
 
 
-def assert_matches_truncation(out, m, r, rel=1e-12):
+def assert_matches_truncation(result, m, r, rel=1e-12):
+    out, u = result
     ref = truncation_reference(m, r)
     assert np.linalg.norm(out - ref) <= rel * np.linalg.norm(ref)
+    # u is an orthonormal basis of the projection's column space
+    assert u.shape == (m.shape[0], min(r, *m.shape))
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])) <= 1e-12
+    assert np.linalg.norm(u @ (u.conj().T @ out) - out) <= rel * np.linalg.norm(ref)
 
 
 def drifting_rank_6(seed, steps, n=100):
@@ -394,8 +399,8 @@ def test_rank_project_full_rank_returns_the_matrix():
     m = crandn(rng, (30, 20))
     warm = SvtWarm()
     for _ in range(2):
-        out = rank_project(m, 20, warm)
-        assert_matches_truncation(out, m, 20)
+        out, u = rank_project(m, 20, warm)
+        assert_matches_truncation((out, u), m, 20)
         assert np.linalg.norm(out - m) <= 1e-12 * np.linalg.norm(m)
         assert warm.path == "full"  # a block cannot be wider than the matrix
 
@@ -407,7 +412,8 @@ def test_rank_project_identical_sequences_are_bitwise_equal():
 
     (first, path1), (second, path2) = run(), run()
     assert path1 == path2 == "subspace"
-    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    assert all(np.array_equal(x, y) and np.array_equal(u, v)
+               for (x, u), (y, v) in zip(first, second))
 
 
 # ------------------------------------------------------------ soft threshold

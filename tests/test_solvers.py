@@ -8,11 +8,14 @@ not a lucky draw. Failure regimes are exercised by the acceptance suite.
 import numpy as np
 import pytest
 
+from mrank import solvers
 from mrank.solvers import (
     BALANCE_PERIOD,
     PENALTY_SCALE,
+    PLATEAU_WINDOW,
     SolverConfig,
     _admm,
+    _svp,
     complete_m,
     complete_n,
     complete_supersym,
@@ -58,12 +61,14 @@ def test_complete_m_recovers_and_is_feasible():
 
 
 def test_complete_m_reports_residual_of_returned_tensor_when_all_rejected():
-    # no refinement candidate is accepted within the 400-iteration budget
-    # here; the result is the continuation iterate, and its own residual
-    # must be the one reported, not that of a rejected candidate
+    # 20% of this rank-6 instance does not determine it: rank 5 plateaus
+    # and rank 6 runs out the 400-iteration budget (and its own 500 steps
+    # at the default budget), so no refinement candidate is accepted; the
+    # result is the continuation iterate, and its own residual must be the
+    # one reported, not that of a rejected candidate
     dims = (10, 10, 10, 10)
-    t = gen_cp(dims, 6, seed=0)
-    mask = gen_mask(dims, 0.2, seed=0)
+    t = gen_cp(dims, 6, seed=2)
+    mask = gen_mask(dims, 0.2, seed=2)
     b = mask.observe(t)
     res = complete_m(mask, b, cfg=SolverConfig(max_iters=400), truth=t)
     assert not res.converged
@@ -72,6 +77,59 @@ def test_complete_m_reports_residual_of_returned_tensor_when_all_rejected():
     assert res.rel_err_all > 1e-3
     assert res.rel_err_all == res.residual_trace[-1]
     assert res.iters == len(res.residual_trace)
+
+
+def test_complete_m_recovers_at_20_percent_within_400_iterations():
+    # the all-rejected test's former instance: the conjugate-gradient
+    # refinement accepts rank 6 well inside the budget
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=0)
+    mask = gen_mask(dims, 0.2, seed=0)
+    b = mask.observe(t)
+    res = complete_m(mask, b, cfg=SolverConfig(max_iters=400), truth=t)
+    assert res.converged and res.iters <= 400
+    assert res.rel_err_vs_truth <= 1e-3
+    assert res.rank_report.m_plus == res.rank_report.m_minus == 6
+    assert res.rel_err_all == res.residual_trace[-1]
+    assert res.iters == len(res.residual_trace)
+
+
+@pytest.mark.parametrize("seed, wrong", [(3, [3, 5]), (6, [1, 2, 4]), (8, [2, 5])])
+def test_complete_m_rejects_plateaued_candidates(monkeypatch, seed, wrong):
+    # criterion 7: each rank below the truth is rejected on its residual
+    # plateau within two windows, and rank 6 is still accepted
+    tried = []
+
+    def spy(x, r, flat, b, bscale, iters, trace, accept):
+        n0 = len(trace)
+        y = _svp(x, r, flat, b, bscale, iters, trace, accept)
+        tried.append((r, len(trace) - n0, y is not None))
+        return y
+
+    monkeypatch.setattr(solvers, "_svp", spy)
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=seed)
+    mask = gen_mask(dims, 0.3, seed=seed)
+    res = complete_m(mask, mask.observe(t), truth=t)
+    assert [r for r, _, _ in tried] == wrong + [6]
+    for r, steps, accepted in tried[:-1]:
+        assert not accepted and steps <= 2 * PLATEAU_WINDOW, (r, steps)
+    assert tried[-1][2]
+    assert res.converged and res.rel_err_vs_truth <= 1e-3
+
+
+def test_complete_m_is_scale_invariant():
+    # criterion 7, seed 0: the step and stall tests are relative at any
+    # data scale (a floor of 1 on their denominators made them absolute)
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=0)
+    mask = gen_mask(dims, 0.3, seed=0)
+    results = [complete_m(mask, mask.observe(t * scale), truth=t * scale)
+               for scale in (1e-8, 1.0, 1e4)]
+    assert len({res.iters for res in results}) == 1
+    for res in results:
+        assert res.converged and res.rel_err_vs_truth <= 1e-3
+        assert res.rank_report.m_plus == res.rank_report.m_minus == 6
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 300])
