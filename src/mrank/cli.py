@@ -105,8 +105,6 @@ def _solver_config(args) -> SolverConfig:
         cfg.rel_tol = args.rel_tol
     if getattr(args, "lam", None) is not None:
         cfg.lam = args.lam
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     return cfg
 
 
@@ -198,7 +196,7 @@ def _load_truth(args):
 def _cmd_complete(args) -> int:
     cfg = _solver_config(args)
     t = read_tensor(args.input)
-    mask = gen_mask(t.shape, args.ratio, cfg.seed)
+    mask = gen_mask(t.shape, args.ratio, args.seed)
     values = mask.observe(t)
     truth = _load_truth(args)
     if truth is None:
@@ -221,7 +219,7 @@ def _cmd_rpca(args) -> int:
     truth = _load_truth(args)
     data = t
     if args.density is not None:
-        data = t + gen_sparse_noise(t.shape, args.density, cfg.seed)
+        data = t + gen_sparse_noise(t.shape, args.density, args.seed)
         if truth is None:
             truth = t  # input was the clean low-rank part
     if args.model == "m":
@@ -241,7 +239,7 @@ def _cmd_rpca(args) -> int:
 def _cmd_sym_complete(args) -> int:
     cfg = _solver_config(args)
     t = read_tensor(args.input)
-    mask = gen_mask(t.shape, args.ratio, cfg.seed)
+    mask = gen_mask(t.shape, args.ratio, args.seed)
     values = mask.observe(t)
     truth = _load_truth(args)
     if truth is None:
@@ -397,9 +395,8 @@ def _cmd_table3(args) -> int:
         truth = InstanceSpec(dims=dims, r=r, form="cp", seed=seed).generate()
         mask = gen_mask(dims, ratio, seed)
         values = mask.observe(truth)
-        cfg = SolverConfig(seed=seed)
-        res_m = complete_m(mask, values, None, cfg, truth=truth)
-        res_n = complete_n(mask, values, cfg, truth=truth)
+        res_m = complete_m(mask, values, None, truth=truth)
+        res_n = complete_n(mask, values, truth=truth)
         return {
             "n_rel_err": res_n.rel_err_vs_truth,
             "n_tucker": list(res_n.rank_report.tucker),
@@ -433,8 +430,7 @@ def _cmd_table4(args) -> int:
         dims = (n,) * 4
         truth = InstanceSpec(dims=dims, r=r, form="supersym", seed=seed).generate()
         mask = gen_mask(dims, args.ratio, seed)
-        res = complete_supersym(mask, mask.observe(truth),
-                                SolverConfig(seed=seed), truth=truth)
+        res = complete_supersym(mask, mask.observe(truth), truth=truth)
         rep = res.rank_report
         return {
             "rel_err": res.rel_err_vs_truth,
@@ -466,7 +462,7 @@ def _cmd_table5(args) -> int:
         dims, r = setting
         low = InstanceSpec(dims=dims, r=r, form="cp", seed=seed).generate()
         data = low + gen_sparse_noise(dims, args.density, seed)
-        cfg = SolverConfig(seed=seed, lam=args.lam)
+        cfg = SolverConfig(lam=args.lam)
         res_m = rpca_m(data, None, cfg, truth=low)
         res_n = rpca_n(data, cfg, truth=low)
         return {
@@ -504,7 +500,7 @@ def _frame_paths(out_dir: str, stem: str, count: int) -> list:
 def _cmd_video_complete(args) -> int:
     cfg = _solver_config(args)
     t = read_frames(sorted(args.frames))
-    mask = gen_mask(t.shape, args.ratio, cfg.seed)
+    mask = gen_mask(t.shape, args.ratio, args.seed)
     res = complete_m(mask, mask.observe(t), None, cfg, truth=t)
     _print_result(res, "video complete_m")
     n_frames = t.shape[3]

@@ -10,11 +10,12 @@ bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
 is drawn in each call from a generator with a fixed seed, so the count is
 a deterministic function of the matrix, whatever the thread.
 
-svt, the nuclear-norm prox every solver iterates, picks one of three exact
-routes per call from the matrix shape and the caller's warm state: a Gram
-eigendecomposition for tall matrices, a warm-started block subspace
-iteration when the previous call's kept rank is small against the matrix,
-and the full LAPACK SVD otherwise. rank_project, the exact rank-r
+svt, the nuclear-norm prox of the square-unfolding solvers, picks one of
+two exact routes per call from the caller's warm state: a warm-started
+block subspace iteration when the previous call's kept rank is small
+against the matrix, and the full LAPACK SVD otherwise. mode_svt is the same
+prox on one mode unfolding of a tensor, done as a mode product with a small
+matrix built from the mode's Gram matrix, without unfolding. rank_project, the exact rank-r
 projection (best rank-r approximation) behind complete_m's refinement,
 which also hands back the projection's column space, runs the same
 subspace sweeps from a warm block of r + OVERSAMPLE columns
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, qr, sqrtm
 
+from .tensor import mode_unfold
+
 __all__ = [
     "DEFAULT_RANK_TOL",
     "TakagiResult",
@@ -39,6 +42,7 @@ __all__ = [
     "takagi",
     "SvtWarm",
     "svt",
+    "mode_svt",
     "rank_project",
     "complex_soft_threshold",
     "complex_l1",
@@ -233,10 +237,9 @@ class SvtWarm:
 
     v holds the previous call's kept right singular vectors plus up to
     OVERSAMPLE more (columns, orthonormal); it seeds the next call's
-    subspace iteration. path names the route the last call took: "gram",
-    "subspace" or "full". A solver creates one per call site (one per mode
-    for the mode-unfolding solvers, one per candidate rank in complete_m's
-    refinement) and passes it to every call there.
+    subspace iteration. path names the route the last call took,
+    "subspace" or "full". A solver creates one per call site (one per
+    candidate rank in complete_m's refinement) and passes it to each call.
     """
 
     v: np.ndarray | None = None
@@ -257,32 +260,6 @@ SUBSPACE_TOL = 1e-12
 # (complex128, one BLAS thread, square n = 100..600: the SVD costs 7 to 20
 # products of width n, a sweep 4 to 11 of width k, ratio 1.8 to 1.9).
 FULL_SVD_SWEEPS = 1.8
-# rows >= TALL_RATIO * cols takes the Gram route (mode unfoldings are tall).
-# It ran 2.0 to 3.2 times faster than the thin SVD from aspect 2 up
-# (200 x 100 .. 8000 x 20); at aspect 1 the cols^3 eigendecomposition eats
-# the gain (slower than the SVD at 400 x 400), and square low-rank iterates
-# belong to the subspace route anyway.
-TALL_RATIO = 4
-# The Gram route squares the spectrum, so eigenvalue noise of eps * s_max^2
-# shows up as singular values near sqrt(eps) * s_max. It runs only when tau
-# clears that noise by this factor; the output error is then about
-# eps * s_max / tau <= sqrt(eps) / GRAM_TAU_MARGIN = 1.5e-12 relative.
-GRAM_TAU_MARGIN = 1e4
-
-
-def _svt_gram(m, tau):
-    """Path 1: svt of a tall matrix through the eigendecomposition of its
-    small Gram matrix; None when tau is too close to the noise the squaring
-    introduces."""
-    w, v = np.linalg.eigh(m.conj().T @ m)
-    if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps * max(w[-1], 0.0)):
-        return None
-    s = np.sqrt(np.maximum(w, 0.0))
-    keep = s > tau
-    if not keep.any():
-        return np.zeros_like(m)
-    vk = v[:, keep]
-    return ((m @ vk) * (1.0 - tau / s[keep])) @ vk.conj().T
 
 
 def _subspace_pays(rows, cols, k):
@@ -295,8 +272,8 @@ def _subspace_pays(rows, cols, k):
 
 def _sweeps(m, v, kept):
     """Block subspace iteration on m from the orthonormal block v, with
-    Rayleigh-Ritz through the SVD of Q^H M, shared by svt's route 2 and
-    rank_project. kept(s) names how many leading Ritz triplets the caller
+    Rayleigh-Ritz through the SVD of Q^H M, shared by svt's subspace route
+    and rank_project. kept(s) names how many leading Ritz triplets the caller
     needs. Returns (u, s, vh, v) once those triplets satisfy
     ||M v_i - s_i u_i|| <= SUBSPACE_TOL * s_max, with u their left vectors,
     s and vh every Ritz value and right vector and v = vh^H; None when the
@@ -318,7 +295,7 @@ def _sweeps(m, v, kept):
 
 
 def _svt_subspace(m, tau, warm):
-    """Path 2: subspace sweeps from the warm block. None when the block
+    """svt's subspace route: sweeps from the warm block. None when the block
     fills (every Ritz value above tau) or the sweeps do not converge."""
     out = _sweeps(m, warm.v, lambda s: int(np.count_nonzero(s > tau)))
     if out is None:
@@ -335,41 +312,29 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau,
     clipping at zero. The proximal map of tau * nuclear norm.
 
-    Three exact routes, chosen from the shape and the warm state:
+    Two exact routes, chosen from the warm state:
 
-    1. gram -- a tall matrix (rows >= TALL_RATIO * cols):
-       eigendecompose the small Gram matrix M^H M = V diag(s^2) V^H and
-       return M V diag(max(1 - tau/s, 0)) V^H. Taken only when tau exceeds
-       GRAM_TAU_MARGIN * sqrt(eps) * s_max (s_max from the same
-       eigenvalues); otherwise the full SVD runs.
-    2. subspace -- any other matrix whose warm block (the previous call's
-       kept right singular vectors plus OVERSAMPLE more) is narrow enough
-       that SWEEP_CAP sweeps cost no more than one full SVD: block subspace
+    1. subspace -- a matrix whose warm block (the previous call's kept
+       right singular vectors plus OVERSAMPLE more) is narrow enough that
+       SWEEP_CAP sweeps cost no more than one full SVD: block subspace
        iteration with Rayleigh-Ritz until the kept triplets' residual is
        below SUBSPACE_TOL * s_max. The full SVD runs instead when the block
        fills (kept rank = block width) or the sweep cap is hit.
-    3. full -- the LAPACK SVD of M, which also seeds the warm block.
+    2. full -- the LAPACK SVD of M, which also seeds the warm block.
 
-    All three agree with the full SVD to about 1e-12 relative. Path 2 only
+    Both agree with the full SVD to about 1e-12 relative. Route 1 only
     sees directions its block reaches: a new singular direction exactly
     orthogonal to the block would be missed. In the solvers each iterate
     moves a little from the last, and the OVERSAMPLE spare columns hold the
     directions just below tau, the ones that can rise above it next.
 
     warm is the caller's SvtWarm for this call site, updated in place
-    (paths 2 and 3 store the next block and every path records its name).
-    The caller owns it, so calls stay independent across threads and the
-    result is a deterministic function of the call sequence. Without warm,
-    paths 1 and 3 run as above.
+    (each route stores the next block and records its name). The caller
+    owns it, so calls stay independent across threads and the result is a
+    deterministic function of the call sequence. Without warm, route 2 runs.
     """
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
-    if cols > 0 and rows >= TALL_RATIO * cols:
-        out = _svt_gram(m, tau)
-        if out is not None:
-            if warm is not None:
-                warm.path = "gram"
-            return out
     if (warm is not None and warm.v is not None and warm.v.shape[0] == cols
             and _subspace_pays(rows, cols, warm.v.shape[1])):
         out = _svt_subspace(m, tau, warm)
@@ -386,18 +351,52 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     return (u[:, keep] * (s[keep] - tau)) @ vh[keep]
 
 
+# mode_svt's Gram matrix squares the spectrum, so eigenvalue noise of
+# eps * s_max^2 shows up as singular values near sqrt(eps) * s_max. Its
+# eigenvectors are used only when tau clears that noise by this factor; the
+# output error is then about eps * s_max / tau <= 1.5e-12 relative.
+GRAM_TAU_MARGIN = 1e4
+
+
+def mode_svt(t, mode: int, tau: float) -> np.ndarray:
+    """svt on the mode-`mode` unfolding of the tensor t, folded back: the
+    proximal map of tau * ||mode unfolding||_*, without unfolding t.
+
+    With M the unfolding (mode index as column) and M^H M = V diag(s^2) V^H,
+    svt(M, tau) = M P with P = V diag(max(1 - tau/s, 0)) V^H, n x n for
+    n = t.shape[mode]: the mode-`mode` product of t with P^T (De Lathauwer,
+    De Moor and Vandewalle 2000). M^H M is contracted from t over every
+    other axis. When tau is below GRAM_TAU_MARGIN * sqrt(eps) * s_max, too
+    close to the noise the squaring adds, V and s come from the SVD of M
+    instead. Agrees with the full-SVD svt of M to about 1e-12 relative.
+    """
+    t = np.asarray(t, dtype=np.complex128)
+    others = [a for a in range(t.ndim) if a != mode]
+    w, v = np.linalg.eigh(np.tensordot(t.conj(), t, axes=(others, others)))
+    s = np.sqrt(np.maximum(w, 0.0))
+    if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s.max(initial=0.0):
+        _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
+        v = vh.conj().T
+    keep = s > tau
+    if not keep.any():
+        return np.zeros_like(t)
+    vk = v[:, keep]
+    p = (vk * (1.0 - tau / s[keep])) @ vk.conj().T
+    return np.moveaxis(np.tensordot(t, p, axes=([mode], [0])), -1, mode)
+
+
 def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The best rank-r approximation of m (Eckart and Young): its leading r
     singular triplets, or m itself, to rounding, when r >= min(m.shape).
 
     With a warm block of exactly r + OVERSAMPLE columns from the previous
-    call at this site, the subspace sweeps of svt's route 2 run until the
+    call at this site, the subspace sweeps of svt's route 1 run until the
     leading r Ritz triplets pass the same SUBSPACE_TOL residual test, and
     the block moves on. Otherwise, or when the sweeps do not converge, the
     full SVD runs and seeds the block. Both routes agree with the full-SVD
     truncation to about 1e-12 relative; as with svt, the warm route only
     sees directions its block reaches, which suits iterates that move a
-    little per call. Unlike svt's route 2 there is no width gate: on such
+    little per call. Unlike svt's route 1 there is no width gate: on such
     iterates two or three sweeps of the block replace a full SVD.
     warm.path records the route taken ("subspace" or "full").
 

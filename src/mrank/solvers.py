@@ -22,14 +22,14 @@ balancing moves it by factors of two when the primal and dual residuals
 drift far apart (see _admm), which is what lets the complete_n baseline
 meet its dual test. All five solvers build their SolveResult with _result.
 
-Every svt call site keeps its own SvtWarm (one per mode in complete_n and
-rpca_n), created inside the solve, so consecutive iterations warm-start the
-kernel and concurrent solves share nothing. In practice the square 400x400
-iterates of rpca_m and complete_supersym, whose kept rank stays small, take
-the warm subspace route; the tall mode unfoldings of complete_n and rpca_n
-take the Gram route; complete_m's 100x100 continuation iterates keep too
-high a rank for the subspace route and stay on the full SVD (see
-linalg.svt).
+Every svt call site keeps its own SvtWarm, created inside the solve, so
+consecutive iterations warm-start the kernel and concurrent solves share
+nothing. In practice the square 400x400 iterates of rpca_m and
+complete_supersym, whose kept rank stays small, take the warm subspace
+route, and complete_m's 100x100 continuation iterates keep too high a rank
+for it and stay on the full SVD (see linalg.svt). complete_n and rpca_n
+never unfold: their prox on mode j is linalg.mode_svt, a mode-j product
+with an n_j x n_j matrix built from the mode's Gram matrix.
 
 complete_m runs fixed-point continuation (singular value thresholding with
 a shrinking threshold mu; Ma, Goldfarb and Chen 2011) and validates ranks
@@ -59,13 +59,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SvtWarm, complex_soft_threshold, rank_project, spectral_norm, svt
+from .linalg import (SvtWarm, complex_soft_threshold, mode_svt, rank_project,
+                     spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
     Pairing,
     as_tensor,
-    mode_fold,
     mode_unfold,
     orbit_ids,
     orbit_sum,
@@ -127,8 +127,8 @@ class SolverConfig:
     lam is the sparsity weight for the robust solvers; None means
     1/sqrt(rows of the unfolding). rho is the initial multiplier of the
     ADMM penalty, PENALTY_SCALE * rho / sigma_max(data unfolding);
-    residual balancing adapts the penalty from there. seed is carried for
-    interface parity; the solvers are deterministic and draw no randomness.
+    residual balancing adapts the penalty from there. The solvers are
+    deterministic and draw no randomness.
     """
 
     max_iters: int = 2000
@@ -137,7 +137,6 @@ class SolverConfig:
     rho: float = 1.0
     lam: float | None = None
     mu_schedule: tuple = (0.25, 0.25, 1e-8)
-    seed: int = 0
 
 
 @dataclass
@@ -467,18 +466,17 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     return x, z, it, False, trace
 
 
-def _mode_prox(stack, warms):
+def _mode_prox(stack):
     """x_step of the mode-unfolding models: stack[j] = the (1/d)-weighted
-    nuclear-norm prox of v[j] on mode unfolding j, written in place. v
-    broadcasts to the stack (it is one tensor before the first dual step)."""
+    nuclear-norm prox of v[j] on mode unfolding j (linalg.mode_svt),
+    written in place. v broadcasts to the stack (it is one tensor before
+    the first dual step)."""
     d = stack.shape[0]
-    dims = stack.shape[1:]
 
     def x_step(v, rho):
         v = np.broadcast_to(v, stack.shape)
         for j in range(d):
-            stack[j] = mode_fold(svt(mode_unfold(v[j], j), (1.0 / d) / rho, warms[j]),
-                                 dims, j)
+            stack[j] = mode_svt(v[j], j, (1.0 / d) / rho)
         return stack
 
     return x_step
@@ -488,9 +486,9 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
                truth=None) -> SolveResult:
     """Complete a tensor by minimizing the (1/d)-weighted sum of the mode
     unfoldings' nuclear norms: consensus ADMM with x the d mode copies
-    (stacked, one svt per mode per iteration) and z the consensus tensor,
-    x_j - z = 0. The consensus keeps observed entries pinned to the data,
-    so the result is exactly feasible."""
+    (stacked, one mode_svt per mode per iteration) and z the consensus
+    tensor, x_j - z = 0. The consensus keeps observed entries pinned to the
+    data, so the result is exactly feasible."""
     cfg = cfg or SolverConfig()
     dims = mask.dims
     d = len(dims)
@@ -504,7 +502,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
         return zf.reshape(dims, order="F")
 
     stack = np.zeros((d,) + dims, dtype=np.complex128)
-    x_step = _mode_prox(stack, [SvtWarm() for _ in range(d)])
+    x_step = _mode_prox(stack)
     sigma0 = max(spectral_norm(mode_unfold(x0, j)) for j in range(d))
     _, z, it, conv, trace = _admm(0.0, x_step, z_step, x0, sigma0, cfg)
     # observed entries pinned exactly
@@ -544,7 +542,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
     stack = np.zeros((d,) + dims, dtype=np.complex128)
-    x_step = _mode_prox(stack, [SvtWarm() for _ in range(d)])
+    x_step = _mode_prox(stack)
     sigma0 = max(spectral_norm(mode_unfold(t, j)) for j in range(d))
     _, z, it, conv, trace = _admm(
         t, x_step, lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
@@ -586,7 +584,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     ob_val = np.zeros(n_orb, dtype=np.complex128)
     ob_val[observed] = orbit_sum(b, ob_ids, n_orb)[observed] / ob_cnt[observed]
     spread = np.abs(b - ob_val[ob_ids])
-    scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
+    scale = float(np.abs(b).max(initial=np.finfo(float).tiny))
     if b.size and spread.max() > feas_tol * scale:
         raise ValueError(
             "observed values are inconsistent under symmetry "

@@ -247,15 +247,17 @@ def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     assert a.read_bytes() == c.read_bytes()  # row order fixed by seed
 
 
-def test_table3_byte_identical_and_threaded(tmp_path, monkeypatch):
-    # two completion solves per trial; rows and their digits are fixed by
-    # the seed, whatever the thread count
+@pytest.mark.parametrize("table", ["table3", "table5"])
+def test_table3_byte_identical_and_threaded(tmp_path, monkeypatch, table):
+    # two solves per trial (completion in table3, the robust split in
+    # table5, both with a mode-unfolding baseline); rows and their digits
+    # are fixed by the seed, whatever the thread count
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
-    assert run(["table3", "--trials", "2", "--output", a]) == 0
-    assert run(["table3", "--trials", "2", "--output", b]) == 0
+    assert run([table, "--trials", "2", "--output", a]) == 0
+    assert run([table, "--trials", "2", "--output", b]) == 0
     assert a.read_bytes() == b.read_bytes()
     monkeypatch.setenv("MRANK_THREADS", "4")
-    assert run(["table3", "--trials", "2", "--output", c]) == 0
+    assert run([table, "--trials", "2", "--output", c]) == 0
     assert a.read_bytes() == c.read_bytes()
 
 

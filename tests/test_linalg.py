@@ -2,10 +2,12 @@
 
 svt and complex_soft_threshold are checked against closed forms on diagonal
 or scalar inputs (where the prox is elementary) and against their defining
-identities at the extreme thresholds. Each of svt's three routes (Gram,
-warm subspace, full SVD) is checked against a full-SVD reference written
-here, on sequences that keep, change and fill the warm block; rank_project,
-which shares the subspace sweeps, against a full-SVD truncation.
+identities at the extreme thresholds. Both of svt's routes (warm subspace,
+full SVD) are checked against a full-SVD reference written here, on
+sequences that keep, change and fill the warm block; mode_svt, on both of
+its routes (Gram eigendecomposition and the SVD fallback), against the same
+reference on the mode unfolding, folded back; rank_project, which shares
+the subspace sweeps, against a full-SVD truncation.
 numerical_rank's certified sketch route and its full-SVD fallback are both
 checked against a full-SVD count written here, and a spy on numpy's SVD
 tells which route ran.
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from mrank.linalg import (
     DEFAULT_RANK_TOL,
+    GRAM_TAU_MARGIN,
     OVERSAMPLE,
     SKETCH_COST,
     SKETCH_WIDTH,
@@ -31,12 +34,14 @@ from mrank.linalg import (
     spectral_norm,
     spectrum_rank,
     SvtWarm,
+    mode_svt,
     svt,
     takagi,
 )
 from mrank.ranks import RECOVERED_RANK_TOL
 from mrank.solvers import rpca_m
 from mrank.synth import gen_cp, gen_sparse_noise
+from mrank.tensor import mode_fold, mode_unfold
 
 
 def crandn(rng, shape):
@@ -275,28 +280,10 @@ def test_svt_rank_jump_fills_block_and_falls_back():
     assert warm.path == "full"
 
 
-def test_svt_gram_on_rank_deficient_tall_matrix():
-    rng = np.random.default_rng(14)
-    m = low_rank(rng, (300, 20), 5)
-    tau = 0.5 * np.linalg.svd(m, compute_uv=False)[4]
-    warm = SvtWarm()
-    out = svt(m, tau, warm)
-    assert warm.path == "gram"
-    assert_matches_reference(out, m, tau)
-
-
-def test_svt_gram_threshold_above_spectral_norm_gives_zero():
-    rng = np.random.default_rng(15)
-    m = crandn(rng, (400, 10))
-    warm = SvtWarm()
-    out = svt(m, spectral_norm(m) * (1 + 1e-9), warm)
-    assert warm.path == "gram"
-    assert not out.any()
-
-
 def test_svt_small_tau_on_tall_matrix_takes_full_svd():
-    # tau below sqrt(eps) * s_max times the margin: squaring the spectrum
-    # would blur singular values near tau, so the exact full route runs
+    # svt has no shape-based route: a tall matrix runs the full SVD at any
+    # tau, tiny or not, and matches the reference (mode unfoldings go
+    # through mode_svt instead)
     rng = np.random.default_rng(16)
     m = crandn(rng, (400, 10))
     tau = 1e-9 * spectral_norm(m)
@@ -305,6 +292,10 @@ def test_svt_small_tau_on_tall_matrix_takes_full_svd():
     assert warm.path == "full"
     assert np.array_equal(out, svt_reference(m, tau))
     assert np.allclose(svt(m, 0.0), m, atol=1e-12)
+    m = low_rank(rng, (300, 20), 5)
+    tau = 0.5 * np.linalg.svd(m, compute_uv=False)[4]
+    assert_matches_reference(svt(m, tau, warm), m, tau)
+    assert warm.path == "full"
 
 
 def test_svt_identical_sequences_are_bitwise_equal():
@@ -336,6 +327,81 @@ def test_rpca_m_threaded_matches_serial_bitwise():
         assert res.iters == ref.iters
         assert np.array_equal(res.recovered, ref.recovered)
         assert np.array_equal(res.sparse, ref.sparse)
+
+
+# ---------------------------------------------------------------- mode_svt
+
+
+def mode_svt_reference(t, mode, tau):
+    return mode_fold(svt_reference(mode_unfold(t, mode), tau), t.shape, mode)
+
+
+def test_mode_svt_on_rank_deficient_mode_unfolding(svd_shapes):
+    rng = np.random.default_rng(14)
+    dims = (6, 20, 5, 10)
+    t = mode_fold(low_rank(rng, (300, 20), 5), dims, 1)  # mode-1 rank 5
+    tau = 0.5 * np.linalg.svd(mode_unfold(t, 1), compute_uv=False)[4]
+    svd_shapes.clear()
+    out = mode_svt(t, 1, tau)
+    assert svd_shapes == []  # the Gram route
+    ref = mode_svt_reference(t, 1, tau)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_mode_svt_threshold_above_spectral_norm_gives_zero():
+    rng = np.random.default_rng(15)
+    t = crandn(rng, (8, 10, 50))
+    out = mode_svt(t, 1, spectral_norm(mode_unfold(t, 1)) * (1 + 1e-9))
+    assert out.shape == t.shape and not out.any()
+
+
+def test_mode_svt_small_tau_takes_svd_fallback(svd_shapes):
+    # singular values from 1 down to 1e-10 and tau = 1e-9, below
+    # GRAM_TAU_MARGIN * sqrt(eps) * s_max: the Gram matrix squares the
+    # spectrum, so its eigenvalues near tau^2 are rounding noise, and V and s
+    # come from the SVD of the unfolding instead
+    rng = np.random.default_rng(16)
+    u = np.linalg.qr(crandn(rng, (400, 10)))[0]
+    v = np.linalg.qr(crandn(rng, (10, 10)))[0]
+    t = mode_fold((u * np.logspace(0, -10, 10)) @ v.conj().T, (8, 10, 50), 1)
+    svd_shapes.clear()
+    out = mode_svt(t, 1, 1e-9)
+    assert svd_shapes == [(400, 10)]
+    ref = mode_svt_reference(t, 1, 1e-9)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.allclose(mode_svt(t, 1, 0.0), t, atol=1e-12)
+
+
+# log10 of the Gram margin: tau / s_max from 1e-12 to 1.2 is drawn on both
+# sides of it
+MARGIN_EXP = np.log10(GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 4, 6]), st.data())
+def test_mode_svt_matches_full_svd_property(order, data):
+    side = {2: 12, 4: 6, 6: 3}[order]
+    dims = tuple(data.draw(st.lists(st.integers(1, side), min_size=order,
+                                    max_size=order)))
+    mode = data.draw(st.integers(0, order - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = dims[mode]
+    rows = int(np.prod(dims)) // n
+    r = data.draw(st.integers(1, min(rows, n)))  # the mode-`mode` rank
+    below = data.draw(st.booleans())
+    tau = 10.0 ** data.draw(st.floats(-12, MARGIN_EXP - 0.5) if below
+                            else st.floats(MARGIN_EXP + 0.5, np.log10(1.2)))
+    # s_max = 1, the rest graded over up to 12 decades, and one value just
+    # above tau, where the rounding of the Gram matrix would show
+    s = np.logspace(0, -data.draw(st.floats(0, 12)), r)
+    if r > 1:
+        s[data.draw(st.integers(1, r - 1))] = tau * data.draw(st.floats(1.01, 2.0))
+    u = np.linalg.qr(crandn(rng, (rows, r)))[0]
+    v = np.linalg.qr(crandn(rng, (n, r)))[0]
+    t = mode_fold((u * s) @ v.conj().T, dims, mode)
+    out = mode_svt(t, mode, tau)
+    ref = mode_svt_reference(t, mode, tau)
+    assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(t)
 
 
 # ------------------------------------------------------------ rank_project

@@ -290,6 +290,22 @@ def test_complete_supersym_detects_inconsistent_data():
         complete_supersym(mask, b)
 
 
+def test_complete_supersym_consistency_check_is_relative():
+    # the in-orbit spread is measured against the data's own size, so
+    # non-symmetric data is refused and symmetric data accepted at any scale
+    mask = gen_mask((6,) * 4, 0.4, seed=0)
+    iters = set()
+    for scale in (1e4, 1.0, 1e-9, 1e-11, 1e-13):
+        t = scale * gen_cp((6,) * 4, 3, seed=0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            complete_supersym(mask, mask.observe(t))
+        s = scale * gen_supersym(6, 4, 3, 0)
+        res = complete_supersym(mask, mask.observe(s), truth=s)
+        assert res.converged and res.rel_err_vs_truth <= 1e-6
+        iters.add(res.iters)
+    assert len(iters) == 1  # the solve itself is scale-invariant
+
+
 def test_complete_supersym_rejects_bad_dims():
     with pytest.raises(ValueError):
         complete_supersym(gen_mask((4, 4, 5, 5), 0.5, seed=0), np.zeros(200))
