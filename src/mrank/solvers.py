@@ -16,11 +16,15 @@ complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
 docstring for the variables of each model). It owns the penalty, the dual
 update, the stopping test and the trace. The initial penalty is made
-scale-invariant by dividing by the spectral norm of the data unfolding, so
-the dimensionless defaults work at any data scale; from there, residual
-balancing moves it by factors of two when the primal and dual residuals
-drift far apart (see _admm), which is what lets the complete_n baseline
-meet its dual test. All five solvers build their SolveResult with _result.
+scale-invariant by dividing by the spectral norm of the data unfolding, and
+both stopping tolerances are relative to that norm, so the dimensionless
+defaults work, and a solve takes the same steps, at any data scale. From
+there, residual balancing moves the penalty by factors of two when the
+primal and dual residuals drift far apart, or when one stopping test passes
+and the other does not (see _admm): the first is what lets the complete_n
+baseline meet its dual test, the second what stops rpca_m's primal residual
+from crawling once its dual test has passed. All five solvers build their
+SolveResult with _result.
 
 Every svt call site keeps its own SvtWarm, created inside the solve, so
 consecutive iterations warm-start the kernel and concurrent solves share
@@ -91,10 +95,11 @@ __all__ = [
 PENALTY_SCALE = 40.0
 
 # Residual balancing of the ADMM penalty (see _admm): every BALANCE_PERIOD
-# iterations, rho is multiplied or divided by BALANCE_FACTOR when one
+# iterations, rho is multiplied (divided) by BALANCE_FACTOR when the primal
+# (dual) stopping test fails and either the other test passes or the failing
 # relative residual exceeds BALANCE_BAND times the other. A power of two
 # keeps the rescaled dual exact.
-BALANCE_PERIOD = 10
+BALANCE_PERIOD = 5
 BALANCE_BAND = 50.0
 BALANCE_FACTOR = 2.0
 
@@ -127,8 +132,13 @@ class SolverConfig:
     lam is the sparsity weight for the robust solvers; None means
     1/sqrt(rows of the unfolding). rho is the initial multiplier of the
     ADMM penalty, PENALTY_SCALE * rho / sigma_max(data unfolding);
-    residual balancing adapts the penalty from there. The solvers are
-    deterministic and draw no randomness.
+    residual balancing adapts the penalty from there. abs_tol and rel_tol
+    set the ADMM stopping test (see _admm). abs_tol is dimensionless: the
+    primal test's absolute term is abs_tol * sigma_max(data unfolding), in
+    data units, and the dual test's is sqrt(n) * abs_tol on the
+    dimensionless rho * (z - z_old), n the constraint's entry count.
+    complete_m uses rel_tol alone, as its acceptance level. The solvers
+    are deterministic and draw no randomness.
     """
 
     max_iters: int = 2000
@@ -398,25 +408,34 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
     z steps. The loop stops when r_pri = ||x - z - c|| <= e_pri and
     r_dua = rho * ||z - z_old|| <= e_dua, with
-        e_pri = sqrt(n) * abs_tol + rel_tol * max(||x||, ||z||, ||c||)
+        e_pri = abs_tol * scale + rel_tol * max(||x||, ||z||, ||c||)
         e_dua = sqrt(n) * abs_tol + rel_tol * rho * ||u||
-    over the n constraint entries; each iteration logs r_pri over the
-    relative part of e_pri's scale. Zero scale means zero data: the feasible
-    point (z0 + c, z0) is returned as converged after 0 iterations (and
+    over the n constraint entries, scale being the spectral norm of the
+    data that the caller passes. abs_tol is dimensionless in both: e_pri
+    is in data units through scale, and e_dua is dimensionless, like r_dua,
+    since rho scales as 1 / scale. So a solve takes the same steps on data
+    multiplied by any factor. Each iteration logs r_pri over the relative
+    part of e_pri's scale. Zero scale means zero data: the feasible point
+    (z0 + c, z0) is returned as converged after 0 iterations (and
     unconverged when cfg.max_iters is 0).
 
     The penalty starts at rho = PENALTY_SCALE * cfg.rho / scale and is
     balanced on the residuals (Boyd et al. 2011, section 3.4.1; He, Yang
     and Wang 2000; relative form as in Wohlberg 2017, "ADMM penalty
-    parameter selection by residual balancing"): every BALANCE_PERIOD
-    iterations the relative residuals r_pri / max(||x||, ||z||, ||c||) and
-    r_dua / (rho * ||u||) are compared, and when one exceeds BALANCE_BAND
-    times the other, rho is multiplied (primal larger) or divided (dual
-    larger) by BALANCE_FACTOR. u is rescaled by old/new rho at the change,
-    so the unscaled dual rho * u is continuous. The band is wide so that
-    solves whose residuals shrink together keep their penalty; it acts on
-    a solve whose primal residual has met its tolerance long before its
-    dual one, as in the fixed-penalty complete_n, which ran out its budget.
+    parameter selection by residual balancing"). Every BALANCE_PERIOD
+    iterations that end unconverged, rho steps toward the failing
+    residual: it is multiplied by BALANCE_FACTOR when the primal test fails
+    and either the dual test passes or the relative primal residual
+    r_pri / max(||x||, ||z||, ||c||) exceeds BALANCE_BAND times the
+    relative dual residual r_dua / (rho * ||u||), and divided by it in the
+    mirror case. u is rescaled by old/new rho at the change, so the
+    unscaled dual rho * u is continuous. The wide band moves a penalty far
+    off balance, as in the fixed-penalty complete_n, whose primal residual
+    met its tolerance long before its dual one and ran out its budget. The
+    tolerance gate (exactly one test passes) moves a penalty whose
+    residuals stay within the band but shrink at different rates, as in
+    rpca_m, whose primal residual crawled for a hundred iterations after
+    its dual test had passed.
 
     Returns (x, z, iters, converged, trace).
     """
@@ -424,6 +443,7 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     if scale == 0.0:
         return x, z, it, True, trace
     rho = PENALTY_SCALE * cfg.rho / scale
+    abs_pri = cfg.abs_tol * scale
     c_norm = float(np.linalg.norm(c))
     tiny = np.finfo(float).tiny
     u = 0.0  # the scaled dual; it takes x's shape after the first step
@@ -434,7 +454,7 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
             n = x.size
             k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
             c_term = np.sqrt(n / np.size(c)) * c_norm
-            e_abs = np.sqrt(n) * cfg.abs_tol
+            abs_dua = np.sqrt(n) * cfg.abs_tol
         w = x - c
         w += u
         z_old, z = z, z_step(w, rho)
@@ -450,14 +470,15 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
         rel_pri = r_pri / max(size_pri, tiny)
         trace.append(rel_pri)
         size_dua = rho * np.linalg.norm(u)
-        if (r_pri <= e_abs + cfg.rel_tol * size_pri
-                and r_dua <= e_abs + cfg.rel_tol * size_dua):
+        pri_ok = r_pri <= abs_pri + cfg.rel_tol * size_pri
+        dua_ok = r_dua <= abs_dua + cfg.rel_tol * size_dua
+        if pri_ok and dua_ok:
             return x, z, it, True, trace
         if it % BALANCE_PERIOD == 0:
             rel_dua = r_dua / max(size_dua, tiny)
-            if rel_pri > BALANCE_BAND * rel_dua:
+            if not pri_ok and (dua_ok or rel_pri > BALANCE_BAND * rel_dua):
                 step = BALANCE_FACTOR
-            elif rel_dua > BALANCE_BAND * rel_pri:
+            elif not dua_ok and (pri_ok or rel_dua > BALANCE_BAND * rel_pri):
                 step = 1.0 / BALANCE_FACTOR
             else:
                 continue

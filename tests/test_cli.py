@@ -247,11 +247,12 @@ def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     assert a.read_bytes() == c.read_bytes()  # row order fixed by seed
 
 
-@pytest.mark.parametrize("table", ["table3", "table5"])
+@pytest.mark.parametrize("table", ["table3", "table4", "table5"])
 def test_table3_byte_identical_and_threaded(tmp_path, monkeypatch, table):
-    # two solves per trial (completion in table3, the robust split in
-    # table5, both with a mode-unfolding baseline); rows and their digits
-    # are fixed by the seed, whatever the thread count
+    # the solver tables: completion in table3 and the robust split in
+    # table5, each with a mode-unfolding baseline, and super-symmetric
+    # completion in table4; rows and their digits are fixed by the seed,
+    # whatever the thread count
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert run([table, "--trials", "2", "--output", a]) == 0
     assert run([table, "--trials", "2", "--output", b]) == 0

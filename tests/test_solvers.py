@@ -10,6 +10,7 @@ import pytest
 
 from mrank import solvers
 from mrank.solvers import (
+    BALANCE_BAND,
     BALANCE_PERIOD,
     PENALTY_SCALE,
     PLATEAU_WINDOW,
@@ -376,6 +377,53 @@ def test_admm_driver_contract(name):
     assert r1.residual_trace == r2.residual_trace
 
 
+# small instances of the acceptance families: criterion 8 for the robust
+# solvers, criterion 7 for complete_n, criterion 9 (seed 0) for
+# complete_supersym; each takes a data multiplier k
+_C8_LOW = gen_cp((10, 10, 10, 10), 4, seed=0)
+_C8_DATA = _C8_LOW + gen_sparse_noise((10, 10, 10, 10), 0.05, seed=0)
+_C7_T = gen_cp((10, 10, 10, 10), 6, seed=0)
+_C7_MASK = gen_mask((10, 10, 10, 10), 0.3, seed=0)
+_C9_S = gen_supersym(10, 4, 8, seed=0)
+_C9_MASK = gen_mask(_C9_S.shape, 0.4, seed=0)
+SCALED_SOLVES = {
+    "complete_n": lambda k: complete_n(_C7_MASK, _C7_MASK.observe(k * _C7_T)),
+    "rpca_m": lambda k: rpca_m(k * _C8_DATA),
+    "rpca_n": lambda k: rpca_n(k * _C8_DATA),
+    "complete_supersym": lambda k: complete_supersym(_C9_MASK, _C9_MASK.observe(k * _C9_S)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_SOLVES))
+def test_admm_stopping_test_is_scale_invariant(name):
+    # both tolerances are relative to the data's spectral scale, so the
+    # solve takes the same steps at any scale and returns the scaled result
+    # (an absolute primal tolerance in data units stopped rpca_m and
+    # complete_supersym early on small data)
+    solve = SCALED_SOLVES[name]
+    base = solve(1.0)
+    assert base.converged
+    for scale in (1e4, 1e-4, 1e-9):
+        res = solve(scale)
+        assert (res.iters, res.converged) == (base.iters, base.converged), scale
+        for got, ref in ((res.recovered, base.recovered), (res.sparse, base.sparse)):
+            if ref is not None:
+                ref = scale * ref
+                assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref), scale
+
+
+def test_rpca_m_converges_within_150_iterations_at_20_4():
+    # the 20^4 rank-8 instance with 5% corruption, seed 0: the tolerance
+    # gate moves rho once the dual test passes, where the band alone left
+    # the primal residual to crawl for 194 iterations
+    dims = (20, 20, 20, 20)
+    low = gen_cp(dims, 8, seed=0)
+    res = rpca_m(low + gen_sparse_noise(dims, 0.05, seed=0), truth=low)
+    assert res.converged and res.iters <= 150
+    assert res.rel_err_vs_truth <= 1e-4 and res.rel_err_all <= 1e-5
+    assert res.rank_report.m_plus == res.rank_report.m_minus == 8
+
+
 def _toy_admm(rho, max_iters=2000):
     """min 0.5*||x - a||^2 + 1.5*||z||^2 subject to x - z = c through _admm,
     with prox closures that record every call."""
@@ -385,8 +433,9 @@ def _toy_admm(rho, max_iters=2000):
     xs, zs = [], []
 
     def x_step(v, rho):
-        xs.append((rho, v.copy()))
-        return (a + rho * v) / (1.0 + rho)
+        x = (a + rho * v) / (1.0 + rho)
+        xs.append((rho, v.copy(), x))
+        return x
 
     def z_step(w, rho):
         z = rho * w / (3.0 + rho)
@@ -398,23 +447,55 @@ def _toy_admm(rho, max_iters=2000):
     return out, c, xs, zs
 
 
-@pytest.mark.parametrize("rho", [1e-3, 1e3])
+def _toy_tests(c, xs, zs, k):
+    """The stopping test of the toy's iteration k + 1 (0-based k), rebuilt
+    from the recorded steps: each residual relative to its scale, and
+    whether each test passes. The toy's data scale is 1."""
+    cfg = SolverConfig()
+    rho, _, x = xs[k]
+    _, w, z = zs[k]
+    z_old = zs[k - 1][2] if k else np.zeros_like(z)
+    u = w - z
+    r_pri = np.linalg.norm(x - z - c)
+    r_dua = rho * np.linalg.norm(z - z_old)
+    size_pri = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(c))
+    size_dua = rho * np.linalg.norm(u)
+    pri_ok = r_pri <= cfg.abs_tol + cfg.rel_tol * size_pri
+    dua_ok = r_dua <= np.sqrt(z.size) * cfg.abs_tol + cfg.rel_tol * size_dua
+    return r_pri / size_pri, r_dua / size_dua, pri_ok, dua_ok
+
+
+# 1e-3 and 1e3 start far off balance, so the band moves rho; from 0.3 the
+# relative residuals stay within BALANCE_BAND of each other, and only the
+# tolerance gate moves it, once the primal test passes and the dual one not
+@pytest.mark.parametrize("rho", [1e-3, 1e3, 0.3])
 def test_admm_penalty_balancing(rho):
     (_, _, it, conv, trace), c, xs, zs = _toy_admm(rho)
     assert conv and it == len(trace) == len(xs) == len(zs)
-    rhos = [r for r, _ in xs]
+    rhos = [r for r, _, _ in xs]
     assert [r for r, _, _ in zs] == rhos
     changes = [k for k in range(1, it) if rhos[k] != rhos[k - 1]]
-    # a penalty far off balance is moved, and only after a balancing period
+    # rho is moved, and only after a balancing period
     assert changes
     assert all(k % BALANCE_PERIOD == 0 for k in changes)
+    # each move steps toward the residual whose test fails: up for the
+    # primal one, down for the dual one
+    for k in changes:
+        rel_pri, rel_dua, pri_ok, dua_ok = _toy_tests(c, xs, zs, k - 1)
+        if rhos[k] > rhos[k - 1]:
+            assert not pri_ok and (dua_ok or rel_pri > BALANCE_BAND * rel_dua)
+        else:
+            assert not dua_ok and (pri_ok or rel_dua > BALANCE_BAND * rel_pri)
+        if rho == 0.3:
+            assert pri_ok != dua_ok
+            assert rel_pri < BALANCE_BAND * rel_dua and rel_dua < BALANCE_BAND * rel_pri
     # the unscaled dual rho * u carries over every iteration, across a
     # change too: iteration k ends with u = w_k - z_k, and iteration k + 1
     # starts from v = z_k + c - u (recovering u from v and z cancels, so
     # the tolerance scales with the operands)
     for k in range(it - 1):
         rho_k, w_k, z_k = zs[k]
-        rho_next, v_next = xs[k + 1]
+        rho_next, v_next, _ = xs[k + 1]
         gap = np.linalg.norm(rho_next * (z_k + c - v_next) - rho_k * (w_k - z_k))
         size = max(rho_k, rho_next) * (np.linalg.norm(c) + np.linalg.norm(w_k)
                                        + np.linalg.norm(z_k))
