@@ -207,12 +207,12 @@ def takagi(m, sym_tol: float = 1e-10, group_tol: float = 1e-8) -> TakagiResult:
     repeated singular values.
 
     Raises ValueError when m is not square or not symmetric within
-    sym_tol * max(1, ||m||_F).
+    sym_tol * ||m||_F, relative at any scale.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"takagi needs a square matrix, got shape {m.shape}")
-    if np.linalg.norm(m - m.T) > sym_tol * max(1.0, np.linalg.norm(m)):
+    if np.linalg.norm(m - m.T) > sym_tol * max(np.linalg.norm(m), np.finfo(float).tiny):
         raise ValueError("takagi needs a (complex) symmetric matrix")
     if m.shape[0] == 0:
         return TakagiResult(np.zeros((0, 0), np.complex128), np.zeros(0))
@@ -425,8 +425,14 @@ def complex_soft_threshold(m, tau: float) -> np.ndarray:
     """Entrywise modulus shrinkage z * max(1 - tau/|z|, 0), the proximal map
     of tau * sum(|z_i|) with |.| the complex modulus."""
     m = np.asarray(m, dtype=np.complex128)
-    mod = np.abs(m)
-    return m * np.maximum(1.0 - tau / np.maximum(mod, np.finfo(float).tiny), 0.0)
+    # the factor max(1 - tau / max(|m|, tiny), 0), built in place in one
+    # real array: no temporary per operation, and the same rounding
+    f = np.abs(m)
+    np.maximum(f, np.finfo(float).tiny, out=f)
+    np.divide(tau, f, out=f)
+    np.subtract(1.0, f, out=f)
+    np.maximum(f, 0.0, out=f)
+    return m * f
 
 
 def complex_l1(m) -> float:

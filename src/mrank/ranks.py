@@ -204,15 +204,16 @@ def strongly_symmetrize(dec: MDecomposition, t, drift_tol: float = 1e-6) -> MDec
     Term count is preserved; factors may come out zero.
 
     Raises ValueError when the drift after any removal step exceeds
-    drift_tol * max(1, ||t||_F), which is the symptom of a t that is not
-    actually super-symmetric or a decomposition that does not reconstruct it.
+    drift_tol * ||t||_F (relative at any scale), which is the symptom of a
+    t that is not actually super-symmetric or a decomposition that does not
+    reconstruct it.
     """
     t = as_tensor(t)
     if dec.kind not in ("symmetric", "strongly_symmetric"):
         raise ValueError(f"needs a symmetric decomposition, got kind={dec.kind!r}")
     d = t.ndim // 2
     bs = [a.copy() for a, _ in dec.factors]
-    tnorm = max(1.0, float(np.linalg.norm(t)))
+    tnorm = max(float(np.linalg.norm(t)), np.finfo(float).tiny)
 
     def recon(fs):
         axes = dec.pairing.row + dec.pairing.col

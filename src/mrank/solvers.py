@@ -15,10 +15,12 @@ entry.
 complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
 docstring for the variables of each model). It owns the penalty, the dual
-update, the stopping test and the trace. The initial penalty is made
-scale-invariant by dividing by the spectral norm of the data unfolding, and
-both stopping tolerances are relative to that norm, so the dimensionless
-defaults work, and a solve takes the same steps, at any data scale. From
+update, the stopping test and the trace, and allocates no array of the
+constraint's size per iteration: besides x and z it keeps two, the scaled
+dual and one work buffer. The initial penalty is made scale-invariant by
+dividing by the spectral norm of the data unfolding, and both stopping
+tolerances are relative to that norm, so the dimensionless defaults work,
+and a solve takes the same steps, at any data scale. From
 there, residual balancing moves the penalty by factors of two when the
 primal and dual residuals drift far apart, or when one stopping test passes
 and the other does not (see _admm): the first is what lets the complete_n
@@ -387,14 +389,22 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
                    resid, trace)
 
 
+def _norm(a) -> float:
+    """||a||_F as one dot product over a's memory, in whatever order it is
+    laid out; np.linalg.norm makes two passes over a complex array."""
+    a = np.ravel(a, order="K")
+    return float(np.sqrt(np.vdot(a, a).real))
+
+
 def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     """Scaled-form ADMM for min f(x) + g(z) subject to x - z = c (Boyd et
     al. 2011, section 3.1.1), the one loop behind complete_n, rpca_m,
     rpca_n and complete_supersym.
 
-    x_step(v, rho) = prox_{f/rho}(v) and z_step(w, rho) = prox_{g/rho}(w);
-    z_step returns a new array, since w's buffer is reused. z0 is
-    overwritten.
+    x_step(v, rho) = prox_{f/rho}(v) and z_step(w, rho) = prox_{g/rho}(w).
+    Both only read their input, whose buffer the driver reuses: x_step
+    returns an array that does not alias v (it may reuse its own buffer
+    from call to call), and z_step returns a new array. z0 is overwritten.
     x carries the constraint's full shape; z and c may be compact arrays
     that broadcast to it (a consensus tensor shared by stacked mode copies),
     and their norms count every copy. The models:
@@ -437,39 +447,61 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     rpca_m, whose primal residual crawled for a hundred iterations after
     its dual test had passed.
 
+    Memory: the loop allocates two arrays of x's size, after the first x
+    step, and none per iteration: the scaled dual u and one work buffer.
+    The work buffer holds v = z + c - u, then w = x - c + u, then the new
+    u = w - z, while the old u's buffer takes r = u_new - u_old (the
+    primal residual x - z - c) and the two swap; z - z_old is formed in
+    z_old's buffer.
+    A scalar zero c (complete_n, complete_supersym) adds no pass at all.
+    Every norm is one dot product over the array's memory (_norm).
+
     Returns (x, z, iters, converged, trace).
     """
-    x, z, trace, it = z0 + c, z0, [], 0
     if scale == 0.0:
-        return x, z, it, True, trace
+        return z0 + c, z0, 0, True, []
+    zero_c = np.isscalar(c) and c == 0.0
     rho = PENALTY_SCALE * cfg.rho / scale
     abs_pri = cfg.abs_tol * scale
-    c_norm = float(np.linalg.norm(c))
+    c_norm = _norm(c)
     tiny = np.finfo(float).tiny
-    u = 0.0  # the scaled dual; it takes x's shape after the first step
+    z, trace, x, it = z0, [], None, 0
     for it in range(1, cfg.max_iters + 1):
-        x = x_step(z + c - u, rho)
+        if it == 1:
+            v = z if zero_c else z + c  # u is still zero
+        elif zero_c:
+            v = np.subtract(z, u, out=work)
+        else:
+            v = np.add(z, c, out=work)
+            v -= u
+        x = None  # the last x is dead, so x_step may reuse its memory
+        x = x_step(v, rho)
+        del v  # frees the first iteration's z + c; later v is the work buffer
         if it == 1:
             # x's shape, and so the constraint's size, is known from here on
             n = x.size
             k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
             c_term = np.sqrt(n / np.size(c)) * c_norm
             abs_dua = np.sqrt(n) * cfg.abs_tol
-        w = x - c
-        w += u
-        z_old, z = z, z_step(w, rho)
-        # in place, so no more than three arrays of x's size live at once:
-        # r = x - z - c reuses w, then u + r reuses r; z - z_old reuses z_old
-        r = np.subtract(x, z, out=w)
-        r -= c
-        r_pri = np.linalg.norm(r)
-        r += u
-        u = r
-        r_dua = rho * k * np.linalg.norm(np.subtract(z, z_old, out=z_old))
-        size_pri = max(np.linalg.norm(x), k * np.linalg.norm(z), c_term)
+            u = np.zeros_like(x)  # the scaled dual
+            work = np.empty_like(x)
+        if zero_c:
+            w = np.add(x, u, out=work)
+        else:
+            w = np.subtract(x, c, out=work)
+            w += u
+        z_new = z_step(w, rho)
+        w -= z_new  # the new u
+        r = np.subtract(w, u, out=u)  # x - z - c, in the old u's buffer
+        u, work = w, r
+        r_pri = _norm(r)
+        # z - z_old in the old z's buffer, which is then released
+        r_dua = rho * k * _norm(np.subtract(z_new, z, out=z))
+        z = z_new
+        size_pri = max(_norm(x), k * _norm(z), c_term)
         rel_pri = r_pri / max(size_pri, tiny)
         trace.append(rel_pri)
-        size_dua = rho * np.linalg.norm(u)
+        size_dua = rho * _norm(u)
         pri_ok = r_pri <= abs_pri + cfg.rel_tol * size_pri
         dua_ok = r_dua <= abs_dua + cfg.rel_tol * size_dua
         if pri_ok and dua_ok:
@@ -484,6 +516,8 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
                 continue
             rho *= step
             u /= step  # rho * u, the unscaled dual, is unchanged
+    if x is None:  # max_iters is 0
+        x = z0 + c
     return x, z, it, False, trace
 
 

@@ -260,12 +260,13 @@ def symmetrize(t) -> np.ndarray:
 
 def is_super_symmetric(t, tol: float = 1e-8) -> bool:
     """True iff every adjacent-transposition image of t differs by at most
-    tol * max(1, ||t||_F). Adjacent transpositions generate the full
-    permutation group, so this checks invariance under all of it."""
+    tol * ||t||_F, a test relative to t at any scale (the zero tensor is
+    symmetric). Adjacent transpositions generate the full permutation
+    group, so this checks invariance under all of it."""
     t = as_tensor(t)
     if len(set(t.shape)) > 1:
         return False
-    bound = tol * max(1.0, float(np.linalg.norm(t)))
+    bound = tol * max(float(np.linalg.norm(t)), np.finfo(float).tiny)
     for j in range(t.ndim - 1):
         if np.linalg.norm(t - np.swapaxes(t, j, j + 1)) > bound:
             return False

@@ -508,6 +508,23 @@ def test_complex_soft_threshold_properties():
     assert np.array_equal(complex_soft_threshold(z, 0.0), z)
 
 
+def test_complex_soft_threshold_is_the_textbook_formula():
+    # bitwise: the in-place factor runs the formula's operations in order;
+    # zeros, a modulus equal to tau and a subnormal entry included
+    rng = np.random.default_rng(8)
+    z = crandn(rng, (40, 30))
+    z[0, :3] = [0.0, 0.5, 1e-310]
+    z[1, 0] = 0.3 + 0.4j
+    z_in = z.copy()
+    tiny = np.finfo(float).tiny
+    for tau in (0.0, 0.5, 1.3, 3.0):
+        ref = z * np.maximum(1.0 - tau / np.maximum(np.abs(z), tiny), 0.0)
+        assert np.array_equal(complex_soft_threshold(z, tau), ref)
+        assert np.array_equal(z, z_in)  # the input is not modified
+    assert np.array_equal(complex_soft_threshold(z.T, 0.5),
+                          complex_soft_threshold(z, 0.5).T)
+
+
 def test_complex_soft_threshold_prox_optimality():
     rng = np.random.default_rng(7)
     z = crandn(rng, (4, 4))

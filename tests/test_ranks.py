@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
-from mrank.linalg import numerical_rank
+from mrank.linalg import numerical_rank, takagi
 from mrank.ranks import (
     RECOVERED_RANK_TOL,
     cp_exact_for_kron,
@@ -184,6 +184,40 @@ def test_strongly_symmetrize_order6():
     assert strong.term_count == 2
     assert all(is_super_symmetric(a, 1e-8) for a, _ in strong.factors)
     assert np.linalg.norm(strong.reconstruct() - t) <= 1e-7 * np.linalg.norm(t)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-14])
+def test_symmetry_tolerances_are_relative_at_any_scale(scale):
+    # the symmetry checks compare with tol * ||t||: a tolerance floored at
+    # max(1, ||t||) is absolute on small data and let a scaled-down
+    # non-symmetric tensor through, into a "strongly symmetric"
+    # decomposition that did not reconstruct it
+    t = scale * gen_cp((5,) * 4, 3, seed=0)
+    assert not is_super_symmetric(t)
+    for call in (lambda: takagi(square_unfold(t)),
+                 lambda: symmetric_m_decompose(t),
+                 lambda: scp_bound_interval(t)):
+        with pytest.raises(ValueError):
+            call()
+    s = scale * gen_supersym(5, 4, 3, seed=0)
+    dec = symmetric_m_decompose(s)
+    with pytest.raises(ValueError):  # a decomposition of another tensor
+        strongly_symmetrize(dec, scale * gen_supersym(5, 4, 3, seed=1))
+    # the symmetric tensor itself passes at every scale
+    assert is_super_symmetric(s)
+    strong = strongly_symmetrize(dec, s)
+    assert strong.term_count == 3
+    assert np.linalg.norm(strong.reconstruct() - s) <= 1e-7 * np.linalg.norm(s)
+    assert scp_bound_interval(s)[0] == 3
+
+
+def test_zero_tensor_counts_as_symmetric():
+    z = np.zeros((3,) * 4, dtype=np.complex128)
+    assert is_super_symmetric(z)
+    assert takagi(square_unfold(z)).s.tolist() == [0.0] * 9
+    dec = symmetric_m_decompose(z)
+    assert dec.term_count == 0
+    assert strongly_symmetrize(dec, z).term_count == 0
 
 
 # ------------------------------------------------------- rank-one round trip
