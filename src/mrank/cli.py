@@ -6,12 +6,14 @@ Subcommands:
     complete        -- mask and complete a tensor (square or mode model)
     rpca            -- sparse + low-rank split (square or mode model)
     sym-complete    -- super-symmetric completion
-    table1..table5  -- seeded benchmark grids over synthetic instances
+    table1..table5  -- seeded benchmark grids over synthetic instances, one
+                       TABLES entry each
     video-complete  -- mask and complete a PPM frame stack
     video-decompose -- split a PPM frame stack into background/foreground
 
 Exit codes: 0 success, 2 bad flags (out-of-range numbers included, such as
-a --ratio outside [0, 1]), 3 I/O, format or invalid input data
+a --ratio outside [0, 1] or a negative --seed, and an MRANK_THREADS that is
+set but not a positive integer), 3 I/O, format or invalid input data
 (an unreadable file, NaN or Inf entries, data a solver rejects such as
 observations no super-symmetric tensor matches), 4 solver did not converge
 (the partial result and report are still written). Table commands never
@@ -19,7 +21,8 @@ exit 4: failed trials show up as converged=False rows.
 
 Reports are deterministic: same flags and seed give byte-identical output.
 Trials of a table command run in a thread pool sized by MRANK_THREADS
-(default 1); row order is by seed regardless of completion order.
+(default 1, also when empty); row order is by seed regardless of
+completion order.
 """
 
 import argparse
@@ -27,6 +30,8 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,6 +100,9 @@ def _check_flags(args) -> None:
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -125,11 +133,6 @@ def _print_result(res, label: str) -> None:
           f"tucker={','.join(str(x) for x in rep.tucker)}")
     if res.message:
         print(f"  note: {res.message}")
-
-
-def _write_single_report(args, rows) -> None:
-    if getattr(args, "report", None):
-        write_report(args.report, rows, args.format)
 
 
 # ---------------------------------------------------------------- rank / gen
@@ -187,36 +190,51 @@ def _cmd_gen(args) -> int:
 # ------------------------------------------------------------ single solves
 
 
-def _load_truth(args):
-    if getattr(args, "truth", None):
-        return read_tensor(args.truth)
-    return None
+def _finish(args, res, label: str, frames=()) -> int:
+    """The ending every single solve shares: print the result, write the
+    recovered tensor (--output), the sparse part (--sparse-output) or the
+    (stem, stack) frame sets under --out-dir, then the one-row --report.
+    Exit 0 if the solve converged, else 4."""
+    _print_result(res, label)
+    if getattr(args, "output", None):
+        write_tensor(args.output, res.recovered)
+    if getattr(args, "sparse_output", None) is not None and res.sparse is not None:
+        write_tensor(args.sparse_output, res.sparse)
+    for stem, stack in frames:
+        os.makedirs(args.out_dir, exist_ok=True)
+        write_frames([os.path.join(args.out_dir, f"{stem}_{k:04d}.ppm")
+                      for k in range(stack.shape[3])], stack)
+    if getattr(args, "report", None):
+        write_report(args.report, [res.to_row()], args.format)
+    return EXIT_OK if res.converged else EXIT_NOCONV
+
+
+def _observe(args):
+    """Read the input tensor and observe --ratio of its entries, the mask
+    drawn from --seed. Returns the tensor, the mask, the observed values
+    and the truth: the --truth file, or else the full input tensor."""
+    t = read_tensor(args.input)
+    mask = gen_mask(t.shape, args.ratio, args.seed)
+    values = mask.observe(t)
+    truth = read_tensor(args.truth) if args.truth else t
+    return t, mask, values, truth
 
 
 def _cmd_complete(args) -> int:
     cfg = _solver_config(args)
-    t = read_tensor(args.input)
-    mask = gen_mask(t.shape, args.ratio, args.seed)
-    values = mask.observe(t)
-    truth = _load_truth(args)
-    if truth is None:
-        truth = t  # input is the full tensor; masking happened here
+    t, mask, values, truth = _observe(args)
     if args.model == "m":
         pairing = _parse_pairing(args.pairing, t.ndim)
         res = complete_m(mask, values, pairing, cfg, truth=truth)
     else:
         res = complete_n(mask, values, cfg, truth=truth)
-    _print_result(res, f"complete_{args.model}")
-    if args.output:
-        write_tensor(args.output, res.recovered)
-    _write_single_report(args, [res.to_row()])
-    return EXIT_OK if res.converged else EXIT_NOCONV
+    return _finish(args, res, f"complete_{args.model}")
 
 
 def _cmd_rpca(args) -> int:
     cfg = _solver_config(args)
     t = read_tensor(args.input)
-    truth = _load_truth(args)
+    truth = read_tensor(args.truth) if args.truth else None
     data = t
     if args.density is not None:
         data = t + gen_sparse_noise(t.shape, args.density, args.seed)
@@ -227,40 +245,32 @@ def _cmd_rpca(args) -> int:
         res = rpca_m(data, pairing, cfg, truth=truth)
     else:
         res = rpca_n(data, cfg, truth=truth)
-    _print_result(res, f"rpca_{args.model}")
-    if args.output:
-        write_tensor(args.output, res.recovered)
-    if args.sparse_output is not None and res.sparse is not None:
-        write_tensor(args.sparse_output, res.sparse)
-    _write_single_report(args, [res.to_row()])
-    return EXIT_OK if res.converged else EXIT_NOCONV
+    return _finish(args, res, f"rpca_{args.model}")
 
 
 def _cmd_sym_complete(args) -> int:
     cfg = _solver_config(args)
-    t = read_tensor(args.input)
-    mask = gen_mask(t.shape, args.ratio, args.seed)
-    values = mask.observe(t)
-    truth = _load_truth(args)
-    if truth is None:
-        truth = t
+    _, mask, values, truth = _observe(args)
     res = complete_supersym(mask, values, cfg, truth=truth)
-    _print_result(res, "complete_supersym")
-    if args.output:
-        write_tensor(args.output, res.recovered)
-    _write_single_report(args, [res.to_row()])
-    return EXIT_OK if res.converged else EXIT_NOCONV
+    return _finish(args, res, "complete_supersym")
 
 
 # ------------------------------------------------------------------- tables
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("MRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Trial workers from MRANK_THREADS: 1 when unset or empty, else a
+    positive integer, or a usage error."""
+    raw = os.environ.get("MRANK_THREADS", "")
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"MRANK_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _run_grid(settings, trial_fn, trials: int, base_seed: int):
@@ -303,9 +313,11 @@ def _mean_tuple(rows, key):
     return ",".join(f"{x:.6g}" for x in mean)
 
 
-def _aggregate(label_cols: dict, rows: list, spec_cols: tuple) -> dict:
-    """One report row per setting: label columns, then trial averages."""
-    agg = dict(label_cols)
+def _aggregate(setting: dict, rows: list, spec_cols: tuple) -> dict:
+    """One report row per setting: the setting's values as label columns
+    (dims joined by commas), then the trial counts and averages."""
+    agg = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
+           for k, v in setting.items()}
     agg["trials"] = len(rows)
     agg["n_converged"] = sum(1 for r in rows if r.get("converged", True))
     agg["converged"] = agg["n_converged"] == len(rows)
@@ -323,206 +335,160 @@ def _emit(args, rows) -> int:
     return EXIT_OK
 
 
-def _cmd_table1(args) -> int:
-    if args.full:
-        settings = [
-            ((10, 10, 10, 10), 12), ((10, 10, 15, 15), 12),
-            ((15, 15, 15, 15), 18), ((15, 15, 18, 18), 18),
-            ((20, 20, 20, 20), 30), ((20, 20, 25, 25), 30),
-            ((25, 25, 30, 30), 40), ((30, 30, 30, 30), 40),
-        ]
-    else:
-        settings = [((10, 10, 10, 10), 12), ((15, 15, 15, 15), 18)]
-
-    def trial(setting, seed):
-        dims, r = setting
-        t = InstanceSpec(dims=dims, r=r, form="cp", seed=seed).generate()
-        rep = m_ranks(t)
-        return {"m_plus": rep.m_plus, "m_minus": rep.m_minus,
-                "tucker": list(rep.tucker)}
-
-    per = _run_grid(settings, trial, args.trials, args.seed)
-    rows = []
-    for i, (dims, r) in enumerate(settings):
-        rows.append(_aggregate(
-            {"dims": ",".join(map(str, dims)), "r": r},
-            per[i],
-            (("tucker", "tuple"), ("m_plus", "num"), ("m_minus", "num")),
-        ))
-    return _emit(args, rows)
+def _rank_trial(s, seed, cfg):
+    # table1 samples CP sums; table2 matrix Kronecker forms, k = r
+    t = InstanceSpec(form="kron" if "k" in s else "cp", seed=seed, **s).generate()
+    rep = m_ranks(t)
+    return {"m_plus": rep.m_plus, "m_minus": rep.m_minus,
+            "tucker": list(rep.tucker)}
 
 
-def _cmd_table2(args) -> int:
-    if args.full:
-        grid = [((10, 10, 10, 10), (2, 3, 4)), ((10, 10, 15, 15), (2, 3, 4)),
-                ((15, 15, 20, 20), (2, 3, 4)), ((20, 20, 20, 20), (3, 4, 5)),
-                ((20, 20, 30, 30), (3, 4, 5))]
-    else:
-        grid = [((10, 10, 10, 10), (2, 3))]
-    settings = [(dims, rk) for dims, rks in grid for rk in rks]
-
-    def trial(setting, seed):
-        dims, rk = setting
-        t = InstanceSpec(dims=dims, r=rk, form="kron", seed=seed, k=rk).generate()
-        rep = m_ranks(t)
-        return {"m_plus": rep.m_plus, "m_minus": rep.m_minus,
-                "tucker": list(rep.tucker)}
-
-    per = _run_grid(settings, trial, args.trials, args.seed)
-    rows = []
-    for i, (dims, rk) in enumerate(settings):
-        rows.append(_aggregate(
-            {"dims": ",".join(map(str, dims)), "r": rk, "k": rk},
-            per[i],
-            (("tucker", "tuple"), ("m_plus", "num"), ("m_minus", "num")),
-        ))
-    return _emit(args, rows)
+def _completion_trial(s, seed, cfg):
+    truth = InstanceSpec(dims=s["dims"], r=s["r"], form="cp", seed=seed).generate()
+    mask = gen_mask(s["dims"], s["ratio"], seed)
+    values = mask.observe(truth)
+    res_m = complete_m(mask, values, None, cfg, truth=truth)
+    res_n = complete_n(mask, values, cfg, truth=truth)
+    return {
+        "n_rel_err": res_n.rel_err_vs_truth,
+        "n_tucker": list(res_n.rank_report.tucker),
+        "m_rel_err": res_m.rel_err_vs_truth,
+        "m_plus": res_m.rank_report.m_plus,
+        "m_minus": res_m.rank_report.m_minus,
+        "converged": res_m.converged,
+    }
 
 
-def _cmd_table3(args) -> int:
-    if args.full:
-        grid = [((10, 10, 10, 10), (2, 4, 6)), ((15, 15, 15, 15), (3, 6, 9)),
-                ((20, 20, 20, 20), (4, 8, 12))]
-        ratios = (0.7, 0.5, 0.3)
-    else:
-        grid = [((10, 10, 10, 10), (6,))]
-        ratios = (args.ratio,)
-    settings = [(dims, r, ratio)
-                for dims, rs in grid for r in rs for ratio in ratios]
-
-    def trial(setting, seed):
-        dims, r, ratio = setting
-        truth = InstanceSpec(dims=dims, r=r, form="cp", seed=seed).generate()
-        mask = gen_mask(dims, ratio, seed)
-        values = mask.observe(truth)
-        res_m = complete_m(mask, values, None, truth=truth)
-        res_n = complete_n(mask, values, truth=truth)
-        return {
-            "n_rel_err": res_n.rel_err_vs_truth,
-            "n_tucker": list(res_n.rank_report.tucker),
-            "m_rel_err": res_m.rel_err_vs_truth,
-            "m_plus": res_m.rank_report.m_plus,
-            "m_minus": res_m.rank_report.m_minus,
-            "converged": res_m.converged,
-        }
-
-    per = _run_grid(settings, trial, args.trials, args.seed)
-    rows = []
-    for i, (dims, r, ratio) in enumerate(settings):
-        rows.append(_aggregate(
-            {"dims": ",".join(map(str, dims)), "r": r, "ratio": ratio},
-            per[i],
-            (("n_rel_err", "num"), ("n_tucker", "tuple"), ("m_rel_err", "num"),
-             ("m_plus", "num"), ("m_minus", "num")),
-        ))
-    return _emit(args, rows)
+def _supersym_trial(s, seed, cfg):
+    dims = (s["n"],) * 4
+    truth = InstanceSpec(dims=dims, r=s["r"], form="supersym", seed=seed).generate()
+    mask = gen_mask(dims, s["ratio"], seed)
+    res = complete_supersym(mask, mask.observe(truth), cfg, truth=truth)
+    rep = res.rank_report
+    return {
+        "rel_err": res.rel_err_vs_truth,
+        "rank_m": rep.rank_m if rep.rank_m is not None else rep.m_plus,
+        "converged": res.converged,
+    }
 
 
-def _cmd_table4(args) -> int:
-    if args.full:
-        settings = [(10, 8), (10, 12), (15, 8), (15, 20),
-                    (20, 15), (20, 25), (25, 15), (25, 30)]
-    else:
-        settings = [(10, 8)]
-
-    def trial(setting, seed):
-        n, r = setting
-        dims = (n,) * 4
-        truth = InstanceSpec(dims=dims, r=r, form="supersym", seed=seed).generate()
-        mask = gen_mask(dims, args.ratio, seed)
-        res = complete_supersym(mask, mask.observe(truth), truth=truth)
-        rep = res.rank_report
-        return {
-            "rel_err": res.rel_err_vs_truth,
-            "rank_m": rep.rank_m if rep.rank_m is not None else rep.m_plus,
-            "converged": res.converged,
-        }
-
-    per = _run_grid(settings, trial, args.trials, args.seed)
-    rows = []
-    for i, (n, r) in enumerate(settings):
-        rows.append(_aggregate(
-            {"n": n, "r": r, "ratio": args.ratio},
-            per[i],
-            (("rel_err", "num"), ("rank_m", "num")),
-        ))
-    return _emit(args, rows)
+def _robust_trial(s, seed, cfg):
+    low = InstanceSpec(dims=s["dims"], r=s["r"], form="cp", seed=seed).generate()
+    data = low + gen_sparse_noise(s["dims"], s["density"], seed)
+    res_m = rpca_m(data, None, cfg, truth=low)
+    res_n = rpca_n(data, cfg, truth=low)
+    return {
+        "n_rel_err_all": res_n.rel_err_all,
+        "n_rel_err_lr": res_n.rel_err_vs_truth,
+        "n_tucker": list(res_n.rank_report.tucker),
+        "m_rel_err_all": res_m.rel_err_all,
+        "m_rel_err_lr": res_m.rel_err_vs_truth,
+        "m_plus": res_m.rank_report.m_plus,
+        "m_minus": res_m.rank_report.m_minus,
+        "converged": res_m.converged,
+    }
 
 
-def _cmd_table5(args) -> int:
-    if args.full:
-        grid = [((10, 10, 10, 10), (2, 4, 6, 8, 12)),
-                ((15, 15, 15, 15), (3, 6, 9, 12, 18)),
-                ((20, 20, 20, 20), (4, 8, 12, 16, 24))]
-    else:
-        grid = [((10, 10, 10, 10), (4,))]
-    settings = [(dims, r) for dims, rs in grid for r in rs]
+class Table(NamedTuple):
+    """One benchmark table. Each setting is a dict of the row's label
+    columns; a FLAG value is read from the table flag of that name. The
+    trial runs trial(setting, seed, cfg) once per setting and seed, and the
+    (column, kind) specs name the trial columns averaged into each row,
+    kind "num" or "tuple"."""
 
-    def trial(setting, seed):
-        dims, r = setting
-        low = InstanceSpec(dims=dims, r=r, form="cp", seed=seed).generate()
-        data = low + gen_sparse_noise(dims, args.density, seed)
-        cfg = SolverConfig(lam=args.lam)
-        res_m = rpca_m(data, None, cfg, truth=low)
-        res_n = rpca_n(data, cfg, truth=low)
-        return {
-            "n_rel_err_all": res_n.rel_err_all,
-            "n_rel_err_lr": res_n.rel_err_vs_truth,
-            "n_tucker": list(res_n.rank_report.tucker),
-            "m_rel_err_all": res_m.rel_err_all,
-            "m_rel_err_lr": res_m.rel_err_vs_truth,
-            "m_plus": res_m.rank_report.m_plus,
-            "m_minus": res_m.rank_report.m_minus,
-            "converged": res_m.converged,
-        }
+    name: str
+    help: str
+    flags: dict  # extra float flags and their defaults
+    desk: list
+    full: list
+    trial: Callable
+    columns: tuple
 
-    per = _run_grid(settings, trial, args.trials, args.seed)
-    rows = []
-    for i, (dims, r) in enumerate(settings):
-        rows.append(_aggregate(
-            {"dims": ",".join(map(str, dims)), "r": r, "density": args.density},
-            per[i],
-            (("n_rel_err_all", "num"), ("n_rel_err_lr", "num"),
-             ("n_tucker", "tuple"), ("m_rel_err_all", "num"),
-             ("m_rel_err_lr", "num"), ("m_plus", "num"), ("m_minus", "num")),
-        ))
+
+FLAG = None
+_RANK_COLUMNS = (("tucker", "tuple"), ("m_plus", "num"), ("m_minus", "num"))
+
+TABLES = (
+    Table("table1", "rank estimation on random sums of rank-one terms", {},
+          desk=[{"dims": (10, 10, 10, 10), "r": 12},
+                {"dims": (15, 15, 15, 15), "r": 18}],
+          full=[{"dims": dims, "r": r} for dims, r in (
+              ((10, 10, 10, 10), 12), ((10, 10, 15, 15), 12),
+              ((15, 15, 15, 15), 18), ((15, 15, 18, 18), 18),
+              ((20, 20, 20, 20), 30), ((20, 20, 25, 25), 30),
+              ((25, 25, 30, 30), 40), ((30, 30, 30, 30), 40))],
+          trial=_rank_trial, columns=_RANK_COLUMNS),
+    Table("table2", "rank estimation on random matrix outer products", {},
+          desk=[{"dims": (10, 10, 10, 10), "r": k, "k": k} for k in (2, 3)],
+          full=[{"dims": dims, "r": k, "k": k} for dims, ks in (
+              ((10, 10, 10, 10), (2, 3, 4)), ((10, 10, 15, 15), (2, 3, 4)),
+              ((15, 15, 20, 20), (2, 3, 4)), ((20, 20, 20, 20), (3, 4, 5)),
+              ((20, 20, 30, 30), (3, 4, 5))) for k in ks],
+          trial=_rank_trial, columns=_RANK_COLUMNS),
+    # the full grid fixes its ratios; only the desk row reads --ratio
+    Table("table3", "completion: square unfolding vs mode unfolding baseline",
+          {"ratio": 0.3},
+          desk=[{"dims": (10, 10, 10, 10), "r": 6, "ratio": FLAG}],
+          full=[{"dims": dims, "r": r, "ratio": ratio} for dims, rs in (
+              ((10, 10, 10, 10), (2, 4, 6)), ((15, 15, 15, 15), (3, 6, 9)),
+              ((20, 20, 20, 20), (4, 8, 12)))
+              for r in rs for ratio in (0.7, 0.5, 0.3)],
+          trial=_completion_trial,
+          columns=(("n_rel_err", "num"), ("n_tucker", "tuple"),
+                   ("m_rel_err", "num"), ("m_plus", "num"), ("m_minus", "num"))),
+    Table("table4", "super-symmetric completion grid", {"ratio": 0.4},
+          desk=[{"n": 10, "r": 8, "ratio": FLAG}],
+          full=[{"n": n, "r": r, "ratio": FLAG} for n, r in (
+              (10, 8), (10, 12), (15, 8), (15, 20),
+              (20, 15), (20, 25), (25, 15), (25, 30))],
+          trial=_supersym_trial,
+          columns=(("rel_err", "num"), ("rank_m", "num"))),
+    Table("table5", "robust recovery: square unfolding vs mode unfolding "
+          "baseline", {"density": 0.05, "lam": None},
+          desk=[{"dims": (10, 10, 10, 10), "r": 4, "density": FLAG}],
+          full=[{"dims": dims, "r": r, "density": FLAG} for dims, rs in (
+              ((10, 10, 10, 10), (2, 4, 6, 8, 12)),
+              ((15, 15, 15, 15), (3, 6, 9, 12, 18)),
+              ((20, 20, 20, 20), (4, 8, 12, 16, 24))) for r in rs],
+          trial=_robust_trial,
+          columns=(("n_rel_err_all", "num"), ("n_rel_err_lr", "num"),
+                   ("n_tucker", "tuple"), ("m_rel_err_all", "num"),
+                   ("m_rel_err_lr", "num"), ("m_plus", "num"),
+                   ("m_minus", "num"))),
+)
+
+
+def _cmd_table(table: Table, args) -> int:
+    settings = [{k: getattr(args, k) if v is FLAG else v for k, v in s.items()}
+                for s in (table.full if args.full else table.desk)]
+    cfg = _solver_config(args)
+    per = _run_grid(settings, partial(table.trial, cfg=cfg),
+                    args.trials, args.seed)
+    rows = [_aggregate(s, per[i], table.columns) for i, s in enumerate(settings)]
     return _emit(args, rows)
 
 
 # -------------------------------------------------------------------- video
 
 
-def _frame_paths(out_dir: str, stem: str, count: int) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    return [os.path.join(out_dir, f"{stem}_{k:04d}.ppm") for k in range(count)]
-
-
 def _cmd_video_complete(args) -> int:
     cfg = _solver_config(args)
     t = read_frames(sorted(args.frames))
     mask = gen_mask(t.shape, args.ratio, args.seed)
-    res = complete_m(mask, mask.observe(t), None, cfg, truth=t)
-    _print_result(res, "video complete_m")
-    n_frames = t.shape[3]
-    write_frames(_frame_paths(args.out_dir, "recovered", n_frames), res.recovered)
-    masked = mask.fill(mask.observe(t))
-    write_frames(_frame_paths(args.out_dir, "masked", n_frames), masked)
-    _write_single_report(args, [res.to_row()])
-    return EXIT_OK if res.converged else EXIT_NOCONV
+    values = mask.observe(t)
+    res = complete_m(mask, values, None, cfg, truth=t)
+    return _finish(args, res, "video complete_m",
+                   [("recovered", res.recovered), ("masked", mask.fill(values))])
 
 
 def _cmd_video_decompose(args) -> int:
     cfg = _solver_config(args)
     t = read_frames(sorted(args.frames))
     res = rpca_m(t, None, cfg)
-    _print_result(res, "video rpca_m")
-    n_frames = t.shape[3]
-    write_frames(_frame_paths(args.out_dir, "background", n_frames), res.recovered)
     # foreground shown by magnitude so complex parts stay visible
-    write_frames(_frame_paths(args.out_dir, "foreground", n_frames),
-                 np.abs(res.sparse).astype(np.complex128))
-    _write_single_report(args, [res.to_row()])
-    return EXIT_OK if res.converged else EXIT_NOCONV
+    foreground = np.abs(res.sparse).astype(np.complex128)
+    return _finish(args, res, "video rpca_m",
+                   [("background", res.recovered), ("foreground", foreground)])
 
 
 # ------------------------------------------------------------------- parser
@@ -611,30 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_sym_complete)
 
-    p = sub.add_parser("table1", help="rank estimation on random sums of "
-                       "rank-one terms")
-    _add_table_flags(p)
-    p.set_defaults(fn=_cmd_table1)
-
-    p = sub.add_parser("table2", help="rank estimation on random matrix "
-                       "outer products")
-    _add_table_flags(p)
-    p.set_defaults(fn=_cmd_table2)
-
-    p = sub.add_parser("table3", help="completion: square unfolding vs mode "
-                       "unfolding baseline")
-    _add_table_flags(p, ratio=0.3)
-    p.set_defaults(fn=_cmd_table3)
-
-    p = sub.add_parser("table4", help="super-symmetric completion grid")
-    _add_table_flags(p, ratio=0.4)
-    p.set_defaults(fn=_cmd_table4)
-
-    p = sub.add_parser("table5", help="robust recovery: square unfolding vs "
-                       "mode unfolding baseline")
-    _add_table_flags(p, density=0.05)
-    p.add_argument("--lam", type=float, default=None)
-    p.set_defaults(fn=_cmd_table5)
+    for table in TABLES:
+        p = sub.add_parser(table.name, help=table.help)
+        _add_table_flags(p, **table.flags)
+        p.set_defaults(fn=partial(_cmd_table, table))
 
     p = sub.add_parser("video-complete", help="mask and complete PPM frames")
     p.add_argument("frames", nargs="+", help="PPM files (sorted before use)")

@@ -429,7 +429,8 @@ def complex_soft_threshold(m, tau: float) -> np.ndarray:
     # real array: no temporary per operation, and the same rounding
     f = np.abs(m)
     np.maximum(f, np.finfo(float).tiny, out=f)
-    np.divide(tau, f, out=f)
+    with np.errstate(over="ignore"):  # tau / tiny -> inf clips to 0 below
+        np.divide(tau, f, out=f)
     np.subtract(1.0, f, out=f)
     np.maximum(f, 0.0, out=f)
     return m * f

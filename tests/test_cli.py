@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mrank.cli import main
+from mrank.cli import TABLES, main
 from mrank.fileio import read_frames, read_tensor, write_frames, write_tensor
 from mrank.synth import gen_supersym
 
@@ -116,6 +116,11 @@ def test_exit_bad_flags(tmp_path, capsys):
                 "--output", tmp_path / "t.mten"]) == 2
     assert run(["gen", "--form", "kron", "--dims", "4,4,4,4", "--r", "1",
                 "--output", tmp_path / "t.mten"]) == 2  # k missing
+    capsys.readouterr()
+    assert run(["gen", "--form", "cp", "--dims", "4,4,4,4", "--r", "1",
+                "--seed", "-1", "--output", tmp_path / "t.mten"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "t.mten").exists()
 
 
 @pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.6"], ["rpca"],
@@ -123,7 +128,7 @@ def test_exit_bad_flags(tmp_path, capsys):
 @pytest.mark.parametrize("flag", [["--max-iters", "-3"], ["--rel-tol", "nan"],
                                   ["--rel-tol", "inf"], ["--rel-tol", "-0.001"],
                                   ["--lam", "-1"], ["--lam", "0"], ["--lam", "nan"],
-                                  ["--lam", "inf"]])
+                                  ["--lam", "inf"], ["--seed", "-3"]])
 def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
     # rejected before any solve: a negative budget, a tolerance that no
     # residual can meet or a sparsity weight that is not a positive number
@@ -168,12 +173,24 @@ def test_exit_bad_fraction_flags(tmp_path, capsys, argv):
                                   ["table5", "--lam", "0"],
                                   ["table5", "--lam", "nan"],
                                   ["table5", "--lam", "inf"],
-                                  ["table5", "--density", "-0.1"]])
+                                  ["table5", "--density", "-0.1"],
+                                  ["table1", "--seed", "-1"]])
 def test_exit_bad_table_flags(capsys, argv):
     # rejected before any trial runs, so no report row is printed
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert argv[1] in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_exit_bad_thread_count(capsys, monkeypatch, threads):
+    # a worker count that is set but not a positive integer is a usage
+    # error, not a silent single-threaded run
+    monkeypatch.setenv("MRANK_THREADS", threads)
+    assert run(["table1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "MRANK_THREADS" in captured.err
     assert captured.out == ""
 
 
@@ -237,6 +254,30 @@ def test_table2_desk_values(tmp_path):
     assert lines[2] == '"10,10,10,10",3,3,3,3,True,"9,9,9,9",27,3'
 
 
+@pytest.mark.parametrize("table, header", [
+    ("table1", "dims,r,trials,n_converged,converged,tucker,m_plus,m_minus"),
+    ("table3", "dims,r,ratio,trials,n_converged,converged,n_rel_err,n_tucker,"
+               "m_rel_err,m_plus,m_minus"),
+    ("table4", "n,r,ratio,trials,n_converged,converged,rel_err,rank_m"),
+    ("table5", "dims,r,density,trials,n_converged,converged,n_rel_err_all,"
+               "n_rel_err_lr,n_tucker,m_rel_err_all,m_rel_err_lr,m_plus,"
+               "m_minus"),
+])
+def test_table_csv_header(tmp_path, table, header):
+    # column names and order: label columns, the trial counts, then the
+    # averaged columns (table2's header is pinned in test_table2_desk_values)
+    out = tmp_path / "t.csv"
+    assert run([table, "--trials", "1", "--output", out]) == 0
+    assert out.read_text().splitlines()[0] == header
+
+
+def test_table_full_grid_sizes():
+    # the --full grids, read without running them
+    sizes = {t.name: len(t.full) for t in TABLES}
+    assert sizes == {"table1": 8, "table2": 15, "table3": 27, "table4": 8,
+                     "table5": 15}
+
+
 def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert run(["table1", "--trials", "2", "--output", a]) == 0
@@ -245,6 +286,9 @@ def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     monkeypatch.setenv("MRANK_THREADS", "4")
     assert run(["table1", "--trials", "2", "--output", c]) == 0
     assert a.read_bytes() == c.read_bytes()  # row order fixed by seed
+    monkeypatch.setenv("MRANK_THREADS", "")  # empty means one worker
+    assert run(["table1", "--trials", "2", "--output", c]) == 0
+    assert a.read_bytes() == c.read_bytes()
 
 
 @pytest.mark.parametrize("table", ["table3", "table4", "table5"])

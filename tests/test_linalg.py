@@ -13,6 +13,7 @@ checked against a full-SVD count written here, and a spy on numpy's SVD
 tells which route ran.
 """
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -517,9 +518,14 @@ def test_complex_soft_threshold_is_the_textbook_formula():
     z[1, 0] = 0.3 + 0.4j
     z_in = z.copy()
     tiny = np.finfo(float).tiny
-    for tau in (0.0, 0.5, 1.3, 3.0):
-        ref = z * np.maximum(1.0 - tau / np.maximum(np.abs(z), tiny), 0.0)
-        assert np.array_equal(complex_soft_threshold(z, tau), ref)
+    # tau above about 4 overflows tau / tiny on the zero entries: the
+    # factor clips to 0 all the same, and no warning is emitted
+    for tau in (0.0, 0.5, 1.3, 3.0, 10.0):
+        with np.errstate(over="ignore"):
+            ref = z * np.maximum(1.0 - tau / np.maximum(np.abs(z), tiny), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(complex_soft_threshold(z, tau), ref)
         assert np.array_equal(z, z_in)  # the input is not modified
     assert np.array_equal(complex_soft_threshold(z.T, 0.5),
                           complex_soft_threshold(z, 0.5).T)
