@@ -131,8 +131,6 @@ def _print_result(res, label: str) -> None:
     rep = res.rank_report
     print(f"  m_plus={rep.m_plus} m_minus={rep.m_minus} "
           f"tucker={','.join(str(x) for x in rep.tucker)}")
-    if res.message:
-        print(f"  note: {res.message}")
 
 
 # ---------------------------------------------------------------- rank / gen
@@ -499,11 +497,13 @@ def _add_report_flags(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_solver_flags(p) -> None:
+def _add_solver_flags(p, seed=True, seed_help=None) -> None:
+    """The solver flags; --seed only where the command draws something."""
     p.add_argument("--max-iters", type=int)
     p.add_argument("--rel-tol", type=float)
     p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def _add_table_flags(p, **defaults) -> None:
@@ -564,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--output", help="write the low-rank part")
     p.add_argument("--sparse-output", help="write the sparse part")
-    _add_solver_flags(p)
+    _add_solver_flags(p, seed_help="seeds the --density noise only")
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_rpca)
 
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split PPM frames into background + foreground")
     p.add_argument("frames", nargs="+")
     p.add_argument("--out-dir", required=True)
-    _add_solver_flags(p)
+    _add_solver_flags(p, seed=False)
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_video_decompose)
 

@@ -54,6 +54,12 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-8
 
 
+# takagi accepts m when ||m - m.T||_F <= TAKAGI_SYM_TOL * ||m||_F, and groups
+# singular values whose gaps are at most TAKAGI_GROUP_TOL * sigma_max.
+TAKAGI_SYM_TOL = 1e-10
+TAKAGI_GROUP_TOL = 1e-8
+
+
 @dataclass
 class TakagiResult:
     """Symmetric factorization m = w @ diag(s) @ w.T with unitary w, s >= 0."""
@@ -196,23 +202,24 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def takagi(m, sym_tol: float = 1e-10, group_tol: float = 1e-8) -> TakagiResult:
+def takagi(m) -> TakagiResult:
     """Factor a complex symmetric matrix as m = w @ diag(s) @ w.T.
 
     Built from the SVD m = u @ diag(s) @ vh: for symmetric m the matrix
     z = u.T @ v is block-diagonal over groups of equal singular values,
     unitary and symmetric there, and w = u @ conj(sqrtm(z)) absorbs the
     phase mismatch block by block. Groups are found by relative gaps of
-    size group_tol * sigma_max, which rides over the fp jitter of truly
-    repeated singular values.
+    size TAKAGI_GROUP_TOL * sigma_max, which rides over the fp jitter of
+    truly repeated singular values.
 
     Raises ValueError when m is not square or not symmetric within
-    sym_tol * ||m||_F, relative at any scale.
+    TAKAGI_SYM_TOL * ||m||_F, relative at any scale.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"takagi needs a square matrix, got shape {m.shape}")
-    if np.linalg.norm(m - m.T) > sym_tol * max(np.linalg.norm(m), np.finfo(float).tiny):
+    bound = TAKAGI_SYM_TOL * max(np.linalg.norm(m), np.finfo(float).tiny)
+    if np.linalg.norm(m - m.T) > bound:
         raise ValueError("takagi needs a (complex) symmetric matrix")
     if m.shape[0] == 0:
         return TakagiResult(np.zeros((0, 0), np.complex128), np.zeros(0))
@@ -222,7 +229,7 @@ def takagi(m, sym_tol: float = 1e-10, group_tol: float = 1e-8) -> TakagiResult:
     blocks = []
     start = 0
     for i in range(1, s.size + 1):
-        if i == s.size or s[start] - s[i] > group_tol * scale:
+        if i == s.size or s[start] - s[i] > TAKAGI_GROUP_TOL * scale:
             idx = slice(start, i)
             blocks.append(sqrtm(u[:, idx].T @ v[:, idx]))
             start = i

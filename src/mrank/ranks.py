@@ -5,8 +5,11 @@ unfolding; the minimum and maximum unfolding rank over the canonical
 pairings bracket the CP rank from below (max) and, for order 4, from above
 (n1*n3 * min, dims sorted ascending). Super-symmetric tensors admit
 decompositions t = sum_i B_i (x) B_i whose factors can always be made
-super-symmetric themselves without changing the term count; the stage-wise
-construction for that lives in `strongly_symmetrize`.
+super-symmetric themselves without changing the term count: the
+stage-wise construction of the proof composes to the orbit mean
+tensor.symmetrize of each factor, which is what `strongly_symmetrize`
+applies. A rank-one super-symmetric tensor c * b^{(x) 2d} has a rank-one
+mode-0 unfolding whose row space is spanned by b (`rank_one_factorize`).
 """
 
 from dataclasses import dataclass, field
@@ -21,10 +24,9 @@ from .tensor import (
     is_super_symmetric,
     mode_unfold,
     outer,
-    square_fold,
     square_unfold,
+    symmetrize,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -45,6 +47,10 @@ __all__ = [
 # unfoldings, far above DEFAULT_RANK_TOL but well below 1e-4 at the accuracy
 # the solvers reach.
 RECOVERED_RANK_TOL = 1e-4
+
+# strongly_symmetrize rejects a rebuilt decomposition farther than
+# DRIFT_TOL * ||t||_F from t.
+DRIFT_TOL = 1e-6
 
 
 @dataclass
@@ -168,20 +174,22 @@ def m_decompose(t, pairing: Pairing | None = None,
     return MDecomposition(dims=t.shape, pairing=pr, kind="asymmetric", factors=factors)
 
 
-def symmetric_m_decompose(t, rel_tol: float = DEFAULT_RANK_TOL,
-                          sym_tol: float = 1e-8) -> MDecomposition:
+def symmetric_m_decompose(t, rel_tol: float = DEFAULT_RANK_TOL) -> MDecomposition:
     """Decompose a super-symmetric tensor as t = sum_i B_i (x) B_i.
 
     The square unfolding of a super-symmetric tensor is complex symmetric,
     so its Takagi factorization m = w diag(s) w.T provides the terms:
-    B_i = fold(sqrt(s_i) * w_i). Term count equals rank(m).
+    B_i = fold(sqrt(s_i) * w_i). Term count equals rank(m). The symmetric
+    part (m + m.T) / 2 is factored: is_super_symmetric accepts t at 1e-8
+    relative, takagi checks m at 1e-10, and an exactly super-symmetric t
+    gives an m that the average moves by rounding only.
     """
     t = as_tensor(t)
-    if not is_super_symmetric(t, sym_tol):
+    if not is_super_symmetric(t):
         raise ValueError("symmetric_m_decompose needs a super-symmetric tensor")
     pr = Pairing.default(t.ndim)
     m = square_unfold(t, pr)
-    res = takagi(m)
+    res = takagi((m + m.T) / 2)
     r = spectrum_rank(res.s, rel_tol)
     half_dims = tuple(t.shape[a] for a in pr.row)
     factors = []
@@ -191,92 +199,57 @@ def symmetric_m_decompose(t, rel_tol: float = DEFAULT_RANK_TOL,
     return MDecomposition(dims=t.shape, pairing=pr, kind="symmetric", factors=factors)
 
 
-def strongly_symmetrize(dec: MDecomposition, t, drift_tol: float = 1e-6) -> MDecomposition:
-    """Rebuild t = sum_i B_i (x) B_i with super-symmetric factors.
+def strongly_symmetrize(dec: MDecomposition, t) -> MDecomposition:
+    """Rebuild t = sum_i B_i (x) B_i with super-symmetric factors: each B_i
+    becomes its orbit mean symmetrize(B_i), the average of B_i over every
+    permutation of its d axes.
 
-    Stage m symmetrizes axis m into axes 0..m-1 of every factor: with
-    swaps_j = B with axes j and m exchanged, the stage splits
-    B = A + sum_j C_j where A = (B + sum_j swaps_j)/(m+1) is symmetric over
-    axes 0..m and C_j = (B - swaps_j)/(m+1). Each C_j can be removed from
-    every factor without changing the sum of B (x) B -- that cancellation is
-    exactly what super-symmetry of t buys -- so the inner loop subtracts them
-    one at a time and verifies the reconstruction after every removal.
-    Term count is preserved; factors may come out zero.
+    The paper's proof does this in stages: stage m replaces B by the mean
+    of B and its swaps of axis m with axes 0..m-1. Those swaps are coset
+    representatives of S_m in S_{m+1}, so the stages compose to the mean
+    over S_d. The sum is unchanged because t is super-symmetric: averaging
+    it over independent permutations of its two halves leaves it fixed, and
+    that average of sum_i B_i (x) B_i is sum_i sym(B_i) (x) sym(B_i). Term
+    count is preserved; factors may come out zero.
 
-    Raises ValueError when the drift after any removal step exceeds
-    drift_tol * ||t||_F (relative at any scale), which is the symptom of a
-    t that is not actually super-symmetric or a decomposition that does not
-    reconstruct it.
+    Raises ValueError when the rebuilt sum is more than DRIFT_TOL * ||t||_F
+    (relative at any scale) from t, which is the symptom of a t that is not
+    actually super-symmetric or a decomposition that does not reconstruct
+    it.
     """
     t = as_tensor(t)
     if dec.kind not in ("symmetric", "strongly_symmetric"):
         raise ValueError(f"needs a symmetric decomposition, got kind={dec.kind!r}")
-    d = t.ndim // 2
-    bs = [a.copy() for a, _ in dec.factors]
+    bs = [symmetrize(a) for a, _ in dec.factors]
+    strong = MDecomposition(dims=dec.dims, pairing=dec.pairing,
+                            kind="strongly_symmetric", factors=[(b, b) for b in bs])
     tnorm = max(float(np.linalg.norm(t)), np.finfo(float).tiny)
-
-    def recon(fs):
-        axes = dec.pairing.row + dec.pairing.col
-        acc = np.zeros(tuple(t.shape[a] for a in axes), dtype=np.complex128)
-        for b in fs:
-            acc += outer(b, b)
-        return np.transpose(acc, np.argsort(axes))
-
-    for m in range(1, d):
-        removals = [
-            [(b - np.swapaxes(b, j, m)) / (m + 1) for j in range(m)] for b in bs
-        ]
-        for j in range(m):
-            for i in range(len(bs)):
-                bs[i] = bs[i] - removals[i][j]
-            drift = np.linalg.norm(recon(bs) - t) / tnorm
-            if drift > drift_tol:
-                raise ValueError(
-                    f"reconstruction drift {drift:.2e} after removing component "
-                    f"(stage {m}, swap {j}); input is not super-symmetric"
-                )
-    return MDecomposition(
-        dims=dec.dims,
-        pairing=dec.pairing,
-        kind="strongly_symmetric",
-        factors=[(b, b) for b in bs],
-    )
+    drift = np.linalg.norm(strong.reconstruct() - t) / tnorm
+    if drift > DRIFT_TOL:
+        raise ValueError(f"reconstruction drift {drift:.2e} after symmetrizing "
+                         "the factors; input is not super-symmetric")
+    return strong
 
 
 def rank_one_factorize(t, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Recover b with t = b^{(x) 2d} from a super-symmetric tensor whose
     square unfolding has rank one.
 
-    Takagi of the unfolding gives the single dyad, folding it gives the
-    order-d half A with t = A (x) A; a second factorization of A (Takagi
-    again for d = 2, the dominant singular pair of its first mode unfolding
-    otherwise) gives the direction of b, and the 2d-th root of the scale
-    fixes its length. Among the 2d roots of unity that all reproduce t, the
-    returned representative puts the phase of the largest-modulus entry
-    closest to zero, making the output deterministic.
+    For t = c * b^{(x) 2d} the mode-0 unfolding is the dyad
+    vec(b^{(x) 2d-1}) (c*b)^T, so the top row of vh in its SVD is parallel
+    to b, and the 2d-th root of the scale fixes the length. Among the 2d
+    roots of unity that all reproduce t, the returned representative puts
+    the phase of the largest-modulus entry closest to zero, making the
+    output deterministic.
     """
     t = as_tensor(t)
     if t.ndim % 2 or len(set(t.shape)) > 1:
         raise ValueError("rank_one_factorize needs an even-order cubical tensor")
-    if not is_super_symmetric(t, 1e-8):
+    if not is_super_symmetric(t):
         raise ValueError("rank_one_factorize needs a super-symmetric tensor")
-    d = t.ndim // 2
-    n = t.shape[0]
-    res = takagi(square_unfold(t))
-    if spectrum_rank(res.s, rel_tol) != 1:
+    if numerical_rank(square_unfold(t), rel_tol) != 1:
         raise ValueError("square unfolding rank is not one")
-    a = unvec(np.sqrt(res.s[0]) * res.w[:, 0], (n,) * d)
-
-    if d == 2:
-        # a is a symmetric rank-one matrix: one more Takagi dyad
-        a = (a + a.T) / 2
-        res2 = takagi(a)
-        u = res2.w[:, 0]
-    else:
-        # a = sigma * b^{(x) d}; its mode-0 unfolding is the dyad
-        # vec(b^{(x) d-1}) (sigma*b)^T, whose top row of vh is parallel to b
-        _, _, vh = np.linalg.svd(mode_unfold(a, 0), full_matrices=False)
-        u = vh[0]
+    u = np.linalg.svd(mode_unfold(t, 0), full_matrices=False)[2][0]
     k = int(np.argmax(np.abs(u)))
     beta = t[(k,) * t.ndim] / u[k] ** t.ndim
     b = np.power(beta, 1.0 / t.ndim) * u
@@ -302,7 +275,7 @@ def scp_bound_interval(t, rel_tol: float = DEFAULT_RANK_TOL) -> tuple:
     t = as_tensor(t)
     if t.ndim != 4 or len(set(t.shape)) > 1:
         raise ValueError("scp_bound_interval needs an order-4 cubical tensor")
-    if not is_super_symmetric(t, 1e-8):
+    if not is_super_symmetric(t):
         raise ValueError("scp_bound_interval needs a super-symmetric tensor")
     n = t.shape[0]
     r = numerical_rank(square_unfold(t), rel_tol)

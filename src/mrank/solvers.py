@@ -96,6 +96,20 @@ __all__ = [
 # sigma_max(data unfolding).
 PENALTY_SCALE = 40.0
 
+# Absolute part of the ADMM stopping test (see _admm), dimensionless: the
+# primal test's absolute term is ABS_TOL * sigma_max(data unfolding), in
+# data units, and the dual test's is sqrt(n) * ABS_TOL on the dimensionless
+# rho * (z - z_old), n the constraint's entry count.
+ABS_TOL = 1e-8
+
+# complete_m's continuation: (initial fraction of sigma_max, shrink factor
+# per stage, floor fraction of sigma_max).
+MU_SCHEDULE = (0.25, 0.25, 1e-8)
+
+# complete_supersym rejects observations that disagree inside one orbit by
+# more than FEAS_TOL times the largest observed modulus.
+FEAS_TOL = 1e-8
+
 # Residual balancing of the ADMM penalty (see _admm): every BALANCE_PERIOD
 # iterations, rho is multiplied (divided) by BALANCE_FACTOR when the primal
 # (dual) stopping test fails and either the other test passes or the failing
@@ -129,26 +143,19 @@ PLATEAU_RATIO = 0.9
 class SolverConfig:
     """Shared solver settings.
 
-    mu_schedule drives the completion continuation: (initial fraction of
-    sigma_max, shrink factor per stage, floor fraction of sigma_max).
     lam is the sparsity weight for the robust solvers; None means
     1/sqrt(rows of the unfolding). rho is the initial multiplier of the
     ADMM penalty, PENALTY_SCALE * rho / sigma_max(data unfolding);
-    residual balancing adapts the penalty from there. abs_tol and rel_tol
-    set the ADMM stopping test (see _admm). abs_tol is dimensionless: the
-    primal test's absolute term is abs_tol * sigma_max(data unfolding), in
-    data units, and the dual test's is sqrt(n) * abs_tol on the
-    dimensionless rho * (z - z_old), n the constraint's entry count.
-    complete_m uses rel_tol alone, as its acceptance level. The solvers
-    are deterministic and draw no randomness.
+    residual balancing adapts the penalty from there. rel_tol and ABS_TOL
+    set the ADMM stopping test (see _admm). complete_m uses rel_tol alone,
+    as its acceptance level. The solvers are deterministic and draw no
+    randomness.
     """
 
     max_iters: int = 2000
-    abs_tol: float = 1e-8
     rel_tol: float = 1e-6
     rho: float = 1.0
     lam: float | None = None
-    mu_schedule: tuple = (0.25, 0.25, 1e-8)
 
 
 @dataclass
@@ -177,10 +184,9 @@ class SolveResult:
     rel_err_vs_truth: float | None = None
     rel_err_all: float | None = None
     residual_trace: list = field(default_factory=list)
-    message: str = ""
 
     def to_row(self) -> dict:
-        row = {
+        return {
             "iters": self.iters,
             "converged": self.converged,
             "rel_err": self.rel_err_vs_truth,
@@ -189,9 +195,6 @@ class SolveResult:
             "m_minus": self.rank_report.m_minus,
             "tucker": ",".join(str(r) for r in self.rank_report.tucker),
         }
-        if self.message:
-            row["message"] = self.message
-        return row
 
 
 def _require_finite(a, name: str) -> None:
@@ -312,7 +315,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     norm of the square unfolding under the given pairing.
 
     Fixed-point continuation: x <- svt(x - step * grad, step * mu) with mu
-    shrinking along cfg.mu_schedule (fractions of the masked unfolding's
+    shrinking along MU_SCHEDULE (fractions of the masked unfolding's
     spectral norm). At the end of every stage the stage's gap candidates
     are refined by CGIHT (see _svp) and validated, as the module docstring
     describes, and the first accepted one is returned (converged). A
@@ -342,7 +345,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     if sigma0 == 0.0:
         return _result(square_fold(x, mask.dims, pr), 0, True, truth, 0.0, [])
 
-    mu0, shrink, floor_frac = cfg.mu_schedule
+    mu0, shrink, floor_frac = MU_SCHEDULE
     mu = mu0 * sigma0
     mu_floor = floor_frac * sigma0
     # a candidate rank is only trusted when the samples overdetermine it
@@ -418,10 +421,10 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
     z steps. The loop stops when r_pri = ||x - z - c|| <= e_pri and
     r_dua = rho * ||z - z_old|| <= e_dua, with
-        e_pri = abs_tol * scale + rel_tol * max(||x||, ||z||, ||c||)
-        e_dua = sqrt(n) * abs_tol + rel_tol * rho * ||u||
+        e_pri = ABS_TOL * scale + rel_tol * max(||x||, ||z||, ||c||)
+        e_dua = sqrt(n) * ABS_TOL + rel_tol * rho * ||u||
     over the n constraint entries, scale being the spectral norm of the
-    data that the caller passes. abs_tol is dimensionless in both: e_pri
+    data that the caller passes. ABS_TOL is dimensionless in both: e_pri
     is in data units through scale, and e_dua is dimensionless, like r_dua,
     since rho scales as 1 / scale. So a solve takes the same steps on data
     multiplied by any factor. Each iteration logs r_pri over the relative
@@ -462,7 +465,7 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
         return z0 + c, z0, 0, True, []
     zero_c = np.isscalar(c) and c == 0.0
     rho = PENALTY_SCALE * cfg.rho / scale
-    abs_pri = cfg.abs_tol * scale
+    abs_pri = ABS_TOL * scale
     c_norm = _norm(c)
     tiny = np.finfo(float).tiny
     z, trace, x, it = z0, [], None, 0
@@ -482,7 +485,7 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig):
             n = x.size
             k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
             c_term = np.sqrt(n / np.size(c)) * c_norm
-            abs_dua = np.sqrt(n) * cfg.abs_tol
+            abs_dua = np.sqrt(n) * ABS_TOL
             u = np.zeros_like(x)  # the scaled dual
             work = np.empty_like(x)
         if zero_c:
@@ -607,7 +610,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
 
 
 def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
-                      truth=None, feas_tol: float = 1e-8) -> SolveResult:
+                      truth=None) -> SolveResult:
     """Complete a super-symmetric tensor: minimize the nuclear norm of the
     square unfolding over tensors that are super-symmetric and match the
     observed entries.
@@ -621,7 +624,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     exactly feasible.
 
     Raises ValueError when observed values disagree inside one orbit beyond
-    feas_tol (relative): no super-symmetric tensor can match such data.
+    FEAS_TOL (relative): no super-symmetric tensor can match such data.
     """
     cfg = cfg or SolverConfig()
     dims = mask.dims
@@ -640,7 +643,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     ob_val[observed] = orbit_sum(b, ob_ids, n_orb)[observed] / ob_cnt[observed]
     spread = np.abs(b - ob_val[ob_ids])
     scale = float(np.abs(b).max(initial=np.finfo(float).tiny))
-    if b.size and spread.max() > feas_tol * scale:
+    if b.size and spread.max() > FEAS_TOL * scale:
         raise ValueError(
             "observed values are inconsistent under symmetry "
             f"(max in-orbit spread {spread.max():.2e}); no super-symmetric "

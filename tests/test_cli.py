@@ -363,3 +363,13 @@ def test_video_decompose(tmp_path):
     # static video: background carries the data, foreground is dark
     assert np.linalg.norm(bg - stack) <= 0.05 * np.linalg.norm(stack)
     assert np.abs(fg).max() <= 0.1
+
+
+def test_video_decompose_takes_no_seed(tmp_path, capsys):
+    # it draws nothing, so a --seed would be a flag that changes no byte
+    paths, _ = _write_stack(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["video-decompose", *paths, "--seed", "5", "--out-dir", tmp_path / "vd"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "vd").exists()

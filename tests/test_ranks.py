@@ -40,6 +40,14 @@ def rank_s_matrix(rng, nrow, ncol, s):
     return crandn(rng, (nrow, s)) @ crandn(rng, (s, ncol))
 
 
+def power(b, order):
+    """b^{(x) order}."""
+    t = b
+    for _ in range(order - 1):
+        t = outer(t, b)
+    return t
+
+
 # ------------------------------------------------------------------ m_ranks
 
 
@@ -178,12 +186,13 @@ def test_strongly_symmetrize_preserves_count_and_value():
 
 
 def test_strongly_symmetrize_order6():
-    # three symmetrization stages instead of one
-    t = gen_supersym(3, 6, 2, seed=1)
-    strong = strongly_symmetrize(symmetric_m_decompose(t), t)
-    assert strong.term_count == 2
-    assert all(is_super_symmetric(a, 1e-8) for a, _ in strong.factors)
-    assert np.linalg.norm(strong.reconstruct() - t) <= 1e-7 * np.linalg.norm(t)
+    # factors of order 3 and 4: the orbit mean averages over S_3 and S_4,
+    # which the stage-wise construction reached in two and three stages
+    for t, r in ((gen_supersym(3, 6, 2, seed=1), 2), (gen_supersym(3, 8, 3, seed=2), 3)):
+        strong = strongly_symmetrize(symmetric_m_decompose(t), t)
+        assert strong.term_count == r
+        assert all(is_super_symmetric(a, 1e-8) for a, _ in strong.factors)
+        assert np.linalg.norm(strong.reconstruct() - t) <= 1e-7 * np.linalg.norm(t)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-14])
@@ -246,11 +255,34 @@ def test_rank_one_factorize_real_vector_recovered_exactly():
 
 def test_rank_one_factorize_order6():
     rng = np.random.default_rng(8)
-    b = crandn(rng, 3)
-    t = outer(outer(outer(b, b), outer(b, b)), outer(b, b))
+    for order in (6, 8):
+        b = crandn(rng, 3)
+        t = power(b, order)
+        bhat = rank_one_factorize(t)
+        assert np.linalg.norm(power(bhat, order) - t) <= 1e-8 * np.linalg.norm(t)
+
+
+def _perturbed(t, rel, seed):
+    rng = np.random.default_rng(seed)
+    e = crandn(rng, t.shape)
+    return t + rel * np.linalg.norm(t) / np.linalg.norm(e) * e
+
+
+@pytest.mark.parametrize("rel", [1e-9, 1e-10])
+def test_nearly_super_symmetric_inputs_are_accepted(rel):
+    # is_super_symmetric accepts these at 1e-8 relative; takagi's own
+    # check of the unfolding is 1e-10, so the decomposition must not hand
+    # it the unfolding as it is
+    t = _perturbed(gen_supersym(5, 4, 3, seed=0), rel, 0)
+    assert is_super_symmetric(t)
+    strong = strongly_symmetrize(symmetric_m_decompose(t), t)
+    assert strong.term_count == 3
+    assert np.linalg.norm(strong.reconstruct() - t) <= 1e-7 * np.linalg.norm(t)
+    b = crandn(np.random.default_rng(3), 6)
+    t = _perturbed(power(b, 4), rel, 1)
+    assert is_super_symmetric(t)
     bhat = rank_one_factorize(t)
-    that = outer(outer(outer(bhat, bhat), outer(bhat, bhat)), outer(bhat, bhat))
-    assert np.linalg.norm(that - t) <= 1e-8 * np.linalg.norm(t)
+    assert np.linalg.norm(power(bhat, 4) - t) <= 1e-7 * np.linalg.norm(t)
 
 
 def test_rank_one_factorize_rejects():

@@ -6,14 +6,18 @@ not a lucky draw. Failure regimes are exercised by the acceptance suite.
 """
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mrank import solvers
 from mrank.solvers import (
+    ABS_TOL,
     BALANCE_BAND,
     BALANCE_PERIOD,
+    FEAS_TOL,
+    MU_SCHEDULE,
     PENALTY_SCALE,
     PLATEAU_WINDOW,
     SolverConfig,
@@ -41,9 +45,12 @@ def test_solver_config_defaults():
     cfg = SolverConfig()
     assert cfg.max_iters == 2000
     assert cfg.rel_tol == 1e-6
-    assert cfg.abs_tol == 1e-8
+    assert cfg.rho == 1.0
     assert cfg.lam is None
-    assert cfg.mu_schedule == (0.25, 0.25, 1e-8)
+    assert len(fields(SolverConfig)) == 4
+    assert ABS_TOL == 1e-8
+    assert MU_SCHEDULE == (0.25, 0.25, 1e-8)
+    assert FEAS_TOL == 1e-8
 
 
 # --------------------------------------------------------------- complete_m
@@ -463,8 +470,8 @@ def _toy_tests(c, xs, zs, k):
     r_dua = rho * np.linalg.norm(z - z_old)
     size_pri = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(c))
     size_dua = rho * np.linalg.norm(u)
-    pri_ok = r_pri <= cfg.abs_tol + cfg.rel_tol * size_pri
-    dua_ok = r_dua <= np.sqrt(z.size) * cfg.abs_tol + cfg.rel_tol * size_dua
+    pri_ok = r_pri <= ABS_TOL + cfg.rel_tol * size_pri
+    dua_ok = r_dua <= np.sqrt(z.size) * ABS_TOL + cfg.rel_tol * size_dua
     return r_pri / size_pri, r_dua / size_dua, pri_ok, dua_ok
 
 
