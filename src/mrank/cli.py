@@ -350,6 +350,7 @@ def _completion_trial(s, seed, cfg):
     return {
         "n_rel_err": res_n.rel_err_vs_truth,
         "n_tucker": list(res_n.rank_report.tucker),
+        "n_conv": res_n.converged,
         "m_rel_err": res_m.rel_err_vs_truth,
         "m_plus": res_m.rank_report.m_plus,
         "m_minus": res_m.rank_report.m_minus,
@@ -379,6 +380,7 @@ def _robust_trial(s, seed, cfg):
         "n_rel_err_all": res_n.rel_err_all,
         "n_rel_err_lr": res_n.rel_err_vs_truth,
         "n_tucker": list(res_n.rank_report.tucker),
+        "n_conv": res_n.converged,
         "m_rel_err_all": res_m.rel_err_all,
         "m_rel_err_lr": res_m.rel_err_vs_truth,
         "m_plus": res_m.rank_report.m_plus,
@@ -432,7 +434,7 @@ TABLES = (
               ((20, 20, 20, 20), (4, 8, 12)))
               for r in rs for ratio in (0.7, 0.5, 0.3)],
           trial=_completion_trial,
-          columns=(("n_rel_err", "num"), ("n_tucker", "tuple"),
+          columns=(("n_rel_err", "num"), ("n_tucker", "tuple"), ("n_conv", "num"),
                    ("m_rel_err", "num"), ("m_plus", "num"), ("m_minus", "num"))),
     Table("table4", "super-symmetric completion grid", {"ratio": 0.4},
           desk=[{"n": 10, "r": 8, "ratio": FLAG}],
@@ -450,7 +452,7 @@ TABLES = (
               ((20, 20, 20, 20), (4, 8, 12, 16, 24))) for r in rs],
           trial=_robust_trial,
           columns=(("n_rel_err_all", "num"), ("n_rel_err_lr", "num"),
-                   ("n_tucker", "tuple"), ("m_rel_err_all", "num"),
+                   ("n_tucker", "tuple"), ("n_conv", "num"), ("m_rel_err_all", "num"),
                    ("m_rel_err_lr", "num"), ("m_plus", "num"),
                    ("m_minus", "num"))),
 )

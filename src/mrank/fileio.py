@@ -11,6 +11,7 @@ PPM support covers binary P6 with maxval 255. A list of frames becomes a
 
 import csv
 import json
+import math
 import struct
 import warnings
 
@@ -62,7 +63,7 @@ def read_tensor(path) -> np.ndarray:
     dims = struct.unpack(f"<{order}Q", raw[6:head])
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: zero dimension in {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python ints: a fixed-width product can wrap
     if len(raw) != head + 16 * count:
         raise ValueError(
             f"{path}: payload is {len(raw) - head} bytes, expected {16 * count}"

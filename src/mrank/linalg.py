@@ -245,12 +245,16 @@ class SvtWarm:
     v holds the previous call's kept right singular vectors plus up to
     OVERSAMPLE more (columns, orthonormal); it seeds the next call's
     subspace iteration. path names the route the last call took,
-    "subspace" or "full". A solver creates one per call site (one per
-    candidate rank in complete_m's refinement) and passes it to each call.
+    "subspace" or "full". s is the spectrum of the last svt output, its
+    kept singular values already shrunk by tau, recorded on both routes, so
+    s.sum() is that output's nuclear norm (rank_project leaves it alone).
+    A solver creates one per call site (one per candidate rank in
+    complete_m's refinement) and passes it to each call.
     """
 
     v: np.ndarray | None = None
     path: str = ""
+    s: np.ndarray | None = None
 
 
 # Warm block width = previous kept rank + OVERSAMPLE (Halko, Martinsson and
@@ -310,6 +314,7 @@ def _svt_subspace(m, tau, warm):
     u, s, vh, v = out
     keep = u.shape[1]
     warm.v = v[:, : keep + OVERSAMPLE]
+    warm.s = s[:keep] - tau
     if keep == 0:
         return np.zeros_like(m)
     return (u * (s[:keep] - tau)) @ vh[:keep]
@@ -336,7 +341,8 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     directions just below tau, the ones that can rise above it next.
 
     warm is the caller's SvtWarm for this call site, updated in place
-    (each route stores the next block and records its name). The caller
+    (each route stores the next block, the output's spectrum and its own
+    name). The caller
     owns it, so calls stay independent across threads and the result is a
     deterministic function of the call sequence. Without warm, route 2 runs.
     """
@@ -353,6 +359,7 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     if warm is not None:
         warm.v = vh[: int(keep.sum()) + OVERSAMPLE].conj().T
         warm.path = "full"
+        warm.s = s[keep] - tau
     if not keep.any():
         return np.zeros_like(m)
     return (u[:, keep] * (s[keep] - tau)) @ vh[keep]

@@ -257,11 +257,11 @@ def test_table2_desk_values(tmp_path):
 @pytest.mark.parametrize("table, header", [
     ("table1", "dims,r,trials,n_converged,converged,tucker,m_plus,m_minus"),
     ("table3", "dims,r,ratio,trials,n_converged,converged,n_rel_err,n_tucker,"
-               "m_rel_err,m_plus,m_minus"),
+               "n_conv,m_rel_err,m_plus,m_minus"),
     ("table4", "n,r,ratio,trials,n_converged,converged,rel_err,rank_m"),
     ("table5", "dims,r,density,trials,n_converged,converged,n_rel_err_all,"
-               "n_rel_err_lr,n_tucker,m_rel_err_all,m_rel_err_lr,m_plus,"
-               "m_minus"),
+               "n_rel_err_lr,n_tucker,n_conv,m_rel_err_all,m_rel_err_lr,"
+               "m_plus,m_minus"),
 ])
 def test_table_csv_header(tmp_path, table, header):
     # column names and order: label columns, the trial counts, then the

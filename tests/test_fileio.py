@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from mrank.cli import main
 from mrank.fileio import (
     MAGIC,
     VERSION,
@@ -84,6 +85,20 @@ def test_read_tensor_validation(tmp_path):
     expect_fail(raw[:10], "header.mten")
     zero_dim = raw[:6] + struct.pack("<2Q", 0, 3) + raw[22:]
     expect_fail(zero_dim, "zerodim.mten")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims", [(2**62 + 1, 4), (2**63, 2)])
+def test_read_tensor_entry_count_does_not_wrap(tmp_path, dims):
+    # in int64 the first product wraps to 4, which 64 payload bytes match,
+    # and the second overflows with a RuntimeWarning; both headers must
+    # fail the payload-size check, in the reader and through `mrank rank`
+    path = tmp_path / "huge.mten"
+    path.write_bytes(MAGIC + bytes([VERSION, 2]) + struct.pack("<2Q", *dims)
+                     + bytes(64))
+    with pytest.raises(ValueError, match="payload is 64 bytes, expected"):
+        read_tensor(path)
+    assert main(["rank", str(path)]) == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])

@@ -5,6 +5,7 @@ many seeds while freezing), so recovery to ~1e-6 is the expected outcome,
 not a lucky draw. Failure regimes are exercised by the acceptance suite.
 """
 
+import functools
 import tracemalloc
 from dataclasses import fields
 
@@ -15,6 +16,7 @@ from mrank import solvers
 from mrank.solvers import (
     ABS_TOL,
     BALANCE_BAND,
+    BALANCE_FACTOR,
     BALANCE_PERIOD,
     FEAS_TOL,
     MU_SCHEDULE,
@@ -369,18 +371,28 @@ ADMM_SOLVES = {
 @pytest.mark.parametrize("name", sorted(ADMM_SOLVES))
 def test_admm_driver_contract(name):
     solve = ADMM_SOLVES[name]
+    # only rpca_m certifies a duality gap
+    gapped = name == "rpca_m"
     zero = solve(0.0, SolverConfig())
     assert zero.iters == 0 and zero.converged and zero.residual_trace == []
     assert not zero.recovered.any()
     assert zero.sparse is None or not zero.sparse.any()
+    assert zero.duality_gap == (0.0 if gapped else None)
 
     capped = solve(1.0, SolverConfig(max_iters=3))
     assert capped.iters == 3 and not capped.converged
     assert len(capped.residual_trace) == 3
+    assert (capped.duality_gap is None) != gapped
+
+    unrun = solve(1.0, SolverConfig(max_iters=0))
+    assert unrun.iters == 0 and not unrun.converged
+    assert unrun.duality_gap == (1.0 if gapped else None)
 
     r1 = solve(1.0, SolverConfig())
     r2 = solve(1.0, SolverConfig())
     assert r1.converged and r1.iters == len(r1.residual_trace)
+    assert r1.duality_gap == r2.duality_gap
+    assert (r1.duality_gap is None) != gapped
     assert np.array_equal(r1.recovered, r2.recovered)
     assert (r1.sparse is None) == (r2.sparse is None)
     assert r1.sparse is None or np.array_equal(r1.sparse, r2.sparse)
@@ -416,25 +428,95 @@ def test_admm_stopping_test_is_scale_invariant(name):
     for scale in (1e4, 1e-4, 1e-9):
         res = solve(scale)
         assert (res.iters, res.converged) == (base.iters, base.converged), scale
+        # rpca_m's certified gap is relative, so it reads the same too
+        assert (res.duality_gap is None) == (base.duality_gap is None)
+        if base.duality_gap is not None:
+            assert abs(res.duality_gap - base.duality_gap) <= 1e-12, scale
         for got, ref in ((res.recovered, base.recovered), (res.sparse, base.sparse)):
             if ref is not None:
                 ref = scale * ref
                 assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref), scale
 
 
-def test_rpca_m_converges_within_150_iterations_at_20_4():
-    # the 20^4 rank-8 instance with 5% corruption, seed 0: the tolerance
-    # gate moves rho once the dual test passes, where the band alone left
-    # the primal residual to crawl for 194 iterations
+@functools.cache
+def _rpca_m_20_4():
+    """rpca_m on the 20^4 rank-8 instance with 5% corruption, seed 0."""
     dims = (20, 20, 20, 20)
     low = gen_cp(dims, 8, seed=0)
-    res = rpca_m(low + gen_sparse_noise(dims, 0.05, seed=0), truth=low)
+    return rpca_m(low + gen_sparse_noise(dims, 0.05, seed=0), truth=low)
+
+
+def test_rpca_m_converges_within_150_iterations_at_20_4():
+    # the bound the period rule met alone (131 iterations, 194 before its
+    # tolerance gate); the growth test below holds the solver to 45
+    res = _rpca_m_20_4()
     assert res.converged and res.iters <= 150
     assert res.rel_err_vs_truth <= 1e-4 and res.rel_err_all <= 1e-5
     assert res.rank_report.m_plus == res.rank_report.m_minus == 8
 
 
-def _toy_admm(rho, max_iters=2000):
+def test_rpca_m_grows_its_penalty_at_20_4():
+    # doubling rho while the primal test fails inside the band stops the
+    # 20^4 instance in 36 iterations (131 on the period rule alone), at a
+    # certified gap within rel_tol and criterion 8's bounds
+    res = _rpca_m_20_4()
+    assert res.converged and res.iters <= 45
+    assert res.rel_err_vs_truth <= 1e-4 and res.rel_err_all <= 1e-5
+    assert res.rank_report.m_plus == res.rank_report.m_minus == 8
+    assert 0.0 <= res.duality_gap <= SolverConfig().rel_tol
+
+
+def _rpca_m_objective(f, y, lam):
+    """||Y||_* + lam * ||F - Y||_1 at the feasible split (Y, F - Y), by a
+    full SVD."""
+    return (np.linalg.svd(y, compute_uv=False).sum()
+            + lam * np.abs(f - y).sum())
+
+
+def test_rpca_m_duality_gap_is_certified(monkeypatch):
+    # criterion 8, seed 0: the gap rebuilt here from the driver's dual with
+    # full SVDs matches the solver's, whose primal value reads the nuclear
+    # norm off svt's recorded spectrum, and it bounds the suboptimality
+    # against a much tighter solve
+    dims = (10, 10, 10, 10)
+    data = gen_cp(dims, 4, seed=0) + gen_sparse_noise(dims, 0.05, seed=0)
+    seen = {}
+    real_gap = solvers._rpca_m_gap
+
+    def spy(f, y, spectrum, dual, lam):
+        seen["dual"] = dual.copy()  # the gap reuses its buffer
+        return real_gap(f, y, spectrum, dual, lam)
+
+    monkeypatch.setattr(solvers, "_rpca_m_gap", spy)
+    res = rpca_m(data)
+    monkeypatch.undo()
+    f = square_unfold(data)
+    y = square_unfold(res.recovered)
+    lam = 1.0 / np.sqrt(f.shape[0])
+    p = _rpca_m_objective(f, y, lam)
+    dual = -seen["dual"]
+    dual /= max(1.0, np.abs(dual).max() / lam, np.linalg.svd(dual, compute_uv=False)[0])
+    gap = (p - np.vdot(dual, f).real) / p
+    assert res.converged and 0.0 < res.duality_gap <= SolverConfig().rel_tol
+    assert abs(gap - res.duality_gap) <= 1e-10
+    ref = rpca_m(data, cfg=SolverConfig(rel_tol=1e-10))
+    assert ref.converged
+    p_ref = _rpca_m_objective(f, square_unfold(ref.recovered), lam)
+    assert (p - p_ref) / p <= res.duality_gap
+
+
+def test_rpca_m_converges_on_unstructured_data():
+    # a random tensor has no low-rank + sparse split; growing rho whenever
+    # the primal test fails ran it out of its budget, the band gate keeps
+    # it converging
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((8, 8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8, 8))
+    res = rpca_m(t)
+    assert res.converged and res.iters < SolverConfig().max_iters
+    assert 0.0 < res.duality_gap <= 1e-5
+
+
+def _toy_admm(rho, max_iters=2000, grow=False):
     """min 0.5*||x - a||^2 + 1.5*||z||^2 subject to x - z = c through _admm,
     with prox closures that record every call."""
     rng = np.random.default_rng(0)
@@ -453,7 +535,7 @@ def _toy_admm(rho, max_iters=2000):
         return z
 
     out = _admm(c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
-                SolverConfig(rho=rho, max_iters=max_iters))
+                SolverConfig(rho=rho, max_iters=max_iters), grow=grow)
     return out, c, xs, zs
 
 
@@ -480,7 +562,7 @@ def _toy_tests(c, xs, zs, k):
 # tolerance gate moves it, once the primal test passes and the dual one not
 @pytest.mark.parametrize("rho", [1e-3, 1e3, 0.3])
 def test_admm_penalty_balancing(rho):
-    (_, _, it, conv, trace), c, xs, zs = _toy_admm(rho)
+    (_, _, it, conv, trace, _), c, xs, zs = _toy_admm(rho)
     assert conv and it == len(trace) == len(xs) == len(zs)
     rhos = [r for r, _, _ in xs]
     assert [r for r, _, _ in zs] == rhos
@@ -499,10 +581,16 @@ def test_admm_penalty_balancing(rho):
         if rho == 0.3:
             assert pri_ok != dua_ok
             assert rel_pri < BALANCE_BAND * rel_dua and rel_dua < BALANCE_BAND * rel_pri
-    # the unscaled dual rho * u carries over every iteration, across a
-    # change too: iteration k ends with u = w_k - z_k, and iteration k + 1
-    # starts from v = z_k + c - u (recovering u from v and z cancels, so
-    # the tolerance scales with the operands)
+    _assert_dual_carries_over(c, xs, zs, it)
+    capped = _toy_admm(rho, max_iters=3)[0]
+    assert capped[2] == 3 and not capped[3] and len(capped[4]) == 3
+
+
+def _assert_dual_carries_over(c, xs, zs, it):
+    """The unscaled dual rho * u carries over every iteration, across a
+    change of rho too: iteration k ends with u = w_k - z_k, and iteration
+    k + 1 starts from v = z_k + c - u (recovering u from v and z cancels,
+    so the tolerance scales with the operands)."""
     for k in range(it - 1):
         rho_k, w_k, z_k = zs[k]
         rho_next, v_next, _ = xs[k + 1]
@@ -510,8 +598,37 @@ def test_admm_penalty_balancing(rho):
         size = max(rho_k, rho_next) * (np.linalg.norm(c) + np.linalg.norm(w_k)
                                        + np.linalg.norm(z_k))
         assert gap <= 1e-12 * size
-    capped = _toy_admm(rho, max_iters=3)[0]
-    assert capped[2] == 3 and not capped[3] and len(capped[4]) == 3
+
+
+# with grow (rpca_m's schedule), rho doubles after every iteration whose
+# primal test fails with the relative dual residual within BALANCE_BAND of
+# the primal one; every other move is the period rule's. From 1e-3 the
+# growth runs for several iterations in a row, from 1e3 and 0.3 it
+# alternates with the period rule's steps down.
+@pytest.mark.parametrize("rho", [1e-3, 1e3, 0.3])
+def test_admm_penalty_growth(rho):
+    (_, _, it, conv, trace, dual), c, xs, zs = _toy_admm(rho, grow=True)
+    assert conv and it == len(trace) == len(xs) == len(zs)
+    rhos = [r for r, _, _ in xs]
+    assert [r for r, _, _ in zs] == rhos
+    grown = periodic = 0
+    for k in range(1, it):
+        rel_pri, rel_dua, pri_ok, dua_ok = _toy_tests(c, xs, zs, k - 1)
+        if not pri_ok and rel_dua <= BALANCE_BAND * rel_pri:
+            assert rhos[k] == BALANCE_FACTOR * rhos[k - 1]
+            grown += 1
+        elif rhos[k] != rhos[k - 1]:
+            assert k % BALANCE_PERIOD == 0
+            if rhos[k] > rhos[k - 1]:
+                assert not pri_ok and (dua_ok or rel_pri > BALANCE_BAND * rel_dua)
+            else:
+                assert not dua_ok and (pri_ok or rel_dua > BALANCE_BAND * rel_pri)
+            periodic += 1
+    assert grown and periodic
+    _assert_dual_carries_over(c, xs, zs, it)
+    # the driver hands back the unscaled dual rho * u of the last iteration
+    rho_end, w_end, z_end = zs[-1]
+    assert np.allclose(dual, rho_end * (w_end - z_end), rtol=0, atol=1e-12 * rho_end)
 
 
 def test_norm_helper_matches_numpy():
