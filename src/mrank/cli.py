@@ -12,8 +12,9 @@ Subcommands:
     video-decompose -- split a PPM frame stack into background/foreground
 
 Exit codes: 0 success, 2 bad flags (out-of-range numbers included, such as
-a --ratio outside [0, 1] or a negative --seed, and an MRANK_THREADS that is
-set but not a positive integer), 3 I/O, format or invalid input data
+a --ratio outside [0, 1] or a negative --seed, a --pairing given with
+--model n, which has no square unfolding, and an MRANK_THREADS that is set
+but not a positive integer), 3 I/O, format or invalid input data
 (an unreadable file, NaN or Inf entries, data a solver rejects such as
 observations no super-symmetric tensor matches), 4 solver did not converge
 (the partial result and report are still written). Table commands never
@@ -103,6 +104,8 @@ def _check_flags(args) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise UsageError(f"--seed must be >= 0, got {seed}")
+    if getattr(args, "pairing", None) is not None and getattr(args, "model", "m") != "m":
+        raise UsageError("--pairing applies to --model m only")
 
 
 def _solver_config(args) -> SolverConfig:

@@ -10,18 +10,17 @@ bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
 is drawn in each call from a generator with a fixed seed, so the count is
 a deterministic function of the matrix, whatever the thread.
 
-svt, the nuclear-norm prox of the square-unfolding solvers, picks one of
-two exact routes per call from the caller's warm state: a warm-started
-block subspace iteration when the previous call's kept rank is small
-against the matrix, and the full LAPACK SVD otherwise. mode_svt is the same
-prox on one mode unfolding of a tensor, done as a mode product with a small
-matrix built from the mode's Gram matrix, without unfolding. rank_project, the exact rank-r
-projection (best rank-r approximation) behind complete_m's refinement,
-which also hands back the projection's column space, runs the same
-subspace sweeps from a warm block of r + OVERSAMPLE columns
-and falls back to the full SVD when they do not converge; one sweep loop,
-_sweeps, serves both. The warm state (SvtWarm) belongs to the caller;
-there is no module-level cache or random state, so results are
+svt, the nuclear-norm prox of the square-unfolding solvers, and
+rank_project, the exact rank-r projection behind complete_m's refinement
+(which also hands back the projection's column space), are thin callers
+of one kernel, _leading: the leading singular triplets of a matrix, swept
+from the caller's warm block when it fits, else from the full LAPACK SVD,
+with the block moved on and the route named. Each caller passes its own
+gate: svt a cost test on the block width, rank_project an exact width of
+r + OVERSAMPLE. mode_svt is the same prox on one mode unfolding of a
+tensor, done as a mode product with a small matrix built from the mode's
+Gram matrix, without unfolding. The warm state (SvtWarm) belongs to the
+caller; there is no module-level cache or random state, so results are
 deterministic and independent of threading.
 """
 
@@ -239,8 +238,8 @@ def takagi(m) -> TakagiResult:
 
 @dataclass
 class SvtWarm:
-    """Warm state carried from one `svt` or `rank_project` call to the next
-    at one call site.
+    """Warm state of the leading-triplet kernel (_leading), carried from one
+    `svt` or `rank_project` call to the next at one call site.
 
     v holds the previous call's kept right singular vectors plus up to
     OVERSAMPLE more (columns, orthonormal); it seeds the next call's
@@ -249,7 +248,8 @@ class SvtWarm:
     kept singular values already shrunk by tau, recorded on both routes, so
     s.sum() is that output's nuclear norm (rank_project leaves it alone).
     A solver creates one per call site (one per candidate rank in
-    complete_m's refinement) and passes it to each call.
+    complete_m's refinement, seeded from the continuation's block) and
+    passes it to each call.
     """
 
     v: np.ndarray | None = None
@@ -281,88 +281,70 @@ def _subspace_pays(rows, cols, k):
     return SWEEP_CAP * k <= FULL_SVD_SWEEPS * min(rows, cols)
 
 
-def _sweeps(m, v, kept):
-    """Block subspace iteration on m from the orthonormal block v, with
-    Rayleigh-Ritz through the SVD of Q^H M, shared by svt's subspace route
-    and rank_project. kept(s) names how many leading Ritz triplets the caller
-    needs. Returns (u, s, vh, v) once those triplets satisfy
-    ||M v_i - s_i u_i|| <= SUBSPACE_TOL * s_max, with u their left vectors,
-    s and vh every Ritz value and right vector and v = vh^H; None when the
-    block fills (kept >= its width) or SWEEP_CAP sweeps do not converge."""
-    k = v.shape[1]
-    y = m @ v
-    for _ in range(SWEEP_CAP):
-        q = np.linalg.qr(y)[0]
-        ub, s, vh = np.linalg.svd(q.conj().T @ m, full_matrices=False)
-        keep = kept(s)
-        if keep >= k:
-            return None
-        v = vh.conj().T
+def _leading(m, warm, kept, fits):
+    """The leading singular triplets of m, as (u, s, vh) with kept(s) of
+    them kept, s a nonincreasing spectrum: the kernel behind svt and
+    rank_project.
+
+    When warm holds a block v (orthonormal columns) whose shape the
+    caller's fits accepts, block subspace iteration runs from it, with
+    Rayleigh-Ritz through the SVD of Q^H M, until the kept Ritz triplets
+    satisfy ||M v_i - s_i u_i|| <= SUBSPACE_TOL * s_max ("subspace"). It
+    gives up when the block fills (kept >= its width) or after SWEEP_CAP
+    sweeps, and then, as without a block, the LAPACK SVD of m runs
+    ("full"). Both routes agree with the full SVD to about 1e-12 relative.
+    The sweeps only see directions the block reaches, which suits iterates
+    that move a little per call; the OVERSAMPLE spare columns hold the
+    directions just below the kept ones, those that can rise next. warm,
+    when given, moves on to the kept right vectors plus up to OVERSAMPLE
+    more and records the route in warm.path.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if warm is not None and warm.v is not None and fits(warm.v.shape):
+        v = warm.v
         y = m @ v
-        u = q @ ub[:, :keep]
-        if np.linalg.norm(y[:, :keep] - u * s[:keep]) <= SUBSPACE_TOL * s[0]:
-            return u, s, vh, v
-    return None
-
-
-def _svt_subspace(m, tau, warm):
-    """svt's subspace route: sweeps from the warm block. None when the block
-    fills (every Ritz value above tau) or the sweeps do not converge."""
-    out = _sweeps(m, warm.v, lambda s: int(np.count_nonzero(s > tau)))
-    if out is None:
-        return None
-    u, s, vh, v = out
-    keep = u.shape[1]
-    warm.v = v[:, : keep + OVERSAMPLE]
-    warm.s = s[:keep] - tau
-    if keep == 0:
-        return np.zeros_like(m)
-    return (u * (s[:keep] - tau)) @ vh[:keep]
+        for _ in range(SWEEP_CAP):
+            q = np.linalg.qr(y)[0]
+            ub, s, vh = np.linalg.svd(q.conj().T @ m, full_matrices=False)
+            keep = kept(s)
+            if keep >= v.shape[1]:
+                break
+            v = vh.conj().T
+            y = m @ v
+            u = q @ ub[:, :keep]
+            if np.linalg.norm(y[:, :keep] - u * s[:keep]) <= SUBSPACE_TOL * s[0]:
+                warm.v = v[:, :keep + OVERSAMPLE]
+                warm.path = "subspace"
+                return u, s[:keep], vh[:keep]
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = kept(s)
+    if warm is not None:
+        warm.v = vh[:keep + OVERSAMPLE].conj().T
+        warm.path = "full"
+    return u[:, :keep], s[:keep], vh[:keep]
 
 
 def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau,
     clipping at zero. The proximal map of tau * nuclear norm.
 
-    Two exact routes, chosen from the warm state:
-
-    1. subspace -- a matrix whose warm block (the previous call's kept
-       right singular vectors plus OVERSAMPLE more) is narrow enough that
-       SWEEP_CAP sweeps cost no more than one full SVD: block subspace
-       iteration with Rayleigh-Ritz until the kept triplets' residual is
-       below SUBSPACE_TOL * s_max. The full SVD runs instead when the block
-       fills (kept rank = block width) or the sweep cap is hit.
-    2. full -- the LAPACK SVD of M, which also seeds the warm block.
-
-    Both agree with the full SVD to about 1e-12 relative. Route 1 only
-    sees directions its block reaches: a new singular direction exactly
-    orthogonal to the block would be missed. In the solvers each iterate
-    moves a little from the last, and the OVERSAMPLE spare columns hold the
-    directions just below tau, the ones that can rise above it next.
-
-    warm is the caller's SvtWarm for this call site, updated in place
-    (each route stores the next block, the output's spectrum and its own
-    name). The caller
-    owns it, so calls stay independent across threads and the result is a
-    deterministic function of the call sequence. Without warm, route 2 runs.
+    The triplets above tau come from _leading. Its subspace route runs
+    when the warm block is narrow enough that SWEEP_CAP sweeps cost no
+    more than one full SVD (_subspace_pays); else, or without warm, the
+    full SVD runs. warm is the caller's SvtWarm for this call site,
+    updated in place (the next block, the route and the output's
+    spectrum). The caller owns it, so calls stay independent across
+    threads and the result is a deterministic function of the call
+    sequence.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    rows, cols = m.shape
-    if (warm is not None and warm.v is not None and warm.v.shape[0] == cols
-            and _subspace_pays(rows, cols, warm.v.shape[1])):
-        out = _svt_subspace(m, tau, warm)
-        if out is not None:
-            warm.path = "subspace"
-            return out
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > tau
+    rows, cols = np.shape(m)
+    u, s, vh = _leading(
+        m, warm, lambda s: int(np.count_nonzero(s > tau)),
+        lambda shape: shape[0] == cols and _subspace_pays(rows, cols, shape[1]))
+    s = s - tau
     if warm is not None:
-        warm.v = vh[: int(keep.sum()) + OVERSAMPLE].conj().T
-        warm.path = "full"
-        warm.s = s[keep] - tau
-    if not keep.any():
-        return np.zeros_like(m)
-    return (u[:, keep] * (s[keep] - tau)) @ vh[keep]
+        warm.s = s
+    return (u * s) @ vh
 
 
 # mode_svt's Gram matrix squares the spectrum, so eigenvalue noise of
@@ -401,38 +383,23 @@ def mode_svt(t, mode: int, tau: float) -> np.ndarray:
 
 def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The best rank-r approximation of m (Eckart and Young): its leading r
-    singular triplets, or m itself, to rounding, when r >= min(m.shape).
+    singular triplets from _leading, or m itself, to rounding, when
+    r >= min(m.shape).
 
-    With a warm block of exactly r + OVERSAMPLE columns from the previous
-    call at this site, the subspace sweeps of svt's route 1 run until the
-    leading r Ritz triplets pass the same SUBSPACE_TOL residual test, and
-    the block moves on. Otherwise, or when the sweeps do not converge, the
-    full SVD runs and seeds the block. Both routes agree with the full-SVD
-    truncation to about 1e-12 relative; as with svt, the warm route only
-    sees directions its block reaches, which suits iterates that move a
-    little per call. Unlike svt's route 1 there is no width gate: on such
-    iterates two or three sweeps of the block replace a full SVD.
+    The subspace route runs from a warm block of exactly r + OVERSAMPLE
+    columns, left by the previous call at this site or seeded by the
+    caller. There is no cost gate on the width, unlike svt: on iterates
+    that move a little per call, two or three sweeps replace a full SVD.
     warm.path records the route taken ("subspace" or "full").
 
     Returns (x, u): the projection and its leading left singular vectors
-    (min(r, rows, cols) orthonormal columns spanning x's column space),
-    which both routes already hold, so a caller that needs the column space
-    runs no second SVD.
+    (min(r, rows, cols) orthonormal columns spanning x's column space), so
+    a caller that needs the column space runs no second SVD.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    width = r + OVERSAMPLE
-    if warm is not None and warm.v is not None and warm.v.shape == (m.shape[1], width):
-        out = _sweeps(m, warm.v, lambda s: r)
-        if out is not None:
-            u, s, vh, warm.v = out
-            warm.path = "subspace"
-            return (u * s[:r]) @ vh[:r], u
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if warm is not None:
-        warm.v = vh[:width].conj().T
-        warm.path = "full"
-    u = u[:, :r]
-    return (u * s[:r]) @ vh[:r], u
+    cols = np.shape(m)[1]
+    u, s, vh = _leading(m, warm, lambda s: r,
+                        lambda shape: shape == (cols, r + OVERSAMPLE))
+    return (u * s) @ vh, u
 
 
 def complex_soft_threshold(m, tau: float) -> np.ndarray:

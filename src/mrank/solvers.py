@@ -63,18 +63,19 @@ near the sampling boundary, where the plain nuclear-norm optimum is no
 longer the low-rank truth, and the right rank usually shows after the
 first stage or two, so the solve stops long before the continuation floor.
 cfg.max_iters caps continuation and refinement together. Each projection
-runs through linalg.rank_project with one warm block per candidate: one
-full SVD seeds it, and after that two or three subspace sweeps of an
-(r + OVERSAMPLE)-wide block replace each full SVD; it also hands back the
-column space the line search needs.
+runs through linalg.rank_project with one warm block per candidate: the
+continuation's block seeds it, and after that two or three subspace sweeps
+of an (r + OVERSAMPLE)-wide block replace each full SVD; it also hands back
+the column space the line search needs. The gap candidates are read off
+the spectrum the continuation's last svt recorded, so no SVD is repeated.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (SvtWarm, complex_l1, complex_soft_threshold, mode_svt,
-                     rank_project, spectral_norm, svt)
+from .linalg import (OVERSAMPLE, SvtWarm, complex_l1, complex_soft_threshold,
+                     mode_svt, rank_project, spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
@@ -257,10 +258,10 @@ def _residual_grad(x, flat, b):
     return g.reshape(x.shape, order="F"), float(np.linalg.norm(r))
 
 
-def _gap_candidates(x) -> list:
-    """Candidate ranks from the largest relative gaps of the spectrum."""
-    s = np.linalg.svd(x, compute_uv=False)
-    pos = s[s > 1e-12 * max(float(s[0]), np.finfo(float).tiny)]
+def _gap_candidates(s) -> list:
+    """Candidate ranks from the largest relative gaps of the spectrum s
+    (nonincreasing; empty, as for a zero matrix, gives [1])."""
+    pos = s[s > 1e-12 * max(float(s.max(initial=0.0)), np.finfo(float).tiny)]
     if pos.size <= 1:
         return [max(int(pos.size), 1)]
     ratios = pos[:-1] / pos[1:]
@@ -268,12 +269,14 @@ def _gap_candidates(x) -> list:
     return sorted(cand[:MAX_CANDIDATES]) or [int(pos.size)]
 
 
-def _svp(x, r, flat, b, bscale, iters, trace, accept):
+def _svp(x, r, block, flat, b, bscale, iters, trace, accept):
     """Rank-r refinement from x by conjugate gradient iterative hard
     thresholding (CGIHT; Blanchard, Tanner and Wei 2015), the accelerated
     form of singular value projection (Jain, Meka and Dhillon 2010).
 
-    The first step projects x onto rank r. Each later step moves the rank-r
+    The first step projects x onto rank r, sweeping from block, the
+    continuation's warm block cut to r + OVERSAMPLE columns (rank_project
+    runs the full SVD when it is narrower). Each later step moves the rank-r
     iterate y along d = R + beta * d_prev, R the residual on the observed
     entries (zero elsewhere), and projects back:
     y <- rank_project(y + alpha * d, r), warm across steps. With P_U the
@@ -294,7 +297,7 @@ def _svp(x, r, flat, b, bscale, iters, trace, accept):
     in, it is still above PLATEAU_RATIO times its value PLATEAU_WINDOW
     steps earlier."""
     tiny = np.finfo(float).tiny
-    warm = SvtWarm()
+    warm = SvtWarm(v=block)
     y, u = rank_project(x, r, warm)
     change = np.inf
     d = None
@@ -347,6 +350,8 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     """
     cfg = cfg or SolverConfig()
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
+    if pr.order != len(mask.dims):
+        raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
     flat = _mask_matrix_flat(mask, pr)
@@ -382,13 +387,15 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
         # inner tolerance loosens with mu so early stages hand off quickly
         if step >= max(cfg.rel_tol, 1e-2 * mu / sigma0):
             continue
-        for r in _gap_candidates(x):
+        # x is svt's output: its spectrum and right singular block are on warm
+        for r in _gap_candidates(warm.s):
             if r in rejected or b.size < r * (nrow + ncol - r):
                 continue
             left = cfg.max_iters - len(trace)
             if left < 2:
                 break
-            y = _svp(x, r, flat, b, bscale, min(REFINE_MAX_ITERS, left - 1), trace, accept)
+            y = _svp(x, r, warm.v[:, :r + OVERSAMPLE], flat, b, bscale,
+                     min(REFINE_MAX_ITERS, left - 1), trace, accept)
             if y is not None:
                 return _result(square_fold(y, mask.dims, pr), len(trace), True, truth,
                                trace[-1], trace)

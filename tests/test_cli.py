@@ -141,6 +141,21 @@ def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.5"], ["rpca"]])
+@pytest.mark.parametrize("pairing", ["garbage", "1,2|3,4"])
+def test_exit_pairing_with_mode_model(tmp_path, capsys, cmd, pairing):
+    # the mode model has no square unfolding: a --pairing it would never
+    # read is a usage error, valid or not, and no solve starts
+    path = tmp_path / "t.mten"
+    out = tmp_path / "rec.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    argv = [cmd[0], path, *cmd[1:], "--model", "n", "--pairing", pairing, "--output", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "--pairing applies to --model m only" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
 def test_exit_bad_rank_tol(tmp_path, capsys, tol):
     # a negative threshold counts every singular value and a non-finite one

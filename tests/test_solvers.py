@@ -24,6 +24,7 @@ from mrank.solvers import (
     PLATEAU_WINDOW,
     SolverConfig,
     _admm,
+    _gap_candidates,
     _norm,
     _svp,
     complete_m,
@@ -113,9 +114,9 @@ def test_complete_m_rejects_plateaued_candidates(monkeypatch, seed, wrong):
     # plateau within two windows, and rank 6 is still accepted
     tried = []
 
-    def spy(x, r, flat, b, bscale, iters, trace, accept):
+    def spy(x, r, block, flat, b, bscale, iters, trace, accept):
         n0 = len(trace)
-        y = _svp(x, r, flat, b, bscale, iters, trace, accept)
+        y = _svp(x, r, block, flat, b, bscale, iters, trace, accept)
         tried.append((r, len(trace) - n0, y is not None))
         return y
 
@@ -129,6 +130,79 @@ def test_complete_m_rejects_plateaued_candidates(monkeypatch, seed, wrong):
         assert not accepted and steps <= 2 * PLATEAU_WINDOW, (r, steps)
     assert tried[-1][2]
     assert res.converged and res.rel_err_vs_truth <= 1e-3
+
+
+def criterion_7(seed):
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=seed)
+    mask = gen_mask(dims, 0.3, seed=seed)
+    return mask, mask.observe(t), t
+
+
+def test_complete_m_decomposes_the_unfolding_once_per_full_svt(monkeypatch):
+    # criterion 7, seed 0: the scale is the one value-only SVD of the
+    # 100 x 100 unfolding; the gap candidates read the spectrum svt keeps
+    # and each candidate's projection sweeps from the continuation's block,
+    # so every other full-size SVD is a continuation svt on the full route
+    mask, b, t = criterion_7(0)
+    svds, full_svt = [], []
+    real_svd, real_svt = np.linalg.svd, solvers.svt
+
+    def svd(a, *args, **kwargs):
+        if a.shape == (100, 100):
+            svds.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *args, **kwargs)
+
+    def svt(m, tau, warm=None):
+        out = real_svt(m, tau, warm)
+        full_svt.append(warm.path == "full")
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(solvers, "svt", svt)
+    res = complete_m(mask, b, truth=t)
+    assert res.converged and res.rel_err_vs_truth <= 1e-3
+    assert svds.count(False) == 1
+    assert svds.count(True) == sum(full_svt) > 0
+
+
+@pytest.mark.parametrize("seed", [3, 6, 8])
+def test_gap_candidates_from_svt_spectrum_match_full_svd(monkeypatch, seed):
+    # at every stage end of these criterion-7 solves (each rejects at least
+    # one candidate) the spectrum svt recorded gives the candidates that the
+    # SVD of its output gives
+    assert _gap_candidates(np.zeros(0)) == [1]
+    assert _gap_candidates(np.linalg.svd(np.zeros((4, 4)), compute_uv=False)) == [1]
+    last, checked = [], []
+    real_svt = solvers.svt
+
+    def svt(m, tau, warm=None):
+        last[:] = [real_svt(m, tau, warm)]
+        return last[0]
+
+    def gap_candidates(s):
+        cand = _gap_candidates(s)
+        assert cand == _gap_candidates(np.linalg.svd(last[0], compute_uv=False))
+        checked.append(cand)
+        return cand
+
+    monkeypatch.setattr(solvers, "svt", svt)
+    monkeypatch.setattr(solvers, "_gap_candidates", gap_candidates)
+    mask, b, t = criterion_7(seed)
+    assert complete_m(mask, b, truth=t).converged
+    assert len(checked) >= 2
+
+
+def test_complete_m_rejects_pairing_of_the_wrong_order():
+    # a pairing of two axes on an order-4 mask: raised on entry, as rpca_m
+    # does, instead of a solve on a 4 x 4 "unfolding"
+    dims = (4, 4, 4, 4)
+    t = gen_cp(dims, 2, seed=0)
+    mask = gen_mask(dims, 0.5, seed=0)
+    with pytest.raises(ValueError, match="pairing order 2 != tensor order 4"):
+        complete_m(mask, mask.observe(t), Pairing((0,), (1,)))
+    with pytest.raises(ValueError, match="pairing order 2 != tensor order 4"):
+        rpca_m(t, Pairing((0,), (1,)))
 
 
 def test_complete_m_is_scale_invariant():
