@@ -4,7 +4,9 @@ The package groups the d row axes and d column axes of a 2d-order tensor
 into square matricizations (one per balanced pairing of the axes), measures
 tensor complexity by the max/min rank over those unfoldings, certifies
 bounds on the rank-one term count, and recovers low-rank tensors from
-partial or corrupted data by convex optimization on the unfoldings.
+partial or corrupted data on the unfoldings: by convex optimization, except
+that square-unfolding completion (complete_m) returns the first rank-r fit
+its samples validate rather than the nuclear-norm minimizer.
 """
 
 from .fileio import (

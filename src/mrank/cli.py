@@ -275,30 +275,21 @@ def _thread_count() -> int:
 
 
 def _run_grid(settings, trial_fn, trials: int, base_seed: int):
-    """Run trial_fn(setting, seed) for every setting and per-trial seed.
+    """Run trial_fn(setting, seed) for every setting and the per-trial
+    seeds base_seed, base_seed + 1, ... in a pool of _thread_count()
+    workers.
 
-    Returns {setting index: [trial row, ...]} with trial order fixed by
-    seed, whatever the completion order."""
-    jobs = [
-        (i, base_seed + t)
-        for i in range(len(settings))
-        for t in range(trials)
-    ]
-    results = {}
-    workers = _thread_count()
-    if workers == 1:
-        for i, seed in jobs:
-            results[(i, seed)] = trial_fn(settings[i], seed)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {(i, seed): pool.submit(trial_fn, settings[i], seed)
-                    for i, seed in jobs}
-            for key, fut in futs.items():
-                results[key] = fut.result()
-    out = {}
-    for i in range(len(settings)):
-        out[i] = [results[(i, base_seed + t)] for t in range(trials)]
-    return out
+    Returns one list of trial rows per setting, in seed order, whatever
+    the completion order. A trial that raises cancels the trials not yet
+    started, and its exception propagates."""
+    seeds = [base_seed + t for t in range(trials)]
+    pool = ThreadPoolExecutor(max_workers=_thread_count())
+    try:
+        rows = list(pool.map(trial_fn, [s for s in settings for _ in seeds],
+                             seeds * len(settings)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [rows[i * trials:(i + 1) * trials] for i in range(len(settings))]
 
 
 def _mean(rows, key):
@@ -502,11 +493,13 @@ def _add_report_flags(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_solver_flags(p, seed=True, seed_help=None) -> None:
-    """The solver flags; --seed only where the command draws something."""
+def _add_solver_flags(p, seed=True, seed_help=None, lam=False) -> None:
+    """The solver flags; --seed only where the command draws something,
+    --lam only where its solver has a sparsity weight."""
     p.add_argument("--max-iters", type=int)
     p.add_argument("--rel-tol", type=float)
-    p.add_argument("--lam", type=float)
+    if lam:
+        p.add_argument("--lam", type=float)
     if seed:
         p.add_argument("--seed", type=int, default=0, help=seed_help)
 
@@ -569,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--output", help="write the low-rank part")
     p.add_argument("--sparse-output", help="write the sparse part")
-    _add_solver_flags(p, seed_help="seeds the --density noise only")
+    _add_solver_flags(p, seed_help="seeds the --density noise only", lam=True)
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_rpca)
 
@@ -599,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split PPM frames into background + foreground")
     p.add_argument("frames", nargs="+")
     p.add_argument("--out-dir", required=True)
-    _add_solver_flags(p, seed=False)
+    _add_solver_flags(p, seed=False, lam=True)
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_video_decompose)
 

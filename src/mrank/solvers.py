@@ -1,8 +1,11 @@
-"""Convex recovery of even-order tensors through their unfoldings.
+"""Recovery of even-order tensors through their unfoldings.
 
 Five solvers share one config:
 
-    complete_m        -- nuclear-norm completion on a square unfolding
+    complete_m        -- completion on a square unfolding: the first
+                         rank-r fit the samples validate, refined from
+                         nuclear-norm continuation, or else the
+                         continuation iterate
     complete_n        -- completion on the (1/d)-weighted sum of mode
                          unfolding nuclear norms (consensus ADMM baseline)
     rpca_m            -- sparse + low-rank split of a square unfolding
@@ -101,7 +104,7 @@ __all__ = [
 
 # Dimensionless ADMM penalty at unit spectral scale; calibrated once over the
 # completion/robust regimes exercised by the tests (anything in [10, 100]
-# converges, 40 is robustly fast). Effective penalty = PENALTY_SCALE * rho /
+# converges, 40 is robustly fast). The ADMM penalty starts at PENALTY_SCALE /
 # sigma_max(data unfolding).
 PENALTY_SCALE = 40.0
 
@@ -153,17 +156,14 @@ class SolverConfig:
     """Shared solver settings.
 
     lam is the sparsity weight for the robust solvers; None means
-    1/sqrt(rows of the unfolding). rho is the initial multiplier of the
-    ADMM penalty, PENALTY_SCALE * rho / sigma_max(data unfolding);
-    residual balancing adapts the penalty from there. rel_tol and ABS_TOL
-    set the ADMM stopping test (see _admm). complete_m uses rel_tol alone,
-    as its acceptance level. The solvers are deterministic and draw no
+    1/sqrt(rows of the unfolding). rel_tol and ABS_TOL set the ADMM
+    stopping test (see _admm); complete_m uses rel_tol alone, as its
+    acceptance level. The solvers are deterministic and draw no
     randomness.
     """
 
     max_iters: int = 2000
     rel_tol: float = 1e-6
-    rho: float = 1.0
     lam: float | None = None
 
 
@@ -328,8 +328,11 @@ def _svp(x, r, block, flat, b, bscale, iters, trace, accept):
 
 def complete_m(mask: Mask, values, pairing: Pairing | None = None,
                cfg: SolverConfig | None = None, truth=None) -> SolveResult:
-    """Complete a tensor from observed entries by minimizing the nuclear
-    norm of the square unfolding under the given pairing.
+    """Complete a tensor from observed entries on the square unfolding
+    under the given pairing: return the first rank-r fit that the samples
+    validate, or else the iterate of nuclear-norm continuation. This is not
+    the nuclear-norm minimizer in general; near the sampling boundary that
+    minimizer can miss the low-rank truth while the rank-r fit recovers it.
 
     Fixed-point continuation: x <- svt(x - step * grad, step * mu) with mu
     shrinking along MU_SCHEDULE (fractions of the masked unfolding's
@@ -420,7 +423,7 @@ def _norm(a) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
+def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
           grow: bool = False):
     """Scaled-form ADMM for min f(x) + g(z) subject to x - z = c (Boyd et
     al. 2011, section 3.1.1), the one loop behind complete_n, rpca_m,
@@ -430,9 +433,10 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     Both only read their input, whose buffer the driver reuses: x_step
     returns an array that does not alias v (it may reuse its own buffer
     from call to call), and z_step returns a new array. z0 is overwritten.
-    x carries the constraint's full shape; z and c may be compact arrays
-    that broadcast to it (a consensus tensor shared by stacked mode copies),
-    and their norms count every copy. The models:
+    shape is x's shape, the constraint's full shape; v and w always have
+    it. z and c may be compact arrays that broadcast to it (a consensus
+    tensor shared by stacked mode copies), and their norms count every
+    copy. The models:
 
         complete_n         x = the d mode copies, stacked; z = the consensus
                            tensor with observed entries pinned; c = 0
@@ -450,17 +454,18 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     is in data units through scale, and e_dua is dimensionless, like r_dua,
     since rho scales as 1 / scale. So a solve takes the same steps on data
     multiplied by any factor. Each iteration logs r_pri over the relative
-    part of e_pri's scale. Zero scale means zero data: the feasible point
-    (z0 + c, z0) is returned as converged after 0 iterations (and
-    unconverged when cfg.max_iters is 0).
+    part of e_pri's scale. Without an iteration to run (zero scale, which
+    means zero data, or cfg.max_iters below 1) the point (z0 + c, z0) is
+    returned after 0 iterations, converged only for zero data, where it is
+    the feasible optimum.
 
-    The penalty starts at rho = PENALTY_SCALE * cfg.rho / scale and is
-    balanced on the residuals (Boyd et al. 2011, section 3.4.1; He, Yang
-    and Wang 2000; relative form as in Wohlberg 2017, "ADMM penalty
-    parameter selection by residual balancing"). Every BALANCE_PERIOD
-    iterations that end unconverged, rho steps toward the failing
-    residual: it is multiplied by BALANCE_FACTOR when the primal test fails
-    and either the dual test passes or the relative primal residual
+    The penalty starts at rho = PENALTY_SCALE / scale and is balanced on
+    the residuals (Boyd et al. 2011, section 3.4.1; He, Yang and Wang 2000;
+    relative form as in Wohlberg 2017, "ADMM penalty parameter selection by
+    residual balancing"). Every BALANCE_PERIOD iterations that end
+    unconverged, rho steps toward the failing residual: it is multiplied
+    by BALANCE_FACTOR when the primal test fails and either the dual test
+    passes or the relative primal residual
     r_pri / max(||x||, ||z||, ||c||) exceeds BALANCE_BAND times the
     relative dual residual r_dua / (rho * ||u||), and divided by it in the
     mirror case. u is rescaled by old/new rho at the change, so the
@@ -482,12 +487,12 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     models it slows the solve down, and without the band gate it runs
     rpca_m on a random tensor out of its budget.
 
-    Memory: the loop allocates two arrays of x's size, after the first x
-    step, and none per iteration: the scaled dual u and one work buffer.
-    The work buffer holds v = z + c - u, then w = x - c + u, then the new
-    u = w - z, while the old u's buffer takes r = u_new - u_old (the
-    primal residual x - z - c) and the two swap; z - z_old is formed in
-    z_old's buffer.
+    Memory: the driver allocates two complex arrays of x's shape, both
+    before the first x step, and none per iteration: the scaled dual u,
+    starting at zero, and one work buffer. The work buffer holds
+    v = z + c - u, then w = x - c + u, then the new u = w - z, while the
+    old u's buffer takes r = u_new - u_old (the primal residual x - z - c)
+    and the two swap; z - z_old is formed in z_old's buffer.
     A scalar zero c (complete_n, complete_supersym) adds no pass at all.
     Every norm is one dot product over the array's memory (_norm).
 
@@ -495,33 +500,27 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     unscaled dual rho * u, written over u's buffer (Boyd et al.'s y for
     the constraint x - z - c = 0), or None when no iteration ran.
     """
-    if scale == 0.0:
-        return z0 + c, z0, 0, True, [], None
+    if scale == 0.0 or cfg.max_iters < 1:
+        return z0 + c, z0, 0, scale == 0.0, [], None
     zero_c = np.isscalar(c) and c == 0.0
-    rho = PENALTY_SCALE * cfg.rho / scale
+    rho = PENALTY_SCALE / scale
+    n = int(np.prod(shape))
+    k = np.sqrt(n / z0.size)  # copies of each z entry in the constraint
+    c_term = np.sqrt(n / np.size(c)) * _norm(c)
     abs_pri = ABS_TOL * scale
-    c_norm = _norm(c)
+    abs_dua = np.sqrt(n) * ABS_TOL
     tiny = np.finfo(float).tiny
-    z, trace, x, it = z0, [], None, 0
+    u = np.zeros(shape, dtype=np.complex128)  # the scaled dual
+    work = np.empty(shape, dtype=np.complex128)
+    z, trace = z0, []
     for it in range(1, cfg.max_iters + 1):
-        if it == 1:
-            v = z if zero_c else z + c  # u is still zero
-        elif zero_c:
+        if zero_c:
             v = np.subtract(z, u, out=work)
         else:
             v = np.add(z, c, out=work)
             v -= u
         x = None  # the last x is dead, so x_step may reuse its memory
         x = x_step(v, rho)
-        del v  # frees the first iteration's z + c; later v is the work buffer
-        if it == 1:
-            # x's shape, and so the constraint's size, is known from here on
-            n = x.size
-            k = np.sqrt(n / z.size)  # copies of each z entry in the constraint
-            c_term = np.sqrt(n / np.size(c)) * c_norm
-            abs_dua = np.sqrt(n) * ABS_TOL
-            u = np.zeros_like(x)  # the scaled dual
-            work = np.empty_like(x)
         if zero_c:
             w = np.add(x, u, out=work)
         else:
@@ -556,25 +555,24 @@ def _admm(c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
             continue
         rho *= step
         u /= step  # rho * u, the unscaled dual, is unchanged
-    if x is None:  # max_iters is 0
-        return z0 + c, z0, 0, False, trace, None
     return x, z, it, False, trace, np.multiply(u, rho, out=u)
 
 
-def _mode_prox(stack):
-    """x_step of the mode-unfolding models: stack[j] = the (1/d)-weighted
-    nuclear-norm prox of v[j] on mode unfolding j (linalg.mode_svt),
-    written in place. v broadcasts to the stack (it is one tensor before
-    the first dual step)."""
-    d = stack.shape[0]
+def _mode_model(t):
+    """The x side of the mode-unfolding models on the tensor t: the d-fold
+    stack of mode copies, x_step writing into it, and the largest spectral
+    norm of t's mode unfoldings, the driver's scale. x_step sets stack[j]
+    to the (1/d)-weighted nuclear-norm prox of v[j] on mode unfolding j
+    (linalg.mode_svt)."""
+    d = t.ndim
+    stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
     def x_step(v, rho):
-        v = np.broadcast_to(v, stack.shape)
         for j in range(d):
             stack[j] = mode_svt(v[j], j, (1.0 / d) / rho)
         return stack
 
-    return x_step
+    return stack, x_step, max(spectral_norm(mode_unfold(t, j)) for j in range(d))
 
 
 def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -586,7 +584,6 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     data, so the result is exactly feasible."""
     cfg = cfg or SolverConfig()
     dims = mask.dims
-    d = len(dims)
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
     x0 = mask.fill(b)
@@ -596,10 +593,8 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
         zf[mask.flat] = b
         return zf.reshape(dims, order="F")
 
-    stack = np.zeros((d,) + dims, dtype=np.complex128)
-    x_step = _mode_prox(stack)
-    sigma0 = max(spectral_norm(mode_unfold(x0, j)) for j in range(d))
-    _, z, it, conv, trace, _ = _admm(0.0, x_step, z_step, x0, sigma0, cfg)
+    stack, x_step, sigma0 = _mode_model(x0)
+    _, z, it, conv, trace, _ = _admm(stack.shape, 0.0, x_step, z_step, x0, sigma0, cfg)
     # observed entries pinned exactly
     return _result(z, it, conv, truth, 0.0, trace)
 
@@ -622,7 +617,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
     warm = SvtWarm()
     y, z, it, conv, trace, dual = _admm(
-        f, lambda v, rho: svt(v, 1.0 / rho, warm),
+        f.shape, f, lambda v, rho: svt(v, 1.0 / rho, warm),
         lambda w, rho: complex_soft_threshold(w, lam / rho),
         np.zeros_like(f), spectral_norm(f), cfg, grow=True)
     return _result(square_fold(y, t.shape, pr), it, conv, truth, _rel_err(y - z, f),
@@ -662,11 +657,10 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
-    stack = np.zeros((d,) + dims, dtype=np.complex128)
-    x_step = _mode_prox(stack)
-    sigma0 = max(spectral_norm(mode_unfold(t, j)) for j in range(d))
+    stack, x_step, sigma0 = _mode_model(t)
     _, z, it, conv, trace, _ = _admm(
-        t, x_step, lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
+        stack.shape, t, x_step,
+        lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
         np.zeros_like(t), sigma0, cfg)
     y = stack.mean(axis=0)
     return _result(y, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
@@ -723,6 +717,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
     warm = SvtWarm()
     _, z, it, conv, trace, _ = _admm(
-        0.0, lambda v, rho: svt(v, 1.0 / rho, warm), z_step, z0, spectral_norm(z0), cfg)
+        z0.shape, 0.0, lambda v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
+        spectral_norm(z0), cfg)
     # projection pins observed orbits exactly
     return _result(square_fold(z, dims), it, conv, truth, 0.0, trace)

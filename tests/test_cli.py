@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: flags, exit codes, report stability."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from mrank.cli import TABLES, main
+from mrank.cli import TABLES, _run_grid, main
 from mrank.fileio import read_frames, read_tensor, write_frames, write_tensor
 from mrank.synth import gen_supersym
 
@@ -132,13 +133,35 @@ def test_exit_bad_flags(tmp_path, capsys):
 def test_exit_bad_solver_flags(tmp_path, capsys, cmd, flag):
     # rejected before any solve: a negative budget, a tolerance that no
     # residual can meet or a sparsity weight that is not a positive number
-    # is a usage error, not a solver that did not converge
+    # is a usage error, not a solver that did not converge; --lam belongs to
+    # the robust commands (rpca here), and the completion commands do not
+    # parse it at all
     path = tmp_path / "t.mten"
     write_tensor(path, gen_supersym(4, 4, 2, seed=0))
-    assert run([cmd[0], path, *cmd[1:], *flag]) == 2
+    argv = [cmd[0], path, *cmd[1:], *flag]
+    if flag[0] == "--lam" and cmd[0] != "rpca":
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    else:
+        assert run(argv) == 2
     captured = capsys.readouterr()
     assert flag[0] in captured.err
     assert "converged" not in captured.out
+
+
+@pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.6"],
+                                 ["sym-complete", "--ratio", "0.6"],
+                                 ["video-complete", "--out-dir", "vc"]])
+def test_lam_only_where_a_solver_reads_it(tmp_path, capsys, cmd):
+    # completion has no sparsity weight: a valid --lam is still an unknown
+    # flag there, not one silently ignored
+    path = tmp_path / "t.mten"
+    with pytest.raises(SystemExit) as exc:
+        run([cmd[0], path, *cmd[1:], "--lam", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--lam" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("cmd", [["complete", "--ratio", "0.5"], ["rpca"]])
@@ -304,6 +327,25 @@ def test_table1_byte_identical_and_threaded(tmp_path, monkeypatch):
     monkeypatch.setenv("MRANK_THREADS", "")  # empty means one worker
     assert run(["table1", "--trials", "2", "--output", c]) == 0
     assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_grid_fails_fast(monkeypatch, threads):
+    # a trial that raises ends the grid with its error, and the trials not
+    # yet started are cancelled rather than run out, with any worker count
+    monkeypatch.setenv("MRANK_THREADS", threads)
+    calls = []
+
+    def trial(setting, seed):
+        calls.append(seed)
+        if seed == 0:
+            raise ValueError("bad trial")
+        time.sleep(0.05)
+        return {}
+
+    with pytest.raises(ValueError, match="bad trial"):
+        _run_grid([{}] * 4, trial, 5, 0)
+    assert len(calls) <= 1 + int(threads)
 
 
 @pytest.mark.parametrize("table", ["table3", "table4", "table5"])

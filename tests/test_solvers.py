@@ -48,9 +48,8 @@ def test_solver_config_defaults():
     cfg = SolverConfig()
     assert cfg.max_iters == 2000
     assert cfg.rel_tol == 1e-6
-    assert cfg.rho == 1.0
     assert cfg.lam is None
-    assert len(fields(SolverConfig)) == 4
+    assert len(fields(SolverConfig)) == 3
     assert ABS_TOL == 1e-8
     assert MU_SCHEDULE == (0.25, 0.25, 1e-8)
     assert FEAS_TOL == 1e-8
@@ -590,9 +589,11 @@ def test_rpca_m_converges_on_unstructured_data():
     assert 0.0 < res.duality_gap <= 1e-5
 
 
-def _toy_admm(rho, max_iters=2000, grow=False):
+def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
     """min 0.5*||x - a||^2 + 1.5*||z||^2 subject to x - z = c through _admm,
-    with prox closures that record every call."""
+    with prox closures that record every call. The toy's data scale is 1,
+    so the penalty starts at PENALTY_SCALE, set here to rho times its
+    value."""
     rng = np.random.default_rng(0)
     a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     c = rng.standard_normal(50)
@@ -608,8 +609,9 @@ def _toy_admm(rho, max_iters=2000, grow=False):
         zs.append((rho, w.copy(), z.copy()))
         return z
 
-    out = _admm(c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
-                SolverConfig(rho=rho, max_iters=max_iters), grow=grow)
+    monkeypatch.setattr(solvers, "PENALTY_SCALE", PENALTY_SCALE * rho)
+    out = _admm(c.shape, c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
+                SolverConfig(max_iters=max_iters), grow=grow)
     return out, c, xs, zs
 
 
@@ -631,12 +633,13 @@ def _toy_tests(c, xs, zs, k):
     return r_pri / size_pri, r_dua / size_dua, pri_ok, dua_ok
 
 
-# 1e-3 and 1e3 start far off balance, so the band moves rho; from 0.3 the
-# relative residuals stay within BALANCE_BAND of each other, and only the
-# tolerance gate moves it, once the primal test passes and the dual one not
+# from 1e-3 and 1e3 times PENALTY_SCALE the penalty starts far off balance,
+# so the band moves rho; from 0.3 times it the relative residuals stay
+# within BALANCE_BAND of each other, and only the tolerance gate moves it,
+# once the primal test passes and the dual one not
 @pytest.mark.parametrize("rho", [1e-3, 1e3, 0.3])
-def test_admm_penalty_balancing(rho):
-    (_, _, it, conv, trace, _), c, xs, zs = _toy_admm(rho)
+def test_admm_penalty_balancing(monkeypatch, rho):
+    (_, _, it, conv, trace, _), c, xs, zs = _toy_admm(monkeypatch, rho)
     assert conv and it == len(trace) == len(xs) == len(zs)
     rhos = [r for r, _, _ in xs]
     assert [r for r, _, _ in zs] == rhos
@@ -656,7 +659,7 @@ def test_admm_penalty_balancing(rho):
             assert pri_ok != dua_ok
             assert rel_pri < BALANCE_BAND * rel_dua and rel_dua < BALANCE_BAND * rel_pri
     _assert_dual_carries_over(c, xs, zs, it)
-    capped = _toy_admm(rho, max_iters=3)[0]
+    capped = _toy_admm(monkeypatch, rho, max_iters=3)[0]
     assert capped[2] == 3 and not capped[3] and len(capped[4]) == 3
 
 
@@ -680,8 +683,8 @@ def _assert_dual_carries_over(c, xs, zs, it):
 # growth runs for several iterations in a row, from 1e3 and 0.3 it
 # alternates with the period rule's steps down.
 @pytest.mark.parametrize("rho", [1e-3, 1e3, 0.3])
-def test_admm_penalty_growth(rho):
-    (_, _, it, conv, trace, dual), c, xs, zs = _toy_admm(rho, grow=True)
+def test_admm_penalty_growth(monkeypatch, rho):
+    (_, _, it, conv, trace, dual), c, xs, zs = _toy_admm(monkeypatch, rho, grow=True)
     assert conv and it == len(trace) == len(xs) == len(zs)
     rhos = [r for r, _, _ in xs]
     assert [r for r, _, _ in zs] == rhos
@@ -722,13 +725,14 @@ def test_norm_helper_matches_numpy():
     assert _norm(0.0) == 0.0  # the scalar c of the completion models
 
 
-def _driver_peak(c):
-    """tracemalloc peak of 12 iterations of _admm on a 400x400 complex toy,
-    in arrays of x's size. The proxes allocate as little as the contract
-    allows: x_step writes into its own buffer, z_step returns one new
-    array."""
+def _driver_peak(c, d=None):
+    """tracemalloc peak of 12 iterations of _admm on a complex toy, in
+    arrays of x's size. x is 400x400, or with d a d-fold stack of 200x200
+    copies against one consensus z, as in complete_n and rpca_n (c then
+    broadcasts too). The proxes allocate as little as the contract allows:
+    x_step writes into its own buffer, z_step returns one new array."""
     rng = np.random.default_rng(4)
-    shape = (400, 400)
+    shape = (400, 400) if d is None else (d, 200, 200)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     buf = np.empty(shape, dtype=np.complex128)
 
@@ -738,13 +742,17 @@ def _driver_peak(c):
         return np.divide(buf, 1.0 + rho, out=buf)
 
     def z_step(w, rho):
-        return w * (rho / (3.0 + rho))
+        if d is None:
+            return w * (rho / (3.0 + rho))
+        z = w.mean(axis=0)
+        z *= rho / (3.0 + rho)
+        return z
 
-    z0 = np.zeros(shape, dtype=np.complex128)
+    z0 = np.zeros(shape[1:] if d else shape, dtype=np.complex128)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _admm(c, x_step, z_step, z0, 1.0, SolverConfig(max_iters=12))
+        out = _admm(shape, c, x_step, z_step, z0, 1.0, SolverConfig(max_iters=12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -752,14 +760,21 @@ def _driver_peak(c):
     return (peak - base) / buf.nbytes
 
 
-@pytest.mark.parametrize("c", ["array", 0.0])
+@pytest.mark.parametrize("c", ["array", 0.0, "consensus"])
 def test_admm_driver_allocates_no_temporaries(c):
     # the driver keeps the scaled dual u and one work buffer; with z and
     # the z step's new z that is four arrays of x's size at the peak. Any
     # per-iteration temporary of x's size (v = z + c - u as an expression,
-    # x - 0.0, the old z held past its use) makes it five or more.
+    # x - 0.0, the old z held past its use) makes it five or more. Against
+    # a 4-fold stack, z and c are single tensors: u, the work buffer, z and
+    # the new z make 2.5 stacks, and a stack-sized temporary (c broadcast
+    # into a new array) makes 3.25 or more.
+    rng = np.random.default_rng(5)
+    if c == "consensus":
+        assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 2.6
+        return
     if c == "array":
-        c = np.random.default_rng(5).standard_normal((400, 400)) + 0j
+        c = rng.standard_normal((400, 400)) + 0j
     assert _driver_peak(c) < 4.1
 
 
