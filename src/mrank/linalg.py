@@ -10,6 +10,14 @@ bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
 is drawn in each call from a generator with a fixed seed, so the count is
 a deterministic function of the matrix, whatever the thread.
 
+One kernel, _mode_gram, forms the n x n Gram matrix of a tensor's mode
+unfolding with one BLAS zherk on the tensor viewed as (a, n, b) around the
+mode, copying it only for a middle mode and rescaling it by a power of two
+where the squares would overflow or underflow. It serves the two mode
+routines: mode_rank, numerical_rank of a mode unfolding (the Tucker ranks),
+certified from the Gram matrix's eigenvalues with numerical_rank on the
+unfolding as its fallback, and mode_svt below.
+
 svt, the nuclear-norm prox of the square-unfolding solvers, and
 rank_project, the exact rank-r projection behind complete_m's refinement
 (which also hands back the projection's column space), are thin callers
@@ -19,15 +27,17 @@ with the block moved on and the route named. Each caller passes its own
 gate: svt a cost test on the block width, rank_project an exact width of
 r + OVERSAMPLE. mode_svt is the same prox on one mode unfolding of a
 tensor, done as a mode product with a small matrix built from the mode's
-Gram matrix, without unfolding. The warm state (SvtWarm) belongs to the
-caller; there is no module-level cache or random state, so results are
-deterministic and independent of threading.
+Gram matrix, without unfolding, into the caller's buffer when given one.
+The warm state (SvtWarm) belongs to the caller; there is no module-level
+cache or random state, so results are deterministic and independent of
+threading.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, qr, sqrtm
+from scipy.linalg import blas, block_diag, qr, sqrtm
 
 from .tensor import mode_unfold
 
@@ -41,6 +51,7 @@ __all__ = [
     "takagi",
     "SvtWarm",
     "svt",
+    "mode_rank",
     "mode_svt",
     "rank_project",
     "complex_soft_threshold",
@@ -347,6 +358,105 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     return (u * s) @ vh
 
 
+# _mode_gram re-forms a Gram matrix from t scaled by a power of two when its
+# trace is not finite (a product overflowed) or below tiny / eps, where the
+# absolute error of products rounded into the subnormal range could exceed
+# eps times the trace.
+GRAM_TRACE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _gram(t, a, n, b):
+    """One zherk on the C-order tensor t viewed as (a, n, b): the upper
+    triangle of the mode Gram matrix G = M^H M, or of its transpose conj(G)
+    (then the flag is True), M being the unfolding with the middle index as
+    its column."""
+    if b == 1:  # t is (a, n), read as the Fortran (n, a) matrix t^T
+        return blas.zherk(1.0, t.reshape(a, n).T), True
+    x = t.reshape(a, n, b)
+    if a > 1:  # a middle mode: one contiguous (n, a * b) copy
+        x = np.ascontiguousarray(x.transpose(1, 0, 2))
+    return blas.zherk(1.0, x.reshape(n, a * b).T, trans=2), False
+
+
+def _mode_gram(t, mode):
+    """The Gram matrix of the mode-`mode` unfolding M of the complex128
+    tensor t, as (g, e, conj): g holds the upper triangle of the Gram matrix
+    of 2^-e M, or of its transpose when conj is True (so its eigenvectors
+    are the conjugates of M's right singular vectors).
+
+    One BLAS zherk reads t in place as (a, n, b) around the mode: the
+    first and last modes need no copy, a middle mode one contiguous copy
+    of t. A Fortran-ordered t (as read_tensor returns it) is read as the
+    C-ordered t.T, whose mode ndim - 1 - mode has the same Gram matrix; a
+    t in neither order is copied first. g is formed from t as it is
+    (e = 0) unless its trace is not finite or below GRAM_TRACE_FLOOR; then
+    it is re-formed from t times 2^-e, e the binary exponent of max |t_i|,
+    which is exact up to entries below 2^-1022 of the largest. The zero
+    tensor gives zeros."""
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode {mode} out of range for order {t.ndim}")
+    if t.flags.f_contiguous and not t.flags.c_contiguous:
+        t, mode = t.T, t.ndim - 1 - mode
+    t = np.ascontiguousarray(t)
+    a, n, b = math.prod(t.shape[:mode]), t.shape[mode], math.prod(t.shape[mode + 1:])
+    g, conj = _gram(t, a, n, b)
+    trace = g.diagonal().real.sum()
+    if np.isfinite(trace) and trace >= GRAM_TRACE_FLOOR:
+        return g, 0, conj
+    with np.errstate(over="ignore", under="ignore"):
+        top = np.abs(t).max(initial=0.0)
+        if top == 0.0 or not np.isfinite(top):
+            return g, 0, conj
+        e = int(np.frexp(top)[1])
+        t = np.ldexp(t.view(np.float64), -e).view(np.complex128)
+    g, conj = _gram(t, a, n, b)
+    return g, e, conj
+
+
+# The certificate margin of mode_rank: the computed Gram eigenvalues lie
+# within GRAM_ERR * (K + n) * eps * tr(G) of sigma_i^2 for a K x n
+# unfolding. The Gram's rounding is at most gamma_K * ||M||_F^2 (Higham
+# 2002, section 3.5) and the eigensolver's backward error a small multiple
+# of n * eps * ||G||_2, both below that with room.
+GRAM_ERR = 4.0
+
+
+def mode_rank(t, mode: int, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """numerical_rank of the mode-`mode` unfolding M of t: the count of its
+    singular values above rel_tol * sigma_max, certified from the
+    eigenvalues of the n x n Gram matrix (_mode_gram) when it can be.
+
+    By Weyl's inequality each eigenvalue lambda_i of the computed Gram
+    matrix lies within delta = GRAM_ERR * (K + n) * eps * tr(G) of
+    sigma_i^2, for M of K rows and n columns, so the squared threshold
+    rel_tol^2 * sigma_1^2 lies within rel_tol^2 * delta of
+    rel_tol^2 * lambda_1. The count of lambda_i above
+    rel_tol^2 * (lambda_1 + delta) + 2 * delta is returned when every other
+    lambda_i is below rel_tol^2 * (lambda_1 - delta) - 2 * delta: every
+    sigma_i^2 then clears the threshold by delta, more than a full SVD's
+    own rounding, so the full SVD counts the same. Otherwise (a singular
+    value within about delta / sigma_1 of the threshold, a rank-deficient
+    unfolding at a threshold below delta, the zero tensor), and always for
+    rel_tol = 0, numerical_rank(mode_unfold(t, mode)) decides.
+
+    Raises ValueError for a negative or non-finite rel_tol or a mode out of
+    range.
+    """
+    _check_rel_tol(rel_tol)
+    t = np.asarray(t, dtype=np.complex128)
+    if rel_tol > 0 and t.size:
+        g, _, _ = _mode_gram(t, mode)
+        w = np.linalg.eigvalsh(g, UPLO="U")
+        n = w.size
+        delta = GRAM_ERR * (t.size // n + n) * np.finfo(float).eps * g.diagonal().real.sum()
+        tol2 = rel_tol * rel_tol
+        above = int(np.count_nonzero(w > tol2 * (w[-1] + delta) + 2 * delta))
+        below = int(np.count_nonzero(w < tol2 * (w[-1] - delta) - 2 * delta))
+        if above + below == n:
+            return above
+    return numerical_rank(mode_unfold(t, mode), rel_tol)
+
+
 # mode_svt's Gram matrix squares the spectrum, so eigenvalue noise of
 # eps * s_max^2 shows up as singular values near sqrt(eps) * s_max. Its
 # eigenvectors are used only when tau clears that noise by this factor; the
@@ -354,31 +464,51 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
 GRAM_TAU_MARGIN = 1e4
 
 
-def mode_svt(t, mode: int, tau: float) -> np.ndarray:
+def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """svt on the mode-`mode` unfolding of the tensor t, folded back: the
     proximal map of tau * ||mode unfolding||_*, without unfolding t.
 
     With M the unfolding (mode index as column) and M^H M = V diag(s^2) V^H,
     svt(M, tau) = M P with P = V diag(max(1 - tau/s, 0)) V^H, n x n for
     n = t.shape[mode]: the mode-`mode` product of t with P^T (De Lathauwer,
-    De Moor and Vandewalle 2000). M^H M is contracted from t over every
-    other axis. When tau is below GRAM_TAU_MARGIN * sqrt(eps) * s_max, too
-    close to the noise the squaring adds, V and s come from the SVD of M
-    instead. Agrees with the full-SVD svt of M to about 1e-12 relative.
+    De Moor and Vandewalle 2000). V and s come from the eigendecomposition
+    of M^H M as _mode_gram forms it, with no copy of t for the first and
+    last modes and one for a middle mode, scaled by a power of two where
+    the squares would overflow or underflow, so any finite t is handled.
+    When tau is below GRAM_TAU_MARGIN * sqrt(eps) * s_max, too close to the
+    noise the squaring adds, V and s come from the SVD of M instead. The
+    product is one matmul over t viewed as (a, n, b) around the mode,
+    written into out when given (a C-contiguous complex128 array of t's
+    shape, not overlapping t), else into a new array; either is returned.
+    Agrees with the full-SVD svt of M to about 1e-12 relative.
     """
-    t = np.asarray(t, dtype=np.complex128)
-    others = [a for a in range(t.ndim) if a != mode]
-    w, v = np.linalg.eigh(np.tensordot(t.conj(), t, axes=(others, others)))
-    s = np.sqrt(np.maximum(w, 0.0))
+    t = np.ascontiguousarray(t, dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(t)
+    elif out.shape != t.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex128 array of t's shape")
+    if t.size == 0:
+        return out
+    g, e, conj = _mode_gram(t, mode)
+    w, v = np.linalg.eigh(g, UPLO="U")
+    if conj:
+        v = v.conj()
+    s = np.ldexp(np.sqrt(np.maximum(w, 0.0)), e)
     if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s.max(initial=0.0):
         _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
         v = vh.conj().T
     keep = s > tau
     if not keep.any():
-        return np.zeros_like(t)
+        out.fill(0.0)
+        return out
     vk = v[:, keep]
     p = (vk * (1.0 - tau / s[keep])) @ vk.conj().T
-    return np.moveaxis(np.tensordot(t, p, axes=([mode], [0])), -1, mode)
+    a, n = math.prod(t.shape[:mode]), t.shape[mode]
+    if mode == t.ndim - 1:
+        np.matmul(t.reshape(a, n), p, out=out.reshape(a, n))
+    else:
+        np.matmul(p.T, t.reshape(a, n, -1), out=out.reshape(a, n, -1))
+    return out
 
 
 def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, numerical_rank, spectrum_rank, takagi
+from .linalg import DEFAULT_RANK_TOL, mode_rank, numerical_rank, spectrum_rank, takagi
 from .tensor import (
     Pairing,
     as_tensor,
@@ -95,16 +95,23 @@ class RankReport:
 
 def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Rank report over all canonical pairings and modes of an even-order
-    tensor. Every entry is numerical_rank's count at rel_tol, the same as
-    a full SVD's: large low-rank unfoldings get it from a certified sketch.
-    Raises ValueError for odd order."""
+    tensor. Every entry is the count a full SVD of its unfolding gives at
+    rel_tol. Pairing ranks come from numerical_rank, which certifies large
+    low-rank unfoldings from a sketch. Tucker ranks come from mode_rank,
+    which certifies the count from the eigenvalues of the mode's n x n Gram
+    matrix, formed without unfolding, and falls back to numerical_rank on
+    the unfolding where the certificate fails (rank-deficient modes at
+    rel_tol 1e-8, a singular value at the threshold, rel_tol = 0).
+    Raises ValueError for odd order or a zero-length axis."""
     t = as_tensor(t)
     if t.ndim % 2 or t.ndim < 2:
         raise ValueError(f"m_ranks needs even order >= 2, got order {t.ndim}")
+    if 0 in t.shape:
+        raise ValueError(f"m_ranks: zero dimension in {t.shape}")
     pranks = {}
     for pr in canonical_pairings(t.ndim):
         pranks[str(pr)] = numerical_rank(square_unfold(t, pr), rel_tol)
-    tucker = tuple(numerical_rank(mode_unfold(t, j), rel_tol) for j in range(t.ndim))
+    tucker = tuple(mode_rank(t, j, rel_tol) for j in range(t.ndim))
     m_plus = max(pranks.values())
     m_minus = min(pranks.values())
     cp_upper = None

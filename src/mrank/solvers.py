@@ -563,13 +563,13 @@ def _mode_model(t):
     stack of mode copies, x_step writing into it, and the largest spectral
     norm of t's mode unfoldings, the driver's scale. x_step sets stack[j]
     to the (1/d)-weighted nuclear-norm prox of v[j] on mode unfolding j
-    (linalg.mode_svt)."""
+    (linalg.mode_svt), written straight into the stack."""
     d = t.ndim
     stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
     def x_step(v, rho):
         for j in range(d):
-            stack[j] = mode_svt(v[j], j, (1.0 / d) / rho)
+            mode_svt(v[j], j, (1.0 / d) / rho, out=stack[j])
         return stack
 
     return stack, x_step, max(spectral_norm(mode_unfold(t, j)) for j in range(d))

@@ -6,11 +6,12 @@ identities at the extreme thresholds. Both of svt's routes (warm subspace,
 full SVD) are checked against a full-SVD reference written here, on
 sequences that keep, change and fill the warm block; mode_svt, on both of
 its routes (Gram eigendecomposition and the SVD fallback), against the same
-reference on the mode unfolding, folded back; rank_project, which shares
-the subspace sweeps, against a full-SVD truncation.
-numerical_rank's certified sketch route and its full-SVD fallback are both
-checked against a full-SVD count written here, and a spy on numpy's SVD
-tells which route ran.
+reference on the mode unfolding, folded back, at scales from 1e-300 to
+1e300 and into a caller's buffer; rank_project, which shares the subspace
+sweeps, against a full-SVD truncation. numerical_rank's certified sketch
+route and mode_rank's certified Gram route, and the full-SVD fallback of
+each, are checked against a full-SVD count written here, and a spy on
+numpy's SVD tells which route ran.
 """
 
 import warnings
@@ -35,13 +36,14 @@ from mrank.linalg import (
     spectral_norm,
     spectrum_rank,
     SvtWarm,
+    mode_rank,
     mode_svt,
     svt,
     takagi,
 )
 from mrank.ranks import RECOVERED_RANK_TOL
 from mrank.solvers import rpca_m
-from mrank.synth import gen_cp, gen_sparse_noise
+from mrank.synth import gen_cp, gen_kron, gen_sparse_noise
 from mrank.tensor import mode_fold, mode_unfold
 
 
@@ -176,6 +178,73 @@ def test_numerical_rank_matches_full_svd_property(rows, cols, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = low_rank(rng, (rows, cols), r)
     assert numerical_rank(m) == svd_rank(m, DEFAULT_RANK_TOL)
+
+
+# mode_rank's certified route decides from the eigenvalues of the mode's
+# Gram matrix; its fallback is numerical_rank's full SVD of the unfolding
+# (every mode here is narrower than the sketch gate), which the spy sees.
+
+
+@pytest.mark.parametrize("dims", [(12, 12, 12, 12), (5, 30, 6, 7), (9, 8, 7, 6, 5, 4)])
+def test_mode_rank_certifies_full_rank_tall_unfoldings(dims, svd_shapes):
+    t = crandn(np.random.default_rng(sum(dims)), dims)
+    refs = [svd_rank(mode_unfold(t, j), DEFAULT_RANK_TOL) for j in range(t.ndim)]
+    svd_shapes.clear()
+    # C order, Fortran order (as read_tensor returns it) and neither
+    for x in (t, np.asfortranarray(t), np.swapaxes(t, 0, 1)):
+        assert [mode_rank(x, j) for j in range(x.ndim)] == list(x.shape)
+    assert refs == list(dims)
+    assert svd_shapes == []  # certified from the Gram matrix
+
+
+def test_mode_rank_certifies_low_rank_plus_noise(svd_shapes):
+    rng = np.random.default_rng(20)
+    dims = (10, 24, 10, 10)
+    t = mode_fold(low_rank(rng, (1000, 24), 8) + 1e-7 * crandn(rng, (1000, 24)), dims, 1)
+    ref = svd_rank(mode_unfold(t, 1), RECOVERED_RANK_TOL)
+    svd_shapes.clear()
+    assert mode_rank(t, 1, RECOVERED_RANK_TOL) == ref == 8
+    assert svd_shapes == []
+
+
+def test_mode_rank_value_at_threshold_takes_full_svd(svd_shapes):
+    # sigma_11 sits 1e-10 relative above the threshold, far inside the
+    # Gram's margin: the full SVD of the unfolding decides
+    rng = np.random.default_rng(21)
+    dims = (10, 24, 10, 10)
+    u = np.linalg.qr(crandn(rng, (1000, 24)))[0]
+    v = np.linalg.qr(crandn(rng, (24, 24)))[0]
+    s = np.zeros(24)
+    s[:10] = np.linspace(10.0, 1.0, 10)
+    s[10] = 10.0 * RECOVERED_RANK_TOL * (1 + 1e-10)
+    t = mode_fold((u * s) @ v.conj().T, dims, 1)
+    ref = svd_rank(mode_unfold(t, 1), RECOVERED_RANK_TOL)
+    svd_shapes.clear()
+    assert mode_rank(t, 1, RECOVERED_RANK_TOL) == ref
+    assert svd_shapes == [(1000, 24)]
+
+
+def test_mode_rank_rank_deficient_at_default_tol_takes_full_svd(svd_shapes):
+    # Tucker rank 9 of 16: the zero singular values lie within the Gram's
+    # rounding of a 1e-8 threshold, so no eigenvalue certifies them
+    t = gen_kron((16,) * 4, 3, 3, seed=0)
+    refs = [svd_rank(mode_unfold(t, j), DEFAULT_RANK_TOL) for j in range(4)]
+    for j in range(4):
+        svd_shapes.clear()
+        assert mode_rank(t, j) == refs[j] == 9
+        assert svd_shapes == [(4096, 16)]
+
+
+def test_mode_rank_zero_tensor_zero_tol_and_errors(svd_shapes):
+    assert [mode_rank(np.zeros((4, 5, 6, 7)), j) for j in range(4)] == [0] * 4
+    t = crandn(np.random.default_rng(22), (6, 7, 8))
+    svd_shapes.clear()
+    assert mode_rank(t, 2, 0.0) == 8
+    assert svd_shapes == [(42, 8)]  # rel_tol = 0 always takes the SVD
+    with pytest.raises(ValueError, match="rel_tol"):
+        mode_rank(t, 0, -1.0)
+    with pytest.raises(ValueError, match="mode"):
+        mode_rank(t, 3)
 
 
 def test_norms_against_numpy():
@@ -371,6 +440,42 @@ def test_mode_svt_small_tau_takes_svd_fallback(svd_shapes):
     ref = mode_svt_reference(t, 1, 1e-9)
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.allclose(mode_svt(t, 1, 0.0), t, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_mode_svt_is_scale_invariant(scale):
+    # the Gram matrix squares t: at 1e160 its products overflow and at
+    # 1e-170 they underflow, so it is re-formed from t scaled by a power of
+    # two, and every scale matches the SVD reference
+    rng = np.random.default_rng(17)
+    t0 = crandn(rng, (6, 7, 5, 8))
+    t = scale * t0
+    for mode in range(4):
+        tau = 0.3 * scale * spectral_norm(mode_unfold(t0, mode))
+        ref = mode_svt_reference(t, mode, tau)
+        assert ref.any()
+        out = mode_svt(t, mode, tau)
+        assert np.linalg.norm((out - ref) / scale) <= 1e-13 * np.linalg.norm(ref / scale)
+
+
+def test_mode_svt_writes_into_out():
+    rng = np.random.default_rng(18)
+    t = crandn(rng, (5, 6, 7))
+    keep = t.copy()
+    stack = crandn(rng, (3, 5, 6, 7))
+    before = stack.copy()
+    for mode in range(3):
+        tau = 0.4 * spectral_norm(mode_unfold(t, mode))
+        out = mode_svt(t, mode, tau, out=stack[mode])
+        assert np.shares_memory(out, stack[mode])
+        assert np.array_equal(stack[mode], mode_svt(t, mode, tau))
+        others = [j for j in range(3) if j > mode]
+        assert np.array_equal(stack[others], before[others])  # only its slice
+        assert np.array_equal(t, keep)
+    big = spectral_norm(mode_unfold(t, 0)) * 2
+    assert not mode_svt(t, 0, big, out=stack[0]).any() and not stack[0].any()
+    with pytest.raises(ValueError, match="out"):
+        mode_svt(t, 0, 1.0, out=np.empty((7, 6, 5), dtype=np.complex128))
 
 
 # log10 of the Gram margin: tau / s_max from 1e-12 to 1.2 is drawn on both

@@ -8,6 +8,8 @@ independent of the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from mrank.linalg import numerical_rank, takagi
@@ -127,6 +129,44 @@ def test_m_ranks_match_full_svd_counts(make):
     for name, rk in rep.pairing_ranks.items():
         assert rk == count(square_unfold(t, Pairing.parse(name, t.ndim))), name
     assert rep.tucker == tuple(count(mode_unfold(t, j)) for j in range(t.ndim))
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 3, 3), (2, 2, 0, 2), (0, 0)])
+def test_m_ranks_rejects_zero_length_axis(dims):
+    with pytest.raises(ValueError, match=r"zero dimension in \("):
+        m_ranks(np.zeros(dims, dtype=np.complex128))
+
+
+def svd_count(m, tol):
+    s = svdvals(m)
+    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([4, 6]), st.sampled_from([1e-8, RECOVERED_RANK_TOL]), st.data())
+def test_m_ranks_tucker_matches_full_svd_property(order, tol, data):
+    # CP ranks from 1 to past every mode's size, so the Gram certificate
+    # decides full-rank modes and the SVD fallback rank-deficient ones
+    side = {4: 9, 6: 4}[order]
+    dims = tuple(data.draw(st.lists(st.integers(2, side), min_size=order, max_size=order)))
+    r = data.draw(st.integers(1, 2 * max(dims)))
+    t = gen_cp(dims, r, seed=data.draw(st.integers(0, 2**16)))
+    expect = tuple(svd_count(mode_unfold(t, j), tol) for j in range(order))
+    assert m_ranks(t, tol).tucker == expect
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_cp((10,) * 4, 6, seed=0),
+    lambda: gen_cp((12,) * 4, 30, seed=0),
+    lambda: gen_kron((8,) * 4, 2, 2, seed=0),
+    lambda: gen_supersym(4, 6, 3, seed=0),
+], ids=["cp_low", "cp_full", "kron", "supersym_order6"])
+@pytest.mark.parametrize("tol", [1e-8, RECOVERED_RANK_TOL])
+def test_m_ranks_tucker_is_scale_invariant(make, tol):
+    t = make()
+    expect = tuple(svd_count(mode_unfold(t, j), tol) for j in range(t.ndim))
+    for scale in (1e-300, 1.0, 1e300):
+        assert m_ranks(scale * t, tol).tucker == expect, scale
 
 
 def test_rank_report_to_dict():

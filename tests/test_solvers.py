@@ -778,6 +778,28 @@ def test_admm_driver_allocates_no_temporaries(c):
     assert _driver_peak(c) < 4.1
 
 
+def test_mode_model_x_step_writes_into_the_stack():
+    # one x step of complete_n and rpca_n at 20^4: mode_svt writes each
+    # mode straight into its slice of the stack, and a middle mode's Gram
+    # matrix needs one contiguous copy of the tensor. The peak stays near
+    # one tensor; with the SVD fallback's unfolding copy it is two. A
+    # tensordot product moved into the stack would add one more.
+    t = gen_cp((20,) * 4, 12, seed=0)
+    stack, x_step, sigma0 = solvers._mode_model(t)
+    rng = np.random.default_rng(8)
+    v = t + 0.1 * (rng.standard_normal((4,) + t.shape) + 1j * rng.standard_normal((4,) + t.shape))
+    for rho in (PENALTY_SCALE / sigma0, 1.0):  # the Gram route, then the SVD's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = x_step(v, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is stack
+        assert (peak - base) / t.nbytes <= 2.1
+
+
 def _mode_nuclear(t):
     return sum(np.linalg.svd(mode_unfold(t, j), compute_uv=False).sum()
                for j in range(t.ndim)) / t.ndim
