@@ -293,28 +293,30 @@ def _run_grid(settings, trial_fn, trials: int, base_seed: int):
 
 
 def _mean(rows, key):
-    vals = [r[key] for r in rows if r.get(key) is not None]
-    return float(np.mean(vals)) if vals else None
-
-
-def _mean_tuple(rows, key):
+    """The mean of a trial column over the rows where it is not None: per
+    entry for lists, written as comma-joined %.6g, else a float; None when
+    no row has it."""
     vals = [r[key] for r in rows if r.get(key) is not None]
     if not vals:
-        return ""
+        return None
     mean = np.mean(np.array(vals, dtype=float), axis=0)
-    return ",".join(f"{x:.6g}" for x in mean)
+    if isinstance(vals[0], list):
+        return ",".join(f"{x:.6g}" for x in mean)
+    return float(mean)
 
 
-def _aggregate(setting: dict, rows: list, spec_cols: tuple) -> dict:
+def _aggregate(setting: dict, rows: list) -> dict:
     """One report row per setting: the setting's values as label columns
-    (dims joined by commas), then the trial counts and averages."""
+    (dims joined by commas), then the trial counts, then the mean of every
+    other trial column, in the trial rows' order."""
     agg = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
            for k, v in setting.items()}
     agg["trials"] = len(rows)
     agg["n_converged"] = sum(1 for r in rows if r.get("converged", True))
     agg["converged"] = agg["n_converged"] == len(rows)
-    for key, kind in spec_cols:
-        agg[key] = _mean_tuple(rows, key) if kind == "tuple" else _mean(rows, key)
+    for key in rows[0]:
+        if key != "converged":
+            agg[key] = _mean(rows, key)
     return agg
 
 
@@ -331,8 +333,7 @@ def _rank_trial(s, seed, cfg):
     # table1 samples CP sums; table2 matrix Kronecker forms, k = r
     t = InstanceSpec(form="kron" if "k" in s else "cp", seed=seed, **s).generate()
     rep = m_ranks(t)
-    return {"m_plus": rep.m_plus, "m_minus": rep.m_minus,
-            "tucker": list(rep.tucker)}
+    return {"tucker": list(rep.tucker), "m_plus": rep.m_plus, "m_minus": rep.m_minus}
 
 
 def _completion_trial(s, seed, cfg):
@@ -386,9 +387,8 @@ def _robust_trial(s, seed, cfg):
 class Table(NamedTuple):
     """One benchmark table. Each setting is a dict of the row's label
     columns; a FLAG value is read from the table flag of that name. The
-    trial runs trial(setting, seed, cfg) once per setting and seed, and the
-    (column, kind) specs name the trial columns averaged into each row,
-    kind "num" or "tuple"."""
+    trial runs trial(setting, seed, cfg) once per setting and seed, and
+    returns the row of columns averaged into the report (_aggregate)."""
 
     name: str
     help: str
@@ -396,11 +396,9 @@ class Table(NamedTuple):
     desk: list
     full: list
     trial: Callable
-    columns: tuple
 
 
 FLAG = None
-_RANK_COLUMNS = (("tucker", "tuple"), ("m_plus", "num"), ("m_minus", "num"))
 
 TABLES = (
     Table("table1", "rank estimation on random sums of rank-one terms", {},
@@ -411,14 +409,14 @@ TABLES = (
               ((15, 15, 15, 15), 18), ((15, 15, 18, 18), 18),
               ((20, 20, 20, 20), 30), ((20, 20, 25, 25), 30),
               ((25, 25, 30, 30), 40), ((30, 30, 30, 30), 40))],
-          trial=_rank_trial, columns=_RANK_COLUMNS),
+          trial=_rank_trial),
     Table("table2", "rank estimation on random matrix outer products", {},
           desk=[{"dims": (10, 10, 10, 10), "r": k, "k": k} for k in (2, 3)],
           full=[{"dims": dims, "r": k, "k": k} for dims, ks in (
               ((10, 10, 10, 10), (2, 3, 4)), ((10, 10, 15, 15), (2, 3, 4)),
               ((15, 15, 20, 20), (2, 3, 4)), ((20, 20, 20, 20), (3, 4, 5)),
               ((20, 20, 30, 30), (3, 4, 5))) for k in ks],
-          trial=_rank_trial, columns=_RANK_COLUMNS),
+          trial=_rank_trial),
     # the full grid fixes its ratios; only the desk row reads --ratio
     Table("table3", "completion: square unfolding vs mode unfolding baseline",
           {"ratio": 0.3},
@@ -427,16 +425,13 @@ TABLES = (
               ((10, 10, 10, 10), (2, 4, 6)), ((15, 15, 15, 15), (3, 6, 9)),
               ((20, 20, 20, 20), (4, 8, 12)))
               for r in rs for ratio in (0.7, 0.5, 0.3)],
-          trial=_completion_trial,
-          columns=(("n_rel_err", "num"), ("n_tucker", "tuple"), ("n_conv", "num"),
-                   ("m_rel_err", "num"), ("m_plus", "num"), ("m_minus", "num"))),
+          trial=_completion_trial),
     Table("table4", "super-symmetric completion grid", {"ratio": 0.4},
           desk=[{"n": 10, "r": 8, "ratio": FLAG}],
           full=[{"n": n, "r": r, "ratio": FLAG} for n, r in (
               (10, 8), (10, 12), (15, 8), (15, 20),
               (20, 15), (20, 25), (25, 15), (25, 30))],
-          trial=_supersym_trial,
-          columns=(("rel_err", "num"), ("rank_m", "num"))),
+          trial=_supersym_trial),
     Table("table5", "robust recovery: square unfolding vs mode unfolding "
           "baseline", {"density": 0.05, "lam": None},
           desk=[{"dims": (10, 10, 10, 10), "r": 4, "density": FLAG}],
@@ -444,11 +439,7 @@ TABLES = (
               ((10, 10, 10, 10), (2, 4, 6, 8, 12)),
               ((15, 15, 15, 15), (3, 6, 9, 12, 18)),
               ((20, 20, 20, 20), (4, 8, 12, 16, 24))) for r in rs],
-          trial=_robust_trial,
-          columns=(("n_rel_err_all", "num"), ("n_rel_err_lr", "num"),
-                   ("n_tucker", "tuple"), ("n_conv", "num"), ("m_rel_err_all", "num"),
-                   ("m_rel_err_lr", "num"), ("m_plus", "num"),
-                   ("m_minus", "num"))),
+          trial=_robust_trial),
 )
 
 
@@ -458,7 +449,7 @@ def _cmd_table(table: Table, args) -> int:
     cfg = _solver_config(args)
     per = _run_grid(settings, partial(table.trial, cfg=cfg),
                     args.trials, args.seed)
-    rows = [_aggregate(s, per[i], table.columns) for i, s in enumerate(settings)]
+    rows = [_aggregate(s, per[i]) for i, s in enumerate(settings)]
     return _emit(args, rows)
 
 

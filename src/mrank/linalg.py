@@ -8,15 +8,27 @@ matrix large enough for it to pay, it first sketches the range with a
 Gaussian test matrix and returns the count only when an a-posteriori error
 bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
 is drawn in each call from a generator with a fixed seed, so the count is
-a deterministic function of the matrix, whatever the thread.
+a deterministic function of the matrix, whatever the thread. The bound's
+residual is summed in units of the sketch's largest singular value, so it
+holds at any scale of the matrix.
 
-One kernel, _mode_gram, forms the n x n Gram matrix of a tensor's mode
-unfolding with one BLAS zherk on the tensor viewed as (a, n, b) around the
-mode, copying it only for a middle mode and rescaling it by a power of two
-where the squares would overflow or underflow. It serves the two mode
-routines: mode_rank, numerical_rank of a mode unfolding (the Tucker ranks),
-certified from the Gram matrix's eigenvalues with numerical_rank on the
-unfolding as its fallback, and mode_svt below.
+A mode unfolding's spectrum has one route: the kernel _mode_gram forms the
+n x n Gram matrix of a tensor's mode unfolding with one BLAS zherk on the
+tensor viewed as (a, n, b) around the mode, copying it only for a middle
+mode and rescaling it by a power of two where the squares would overflow
+or underflow. Three mode routines read it, and none of them unfolds the
+tensor except in a fallback:
+    mode_spectrum -- the singular values and right singular vectors of the
+                     unfolding, from the Gram matrix's eigendecomposition
+                     (the solvers' mode-model scale, rank_one_factorize's
+                     direction, mode_svt's projector)
+    mode_rank     -- numerical_rank of the unfolding (the Tucker ranks),
+                     certified from the Gram matrix's eigenvalues, with
+                     numerical_rank on the unfolding as its fallback
+    mode_svt      -- the nuclear-norm prox on the unfolding, as a mode
+                     product with a matrix built from mode_spectrum, with
+                     the SVD of the unfolding as its fallback for a tau
+                     within the squaring's noise
 
 svt, the nuclear-norm prox of the square-unfolding solvers, and
 rank_project, the exact rank-r projection behind complete_m's refinement
@@ -25,12 +37,9 @@ of one kernel, _leading: the leading singular triplets of a matrix, swept
 from the caller's warm block when it fits, else from the full LAPACK SVD,
 with the block moved on and the route named. Each caller passes its own
 gate: svt a cost test on the block width, rank_project an exact width of
-r + OVERSAMPLE. mode_svt is the same prox on one mode unfolding of a
-tensor, done as a mode product with a small matrix built from the mode's
-Gram matrix, without unfolding, into the caller's buffer when given one.
-The warm state (SvtWarm) belongs to the caller; there is no module-level
-cache or random state, so results are deterministic and independent of
-threading.
+r + OVERSAMPLE. The warm state (SvtWarm) belongs to the caller; there is
+no module-level cache or random state, so results are deterministic and
+independent of threading.
 """
 
 import math
@@ -52,6 +61,7 @@ __all__ = [
     "SvtWarm",
     "svt",
     "mode_rank",
+    "mode_spectrum",
     "mode_svt",
     "rank_project",
     "complex_soft_threshold",
@@ -112,15 +122,20 @@ RESIDUAL_BLOCK = 64
 SKETCH_SEED = 0
 
 
-def _residual_norm(m, q, b):
+def _residual_norm(m, q, b, top):
     """||M - QB||_F, one RESIDUAL_BLOCK of columns at a time, so no
-    temporary is as large as M."""
+    temporary is as large as M. Each block is scaled by 2^-e, e the binary
+    exponent of top (the caller's s[0]), before its squares are summed, so
+    they neither underflow nor overflow at any scale of M."""
+    e = int(np.frexp(top)[1])
     total = 0.0
     for j in range(0, m.shape[1], RESIDUAL_BLOCK):
         r = q @ b[:, j:j + RESIDUAL_BLOCK]
         r -= m[:, j:j + RESIDUAL_BLOCK]
+        np.ldexp(r.view(np.float64), -e, out=r.view(np.float64))
         total += np.vdot(r, r).real
-    return np.sqrt(total)
+    with np.errstate(over="ignore"):  # an infinite residual certifies nothing
+        return np.ldexp(np.sqrt(total), e)
 
 
 def _sketch_rank(m, rel_tol):
@@ -146,7 +161,7 @@ def _sketch_rank(m, rel_tol):
         # with every s_i above rel_tol * s[0] the block has filled and no
         # residual can certify the attempt; otherwise the count is below k
         if s[-1] <= rel_tol * s[0]:
-            e = _residual_norm(m, q, b)
+            e = _residual_norm(m, q, b, s[0])
             if s[0] == 0.0 and e == 0.0:
                 return 0
             delta = e + SUBSPACE_TOL * s[0]
@@ -413,6 +428,34 @@ def _mode_gram(t, mode):
     return g, e, conj
 
 
+def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values (nonincreasing) and the right singular vectors
+    (as rows) of the mode-`mode` unfolding M of t, as
+    np.linalg.svd(mode_unfold(t, mode), full_matrices=False)[1:] returns
+    them, without unfolding t: from the eigendecomposition of the n x n
+    Gram matrix that _mode_gram forms, for n = t.shape[mode], so at any
+    finite scale of t.
+
+    The Gram matrix squares the spectrum: a singular value is accurate to
+    about eps * s_max^2 / s absolutely, so those below sqrt(eps) * s_max
+    are noise. Each vector is determined up to a unit phase, as from the
+    SVD. Raises ValueError for a mode out of range.
+    """
+    t = np.asarray(t, dtype=np.complex128)
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode {mode} out of range for order {t.ndim}")
+    n = t.shape[mode]
+    k = min(t.size // n, n) if n else 0
+    if k == 0:
+        return np.zeros(0), np.zeros((0, n), dtype=np.complex128)
+    g, e, conj = _mode_gram(t, mode)
+    w, v = np.linalg.eigh(g, UPLO="U")
+    # eigh's vectors are those of G, or their conjugates when conj is set;
+    # the rows of V^H, largest eigenvalue first
+    vh = (v if conj else v.conj()).T[::-1][:k]
+    return np.ldexp(np.sqrt(np.maximum(w[::-1][:k], 0.0)), e), vh
+
+
 # The certificate margin of mode_rank: the computed Gram eigenvalues lie
 # within GRAM_ERR * (K + n) * eps * tr(G) of sigma_i^2 for a K x n
 # unfolding. The Gram's rounding is at most gamma_K * ||M||_F^2 (Higham
@@ -468,15 +511,13 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
     """svt on the mode-`mode` unfolding of the tensor t, folded back: the
     proximal map of tau * ||mode unfolding||_*, without unfolding t.
 
-    With M the unfolding (mode index as column) and M^H M = V diag(s^2) V^H,
+    With M the unfolding (mode index as column) and M = U diag(s) V^H,
     svt(M, tau) = M P with P = V diag(max(1 - tau/s, 0)) V^H, n x n for
     n = t.shape[mode]: the mode-`mode` product of t with P^T (De Lathauwer,
-    De Moor and Vandewalle 2000). V and s come from the eigendecomposition
-    of M^H M as _mode_gram forms it, with no copy of t for the first and
-    last modes and one for a middle mode, scaled by a power of two where
-    the squares would overflow or underflow, so any finite t is handled.
-    When tau is below GRAM_TAU_MARGIN * sqrt(eps) * s_max, too close to the
-    noise the squaring adds, V and s come from the SVD of M instead. The
+    De Moor and Vandewalle 2000). V and s come from mode_spectrum, so any
+    finite t is handled. When tau is below
+    GRAM_TAU_MARGIN * sqrt(eps) * s_max, too close to the noise the Gram
+    matrix's squaring adds, they come from the SVD of M instead. The
     product is one matmul over t viewed as (a, n, b) around the mode,
     written into out when given (a C-contiguous complex128 array of t's
     shape, not overlapping t), else into a new array; either is returned.
@@ -489,20 +530,16 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
         raise ValueError("out must be a C-contiguous complex128 array of t's shape")
     if t.size == 0:
         return out
-    g, e, conj = _mode_gram(t, mode)
-    w, v = np.linalg.eigh(g, UPLO="U")
-    if conj:
-        v = v.conj()
-    s = np.ldexp(np.sqrt(np.maximum(w, 0.0)), e)
-    if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s.max(initial=0.0):
+    s, vh = mode_spectrum(t, mode)
+    if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s[0]:
         _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
-        v = vh.conj().T
-    keep = s > tau
-    if not keep.any():
+    keep = int(np.count_nonzero(s > tau))
+    if not keep:
         out.fill(0.0)
         return out
-    vk = v[:, keep]
-    p = (vk * (1.0 - tau / s[keep])) @ vk.conj().T
+    # P summed from the smallest kept value up, in eigh's order
+    vk = vh[keep - 1::-1].conj().T
+    p = (vk * (1.0 - tau / s[keep - 1::-1])) @ vk.conj().T
     a, n = math.prod(t.shape[:mode]), t.shape[mode]
     if mode == t.ndim - 1:
         np.matmul(t.reshape(a, n), p, out=out.reshape(a, n))

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, mode_rank, numerical_rank, spectrum_rank, takagi
+from .linalg import (DEFAULT_RANK_TOL, mode_rank, mode_spectrum, numerical_rank,
+                     spectrum_rank, takagi)
 from .tensor import (
     Pairing,
     as_tensor,
     canonical_pairings,
     is_super_symmetric,
-    mode_unfold,
     outer,
     square_unfold,
     symmetrize,
@@ -243,7 +243,8 @@ def rank_one_factorize(t, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     square unfolding has rank one.
 
     For t = c * b^{(x) 2d} the mode-0 unfolding is the dyad
-    vec(b^{(x) 2d-1}) (c*b)^T, so the top row of vh in its SVD is parallel
+    vec(b^{(x) 2d-1}) (c*b)^T, so the top row of its vh, as
+    linalg.mode_spectrum reads it off the mode's Gram matrix, is parallel
     to b, and the 2d-th root of the scale fixes the length. Among the 2d
     roots of unity that all reproduce t, the returned representative puts
     the phase of the largest-modulus entry closest to zero, making the
@@ -256,7 +257,7 @@ def rank_one_factorize(t, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise ValueError("rank_one_factorize needs a super-symmetric tensor")
     if numerical_rank(square_unfold(t), rel_tol) != 1:
         raise ValueError("square unfolding rank is not one")
-    u = np.linalg.svd(mode_unfold(t, 0), full_matrices=False)[2][0]
+    u = mode_spectrum(t, 0)[1][0]
     k = int(np.argmax(np.abs(u)))
     beta = t[(k,) * t.ndim] / u[k] ** t.ndim
     b = np.power(beta, 1.0 / t.ndim) * u

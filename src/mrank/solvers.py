@@ -13,7 +13,13 @@ Five solvers share one config:
     complete_supersym -- completion constrained to super-symmetric tensors
 
 All are deterministic. Data must be finite: NaN or Inf raises ValueError on
-entry.
+entry. Any finite magnitude is supported, from the smallest normal double
+to the largest: each solver runs on its data times 2^-e, e the binary
+exponent of the largest modulus (_unit_scale), and multiplies its results
+back by 2^e, so no square or norm inside a solve can overflow or
+underflow, and a solve takes the same steps at every scale (bitwise, times
+2^e, for data scaled by a power of two). Errors against the truth and the
+rank report are taken at the solve's scale.
 
 complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
@@ -46,7 +52,9 @@ complete_supersym, whose kept rank stays small, take the warm subspace
 route, and complete_m's 100x100 continuation iterates keep too high a rank
 for it and stay on the full SVD (see linalg.svt). complete_n and rpca_n
 never unfold: their prox on mode j is linalg.mode_svt, a mode-j product
-with an n_j x n_j matrix built from the mode's Gram matrix.
+with an n_j x n_j matrix built from the mode's Gram matrix, and their
+driver's scale, the largest spectral norm of the data's mode unfoldings,
+is read off the same Gram spectra (linalg.mode_spectrum).
 
 complete_m runs fixed-point continuation (singular value thresholding with
 a shrinking threshold mu; Ma, Goldfarb and Chen 2011) and validates ranks
@@ -78,13 +86,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (OVERSAMPLE, SvtWarm, complex_l1, complex_soft_threshold,
-                     mode_svt, rank_project, spectral_norm, svt)
+                     mode_spectrum, mode_svt, rank_project, spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
     Pairing,
     as_tensor,
-    mode_unfold,
     orbit_ids,
     orbit_sum,
     square_fold,
@@ -218,6 +225,20 @@ def _require_finite(a, name: str) -> None:
         raise ValueError(f"{name} contain non-finite entries (NaN or Inf)")
 
 
+def _unit_scale(a):
+    """(a * 2^-e, e) with e the binary exponent of a's largest modulus (0
+    for zero data), so the scaled data's largest modulus lies in [0.5, 1);
+    e is kept within [-1023, 1023], where 2^e and 2^-e are both finite.
+    Multiplying by a power of two is exact outside the subnormal range, so a
+    solve on the scaled data takes the same steps at any data magnitude,
+    and none of its squares or norms can overflow or underflow."""
+    with np.errstate(over="ignore"):  # a modulus above the largest double
+        top = float(np.abs(a).max(initial=0.0))
+    e = int(np.frexp(top)[1]) if np.isfinite(top) else 1024
+    e = min(max(e, -1023), 1023)
+    return a * 2.0 ** -e, e
+
+
 def _rel_err(est, truth) -> float | None:
     if truth is None:
         return None
@@ -226,12 +247,17 @@ def _rel_err(est, truth) -> float | None:
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
 
 
-def _result(rec, iters, converged, truth, rel_err_all, trace,
+def _result(rec, e, iters, converged, truth, rel_err_all, trace,
             sparse=None, duality_gap=None) -> SolveResult:
-    return SolveResult(rec, iters, converged, m_ranks(rec, RECOVERED_RANK_TOL),
-                       sparse=sparse, rel_err_vs_truth=_rel_err(rec, truth),
-                       rel_err_all=rel_err_all, residual_trace=trace,
-                       duality_gap=duality_gap)
+    """The SolveResult of a solve run on the data times 2^-e (_unit_scale):
+    rec and sparse are returned times 2^e, while the rank report is taken
+    on rec and the error against truth times 2^-e, at the solve's scale."""
+    if truth is not None:
+        truth = as_tensor(truth) * 2.0 ** -e
+    return SolveResult(rec * 2.0 ** e, iters, converged, m_ranks(rec, RECOVERED_RANK_TOL),
+                       sparse=None if sparse is None else sparse * 2.0 ** e,
+                       rel_err_vs_truth=_rel_err(rec, truth), rel_err_all=rel_err_all,
+                       residual_trace=trace, duality_gap=duality_gap)
 
 
 def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
@@ -357,6 +383,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
         raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
+    b, e = _unit_scale(b)
     flat = _mask_matrix_flat(mask, pr)
     nrow, ncol = pr.matrix_shape(mask.dims)
     xf = np.zeros(nrow * ncol, dtype=np.complex128)
@@ -365,7 +392,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
     sigma0 = spectral_norm(x)
     if sigma0 == 0.0:
-        return _result(square_fold(x, mask.dims, pr), 0, True, truth, 0.0, [])
+        return _result(square_fold(x, mask.dims, pr), e, 0, True, truth, 0.0, [])
 
     mu0, shrink, floor_frac = MU_SCHEDULE
     mu = mu0 * sigma0
@@ -400,8 +427,8 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             y = _svp(x, r, warm.v[:, :r + OVERSAMPLE], flat, b, bscale,
                      min(REFINE_MAX_ITERS, left - 1), trace, accept)
             if y is not None:
-                return _result(square_fold(y, mask.dims, pr), len(trace), True, truth,
-                               trace[-1], trace)
+                return _result(square_fold(y, mask.dims, pr), e, len(trace), True,
+                               truth, trace[-1], trace)
             rejected.add(r)
             # stepping back to the continuation iterate is logged as one
             # more step, so a solve that ends here ends its trace with the
@@ -412,7 +439,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             break
         mu = max(mu * shrink, mu_floor)
 
-    return _result(square_fold(x, mask.dims, pr), len(trace), converged, truth,
+    return _result(square_fold(x, mask.dims, pr), e, len(trace), converged, truth,
                    resid, trace)
 
 
@@ -561,9 +588,10 @@ def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
 def _mode_model(t):
     """The x side of the mode-unfolding models on the tensor t: the d-fold
     stack of mode copies, x_step writing into it, and the largest spectral
-    norm of t's mode unfoldings, the driver's scale. x_step sets stack[j]
-    to the (1/d)-weighted nuclear-norm prox of v[j] on mode unfolding j
-    (linalg.mode_svt), written straight into the stack."""
+    norm of t's mode unfoldings, the driver's scale, read off each mode's
+    Gram spectrum (linalg.mode_spectrum) without unfolding. x_step sets
+    stack[j] to the (1/d)-weighted nuclear-norm prox of v[j] on mode
+    unfolding j (linalg.mode_svt), written straight into the stack."""
     d = t.ndim
     stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
@@ -572,7 +600,7 @@ def _mode_model(t):
             mode_svt(v[j], j, (1.0 / d) / rho, out=stack[j])
         return stack
 
-    return stack, x_step, max(spectral_norm(mode_unfold(t, j)) for j in range(d))
+    return stack, x_step, max(mode_spectrum(t, j)[0].max(initial=0.0) for j in range(d))
 
 
 def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -586,6 +614,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
+    b, e = _unit_scale(b)
     x0 = mask.fill(b)
 
     def z_step(w, rho):
@@ -596,7 +625,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     stack, x_step, sigma0 = _mode_model(x0)
     _, z, it, conv, trace, _ = _admm(stack.shape, 0.0, x_step, z_step, x0, sigma0, cfg)
     # observed entries pinned exactly
-    return _result(z, it, conv, truth, 0.0, trace)
+    return _result(z, e, it, conv, truth, 0.0, trace)
 
 
 def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
@@ -610,6 +639,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
     _require_finite(t, "data")
+    t, e = _unit_scale(t)
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     # C order, like svt's outputs and the driver's buffers: the driver's
     # passes over f then run on one layout
@@ -620,7 +650,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
         f.shape, f, lambda v, rho: svt(v, 1.0 / rho, warm),
         lambda w, rho: complex_soft_threshold(w, lam / rho),
         np.zeros_like(f), spectral_norm(f), cfg, grow=True)
-    return _result(square_fold(y, t.shape, pr), it, conv, truth, _rel_err(y - z, f),
+    return _result(square_fold(y, t.shape, pr), e, it, conv, truth, _rel_err(y - z, f),
                    trace, sparse=square_fold(-z, t.shape, pr),
                    duality_gap=_rpca_m_gap(f, y, warm.s, dual, lam))
 
@@ -654,6 +684,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
     _require_finite(t, "data")
+    t, e = _unit_scale(t)
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
@@ -663,7 +694,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
         lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
         np.zeros_like(t), sigma0, cfg)
     y = stack.mean(axis=0)
-    return _result(y, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
+    return _result(y, e, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
 
 
 def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -689,6 +720,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
     b = np.asarray(values, dtype=np.complex128)
     _require_finite(b, "observed values")
+    b, e = _unit_scale(b)
     ids = orbit_ids(dims)
     counts = np.bincount(ids)
     n_orb = counts.size
@@ -720,4 +752,4 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         z0.shape, 0.0, lambda v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
         spectral_norm(z0), cfg)
     # projection pins observed orbits exactly
-    return _result(square_fold(z, dims), it, conv, truth, 0.0, trace)
+    return _result(square_fold(z, dims), e, it, conv, truth, 0.0, trace)

@@ -8,6 +8,7 @@ import pytest
 
 from mrank.cli import TABLES, _run_grid, main
 from mrank.fileio import read_frames, read_tensor, write_frames, write_tensor
+from mrank.solvers import SolverConfig, rpca_m
 from mrank.synth import gen_supersym
 
 
@@ -97,6 +98,45 @@ def test_rpca_with_planted_noise(tmp_path):
     assert read_tensor(z_path).shape == (8, 8, 8, 8)
 
 
+def test_complete_crossed_pairing(tmp_path, capsys):
+    t_path = tmp_path / "t.mten"
+    rec_path = tmp_path / "rec.mten"
+    run(["gen", "--form", "cp", "--dims", "6,6,6,6", "--r", "2", "--seed", "2",
+         "--output", t_path])
+    capsys.readouterr()
+    assert run(["complete", t_path, "--ratio", "0.6", "--seed", "3",
+                "--pairing", "1,3|2,4", "--output", rec_path]) == 0
+    assert capsys.readouterr().out.startswith("complete_m: converged=True")
+    t = read_tensor(t_path)
+    assert np.linalg.norm(read_tensor(rec_path) - t) <= 1e-5 * np.linalg.norm(t)
+
+
+def test_rpca_mode_model(tmp_path, capsys):
+    t_path = tmp_path / "y.mten"
+    z_path = tmp_path / "zrec.mten"
+    run(["gen", "--form", "cp", "--dims", "8,8,8,8", "--r", "2", "--seed", "4",
+         "--output", t_path])
+    capsys.readouterr()
+    assert run(["rpca", t_path, "--model", "n", "--density", "0.05", "--seed", "5",
+                "--sparse-output", z_path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("rpca_n: converged=True")
+    assert "rel_err_vs_truth" in out  # the clean input is the truth
+    assert read_tensor(z_path).shape == (8, 8, 8, 8)
+
+
+def test_rpca_lam_reaches_the_solver(tmp_path):
+    t_path = tmp_path / "y.mten"
+    y_path = tmp_path / "yrec.mten"
+    run(["gen", "--form", "cp", "--dims", "6,6,6,6", "--r", "2", "--seed", "4",
+         "--output", t_path])
+    assert run(["rpca", t_path, "--lam", "0.2", "--output", y_path]) == 0
+    t = read_tensor(t_path)
+    ref = rpca_m(t, cfg=SolverConfig(lam=0.2))
+    assert np.array_equal(read_tensor(y_path), ref.recovered)
+    assert not np.array_equal(ref.recovered, rpca_m(t).recovered)
+
+
 def test_sym_complete(tmp_path, capsys):
     t_path = tmp_path / "s.mten"
     write_tensor(t_path, gen_supersym(7, 4, 3, seed=6))
@@ -177,6 +217,27 @@ def test_exit_pairing_with_mode_model(tmp_path, capsys, cmd, pairing):
     captured = capsys.readouterr()
     assert "--pairing applies to --model m only" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("pairing", ["garbage", "1,2|3", "1,1|2,3", "1,2|3,5"])
+def test_exit_malformed_pairing(tmp_path, capsys, pairing):
+    path = tmp_path / "t.mten"
+    out = tmp_path / "rec.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    capsys.readouterr()
+    assert run(["complete", path, "--ratio", "0.5", "--pairing", pairing,
+                "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not out.exists()
+
+
+def test_exit_zero_length_dims(tmp_path, capsys):
+    path = tmp_path / "t.mten"
+    assert run(["gen", "--form", "cp", "--dims", "0,3", "--r", "1",
+                "--output", path]) == 2
+    assert "bad dims" in capsys.readouterr().err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
@@ -307,6 +368,18 @@ def test_table_csv_header(tmp_path, table, header):
     out = tmp_path / "t.csv"
     assert run([table, "--trials", "1", "--output", out]) == 0
     assert out.read_text().splitlines()[0] == header
+
+
+def test_table_written_to_stdout(capsys):
+    assert run(["table2", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["dims,r,k,trials,n_converged,converged,tucker,m_plus,m_minus",
+                     '"10,10,10,10",2,2,1,1,True,"4,4,4,4",8,2',
+                     '"10,10,10,10",3,3,1,1,True,"9,9,9,9",27,3']
+    assert run(["table2", "--trials", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["r"], r["tucker"], r["m_plus"]) for r in rows] == [
+        (2, "4,4,4,4", 8.0), (3, "9,9,9,9", 27.0)]
 
 
 def test_table_full_grid_sizes():

@@ -37,6 +37,7 @@ from mrank.linalg import (
     spectrum_rank,
     SvtWarm,
     mode_rank,
+    mode_spectrum,
     mode_svt,
     svt,
     takagi,
@@ -143,6 +144,34 @@ def test_numerical_rank_zero_matrix_and_zero_tol(svd_shapes):
     svd_shapes.clear()
     assert numerical_rank(m, 0.0) == ref  # every rounding-level value counts
     assert svd_shapes == [m.shape]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170, 1e-300])
+def test_numerical_rank_graded_spectrum_at_any_scale(scale):
+    # ten unit singular values and 290 graded from 3e-8 to 3e-11, 46 of
+    # them above the 1e-8 threshold: at 1e-170 and below, the unscaled
+    # squares of the sketch residual underflow to a zero residual, which
+    # would certify an undercount (49)
+    rng = np.random.default_rng(23)
+    u = np.linalg.qr(crandn(rng, (300, 300)))[0]
+    v = np.linalg.qr(crandn(rng, (300, 300)))[0]
+    s = np.concatenate([np.ones(10), np.geomspace(3e-8, 3e-11, 290)])
+    m = (u * s) @ v.conj().T
+    assert svd_rank(m, DEFAULT_RANK_TOL) == 56
+    assert numerical_rank(scale * m, DEFAULT_RANK_TOL) == 56
+
+
+def test_size_zero_inputs():
+    for shape in [(0, 5), (5, 0), (0, 0)]:
+        assert numerical_rank(np.zeros(shape)) == 0
+        assert spectral_norm(np.zeros(shape)) == 0.0
+    res = takagi(np.zeros((0, 0)))
+    assert res.w.shape == (0, 0) and res.s.shape == (0,)
+    assert res.reconstruct().shape == (0, 0)
+    for shape in [(0, 3, 2), (3, 0, 2)]:
+        for mode in range(3):
+            out = mode_svt(np.zeros(shape), mode, 1.0)
+            assert out.shape == shape and out.dtype == np.complex128
 
 
 @pytest.mark.parametrize("rel_tol", [-1e-9, -1.0, np.nan, np.inf])
@@ -397,6 +426,71 @@ def test_rpca_m_threaded_matches_serial_bitwise():
         assert res.iters == ref.iters
         assert np.array_equal(res.recovered, ref.recovered)
         assert np.array_equal(res.sparse, ref.sparse)
+
+
+# ----------------------------------------------------------- mode_spectrum
+
+
+def assert_matches_svd(t, mode):
+    """mode_spectrum against the SVD of the unfolding: the same values, to
+    1e-12 of s_max above 1e-2 * s_max and to the Gram matrix's
+    sqrt(eps) * s_max noise below, and vectors that agree up to a unit
+    phase where the values are separated."""
+    s, vh = mode_spectrum(t, mode)
+    _, s_ref, vh_ref = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
+    assert s.shape == s_ref.shape and vh.shape == vh_ref.shape
+    assert np.all(np.diff(s) <= 0)
+    err = np.abs(s - s_ref)
+    assert np.all(err[s_ref >= 1e-2 * s_ref[0]] <= 1e-12 * s_ref[0])
+    assert np.all(err <= 1e-7 * s_ref[0])
+    assert np.allclose(vh @ vh.conj().T, np.eye(s.size), atol=1e-12)
+    for i in range(s.size):
+        if s_ref[i] > 1e-6 * s_ref[0] and all(
+                abs(s_ref[i] - s_ref[j]) > 1e-6 * s_ref[0] for j in range(s.size) if j != i):
+            assert abs(abs(np.vdot(vh_ref[i], vh[i])) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(6, 7, 5, 8), (2, 30, 2), (7, 1), (1, 7), (3, 4, 5, 2, 3, 2)])
+def test_mode_spectrum_matches_svd(dims):
+    # wide and tall unfoldings, C and Fortran order and neither
+    t = crandn(np.random.default_rng(sum(dims)), dims)
+    for x in (t, np.asfortranarray(t), np.swapaxes(t, 0, 1)):
+        for mode in range(x.ndim):
+            assert_matches_svd(x, mode)
+
+
+def test_mode_spectrum_of_low_rank_mode_unfolding():
+    rng = np.random.default_rng(24)
+    t = mode_fold(low_rank(rng, (300, 20), 5), (6, 20, 5, 10), 1)
+    s, vh = mode_spectrum(t, 1)
+    assert_matches_svd(t, 1)
+    # the rank-5 row space: vh's first five rows reproduce the unfolding
+    m = mode_unfold(t, 1)
+    assert np.linalg.norm(m - (m @ vh[:5].conj().T) @ vh[:5]) <= 1e-12 * np.linalg.norm(m)
+    assert np.all(s[5:] <= 1e-6 * s[0])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_mode_spectrum_is_scale_invariant(scale):
+    t = crandn(np.random.default_rng(25), (6, 7, 5, 8))
+    for mode in range(4):
+        s, vh = mode_spectrum(scale * t, mode)
+        s1, vh1 = mode_spectrum(t, mode)
+        assert np.abs(s / scale - s1).max() <= 1e-13 * s1[0]
+        assert np.allclose(np.abs(np.sum(vh.conj() * vh1, axis=1)), 1.0, atol=1e-9)
+
+
+def test_mode_spectrum_zero_and_size_zero_and_errors():
+    s, vh = mode_spectrum(np.zeros((4, 5, 6)), 1)
+    assert s.shape == (5,) and not s.any() and vh.shape == (5, 5)
+    for shape, mode, want in [((0, 3), 1, (0, 3)), ((3, 0, 2), 0, (0, 3)),
+                              ((3, 0, 2), 1, (0, 0))]:
+        s, vh = mode_spectrum(np.zeros(shape), mode)
+        assert s.shape == (0,) and vh.shape == want
+    with pytest.raises(ValueError, match="mode"):
+        mode_spectrum(np.zeros((2, 3)), 2)
+    with pytest.raises(ValueError, match="mode"):
+        mode_spectrum(np.zeros((2, 3)), -1)
 
 
 # ---------------------------------------------------------------- mode_svt

@@ -235,6 +235,14 @@ def test_strongly_symmetrize_order6():
         assert np.linalg.norm(strong.reconstruct() - t) <= 1e-7 * np.linalg.norm(t)
 
 
+def test_strongly_symmetrize_rejects_an_asymmetric_decomposition():
+    t = gen_supersym(4, 4, 2, seed=0)
+    dec = m_decompose(t)
+    assert dec.kind == "asymmetric"
+    with pytest.raises(ValueError, match="symmetric decomposition"):
+        strongly_symmetrize(dec, t)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-14])
 def test_symmetry_tolerances_are_relative_at_any_scale(scale):
     # the symmetry checks compare with tol * ||t||: a tolerance floored at

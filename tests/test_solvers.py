@@ -33,8 +33,9 @@ from mrank.solvers import (
     rpca_m,
     rpca_n,
 )
-from mrank.synth import Mask, gen_cp, gen_mask, gen_sparse_noise, gen_supersym
-from mrank.tensor import Pairing, is_super_symmetric, mode_unfold, square_unfold, vec
+from mrank.ranks import rank_one_factorize
+from mrank.synth import Mask, complex_normal, gen_cp, gen_mask, gen_sparse_noise, gen_supersym
+from mrank.tensor import Pairing, is_super_symmetric, mode_unfold, outer, square_unfold, vec
 
 
 DIMS = (6, 6, 6, 6)
@@ -206,16 +207,25 @@ def test_complete_m_rejects_pairing_of_the_wrong_order():
 
 def test_complete_m_is_scale_invariant():
     # criterion 7, seed 0: the step and stall tests are relative at any
-    # data scale (a floor of 1 on their denominators made them absolute)
+    # data scale (a floor of 1 on their denominators made them absolute),
+    # and the solve runs on the data scaled to unit magnitude, so neither
+    # its line search nor its norms square 1e-170 or 1e160 out of range
     dims = (10, 10, 10, 10)
     t = gen_cp(dims, 6, seed=0)
     mask = gen_mask(dims, 0.3, seed=0)
+    scales = (1e-300, 1e-170, 1e-8, 1.0, 1e4, 1e160, 1e300)
     results = [complete_m(mask, mask.observe(t * scale), truth=t * scale)
-               for scale in (1e-8, 1.0, 1e4)]
+               for scale in scales]
+    base = results[scales.index(1.0)]
     assert len({res.iters for res in results}) == 1
-    for res in results:
+    for scale, res in zip(scales, results):
         assert res.converged and res.rel_err_vs_truth <= 1e-3
+        assert abs(res.rel_err_vs_truth - base.rel_err_vs_truth) <= 1e-9
         assert res.rank_report.m_plus == res.rank_report.m_minus == 6
+        # divided by the scale first: the norm of the tensor itself would
+        # underflow or overflow at the extreme scales
+        assert np.linalg.norm(res.recovered / scale - base.recovered) <= (
+            1e-9 * np.linalg.norm(base.recovered))
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 300])
@@ -236,6 +246,50 @@ def test_complete_m_max_iters_caps_continuation_and_refinement(k):
     if k == 300:
         # rank 6 is validated at a stage end, well inside the budget
         assert res.converged
+
+
+def test_complete_m_floor_stage_returns_the_continuation_iterate(monkeypatch):
+    # a fully observed 2^4 rank-4 CP tensor: its 4 x 4 unfolding has full
+    # rank, so every stage's candidates (ranks 1 to 3) plateau and are
+    # rejected, and continuation runs down to its floor stage, where the
+    # data is fitted and the iterate is returned as converged
+    tried = []
+
+    def spy(x, r, *args):
+        y = _svp(x, r, *args)
+        tried.append((r, y is None))
+        return y
+
+    monkeypatch.setattr(solvers, "_svp", spy)
+    dims = (2, 2, 2, 2)
+    t = gen_cp(dims, 4, seed=0)
+    mask = gen_mask(dims, 1.0, seed=0)
+    res = complete_m(mask, mask.observe(t), cfg=SolverConfig(max_iters=20000), truth=t)
+    assert tried == [(1, True), (2, True), (3, True)]
+    assert res.iters == 5874 == len(res.residual_trace)
+    assert res.converged and res.rel_err_all == res.residual_trace[-1] <= 1e-6
+    assert res.rel_err_vs_truth <= 1e-6
+
+
+@pytest.mark.parametrize("k, calls", [(14, []), (15, []), (16, [(6, 1)])])
+def test_complete_m_leaves_no_refinement_a_budget_below_two(monkeypatch, k, calls):
+    # criterion 7, seed 0: the first stage ends after 14 steps with rank 6
+    # as its candidate; a candidate needs one step of its own and one for
+    # the step back, so with fewer than 2 left the solve skips it
+    seen = []
+
+    def spy(x, r, block, flat, b, bscale, iters, trace, accept):
+        seen.append((r, iters))
+        return _svp(x, r, block, flat, b, bscale, iters, trace, accept)
+
+    monkeypatch.setattr(solvers, "_svp", spy)
+    dims = (10, 10, 10, 10)
+    t = gen_cp(dims, 6, seed=0)
+    mask = gen_mask(dims, 0.3, seed=0)
+    res = complete_m(mask, mask.observe(t), cfg=SolverConfig(max_iters=k))
+    assert seen == calls
+    assert res.iters == k == len(res.residual_trace) and not res.converged
+    assert res.rel_err_all == res.residual_trace[-1]
 
 
 def test_complete_m_crossed_pairing():
@@ -498,17 +552,20 @@ def test_admm_stopping_test_is_scale_invariant(name):
     solve = SCALED_SOLVES[name]
     base = solve(1.0)
     assert base.converged
-    for scale in (1e4, 1e-4, 1e-9):
+    for scale in (1e4, 1e-4, 1e-9, 1e-170, 1e160, 1e-300, 1e300):
         res = solve(scale)
         assert (res.iters, res.converged) == (base.iters, base.converged), scale
+        assert res.rank_report == base.rank_report, scale
+        assert abs(res.rel_err_all - base.rel_err_all) <= 1e-9, scale
         # rpca_m's certified gap is relative, so it reads the same too
         assert (res.duality_gap is None) == (base.duality_gap is None)
         if base.duality_gap is not None:
             assert abs(res.duality_gap - base.duality_gap) <= 1e-12, scale
         for got, ref in ((res.recovered, base.recovered), (res.sparse, base.sparse)):
             if ref is not None:
-                ref = scale * ref
-                assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref), scale
+                # divided by the scale: at 1e-170 and 1e160 the norm of
+                # the scaled tensor would underflow or overflow
+                assert np.linalg.norm(got / scale - ref) <= 1e-9 * np.linalg.norm(ref), scale
 
 
 @functools.cache
@@ -821,6 +878,31 @@ def test_complete_n_converges_on_criterion_7():
     assert ref.converged
     assert _mode_nuclear(res.recovered) == pytest.approx(_mode_nuclear(ref.recovered),
                                                          rel=1e-4)
+
+
+def test_mode_spectra_come_from_gram_matrices(monkeypatch):
+    # the mode models' scale and rank_one_factorize's direction are read
+    # off the mode Gram matrices: no SVD of a mode unfolding's shape runs
+    # (the prox and the rank reports take the Gram route here too)
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    d20 = (20, 20, 20, 20)
+    low = gen_cp(d20, 8, seed=0)
+    assert rpca_n(low + gen_sparse_noise(d20, 0.05, seed=0)).converged
+    assert complete_n(_C7_MASK, _C7_MASK.observe(_C7_T)).converged
+    b = complex_normal(np.random.default_rng(0), 10)
+    t = outer(outer(b, b), outer(b, b))
+    bhat = rank_one_factorize(t)
+    assert np.linalg.norm(outer(outer(bhat, bhat), outer(bhat, bhat)) - t) <= (
+        1e-8 * np.linalg.norm(t))
+    assert seen  # the square unfoldings' rank reports still decompose
+    assert not {(8000, 20), (1000, 10)} & set(seen)
 
 
 # ----------------------------------------------------------------- reports
