@@ -6,11 +6,19 @@ returned in nonincreasing order (LAPACK convention).
 numerical_rank counts singular values above a relative threshold. On a
 matrix large enough for it to pay, it first sketches the range with a
 Gaussian test matrix and returns the count only when an a-posteriori error
-bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
-is drawn in each call from a generator with a fixed seed, so the count is
-a deterministic function of the matrix, whatever the thread. The bound's
-residual is summed in units of the sketch's largest singular value, so it
-holds at any scale of the matrix.
+bound certifies it; otherwise it runs the full LAPACK SVD. Each attempt is
+judged on the sketch Y first: the R factor of Y's QR shows whether Y has a
+singular value at or below the threshold, and only then are B = Q^H M,
+its SVD and the residual ||M - QB|| formed, since a full sketch certifies
+nothing and the next, wider attempt follows at once. The first attempt's
+width is the caller's (m_ranks passes the previous pairing's rank plus
+OVERSAMPLE); it moves only the work, never the count. The test matrix is
+drawn in each call from a generator with a fixed seed, so the count is a
+deterministic function of the matrix and the width, whatever the thread.
+The bound's residual is summed in units of the sketch's largest singular
+value, so it holds at any scale of the matrix. numerical_rank, mode_rank,
+mode_spectrum and ranks.m_ranks reject NaN and Inf entries before any
+LAPACK call.
 
 A mode unfolding's spectrum has one route: the kernel _mode_gram forms the
 n x n Gram matrix of a tensor's mode unfolding with one BLAS zherk on the
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, block_diag, qr, sqrtm
 
-from .tensor import mode_unfold
+from .tensor import _unit_exponent, mode_unfold
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -107,14 +115,18 @@ def spectrum_rank(s, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-# First width of numerical_rank's range sketch; a failed attempt doubles it.
+# Default first width of numerical_rank's range sketch; a failed attempt
+# doubles it.
 SKETCH_WIDTH = 16
-# A k-wide sketch attempt on an m x n matrix costs about
-# SKETCH_COST * k / min(m, n) full value-only SVDs (complex128, one BLAS
-# thread, square n = 64..900 and k = 8..128: 1.1 to 2.8, 2.3 or less at
-# k <= 64). The attempts of one call may total min(m, n) / SKETCH_COST
-# columns, so the failed ones cost about one full SVD at most, and the
-# sketch runs only where its first attempt fits: min(m, n) >= 40.
+# A k-wide sketch attempt on an m x n matrix costs about c * k / min(m, n)
+# full value-only SVDs (complex128, one BLAS thread, square n = 64..900 and
+# k = 8..128): c = 0.3 to 0.8 for an attempt whose sketch is judged full
+# (one product with M and the QR of Y), and 0.9 to 2.6 for one that also
+# forms B, its SVD and the residual (a second and third product with M).
+# The attempts of one call may total min(m, n) / SKETCH_COST columns, so
+# the failed ones cost about one full SVD at most even when each forms B,
+# and the sketch runs only where its first attempt fits: at the default
+# width, min(m, n) >= 40.
 SKETCH_COST = 2.5
 # Columns of M - QB formed at a time when the sketch measures its residual.
 RESIDUAL_BLOCK = 64
@@ -138,52 +150,82 @@ def _residual_norm(m, q, b, top):
         return np.ldexp(np.sqrt(total), e)
 
 
-def _sketch_rank(m, rel_tol):
-    """The certified count of numerical_rank's sketch route, or None when
-    no attempt within the budget certifies it."""
+def _sketch_rank(m, rel_tol, k):
+    """The certified count of numerical_rank's sketch route, first trying a
+    k-wide sketch, or None when no attempt within the budget certifies it."""
     rows, cols = m.shape
     rng = np.random.default_rng(SKETCH_SEED)
     q = np.empty((rows, 0), dtype=np.complex128)
-    k = SKETCH_WIDTH
+    d = np.empty(0)
     spent = 0
     while SKETCH_COST * (spent + k) <= min(rows, cols):
         # the last attempt's Q spans M times the earlier columns of Omega,
         # so only the new columns are multiplied
-        omega = rng.standard_normal((cols, k - q.shape[1], 2)).view(np.complex128)
+        j = q.shape[1]
+        omega = rng.standard_normal((cols, k - j, 2)).view(np.complex128)
         y = np.empty((rows, k), dtype=np.complex128, order="F")
-        y[:, :q.shape[1]] = q
-        np.matmul(m, omega[..., 0], out=y[:, q.shape[1]:])
+        y[:, :j] = q
+        # a NaN or Inf in M makes a row of M @ Omega non-finite, so a
+        # finite product shows M finite at the price of a look at Y; a
+        # non-finite one (or an overflow) goes to the caller's full check
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(m, omega[..., 0], out=y[:, j:])
+        if not np.isfinite(y[:, j:]).all():
+            return None
         # factored in place: numpy's qr holds several copies of y at once,
         # which showed as a higher peak RSS on rank reports
-        q = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
-        b = q.conj().T @ m
-        s = np.linalg.svd(b, compute_uv=False)
-        # with every s_i above rel_tol * s[0] the block has filled and no
-        # residual can certify the attempt; otherwise the count is below k
-        if s[-1] <= rel_tol * s[0]:
-            e = _residual_norm(m, q, b, s[0])
-            if s[0] == 0.0 and e == 0.0:
-                return 0
-            delta = e + SUBSPACE_TOL * s[0]
-            above = int(np.count_nonzero(s > rel_tol * (s[0] + delta) + delta))
-            below = int(np.count_nonzero(s <= rel_tol * s[0] - 2 * delta))
-            if delta < rel_tol * s[0] and above + below == k:  # so s[0] > 0
-                return above
+        q, r = qr(y, mode="economic", overwrite_a=True, check_finite=False)
+        # d is |diag R| of the QR of the whole sketch M @ Omega: the new
+        # columns' R block continues the earlier attempts' triangle. With
+        # every d_i above rel_tol * max(d) the sketch is judged full and no
+        # B is formed, for a full sketch certifies nothing
+        d = np.concatenate([d, np.abs(r.diagonal()[j:])])
+        if d.min() <= rel_tol * d.max():
+            b = q.conj().T @ m
+            s = np.linalg.svd(b, compute_uv=False)
+            # with every s_i above rel_tol * s[0] the block has filled and
+            # no residual can certify the attempt
+            if s[-1] <= rel_tol * s[0]:
+                e = _residual_norm(m, q, b, s[0])
+                if s[0] == 0.0 and e == 0.0:
+                    return 0
+                delta = e + SUBSPACE_TOL * s[0]
+                above = int(np.count_nonzero(s > rel_tol * (s[0] + delta) + delta))
+                below = int(np.count_nonzero(s <= rel_tol * s[0] - 2 * delta))
+                if delta < rel_tol * s[0] and above + below == k:  # so s[0] > 0
+                    return above
         spent += k
         k *= 2
     return None
 
 
-def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+def _require_finite(a, name: str) -> None:
+    """Reject NaN/Inf data before it reaches LAPACK, which would fail with
+    an unrelated "did not converge" or return a NaN result."""
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise ValueError(f"{name}: {bad} non-finite entries (NaN or Inf)")
+
+
+def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_WIDTH) -> int:
     """Count singular values above rel_tol * sigma_max; 0 for a zero matrix.
 
-    Certified sketch route (Halko, Martinsson and Tropp 2011, section 4.3),
-    taken when min(m.shape) >= SKETCH_COST * SKETCH_WIDTH and rel_tol > 0:
-    Q is an orthonormal basis of the range of M @ Omega for a k-column
-    complex Gaussian Omega, drawn from a generator seeded with SKETCH_SEED
-    in this call; B = Q^H M, s holds the singular values of B and
-    e = ||M - QB||_F. With delta = e + SUBSPACE_TOL * s[0] (a rounding
-    margin), M^H M >= B^H B and Weyl's inequality give
+    Certified sketch route (Halko, Martinsson and Tropp 2011, sections
+    4.3-4.4), taken when rel_tol > 0 and the first attempt fits the budget
+    (min(m.shape) >= SKETCH_COST * width): Q R is the QR factorization of
+    the sketch Y = M @ Omega for a k-column complex Gaussian Omega, drawn
+    from a generator seeded with SKETCH_SEED in this call, k = width at
+    first. The attempt is judged on Y alone, from the diagonal of R: B is
+    formed only when some |R_ii| is at or below rel_tol * max |R_jj|, which
+    puts a singular value of Y at or below rel_tol times its largest, as
+    sigma_min(Y) <= min |R_ii| and max |R_jj| <= sigma_max(Y). Otherwise Y
+    is taken as full, as a Gaussian sketch of a matrix of rank above k is,
+    and the next width is tried at once: a full sketch certifies nothing,
+    and a misjudged one costs an attempt, never the count. With B = Q^H M
+    formed, s holds its singular values and, when
+    s[-1] <= rel_tol * s[0], e = ||M - QB||_F. With
+    delta = e + SUBSPACE_TOL * s[0] (a rounding margin), M^H M >= B^H B and
+    Weyl's inequality give
 
         s_i <= sigma_i(M) <= s_i + delta,   sigma_{k+1}(M) <= delta,
 
@@ -193,26 +235,38 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     or below rel_tol * s[0] - 2 * delta, delta < rel_tol * s[0], that count
     is below k and s[0] > 0: every sigma_i(M) then clears the threshold by
     delta, far more than the full SVD's own rounding, so the full SVD
-    counts the same. s[0] = e = 0 certifies the zero matrix. A failed
-    certificate doubles k: Omega gains k new columns and Q is
+    counts the same. s[0] = e = 0 certifies the zero matrix. A full sketch
+    or a failed certificate doubles k: Omega gains k new columns and Q is
     re-orthonormalized together with M times them. The attempts of one
     call stop at the budget SKETCH_COST sets, about one full SVD.
+
+    width, the first attempt's sketch width, only moves the work: a width
+    just above the rank certifies in one attempt, one past the budget goes
+    straight to the full SVD, and the count is the same for every width.
+    m_ranks passes each pairing the previous pairing's rank plus
+    OVERSAMPLE.
 
     Fallback: the full value-only LAPACK SVD, counted by spectrum_rank. It
     runs on smaller matrices, for rel_tol = 0, and whenever the certificate
     fails within the budget, for instance on a singular value within
     about delta of the threshold or on a matrix of nearly full rank.
 
-    Raises ValueError for a negative or non-finite rel_tol.
+    Raises ValueError for a negative or non-finite rel_tol, a width below
+    one, or NaN or Inf entries in m, before any LAPACK call: the sketch
+    route sees them in M @ Omega, and the full check of m runs before the
+    fallback SVD.
     """
     _check_rel_tol(rel_tol)
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    if rel_tol > 0 and min(m.shape) >= SKETCH_COST * SKETCH_WIDTH:
-        r = _sketch_rank(m, rel_tol)
+    if rel_tol > 0 and SKETCH_COST * width <= min(m.shape):
+        r = _sketch_rank(m, rel_tol, width)
         if r is not None:
             return r
+    _require_finite(m, "numerical_rank")
     return spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
 
 
@@ -238,13 +292,16 @@ def takagi(m) -> TakagiResult:
     truly repeated singular values.
 
     Raises ValueError when m is not square or not symmetric within
-    TAKAGI_SYM_TOL * ||m||_F, relative at any scale.
+    TAKAGI_SYM_TOL * ||m||_F, relative at any scale: both norms are taken
+    of m times 2^-e (tensor._unit_exponent), where they neither overflow
+    nor underflow.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"takagi needs a square matrix, got shape {m.shape}")
-    bound = TAKAGI_SYM_TOL * max(np.linalg.norm(m), np.finfo(float).tiny)
-    if np.linalg.norm(m - m.T) > bound:
+    ms = m * 2.0 ** -_unit_exponent(m)
+    bound = TAKAGI_SYM_TOL * max(np.linalg.norm(ms), np.finfo(float).tiny)
+    if np.linalg.norm(ms - ms.T) > bound:
         raise ValueError("takagi needs a (complex) symmetric matrix")
     if m.shape[0] == 0:
         return TakagiResult(np.zeros((0, 0), np.complex128), np.zeros(0))
@@ -439,9 +496,17 @@ def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
     The Gram matrix squares the spectrum: a singular value is accurate to
     about eps * s_max^2 / s absolutely, so those below sqrt(eps) * s_max
     are noise. Each vector is determined up to a unit phase, as from the
-    SVD. Raises ValueError for a mode out of range.
+    SVD. Raises ValueError for a mode out of range or NaN or Inf entries in
+    t (before any LAPACK call).
     """
     t = np.asarray(t, dtype=np.complex128)
+    _require_finite(t, "mode_spectrum")
+    return _mode_spectrum(t, mode)
+
+
+def _mode_spectrum(t, mode):
+    """mode_spectrum without its finiteness check, for callers that made
+    it: t a finite complex128 array."""
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order {t.ndim}")
     n = t.shape[mode]
@@ -482,11 +547,18 @@ def mode_rank(t, mode: int, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     unfolding at a threshold below delta, the zero tensor), and always for
     rel_tol = 0, numerical_rank(mode_unfold(t, mode)) decides.
 
-    Raises ValueError for a negative or non-finite rel_tol or a mode out of
-    range.
+    Raises ValueError for a negative or non-finite rel_tol, a mode out of
+    range, or NaN or Inf entries in t (before any LAPACK call).
     """
     _check_rel_tol(rel_tol)
     t = np.asarray(t, dtype=np.complex128)
+    _require_finite(t, "mode_rank")
+    return _mode_rank(t, mode, rel_tol)
+
+
+def _mode_rank(t, mode, rel_tol):
+    """mode_rank without its argument checks, for callers that made them:
+    t a finite complex128 array, rel_tol finite and >= 0."""
     if rel_tol > 0 and t.size:
         g, _, _ = _mode_gram(t, mode)
         w = np.linalg.eigvalsh(g, UPLO="U")
@@ -530,7 +602,7 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
         raise ValueError("out must be a C-contiguous complex128 array of t's shape")
     if t.size == 0:
         return out
-    s, vh = mode_spectrum(t, mode)
+    s, vh = _mode_spectrum(t, mode)
     if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s[0]:
         _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
     keep = int(np.count_nonzero(s > tau))

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_RANK_TOL, mode_rank, mode_spectrum, numerical_rank,
-                     spectrum_rank, takagi)
+from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_WIDTH, _mode_rank,
+                     _require_finite, mode_spectrum, numerical_rank, spectrum_rank,
+                     takagi)
 from .tensor import (
     Pairing,
+    _unit_exponent,
     as_tensor,
     canonical_pairings,
     is_super_symmetric,
@@ -97,21 +99,32 @@ def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Rank report over all canonical pairings and modes of an even-order
     tensor. Every entry is the count a full SVD of its unfolding gives at
     rel_tol. Pairing ranks come from numerical_rank, which certifies large
-    low-rank unfoldings from a sketch. Tucker ranks come from mode_rank,
-    which certifies the count from the eigenvalues of the mode's n x n Gram
-    matrix, formed without unfolding, and falls back to numerical_rank on
-    the unfolding where the certificate fails (rank-deficient modes at
-    rel_tol 1e-8, a singular value at the threshold, rel_tol = 0).
-    Raises ValueError for odd order or a zero-length axis."""
+    low-rank unfoldings from a sketch. The pairings of one tensor tend to
+    share a rank, so each pairing's first sketch is the previous pairing's
+    rank plus OVERSAMPLE wide (the first pairing's SKETCH_WIDTH): it
+    usually certifies in one attempt, and after a near-full-rank pairing
+    the next goes straight to the full SVD. Tucker ranks come from
+    mode_rank, which certifies the count from the eigenvalues of the mode's
+    n x n Gram matrix, formed without unfolding, and falls back to
+    numerical_rank on the unfolding where the certificate fails
+    (rank-deficient modes at rel_tol 1e-8, a singular value at the
+    threshold, rel_tol = 0). Raises ValueError for odd order, a zero-length
+    axis, a negative or non-finite rel_tol, or NaN or Inf entries in t
+    (checked once, before any LAPACK call)."""
     t = as_tensor(t)
     if t.ndim % 2 or t.ndim < 2:
         raise ValueError(f"m_ranks needs even order >= 2, got order {t.ndim}")
     if 0 in t.shape:
         raise ValueError(f"m_ranks: zero dimension in {t.shape}")
+    _require_finite(t, "m_ranks")
     pranks = {}
+    width = SKETCH_WIDTH
     for pr in canonical_pairings(t.ndim):
-        pranks[str(pr)] = numerical_rank(square_unfold(t, pr), rel_tol)
-    tucker = tuple(mode_rank(t, j, rel_tol) for j in range(t.ndim))
+        r = numerical_rank(square_unfold(t, pr), rel_tol, width=width)
+        pranks[str(pr)] = r
+        width = r + OVERSAMPLE
+    # t was checked above: the mode ranks skip mode_rank's pass over it
+    tucker = tuple(_mode_rank(t, j, rel_tol) for j in range(t.ndim))
     m_plus = max(pranks.values())
     m_minus = min(pranks.values())
     cp_upper = None
@@ -220,9 +233,10 @@ def strongly_symmetrize(dec: MDecomposition, t) -> MDecomposition:
     count is preserved; factors may come out zero.
 
     Raises ValueError when the rebuilt sum is more than DRIFT_TOL * ||t||_F
-    (relative at any scale) from t, which is the symptom of a t that is not
-    actually super-symmetric or a decomposition that does not reconstruct
-    it.
+    from t, which is the symptom of a t that is not actually super-symmetric
+    or a decomposition that does not reconstruct it. The test is relative
+    at any scale: both norms are taken times 2^-e (tensor._unit_exponent of
+    t), where they neither overflow nor underflow.
     """
     t = as_tensor(t)
     if dec.kind not in ("symmetric", "strongly_symmetric"):
@@ -230,8 +244,10 @@ def strongly_symmetrize(dec: MDecomposition, t) -> MDecomposition:
     bs = [symmetrize(a) for a, _ in dec.factors]
     strong = MDecomposition(dims=dec.dims, pairing=dec.pairing,
                             kind="strongly_symmetric", factors=[(b, b) for b in bs])
-    tnorm = max(float(np.linalg.norm(t)), np.finfo(float).tiny)
-    drift = np.linalg.norm(strong.reconstruct() - t) / tnorm
+    scale = 2.0 ** -_unit_exponent(t)
+    tnorm = max(float(np.linalg.norm(t * scale)), np.finfo(float).tiny)
+    diff = strong.reconstruct() - t
+    drift = np.linalg.norm(np.multiply(diff, scale, out=diff)) / tnorm
     if drift > DRIFT_TOL:
         raise ValueError(f"reconstruction drift {drift:.2e} after symmetrizing "
                          "the factors; input is not super-symmetric")

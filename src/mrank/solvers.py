@@ -19,7 +19,9 @@ exponent of the largest modulus (_unit_scale), and multiplies its results
 back by 2^e, so no square or norm inside a solve can overflow or
 underflow, and a solve takes the same steps at every scale (bitwise, times
 2^e, for data scaled by a power of two). Errors against the truth and the
-rank report are taken at the solve's scale.
+rank report are taken at the solve's scale. Where the solver owns the
+array, the scaling is done in place: rpca_m scales its own unfolding of
+the data, and every solver scales its results back (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
@@ -85,12 +87,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (OVERSAMPLE, SvtWarm, complex_l1, complex_soft_threshold,
-                     mode_spectrum, mode_svt, rank_project, spectral_norm, svt)
+from .linalg import (OVERSAMPLE, SvtWarm, _require_finite, complex_l1,
+                     complex_soft_threshold, mode_spectrum, mode_svt, rank_project,
+                     spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
     Pairing,
+    _unit_exponent,
     as_tensor,
     orbit_ids,
     orbit_sum,
@@ -218,24 +222,13 @@ class SolveResult:
         }
 
 
-def _require_finite(a, name: str) -> None:
-    """Reject NaN/Inf data before it reaches LAPACK, which would fail with
-    an unrelated "SVD did not converge" or return a NaN solution."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contain non-finite entries (NaN or Inf)")
-
-
 def _unit_scale(a):
-    """(a * 2^-e, e) with e the binary exponent of a's largest modulus (0
-    for zero data), so the scaled data's largest modulus lies in [0.5, 1);
-    e is kept within [-1023, 1023], where 2^e and 2^-e are both finite.
-    Multiplying by a power of two is exact outside the subnormal range, so a
-    solve on the scaled data takes the same steps at any data magnitude,
-    and none of its squares or norms can overflow or underflow."""
-    with np.errstate(over="ignore"):  # a modulus above the largest double
-        top = float(np.abs(a).max(initial=0.0))
-    e = int(np.frexp(top)[1]) if np.isfinite(top) else 1024
-    e = min(max(e, -1023), 1023)
+    """(a * 2^-e, e), a copy, with e = tensor._unit_exponent(a), so the
+    scaled data's largest modulus lies in [0.5, 1). Multiplying by a power
+    of two is exact outside the subnormal range, so a solve on the scaled
+    data takes the same steps at any data magnitude, and none of its
+    squares or norms can overflow or underflow."""
+    e = _unit_exponent(a)
     return a * 2.0 ** -e, e
 
 
@@ -250,14 +243,19 @@ def _rel_err(est, truth) -> float | None:
 def _result(rec, e, iters, converged, truth, rel_err_all, trace,
             sparse=None, duality_gap=None) -> SolveResult:
     """The SolveResult of a solve run on the data times 2^-e (_unit_scale):
-    rec and sparse are returned times 2^e, while the rank report is taken
-    on rec and the error against truth times 2^-e, at the solve's scale."""
+    the rank report is taken on rec and the error against truth times 2^-e,
+    at the solve's scale, and then rec and sparse, arrays the solver owns,
+    are multiplied by 2^e in place and returned."""
     if truth is not None:
         truth = as_tensor(truth) * 2.0 ** -e
-    return SolveResult(rec * 2.0 ** e, iters, converged, m_ranks(rec, RECOVERED_RANK_TOL),
-                       sparse=None if sparse is None else sparse * 2.0 ** e,
-                       rel_err_vs_truth=_rel_err(rec, truth), rel_err_all=rel_err_all,
-                       residual_trace=trace, duality_gap=duality_gap)
+    report = m_ranks(rec, RECOVERED_RANK_TOL)
+    err = _rel_err(rec, truth)
+    rec *= 2.0 ** e
+    if sparse is not None:
+        sparse *= 2.0 ** e
+    return SolveResult(rec, iters, converged, report, sparse=sparse, rel_err_vs_truth=err,
+                       rel_err_all=rel_err_all, residual_trace=trace,
+                       duality_gap=duality_gap)
 
 
 def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
@@ -639,11 +637,12 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
     _require_finite(t, "data")
-    t, e = _unit_scale(t)
+    e = _unit_exponent(t)
     pr = Pairing.default(t.ndim) if pairing is None else pairing
-    # C order, like svt's outputs and the driver's buffers: the driver's
-    # passes over f then run on one layout
-    f = np.ascontiguousarray(square_unfold(t, pr))
+    # the scaled unfolding, written once into a new array: C order, like
+    # svt's outputs and the driver's buffers, so the driver's passes over f
+    # run on one layout
+    f = np.multiply(square_unfold(t, pr), 2.0 ** -e, order="C")
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
     warm = SvtWarm()
     y, z, it, conv, trace, dual = _admm(

@@ -258,14 +258,29 @@ def symmetrize(t) -> np.ndarray:
     return mean[ids].reshape(t.shape)
 
 
+def _unit_exponent(a) -> int:
+    """The binary exponent e of a's largest modulus (0 for zero data), kept
+    within [-1023, 1023], where 2^e and 2^-e are both finite: a * 2^-e has
+    its largest modulus in [0.5, 1), so its squares and norms neither
+    overflow nor underflow, and multiplying by a power of two is exact
+    outside the subnormal range."""
+    with np.errstate(over="ignore"):  # a modulus above the largest double
+        top = float(np.abs(a).max(initial=0.0))
+    e = int(np.frexp(top)[1]) if np.isfinite(top) else 1024
+    return min(max(e, -1023), 1023)
+
+
 def is_super_symmetric(t, tol: float = 1e-8) -> bool:
     """True iff every adjacent-transposition image of t differs by at most
     tol * ||t||_F, a test relative to t at any scale (the zero tensor is
-    symmetric). Adjacent transpositions generate the full permutation
-    group, so this checks invariance under all of it."""
+    symmetric): the norms are taken of t times 2^-e (_unit_exponent), where
+    they neither overflow nor underflow. Adjacent transpositions generate
+    the full permutation group, so this checks invariance under all of
+    it."""
     t = as_tensor(t)
     if len(set(t.shape)) > 1:
         return False
+    t = t * 2.0 ** -_unit_exponent(t)
     bound = tol * max(float(np.linalg.norm(t)), np.finfo(float).tiny)
     for j in range(t.ndim - 1):
         if np.linalg.norm(t - np.swapaxes(t, j, j + 1)) > bound:

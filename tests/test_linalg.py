@@ -9,9 +9,10 @@ its routes (Gram eigendecomposition and the SVD fallback), against the same
 reference on the mode unfolding, folded back, at scales from 1e-300 to
 1e300 and into a caller's buffer; rank_project, which shares the subspace
 sweeps, against a full-SVD truncation. numerical_rank's certified sketch
-route and mode_rank's certified Gram route, and the full-SVD fallback of
-each, are checked against a full-SVD count written here, and a spy on
-numpy's SVD tells which route ran.
+route (from any start width, forming B only where the sketch is not full)
+and mode_rank's certified Gram route, and the full-SVD fallback of each,
+are checked against a full-SVD count written here, and a spy on numpy's
+SVD tells which route ran.
 """
 
 import warnings
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrank import linalg, ranks
 from mrank.linalg import (
     DEFAULT_RANK_TOL,
     GRAM_TAU_MARGIN,
@@ -42,7 +44,7 @@ from mrank.linalg import (
     svt,
     takagi,
 )
-from mrank.ranks import RECOVERED_RANK_TOL
+from mrank.ranks import RECOVERED_RANK_TOL, m_ranks
 from mrank.solvers import rpca_m
 from mrank.synth import gen_cp, gen_kron, gen_sparse_noise
 from mrank.tensor import mode_fold, mode_unfold
@@ -133,7 +135,7 @@ def test_numerical_rank_full_rank_fills_block_and_falls_back(svd_shapes):
     ref = svd_rank(m, DEFAULT_RANK_TOL)
     svd_shapes.clear()
     assert numerical_rank(m) == ref == 200
-    assert svd_shapes[-1] == m.shape
+    assert svd_shapes == [m.shape]  # every sketch is full: no B is formed
 
 
 def test_numerical_rank_zero_matrix_and_zero_tol(svd_shapes):
@@ -144,6 +146,120 @@ def test_numerical_rank_zero_matrix_and_zero_tol(svd_shapes):
     svd_shapes.clear()
     assert numerical_rank(m, 0.0) == ref  # every rounding-level value counts
     assert svd_shapes == [m.shape]
+
+
+def test_numerical_rank_near_full_rank_forms_no_b(svd_shapes):
+    # 391 of 400 singular values above RECOVERED_RANK_TOL, like the pairing
+    # ranks (390 to 392) of rpca_n's 20^4 result: every attempt's sketch is
+    # full, so no B is formed before the fallback SVD
+    rng = np.random.default_rng(31)
+    u = np.linalg.qr(crandn(rng, (400, 400)))[0]
+    v = np.linalg.qr(crandn(rng, (400, 400)))[0]
+    s = np.concatenate([np.geomspace(1.0, 1e-3, 391), np.full(9, 1e-6)])
+    m = (u * s) @ v.conj().T
+    ref = svd_rank(m, RECOVERED_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m, RECOVERED_RANK_TOL) == ref == 391
+    assert svd_shapes == [m.shape]
+
+
+def _width_case(case, rng, shape):
+    """(matrix, rel_tol) for the start-width test."""
+    if case == "low_rank":
+        return low_rank(rng, shape, 12), DEFAULT_RANK_TOL
+    if case == "noisy":
+        return low_rank(rng, shape, 12) + 1e-7 * crandn(rng, shape), RECOVERED_RANK_TOL
+    if case == "near_full":
+        u = np.linalg.qr(crandn(rng, (shape[0], shape[1])))[0]
+        v = np.linalg.qr(crandn(rng, (shape[1], shape[1])))[0]
+        s = np.concatenate([np.linspace(10.0, 1.0, shape[1] - 10), np.full(10, 1e-9)])
+        return (u * s) @ v.conj().T, DEFAULT_RANK_TOL
+    return np.zeros(shape), DEFAULT_RANK_TOL
+
+
+@pytest.mark.parametrize("case", ["low_rank", "noisy", "near_full", "zero"])
+def test_numerical_rank_start_width_never_changes_the_count(case, svd_shapes):
+    # widths below the rank, just above it, at the budget and past it:
+    # the count is the full SVD's at every one
+    shape = (300, 260)
+    m, tol = _width_case(case, np.random.default_rng(30), shape)
+    ref = svd_rank(m, tol)
+    assert ref == {"low_rank": 12, "noisy": 12, "near_full": 250, "zero": 0}[case]
+    widest = int(min(shape) / SKETCH_COST)  # the widest first attempt
+    for width in (1, 5, ref + OVERSAMPLE, widest, widest + 1, 1000):
+        svd_shapes.clear()
+        assert numerical_rank(m, tol, width=width) == ref, width
+        if width > widest:  # straight to the full SVD
+            assert svd_shapes == [shape], width
+        elif width == ref + OVERSAMPLE and case != "near_full":
+            assert svd_shapes == [(width, shape[1])], width  # one attempt
+    with pytest.raises(ValueError, match="width"):
+        numerical_rank(m, tol, width=0)
+
+
+@pytest.mark.parametrize("dims, r, count", [((20,) * 4, 30, 3), ((8,) * 6, 20, 10)])
+def test_m_ranks_forms_one_b_per_pairing(dims, r, count, svd_shapes):
+    # the first pairing's 16-wide sketch is full and forms no B, so only
+    # its 32-wide one does; every later pairing's sketch starts at the
+    # previous rank + OVERSAMPLE and certifies at once (two B per pairing
+    # when each pairing started at SKETCH_WIDTH)
+    t = gen_cp(dims, r, seed=0)
+    cols = int(np.sqrt(t.size))
+    svd_shapes.clear()
+    rep = m_ranks(t)
+    assert set(rep.pairing_ranks.values()) == {r} and len(rep.pairing_ranks) == count
+    bs = [shape for shape in svd_shapes if shape[1] == cols]
+    assert bs == [(2 * SKETCH_WIDTH, cols)] + [(r + OVERSAMPLE, cols)] * (count - 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_routines_reject_non_finite_input(bad, svd_shapes, capfd):
+    # ValueError before any LAPACK call, which would fail with "SVD did not
+    # converge" or print "illegal value" from DLASCL to stderr first
+    m = low_rank(np.random.default_rng(32), (100, 100), 3)
+    m[4, 7] = bad
+    t = crandn(np.random.default_rng(33), (4, 5, 6, 7))
+    t[1, 2, 3, 4] = bad
+    svd_shapes.clear()
+    with pytest.raises(ValueError, match="1 non-finite"):
+        numerical_rank(m)
+    with pytest.raises(ValueError, match="1 non-finite"):
+        mode_rank(t, 1)
+    with pytest.raises(ValueError, match="1 non-finite"):
+        mode_spectrum(t, 2)
+    with pytest.raises(ValueError, match="256 non-finite"):
+        m_ranks(np.full((4,) * 4, bad))
+    assert svd_shapes == []
+    assert capfd.readouterr().err == ""
+
+
+def test_numerical_rank_sketch_overflow_takes_full_svd(svd_shapes):
+    # entries near 1e307 are finite, but M @ Omega overflows: the sketch
+    # gives up and the full SVD counts (it raised "SVD did not converge"
+    # when the overflowed sketch went on to B)
+    m = low_rank(np.random.default_rng(34), (100, 100), 3)
+    m *= 1e307 / np.abs(m).max()
+    ref = svd_rank(m, DEFAULT_RANK_TOL)
+    svd_shapes.clear()
+    assert numerical_rank(m) == ref == 3
+    assert svd_shapes == [m.shape]
+
+
+def test_m_ranks_checks_finiteness_once(monkeypatch):
+    # one pass over the tensor: the pairings' sketches see a NaN or Inf in
+    # M @ Omega, and the mode ranks run on the checked tensor (the modes'
+    # Gram matrices certify at 1e-4, so no fallback SVD checks its input)
+    calls = []
+
+    def spy(a, name):
+        calls.append(name)
+        orig(a, name)
+
+    orig = linalg._require_finite
+    monkeypatch.setattr(linalg, "_require_finite", spy)
+    monkeypatch.setattr(ranks, "_require_finite", spy)
+    assert m_ranks(gen_cp((12,) * 4, 5, seed=0), RECOVERED_RANK_TOL).m_plus == 5
+    assert calls == ["m_ranks"]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170, 1e-300])

@@ -243,12 +243,14 @@ def test_strongly_symmetrize_rejects_an_asymmetric_decomposition():
         strongly_symmetrize(dec, t)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-14])
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-14, 1e-170, 1e160, 1e-300, 1e300])
 def test_symmetry_tolerances_are_relative_at_any_scale(scale):
     # the symmetry checks compare with tol * ||t||: a tolerance floored at
     # max(1, ||t||) is absolute on small data and let a scaled-down
     # non-symmetric tensor through, into a "strongly symmetric"
-    # decomposition that did not reconstruct it
+    # decomposition that did not reconstruct it; norms taken at the data's
+    # own scale underflowed at 1e-170 and overflowed at 1e160, and let it
+    # through too
     t = scale * gen_cp((5,) * 4, 3, seed=0)
     assert not is_super_symmetric(t)
     for call in (lambda: takagi(square_unfold(t)),
@@ -264,7 +266,9 @@ def test_symmetry_tolerances_are_relative_at_any_scale(scale):
     assert is_super_symmetric(s)
     strong = strongly_symmetrize(dec, s)
     assert strong.term_count == 3
-    assert np.linalg.norm(strong.reconstruct() - s) <= 1e-7 * np.linalg.norm(s)
+    # divided by the scale: at 1e-170 and 1e160 the norms would underflow
+    # or overflow
+    assert np.linalg.norm((strong.reconstruct() - s) / scale) <= 1e-7 * np.linalg.norm(s / scale)
     assert scp_bound_interval(s)[0] == 3
 
 

@@ -568,6 +568,24 @@ def test_admm_stopping_test_is_scale_invariant(name):
                 assert np.linalg.norm(got / scale - ref) <= 1e-9 * np.linalg.norm(ref), scale
 
 
+@pytest.mark.parametrize("solve", [rpca_m, rpca_n])
+def test_in_place_scaling_leaves_the_data_alone(solve):
+    # rpca_m scales its own unfolding in place and both scale their results
+    # back in place: the caller's tensor is untouched, also in Fortran
+    # order, where the default unfolding is a view of it, and data times
+    # 2^-600 gives results of exactly 2^-600 times the unscaled ones
+    data = np.asfortranarray(_C8_DATA)
+    keep = data.copy()
+    base = solve(data)
+    assert np.array_equal(data, keep)
+    small = 2.0 ** -600 * data
+    res = solve(small)
+    assert np.array_equal(small, 2.0 ** -600 * keep)
+    assert res.iters == base.iters and res.rank_report == base.rank_report
+    assert np.array_equal(res.recovered, 2.0 ** -600 * base.recovered)
+    assert np.array_equal(res.sparse, 2.0 ** -600 * base.sparse)
+
+
 @functools.cache
 def _rpca_m_20_4():
     """rpca_m on the 20^4 rank-8 instance with 5% corruption, seed 0."""
