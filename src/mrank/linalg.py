@@ -16,9 +16,18 @@ OVERSAMPLE); it moves only the work, never the count. The test matrix is
 drawn in each call from a generator with a fixed seed, so the count is a
 deterministic function of the matrix and the width, whatever the thread.
 The bound's residual is summed in units of the sketch's largest singular
-value, so it holds at any scale of the matrix. numerical_rank, mode_rank,
-mode_spectrum and ranks.m_ranks reject NaN and Inf entries before any
-LAPACK call.
+value, so it holds at any scale of the matrix.
+
+Every routine here that reaches LAPACK rejects NaN and Inf entries first,
+with ValueError naming their count. A routine that reads the data's largest
+modulus anyway does it in that same pass, tensor._unit_exponent, which
+counts entries only when that modulus is not finite: takagi's symmetry
+test, _mode_gram's rescaling (taken exactly when the Gram trace is not
+finite or tiny, so a NaN or Inf in the tensor always reaches it) and
+numerical_rank's fallback. The others make one counting pass,
+tensor._require_finite: spectral_norm, nuclear_norm and the full SVD of
+_leading (behind svt and rank_project). numerical_rank's sketch sees a NaN
+or Inf in M @ Omega, so a low-rank matrix certified there is read once.
 
 A mode unfolding's spectrum has one route: the kernel _mode_gram forms the
 n x n Gram matrix of a tensor's mode unfolding with one BLAS zherk on the
@@ -56,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, block_diag, qr, sqrtm
 
-from .tensor import _unit_exponent, mode_unfold
+from .tensor import _require_finite, _unit_exponent, _unit_scale, mode_unfold
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -199,14 +208,6 @@ def _sketch_rank(m, rel_tol, k):
     return None
 
 
-def _require_finite(a, name: str) -> None:
-    """Reject NaN/Inf data before it reaches LAPACK, which would fail with
-    an unrelated "did not converge" or return a NaN result."""
-    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
-    if bad:
-        raise ValueError(f"{name}: {bad} non-finite entries (NaN or Inf)")
-
-
 def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_WIDTH) -> int:
     """Count singular values above rel_tol * sigma_max; 0 for a zero matrix.
 
@@ -249,11 +250,13 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
     Fallback: the full value-only LAPACK SVD, counted by spectrum_rank. It
     runs on smaller matrices, for rel_tol = 0, and whenever the certificate
     fails within the budget, for instance on a singular value within
-    about delta of the threshold or on a matrix of nearly full rank.
+    about delta of the threshold or on a matrix of nearly full rank. When
+    sigma_max exceeds the largest double (entries near 1e308), the SVD of
+    m times 2^-e, e from the gate pass (tensor._unit_exponent), counts.
 
     Raises ValueError for a negative or non-finite rel_tol, a width below
     one, or NaN or Inf entries in m, before any LAPACK call: the sketch
-    route sees them in M @ Omega, and the full check of m runs before the
+    route sees them in M @ Omega, and the gate pass over m runs before the
     fallback SVD.
     """
     _check_rel_tol(rel_tol)
@@ -266,18 +269,24 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
         r = _sketch_rank(m, rel_tol, width)
         if r is not None:
             return r
-    _require_finite(m, "numerical_rank")
-    return spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
+    e = _unit_exponent(m, "numerical_rank")
+    s = np.linalg.svd(m, compute_uv=False)
+    if not np.isfinite(s[0]):  # no copy of m unless its spectrum overflowed
+        s = np.linalg.svd(m * 2.0 ** -e, compute_uv=False)
+    return spectrum_rank(s, rel_tol)
 
 
 def nuclear_norm(m) -> float:
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
+    m = np.asarray(m)
+    _require_finite(m, "nuclear_norm")
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def spectral_norm(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
+    _require_finite(m, "spectral_norm")
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -289,17 +298,19 @@ def takagi(m) -> TakagiResult:
     unitary and symmetric there, and w = u @ conj(sqrtm(z)) absorbs the
     phase mismatch block by block. Groups are found by relative gaps of
     size TAKAGI_GROUP_TOL * sigma_max, which rides over the fp jitter of
-    truly repeated singular values.
+    truly repeated singular values. A group at or below n * eps * sigma_max
+    is numerically zero: any unitary block serves it, so it keeps u's own
+    columns and takes no square root.
 
-    Raises ValueError when m is not square or not symmetric within
-    TAKAGI_SYM_TOL * ||m||_F, relative at any scale: both norms are taken
-    of m times 2^-e (tensor._unit_exponent), where they neither overflow
-    nor underflow.
+    Raises ValueError when m is not square, holds NaN or Inf entries, or is
+    not symmetric within TAKAGI_SYM_TOL * ||m||_F, relative at any scale:
+    both norms are taken of m times 2^-e (tensor._unit_scale), where they
+    neither overflow nor underflow.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"takagi needs a square matrix, got shape {m.shape}")
-    ms = m * 2.0 ** -_unit_exponent(m)
+    ms = _unit_scale(m, "takagi")[0]
     bound = TAKAGI_SYM_TOL * max(np.linalg.norm(ms), np.finfo(float).tiny)
     if np.linalg.norm(ms - ms.T) > bound:
         raise ValueError("takagi needs a (complex) symmetric matrix")
@@ -307,13 +318,14 @@ def takagi(m) -> TakagiResult:
         return TakagiResult(np.zeros((0, 0), np.complex128), np.zeros(0))
     u, s, vh = np.linalg.svd(m)
     v = vh.conj().T
-    scale = s[0] if s[0] > 0 else 1.0
+    zero = s.size * np.finfo(float).eps * s[0]
     blocks = []
     start = 0
     for i in range(1, s.size + 1):
-        if i == s.size or s[start] - s[i] > TAKAGI_GROUP_TOL * scale:
+        if i == s.size or s[start] - s[i] > TAKAGI_GROUP_TOL * s[0]:
             idx = slice(start, i)
-            blocks.append(sqrtm(u[:, idx].T @ v[:, idx]))
+            blocks.append(np.eye(i - start) if s[start] <= zero
+                          else sqrtm(u[:, idx].T @ v[:, idx]))
             start = i
     q = block_diag(*blocks)
     return TakagiResult(u @ q.conj(), s)
@@ -380,13 +392,18 @@ def _leading(m, warm, kept, fits):
     that move a little per call; the OVERSAMPLE spare columns hold the
     directions just below the kept ones, those that can rise next. warm,
     when given, moves on to the kept right vectors plus up to OVERSAMPLE
-    more and records the route in warm.path.
+    more and records the route in warm.path. NaN or Inf entries in m raise
+    ValueError before any LAPACK call: they show in the first product
+    m @ v, and the full SVD's input is checked.
     """
     m = np.asarray(m, dtype=np.complex128)
     if warm is not None and warm.v is not None and fits(warm.v.shape):
         v = warm.v
-        y = m @ v
-        for _ in range(SWEEP_CAP):
+        # a NaN or Inf in m makes y non-finite, whatever v is, and sends m
+        # to the check before the full SVD
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = m @ v
+        for _ in range(SWEEP_CAP if np.isfinite(y).all() else 0):
             q = np.linalg.qr(y)[0]
             ub, s, vh = np.linalg.svd(q.conj().T @ m, full_matrices=False)
             keep = kept(s)
@@ -399,6 +416,7 @@ def _leading(m, warm, kept, fits):
                 warm.v = v[:, :keep + OVERSAMPLE]
                 warm.path = "subspace"
                 return u, s[:keep], vh[:keep]
+    _require_finite(m, "matrix")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = kept(s)
     if warm is not None:
@@ -462,9 +480,11 @@ def _mode_gram(t, mode):
     C-ordered t.T, whose mode ndim - 1 - mode has the same Gram matrix; a
     t in neither order is copied first. g is formed from t as it is
     (e = 0) unless its trace is not finite or below GRAM_TRACE_FLOOR; then
-    it is re-formed from t times 2^-e, e the binary exponent of max |t_i|,
-    which is exact up to entries below 2^-1022 of the largest. The zero
-    tensor gives zeros."""
+    it is re-formed from t times 2^-e (tensor._unit_scale), which is exact
+    up to entries below 2^-1022 of the largest. A NaN or Inf in t makes
+    the trace NaN or Inf, so this is the mode routines' gate: the pass that
+    reads max |t_i| raises ValueError for them, before any LAPACK call. The
+    zero tensor gives zeros."""
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order {t.ndim}")
     if t.flags.f_contiguous and not t.flags.c_contiguous:
@@ -475,12 +495,7 @@ def _mode_gram(t, mode):
     trace = g.diagonal().real.sum()
     if np.isfinite(trace) and trace >= GRAM_TRACE_FLOOR:
         return g, 0, conj
-    with np.errstate(over="ignore", under="ignore"):
-        top = np.abs(t).max(initial=0.0)
-        if top == 0.0 or not np.isfinite(top):
-            return g, 0, conj
-        e = int(np.frexp(top)[1])
-        t = np.ldexp(t.view(np.float64), -e).view(np.complex128)
+    t, e = _unit_scale(t, "tensor")
     g, conj = _gram(t, a, n, b)
     return g, e, conj
 
@@ -497,16 +512,9 @@ def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
     about eps * s_max^2 / s absolutely, so those below sqrt(eps) * s_max
     are noise. Each vector is determined up to a unit phase, as from the
     SVD. Raises ValueError for a mode out of range or NaN or Inf entries in
-    t (before any LAPACK call).
+    t (_mode_gram's gate, before any LAPACK call).
     """
     t = np.asarray(t, dtype=np.complex128)
-    _require_finite(t, "mode_spectrum")
-    return _mode_spectrum(t, mode)
-
-
-def _mode_spectrum(t, mode):
-    """mode_spectrum without its finiteness check, for callers that made
-    it: t a finite complex128 array."""
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order {t.ndim}")
     n = t.shape[mode]
@@ -548,17 +556,11 @@ def mode_rank(t, mode: int, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     rel_tol = 0, numerical_rank(mode_unfold(t, mode)) decides.
 
     Raises ValueError for a negative or non-finite rel_tol, a mode out of
-    range, or NaN or Inf entries in t (before any LAPACK call).
+    range, or NaN or Inf entries in t (the gate of _mode_gram, or of
+    numerical_rank's fallback, before any LAPACK call).
     """
     _check_rel_tol(rel_tol)
     t = np.asarray(t, dtype=np.complex128)
-    _require_finite(t, "mode_rank")
-    return _mode_rank(t, mode, rel_tol)
-
-
-def _mode_rank(t, mode, rel_tol):
-    """mode_rank without its argument checks, for callers that made them:
-    t a finite complex128 array, rel_tol finite and >= 0."""
     if rel_tol > 0 and t.size:
         g, _, _ = _mode_gram(t, mode)
         w = np.linalg.eigvalsh(g, UPLO="U")
@@ -587,7 +589,7 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
     svt(M, tau) = M P with P = V diag(max(1 - tau/s, 0)) V^H, n x n for
     n = t.shape[mode]: the mode-`mode` product of t with P^T (De Lathauwer,
     De Moor and Vandewalle 2000). V and s come from mode_spectrum, so any
-    finite t is handled. When tau is below
+    finite t is handled, and NaN or Inf raises ValueError. When tau is below
     GRAM_TAU_MARGIN * sqrt(eps) * s_max, too close to the noise the Gram
     matrix's squaring adds, they come from the SVD of M instead. The
     product is one matmul over t viewed as (a, n, b) around the mode,
@@ -602,7 +604,7 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
         raise ValueError("out must be a C-contiguous complex128 array of t's shape")
     if t.size == 0:
         return out
-    s, vh = _mode_spectrum(t, mode)
+    s, vh = mode_spectrum(t, mode)
     if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s[0]:
         _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
     keep = int(np.count_nonzero(s > tau))

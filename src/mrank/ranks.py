@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_WIDTH, _mode_rank,
-                     _require_finite, mode_spectrum, numerical_rank, spectrum_rank,
-                     takagi)
+from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_WIDTH, mode_rank, mode_spectrum,
+                     numerical_rank, spectrum_rank, takagi)
 from .tensor import (
     Pairing,
+    _require_finite,
     _unit_exponent,
     as_tensor,
     canonical_pairings,
@@ -123,8 +123,7 @@ def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
         r = numerical_rank(square_unfold(t, pr), rel_tol, width=width)
         pranks[str(pr)] = r
         width = r + OVERSAMPLE
-    # t was checked above: the mode ranks skip mode_rank's pass over it
-    tucker = tuple(_mode_rank(t, j, rel_tol) for j in range(t.ndim))
+    tucker = tuple(mode_rank(t, j, rel_tol) for j in range(t.ndim))
     m_plus = max(pranks.values())
     m_minus = min(pranks.values())
     cp_upper = None
@@ -178,9 +177,11 @@ def m_decompose(t, pairing: Pairing | None = None,
 
     The SVD of the square unfolding gives rank-many dyads m = sum_i s_i *
     u_i * vh_i; the scaled left vector folds into A_i over the row-group
-    dims and the row vh_i folds into B_i over the column-group dims.
+    dims and the row vh_i folds into B_i over the column-group dims. NaN or
+    Inf entries in t raise ValueError before the SVD.
     """
     t = as_tensor(t)
+    _require_finite(t, "m_decompose")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     m = square_unfold(t, pr)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -236,15 +237,16 @@ def strongly_symmetrize(dec: MDecomposition, t) -> MDecomposition:
     from t, which is the symptom of a t that is not actually super-symmetric
     or a decomposition that does not reconstruct it. The test is relative
     at any scale: both norms are taken times 2^-e (tensor._unit_exponent of
-    t), where they neither overflow nor underflow.
+    t, which raises ValueError for NaN or Inf entries in t), where they
+    neither overflow nor underflow.
     """
     t = as_tensor(t)
     if dec.kind not in ("symmetric", "strongly_symmetric"):
         raise ValueError(f"needs a symmetric decomposition, got kind={dec.kind!r}")
+    scale = 2.0 ** -_unit_exponent(t, "strongly_symmetrize")
     bs = [symmetrize(a) for a, _ in dec.factors]
     strong = MDecomposition(dims=dec.dims, pairing=dec.pairing,
                             kind="strongly_symmetric", factors=[(b, b) for b in bs])
-    scale = 2.0 ** -_unit_exponent(t)
     tnorm = max(float(np.linalg.norm(t * scale)), np.finfo(float).tiny)
     diff = strong.reconstruct() - t
     drift = np.linalg.norm(np.multiply(diff, scale, out=diff)) / tnorm

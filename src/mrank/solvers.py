@@ -12,16 +12,18 @@ Five solvers share one config:
     rpca_n            -- the mode-unfolding analogue of rpca_m
     complete_supersym -- completion constrained to super-symmetric tensors
 
-All are deterministic. Data must be finite: NaN or Inf raises ValueError on
-entry. Any finite magnitude is supported, from the smallest normal double
-to the largest: each solver runs on its data times 2^-e, e the binary
-exponent of the largest modulus (_unit_scale), and multiplies its results
-back by 2^e, so no square or norm inside a solve can overflow or
-underflow, and a solve takes the same steps at every scale (bitwise, times
-2^e, for data scaled by a power of two). Errors against the truth and the
-rank report are taken at the solve's scale. Where the solver owns the
-array, the scaling is done in place: rpca_m scales its own unfolding of
-the data, and every solver scales its results back (_result).
+All are deterministic. Any finite magnitude is supported, from the
+smallest normal double to the largest: each solver runs on its data times
+2^-e, e the binary exponent of the largest modulus (tensor._unit_scale),
+and multiplies its results back by 2^e, so no square or norm inside a
+solve can overflow or underflow, and a solve takes the same steps at every
+scale (bitwise, times 2^e, for data scaled by a power of two). The pass
+that reads that modulus is also the data's finiteness check: NaN or Inf
+raises ValueError on entry, naming the count (tensor._unit_exponent).
+Errors against the truth and the rank report are taken at the solve's
+scale. Where the solver owns the array, the scaling is done in place:
+rpca_m scales its own unfolding of the data, and every solver scales its
+results back (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
 _admm, run on the constraint x - z = c with two prox steps each (see its
@@ -87,14 +89,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (OVERSAMPLE, SvtWarm, _require_finite, complex_l1,
-                     complex_soft_threshold, mode_spectrum, mode_svt, rank_project,
-                     spectral_norm, svt)
+from .linalg import (OVERSAMPLE, SvtWarm, complex_l1, complex_soft_threshold,
+                     mode_spectrum, mode_svt, rank_project, spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
     Pairing,
     _unit_exponent,
+    _unit_scale,
     as_tensor,
     orbit_ids,
     orbit_sum,
@@ -220,16 +222,6 @@ class SolveResult:
             "m_minus": self.rank_report.m_minus,
             "tucker": ",".join(str(r) for r in self.rank_report.tucker),
         }
-
-
-def _unit_scale(a):
-    """(a * 2^-e, e), a copy, with e = tensor._unit_exponent(a), so the
-    scaled data's largest modulus lies in [0.5, 1). Multiplying by a power
-    of two is exact outside the subnormal range, so a solve on the scaled
-    data takes the same steps at any data magnitude, and none of its
-    squares or norms can overflow or underflow."""
-    e = _unit_exponent(a)
-    return a * 2.0 ** -e, e
 
 
 def _rel_err(est, truth) -> float | None:
@@ -379,9 +371,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
     if pr.order != len(mask.dims):
         raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
-    b = np.asarray(values, dtype=np.complex128)
-    _require_finite(b, "observed values")
-    b, e = _unit_scale(b)
+    b, e = _unit_scale(values, "observed values")
     flat = _mask_matrix_flat(mask, pr)
     nrow, ncol = pr.matrix_shape(mask.dims)
     xf = np.zeros(nrow * ncol, dtype=np.complex128)
@@ -610,9 +600,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     data, so the result is exactly feasible."""
     cfg = cfg or SolverConfig()
     dims = mask.dims
-    b = np.asarray(values, dtype=np.complex128)
-    _require_finite(b, "observed values")
-    b, e = _unit_scale(b)
+    b, e = _unit_scale(values, "observed values")
     x0 = mask.fill(b)
 
     def z_step(w, rho):
@@ -636,8 +624,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     returned split (_rpca_m_gap)."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
-    _require_finite(t, "data")
-    e = _unit_exponent(t)
+    e = _unit_exponent(t, "data")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     # the scaled unfolding, written once into a new array: C order, like
     # svt's outputs and the driver's buffers, so the driver's passes over f
@@ -681,9 +668,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
     and c = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
     cfg = cfg or SolverConfig()
-    t = as_tensor(t)
-    _require_finite(t, "data")
-    t, e = _unit_scale(t)
+    t, e = _unit_scale(t, "data")
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
@@ -717,9 +702,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     if len(set(dims)) > 1 or len(dims) % 2:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
-    b = np.asarray(values, dtype=np.complex128)
-    _require_finite(b, "observed values")
-    b, e = _unit_scale(b)
+    b, e = _unit_scale(values, "observed values")
     ids = orbit_ids(dims)
     counts = np.bincount(ids)
     n_orb = counts.size

@@ -258,29 +258,58 @@ def symmetrize(t) -> np.ndarray:
     return mean[ids].reshape(t.shape)
 
 
-def _unit_exponent(a) -> int:
+def _require_finite(a, name: str) -> None:
+    """Reject NaN/Inf data before it reaches LAPACK, which would fail with
+    an unrelated "did not converge", spin for good, or return a NaN result:
+    ValueError naming the count of non-finite entries."""
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise ValueError(f"{name}: {bad} non-finite entries (NaN or Inf)")
+
+
+def _unit_exponent(a, name: str) -> int:
     """The binary exponent e of a's largest modulus (0 for zero data), kept
     within [-1023, 1023], where 2^e and 2^-e are both finite: a * 2^-e has
     its largest modulus in [0.5, 1), so its squares and norms neither
     overflow nor underflow, and multiplying by a power of two is exact
-    outside the subnormal range."""
+    outside the subnormal range.
+
+    This is the data gate of the package: the one pass that reads the
+    largest modulus also checks a. That modulus is not finite exactly when
+    a holds a NaN or an Inf, or a finite complex entry whose modulus
+    overflows, and only then are the entries counted (_require_finite),
+    raising ValueError for NaN or Inf and giving e = 1023 otherwise."""
     with np.errstate(over="ignore"):  # a modulus above the largest double
         top = float(np.abs(a).max(initial=0.0))
-    e = int(np.frexp(top)[1]) if np.isfinite(top) else 1024
-    return min(max(e, -1023), 1023)
+    if not np.isfinite(top):
+        _require_finite(a, name)
+        return 1023
+    return min(max(int(np.frexp(top)[1]), -1023), 1023)
+
+
+def _unit_scale(a, name: str):
+    """(a * 2^-e, e) for the complex128 array a, a copy, with
+    e = _unit_exponent(a, name), so the scaled data's largest modulus lies
+    in [0.5, 1) and NaN or Inf raises ValueError. Multiplying by a power of
+    two is exact outside the subnormal range, so a solve on the scaled data
+    takes the same steps at any data magnitude, and none of its squares or
+    norms can overflow or underflow."""
+    a = as_tensor(a)
+    e = _unit_exponent(a, name)
+    return a * 2.0 ** -e, e
 
 
 def is_super_symmetric(t, tol: float = 1e-8) -> bool:
     """True iff every adjacent-transposition image of t differs by at most
     tol * ||t||_F, a test relative to t at any scale (the zero tensor is
-    symmetric): the norms are taken of t times 2^-e (_unit_exponent), where
+    symmetric): the norms are taken of t times 2^-e (_unit_scale), where
     they neither overflow nor underflow. Adjacent transpositions generate
     the full permutation group, so this checks invariance under all of
-    it."""
+    it. A cubical t with NaN or Inf entries raises ValueError."""
     t = as_tensor(t)
     if len(set(t.shape)) > 1:
         return False
-    t = t * 2.0 ** -_unit_exponent(t)
+    t = _unit_scale(t, "is_super_symmetric")[0]
     bound = tol * max(float(np.linalg.norm(t)), np.finfo(float).tiny)
     for j in range(t.ndim - 1):
         if np.linalg.norm(t - np.swapaxes(t, j, j + 1)) > bound:

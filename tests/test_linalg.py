@@ -12,17 +12,24 @@ sweeps, against a full-SVD truncation. numerical_rank's certified sketch
 route (from any start width, forming B only where the sketch is not full)
 and mode_rank's certified Gram route, and the full-SVD fallback of each,
 are checked against a full-SVD count written here, and a spy on numpy's
-SVD tells which route ran.
+SVD tells which route ran. Every routine that reaches LAPACK must reject
+NaN and Inf first; the calls that once spun in LAPACK on an Inf are
+checked in a fresh interpreter under a timeout.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrank
 from mrank import linalg, ranks
 from mrank.linalg import (
     DEFAULT_RANK_TOL,
@@ -44,10 +51,11 @@ from mrank.linalg import (
     svt,
     takagi,
 )
-from mrank.ranks import RECOVERED_RANK_TOL, m_ranks
+from mrank.ranks import (RECOVERED_RANK_TOL, m_ranks, rank_one_factorize,
+                         scp_bound_interval, strongly_symmetrize, symmetric_m_decompose)
 from mrank.solvers import rpca_m
-from mrank.synth import gen_cp, gen_kron, gen_sparse_noise
-from mrank.tensor import mode_fold, mode_unfold
+from mrank.synth import gen_cp, gen_kron, gen_sparse_noise, gen_supersym
+from mrank.tensor import is_super_symmetric, mode_fold, mode_unfold, square_unfold
 
 
 def crandn(rng, shape):
@@ -212,25 +220,83 @@ def test_m_ranks_forms_one_b_per_pairing(dims, r, count, svd_shapes):
     assert bs == [(2 * SKETCH_WIDTH, cols)] + [(r + OVERSAMPLE, cols)] * (count - 1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# takagi, symmetric_m_decompose, m_decompose, svt and rank_project spun in
+# LAPACK for good on an Inf before the data gate, so they run in a fresh
+# interpreter under a timeout: a missing gate fails the suite instead of
+# stalling it. There any SVD raises AssertionError, so each call must
+# raise its ValueError before one runs.
+LAPACK_SPIN_CALLS = """
+import sys
+import numpy as np
+from mrank import m_decompose, square_unfold, svt, symmetric_m_decompose, takagi
+from mrank.linalg import rank_project
+from mrank.synth import gen_supersym
+
+def no_svd(*args, **kwargs):
+    raise AssertionError("an SVD ran")
+
+np.linalg.svd = no_svd
+t = gen_supersym(4, 4, 2, seed=0)
+t[0, 0, 0, 0] = complex(sys.argv[1])
+m = square_unfold(t)
+for call in (lambda: takagi(m), lambda: symmetric_m_decompose(t), lambda: m_decompose(t),
+             lambda: svt(m, 0.1), lambda: rank_project(m, 2)):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
 def test_rank_routines_reject_non_finite_input(bad, svd_shapes, capfd):
-    # ValueError before any LAPACK call, which would fail with "SVD did not
-    # converge" or print "illegal value" from DLASCL to stderr first
+    # ValueError naming the count before any LAPACK call, which would fail
+    # with "SVD did not converge", spin for good, print "illegal value"
+    # from DLASCL to stderr first, or return NaN (is_super_symmetric
+    # returned True)
     m = low_rank(np.random.default_rng(32), (100, 100), 3)
+    warm = SvtWarm()
+    svt(m, 1.0, warm)
+    assert warm.path == "full" and linalg._subspace_pays(*m.shape, warm.v.shape[1])
     m[4, 7] = bad
     t = crandn(np.random.default_rng(33), (4, 5, 6, 7))
     t[1, 2, 3, 4] = bad
+    s = gen_supersym(4, 4, 2, seed=0)
+    dec = symmetric_m_decompose(s)
+    s[0, 1, 2, 3] = bad
     svd_shapes.clear()
-    with pytest.raises(ValueError, match="1 non-finite"):
-        numerical_rank(m)
-    with pytest.raises(ValueError, match="1 non-finite"):
-        mode_rank(t, 1)
-    with pytest.raises(ValueError, match="1 non-finite"):
-        mode_spectrum(t, 2)
+    calls = [
+        lambda: numerical_rank(m),
+        lambda: spectral_norm(m),
+        lambda: nuclear_norm(m),
+        lambda: svt(m, 1.0, warm),  # the warm subspace route
+        lambda: mode_rank(t, 1),
+        lambda: mode_rank(np.asfortranarray(t), 2),
+        lambda: mode_spectrum(t, 2),
+        lambda: mode_spectrum(np.asfortranarray(t), 0),
+        lambda: mode_svt(t, 1, 0.1),
+        lambda: mode_svt(np.asfortranarray(t), 3, 0.1),
+        lambda: is_super_symmetric(s),
+        lambda: strongly_symmetrize(dec, s),
+        lambda: rank_one_factorize(s),
+        lambda: scp_bound_interval(s),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="1 non-finite"):
+            call()
     with pytest.raises(ValueError, match="256 non-finite"):
         m_ranks(np.full((4,) * 4, bad))
     assert svd_shapes == []
     assert capfd.readouterr().err == ""
+    run = subprocess.run(
+        [sys.executable, "-c", LAPACK_SPIN_CALLS, repr(complex(bad))],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(mrank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])))
+    assert run.returncode == 0 and run.stderr == ""
+    names = ["takagi", "is_super_symmetric", "m_decompose", "matrix", "matrix"]
+    assert run.stdout.splitlines() == [
+        f"{name}: 1 non-finite entries (NaN or Inf)" for name in names]
 
 
 def test_numerical_rank_sketch_overflow_takes_full_svd(svd_shapes):
@@ -243,6 +309,17 @@ def test_numerical_rank_sketch_overflow_takes_full_svd(svd_shapes):
     svd_shapes.clear()
     assert numerical_rank(m) == ref == 3
     assert svd_shapes == [m.shape]
+
+
+def test_numerical_rank_at_the_top_of_the_range(svd_shapes):
+    # entries of modulus 1e308 put sigma_max above the largest double: the
+    # fallback SVD's values overflow to inf and counted none, so the count
+    # comes from the SVD of m times 2^-e
+    m = low_rank(np.random.default_rng(34), (100, 100), 3)
+    m *= 1e308 / np.abs(m).max()
+    svd_shapes.clear()
+    assert numerical_rank(m) == 3
+    assert svd_shapes == [m.shape, m.shape]
 
 
 def test_m_ranks_checks_finiteness_once(monkeypatch):
@@ -894,6 +971,26 @@ def test_takagi_rank_one_gives_symmetric_dyad():
     assert res.s[0] > 0 and np.all(res.s[1:] <= 1e-10 * res.s[0])
     w = np.sqrt(res.s[0]) * res.w[:, 0]
     assert np.linalg.norm(np.outer(w, w) - m) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_takagi_takes_no_square_root_of_a_zero_group(monkeypatch):
+    # a rank-4 125 x 125 symmetric matrix: four nonzero groups and one of
+    # 121 numerically zero values, which keeps u's own columns
+    rng = np.random.default_rng(12)
+    f = crandn(rng, (125, 4))
+    m = (f * np.array([4.0, 3.0, 2.0, 1.0])) @ f.T
+    calls = []
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return orig(a, *args, **kwargs)
+
+    orig = linalg.sqrtm
+    monkeypatch.setattr(linalg, "sqrtm", spy)
+    res = takagi(m)
+    assert calls == [(1, 1)] * 4
+    assert np.linalg.norm(res.reconstruct() - m) <= 1e-12 * np.linalg.norm(m)
+    assert np.allclose(res.w.conj().T @ res.w, np.eye(125), atol=1e-12)
 
 
 def test_takagi_input_validation():
