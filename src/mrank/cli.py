@@ -20,7 +20,8 @@ observations no super-symmetric tensor matches), 4 solver did not converge
 (the partial result and report are still written). Table commands never
 exit 4: failed trials show up as converged=False rows.
 
-Reports are deterministic: same flags and seed give byte-identical output.
+Reports are deterministic: same flags, seed and BLAS thread count give
+byte-identical output (table error columns move in the 10th digit with it).
 Trials of a table command run in a thread pool sized by MRANK_THREADS
 (default 1, also when empty); row order is by seed regardless of
 completion order.

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .tensor import as_tensor
+from .tensor import _require_finite, as_tensor
 
 __all__ = [
     "MAGIC",
@@ -69,9 +69,7 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: payload is {len(raw) - head} bytes, expected {16 * count}"
         )
     flat = np.frombuffer(raw, dtype="<c16", count=count, offset=head)
-    bad = count - int(np.count_nonzero(np.isfinite(flat)))
-    if bad:
-        raise ValueError(f"{path}: {bad} non-finite entries (NaN or Inf)")
+    _require_finite(flat, path)
     return flat.astype(np.complex128).reshape(dims, order="F")
 
 

@@ -6,46 +6,39 @@ returned in nonincreasing order (LAPACK convention).
 numerical_rank counts singular values above a relative threshold. On a
 matrix large enough for it to pay, it first sketches the range with a
 Gaussian test matrix and returns the count only when an a-posteriori error
-bound certifies it; otherwise it runs the full LAPACK SVD. Each attempt is
-judged on the sketch Y first: the R factor of Y's QR shows whether Y has a
-singular value at or below the threshold, and only then are B = Q^H M,
-its SVD and the residual ||M - QB|| formed, since a full sketch certifies
-nothing and the next, wider attempt follows at once. The first attempt's
-width is the caller's (m_ranks passes the previous pairing's rank plus
-OVERSAMPLE); it moves only the work, never the count. The test matrix is
-drawn in each call from a generator with a fixed seed, so the count is a
-deterministic function of the matrix and the width, whatever the thread.
-The bound's residual is summed in units of the sketch's largest singular
-value, so it holds at any scale of the matrix.
+bound certifies it; otherwise it runs the full LAPACK SVD. The test matrix
+is drawn in each call from a generator with a fixed seed, so the count is
+a deterministic function of the matrix, whatever the thread, and the first
+attempt's width (m_ranks passes the previous pairing's rank plus
+OVERSAMPLE) moves only the work.
 
 Every routine here that reaches LAPACK rejects NaN and Inf entries first,
 with ValueError naming their count. A routine that reads the data's largest
 modulus anyway does it in that same pass, tensor._unit_exponent, which
 counts entries only when that modulus is not finite: takagi's symmetry
-test, _mode_gram's rescaling (taken exactly when the Gram trace is not
-finite or tiny, so a NaN or Inf in the tensor always reaches it) and
+test, _gram's rescaling (taken exactly when the Gram trace is not finite
+or tiny, so a NaN or Inf in the matrix always reaches it) and
 numerical_rank's fallback. The others make one counting pass,
 tensor._require_finite: spectral_norm, nuclear_norm and the full SVD of
 _leading (behind svt and rank_project). numerical_rank's sketch sees a NaN
 or Inf in M @ Omega, so a low-rank matrix certified there is read once.
 
-A mode unfolding's spectrum has one route: the kernel _mode_gram forms the
-n x n Gram matrix of a tensor's mode unfolding with one BLAS zherk on the
-tensor viewed as (a, n, b) around the mode, copying it only for a middle
-mode and rescaling it by a power of two where the squares would overflow
-or underflow. Three mode routines read it, and none of them unfolds the
-tensor except in a fallback:
+The mode routines read one view and one matrix kernel. _unfolding(t, mode)
+is the mode unfolding up to a row permutation (a view of t for the first
+and last modes, one copy for a middle mode); _gram forms a matrix's n x n
+Gram matrix with one BLAS zherk, rescaled by a power of two where the
+squares would overflow or underflow, and _gram_rank certifies a numerical
+rank from its eigenvalues:
     mode_spectrum -- the singular values and right singular vectors of the
                      unfolding, from the Gram matrix's eigendecomposition
                      (the solvers' mode-model scale, rank_one_factorize's
                      direction, mode_svt's projector)
-    mode_rank     -- numerical_rank of the unfolding (the Tucker ranks),
-                     certified from the Gram matrix's eigenvalues, with
-                     numerical_rank on the unfolding as its fallback
+    mode_rank     -- numerical_rank of the unfolding (the Tucker ranks):
+                     _gram_rank, else numerical_rank of the view
     mode_svt      -- the nuclear-norm prox on the unfolding, as a mode
                      product with a matrix built from mode_spectrum, with
-                     the SVD of the unfolding as its fallback for a tau
-                     within the squaring's noise
+                     the SVD of the view as its fallback for a tau within
+                     the squaring's noise
 
 svt, the nuclear-norm prox of the square-unfolding solvers, and
 rank_project, the exact rank-r projection behind complete_m's refinement
@@ -65,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, block_diag, qr, sqrtm
 
-from .tensor import _require_finite, _unit_exponent, _unit_scale, mode_unfold
+from .tensor import _require_finite, _unit_exponent, _unit_scale
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -448,80 +441,105 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     return (u * s) @ vh
 
 
-# _mode_gram re-forms a Gram matrix from t scaled by a power of two when its
-# trace is not finite (a product overflowed) or below tiny / eps, where the
-# absolute error of products rounded into the subnormal range could exceed
-# eps times the trace.
-GRAM_TRACE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-
-
-def _gram(t, a, n, b):
-    """One zherk on the C-order tensor t viewed as (a, n, b): the upper
-    triangle of the mode Gram matrix G = M^H M, or of its transpose conj(G)
-    (then the flag is True), M being the unfolding with the middle index as
-    its column."""
-    if b == 1:  # t is (a, n), read as the Fortran (n, a) matrix t^T
-        return blas.zherk(1.0, t.reshape(a, n).T), True
-    x = t.reshape(a, n, b)
-    if a > 1:  # a middle mode: one contiguous (n, a * b) copy
-        x = np.ascontiguousarray(x.transpose(1, 0, 2))
-    return blas.zherk(1.0, x.reshape(n, a * b).T, trans=2), False
-
-
-def _mode_gram(t, mode):
-    """The Gram matrix of the mode-`mode` unfolding M of the complex128
-    tensor t, as (g, e, conj): g holds the upper triangle of the Gram matrix
-    of 2^-e M, or of its transpose when conj is True (so its eigenvectors
-    are the conjugates of M's right singular vectors).
-
-    One BLAS zherk reads t in place as (a, n, b) around the mode: the
-    first and last modes need no copy, a middle mode one contiguous copy
-    of t. A Fortran-ordered t (as read_tensor returns it) is read as the
-    C-ordered t.T, whose mode ndim - 1 - mode has the same Gram matrix; a
-    t in neither order is copied first. g is formed from t as it is
-    (e = 0) unless its trace is not finite or below GRAM_TRACE_FLOOR; then
-    it is re-formed from t times 2^-e (tensor._unit_scale), which is exact
-    up to entries below 2^-1022 of the largest. A NaN or Inf in t makes
-    the trace NaN or Inf, so this is the mode routines' gate: the pass that
-    reads max |t_i| raises ValueError for them, before any LAPACK call. The
-    zero tensor gives zeros."""
+def _unfolding(t, mode):
+    """The mode-`mode` unfolding of the complex128 tensor t up to a row
+    permutation (which moves neither singular values nor right singular
+    vectors): K x n, n = t.shape[mode], the mode index as column. The
+    C-ordered t is read as (a, n, b) around the mode: (a, n) for b = 1 and
+    (n, b) transposed for a = 1 are views, a middle mode one (n, a * b)
+    copy, transposed. A Fortran-ordered t (as read_tensor returns it) is
+    read as t.T at mode ndim - 1 - mode, a t in neither order copied."""
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order {t.ndim}")
     if t.flags.f_contiguous and not t.flags.c_contiguous:
         t, mode = t.T, t.ndim - 1 - mode
     t = np.ascontiguousarray(t)
     a, n, b = math.prod(t.shape[:mode]), t.shape[mode], math.prod(t.shape[mode + 1:])
-    g, conj = _gram(t, a, n, b)
+    if b == 1:
+        return t.reshape(a, n)
+    x = t.reshape(a, n, b)
+    if a > 1:
+        x = np.ascontiguousarray(x.transpose(1, 0, 2))
+    return x.reshape(n, a * b).T
+
+
+# Below tiny / eps, products rounded into the subnormal range could err by
+# more than eps times the Gram trace.
+GRAM_TRACE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _gram(m, name):
+    """(g, e, conj): g the upper triangle of the Gram matrix G = M^H M of
+    M = 2^-e m, or of conj(G) when conj is True (then its eigenvectors are
+    the conjugates of m's right singular vectors), from one BLAS zherk on
+    whichever face of m is Fortran-contiguous: m itself, or m.T when m is
+    C-contiguous. e = 0 unless the trace is not finite or below
+    GRAM_TRACE_FLOOR; then g is re-formed from m times 2^-e
+    (tensor._unit_scale), exact up to entries below 2^-1022 of the
+    largest. A NaN or Inf makes the trace NaN or Inf, so that pass is the
+    gate of the routines that read g: ValueError naming `name` and the
+    count, before any LAPACK call."""
+    conj = m.flags.c_contiguous
+    a, trans = (m.T, 0) if conj else (m, 2)  # conj(G) = a a^H, or G = a^H a
+    g = blas.zherk(1.0, a, trans=trans)
     trace = g.diagonal().real.sum()
     if np.isfinite(trace) and trace >= GRAM_TRACE_FLOOR:
         return g, 0, conj
-    t, e = _unit_scale(t, "tensor")
-    g, conj = _gram(t, a, n, b)
-    return g, e, conj
+    a, e = _unit_scale(a, name)
+    return blas.zherk(1.0, a, trans=trans), e, conj
+
+
+# The margin of the Gram certificate: the computed Gram eigenvalues lie
+# within GRAM_ERR * (K + n) * eps * tr(G) of sigma_i^2 for a K x n matrix.
+# The Gram's rounding is at most gamma_K * ||M||_F^2 (Higham 2002, section
+# 3.5) and the eigensolver's backward error a small multiple of
+# n * eps * ||G||_2, both below that with room.
+GRAM_ERR = 4.0
+
+
+def _gram_rank(m, rel_tol, name):
+    """numerical_rank(m, rel_tol) of the K x n matrix m certified from the
+    eigenvalues of its Gram matrix (_gram), or None. By Weyl's inequality
+    each eigenvalue lambda_i of the computed Gram matrix lies within
+    delta = GRAM_ERR * (K + n) * eps * tr(G) of sigma_i^2, so the squared
+    threshold rel_tol^2 * sigma_1^2 lies within rel_tol^2 * delta of
+    rel_tol^2 * lambda_1. The count of lambda_i above
+    rel_tol^2 * (lambda_1 + delta) + 2 * delta is returned when every other
+    lambda_i is below rel_tol^2 * (lambda_1 - delta) - 2 * delta: every
+    sigma_i^2 then clears the threshold by delta, more than a full SVD's
+    own rounding, so the full SVD counts the same. None for a singular
+    value within about delta / sigma_1 of the threshold, a rank-deficient
+    m at a threshold below delta, a zero or empty m, and rel_tol = 0. NaN
+    or Inf raise ValueError naming `name` (_gram's gate)."""
+    if rel_tol == 0 or m.size == 0:
+        return None
+    g = _gram(m, name)[0]
+    w = np.linalg.eigvalsh(g, UPLO="U")
+    delta = GRAM_ERR * (m.shape[0] + m.shape[1]) * np.finfo(float).eps * g.diagonal().real.sum()
+    tol2 = rel_tol * rel_tol
+    above = int(np.count_nonzero(w > tol2 * (w[-1] + delta) + 2 * delta))
+    below = int(np.count_nonzero(w < tol2 * (w[-1] - delta) - 2 * delta))
+    return above if above + below == w.size else None
 
 
 def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """The singular values (nonincreasing) and the right singular vectors
     (as rows) of the mode-`mode` unfolding M of t, as
     np.linalg.svd(mode_unfold(t, mode), full_matrices=False)[1:] returns
-    them, without unfolding t: from the eigendecomposition of the n x n
-    Gram matrix that _mode_gram forms, for n = t.shape[mode], so at any
-    finite scale of t.
+    them, from the eigendecomposition of the n x n Gram matrix (_gram) of
+    _unfolding(t, mode), so at any finite scale of t.
 
     The Gram matrix squares the spectrum: a singular value is accurate to
     about eps * s_max^2 / s absolutely, so those below sqrt(eps) * s_max
     are noise. Each vector is determined up to a unit phase, as from the
     SVD. Raises ValueError for a mode out of range or NaN or Inf entries in
-    t (_mode_gram's gate, before any LAPACK call).
+    t (_gram's gate, before any LAPACK call).
     """
-    t = np.asarray(t, dtype=np.complex128)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range for order {t.ndim}")
-    n = t.shape[mode]
-    k = min(t.size // n, n) if n else 0
+    m = _unfolding(np.asarray(t, dtype=np.complex128), mode)
+    k = min(m.shape)
     if k == 0:
-        return np.zeros(0), np.zeros((0, n), dtype=np.complex128)
-    g, e, conj = _mode_gram(t, mode)
+        return np.zeros(0), np.zeros((0, m.shape[1]), dtype=np.complex128)
+    g, e, conj = _gram(m, "tensor")
     w, v = np.linalg.eigh(g, UPLO="U")
     # eigh's vectors are those of G, or their conjugates when conj is set;
     # the rows of V^H, largest eigenvalue first
@@ -529,49 +547,16 @@ def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(np.sqrt(np.maximum(w[::-1][:k], 0.0)), e), vh
 
 
-# The certificate margin of mode_rank: the computed Gram eigenvalues lie
-# within GRAM_ERR * (K + n) * eps * tr(G) of sigma_i^2 for a K x n
-# unfolding. The Gram's rounding is at most gamma_K * ||M||_F^2 (Higham
-# 2002, section 3.5) and the eigensolver's backward error a small multiple
-# of n * eps * ||G||_2, both below that with room.
-GRAM_ERR = 4.0
-
-
 def mode_rank(t, mode: int, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """numerical_rank of the mode-`mode` unfolding M of t: the count of its
-    singular values above rel_tol * sigma_max, certified from the
-    eigenvalues of the n x n Gram matrix (_mode_gram) when it can be.
-
-    By Weyl's inequality each eigenvalue lambda_i of the computed Gram
-    matrix lies within delta = GRAM_ERR * (K + n) * eps * tr(G) of
-    sigma_i^2, for M of K rows and n columns, so the squared threshold
-    rel_tol^2 * sigma_1^2 lies within rel_tol^2 * delta of
-    rel_tol^2 * lambda_1. The count of lambda_i above
-    rel_tol^2 * (lambda_1 + delta) + 2 * delta is returned when every other
-    lambda_i is below rel_tol^2 * (lambda_1 - delta) - 2 * delta: every
-    sigma_i^2 then clears the threshold by delta, more than a full SVD's
-    own rounding, so the full SVD counts the same. Otherwise (a singular
-    value within about delta / sigma_1 of the threshold, a rank-deficient
-    unfolding at a threshold below delta, the zero tensor), and always for
-    rel_tol = 0, numerical_rank(mode_unfold(t, mode)) decides.
-
-    Raises ValueError for a negative or non-finite rel_tol, a mode out of
-    range, or NaN or Inf entries in t (the gate of _mode_gram, or of
-    numerical_rank's fallback, before any LAPACK call).
-    """
+    """numerical_rank of the mode-`mode` unfolding of t: _gram_rank of the
+    view _unfolding(t, mode), else numerical_rank of the same view. Raises
+    ValueError for a negative or non-finite rel_tol, a mode out of range,
+    or NaN or Inf entries in t (the gate of _gram, or of numerical_rank's
+    fallback, before any LAPACK call)."""
     _check_rel_tol(rel_tol)
-    t = np.asarray(t, dtype=np.complex128)
-    if rel_tol > 0 and t.size:
-        g, _, _ = _mode_gram(t, mode)
-        w = np.linalg.eigvalsh(g, UPLO="U")
-        n = w.size
-        delta = GRAM_ERR * (t.size // n + n) * np.finfo(float).eps * g.diagonal().real.sum()
-        tol2 = rel_tol * rel_tol
-        above = int(np.count_nonzero(w > tol2 * (w[-1] + delta) + 2 * delta))
-        below = int(np.count_nonzero(w < tol2 * (w[-1] - delta) - 2 * delta))
-        if above + below == n:
-            return above
-    return numerical_rank(mode_unfold(t, mode), rel_tol)
+    m = _unfolding(np.asarray(t, dtype=np.complex128), mode)
+    r = _gram_rank(m, rel_tol, "tensor")
+    return numerical_rank(m, rel_tol) if r is None else r
 
 
 # mode_svt's Gram matrix squares the spectrum, so eigenvalue noise of
@@ -591,11 +576,11 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
     De Moor and Vandewalle 2000). V and s come from mode_spectrum, so any
     finite t is handled, and NaN or Inf raises ValueError. When tau is below
     GRAM_TAU_MARGIN * sqrt(eps) * s_max, too close to the noise the Gram
-    matrix's squaring adds, they come from the SVD of M instead. The
-    product is one matmul over t viewed as (a, n, b) around the mode,
-    written into out when given (a C-contiguous complex128 array of t's
-    shape, not overlapping t), else into a new array; either is returned.
-    Agrees with the full-SVD svt of M to about 1e-12 relative.
+    matrix's squaring adds, they come from the SVD of _unfolding(t, mode)
+    instead. The product is one matmul over t viewed as (a, n, b) around
+    the mode, written into out when given (a C-contiguous complex128 array
+    of t's shape, not overlapping t), else into a new array; either is
+    returned. Agrees with the full-SVD svt of M to about 1e-12 relative.
     """
     t = np.ascontiguousarray(t, dtype=np.complex128)
     if out is None:
@@ -606,7 +591,7 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
         return out
     s, vh = mode_spectrum(t, mode)
     if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s[0]:
-        _, s, vh = np.linalg.svd(mode_unfold(t, mode), full_matrices=False)
+        _, s, vh = np.linalg.svd(_unfolding(t, mode), full_matrices=False)
     keep = int(np.count_nonzero(s > tau))
     if not keep:
         out.fill(0.0)

@@ -104,13 +104,11 @@ def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     rank plus OVERSAMPLE wide (the first pairing's SKETCH_WIDTH): it
     usually certifies in one attempt, and after a near-full-rank pairing
     the next goes straight to the full SVD. Tucker ranks come from
-    mode_rank, which certifies the count from the eigenvalues of the mode's
-    n x n Gram matrix, formed without unfolding, and falls back to
-    numerical_rank on the unfolding where the certificate fails
-    (rank-deficient modes at rel_tol 1e-8, a singular value at the
-    threshold, rel_tol = 0). Raises ValueError for odd order, a zero-length
-    axis, a negative or non-finite rel_tol, or NaN or Inf entries in t
-    (checked once, before any LAPACK call)."""
+    mode_rank, certified from the eigenvalues of the mode's Gram matrix
+    where they can be (not for rank-deficient modes at rel_tol 1e-8, a
+    singular value at the threshold or rel_tol = 0). Raises ValueError for
+    odd order, a zero-length axis, a negative or non-finite rel_tol, or
+    NaN or Inf entries in t (checked once, before any LAPACK call)."""
     t = as_tensor(t)
     if t.ndim % 2 or t.ndim < 2:
         raise ValueError(f"m_ranks needs even order >= 2, got order {t.ndim}")

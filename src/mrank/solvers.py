@@ -232,6 +232,12 @@ def _rel_err(est, truth) -> float | None:
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
 
 
+def _check_truth(truth, dims) -> None:
+    """Reject, before the solve, a truth that would broadcast in _result."""
+    if truth is not None and np.shape(truth) != tuple(dims):
+        raise ValueError(f"truth shape {np.shape(truth)} != data shape {tuple(dims)}")
+
+
 def _result(rec, e, iters, converged, truth, rel_err_all, trace,
             sparse=None, duality_gap=None) -> SolveResult:
     """The SolveResult of a solve run on the data times 2^-e (_unit_scale):
@@ -371,6 +377,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
     if pr.order != len(mask.dims):
         raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
+    _check_truth(truth, mask.dims)
     b, e = _unit_scale(values, "observed values")
     flat = _mask_matrix_flat(mask, pr)
     nrow, ncol = pr.matrix_shape(mask.dims)
@@ -579,8 +586,11 @@ def _mode_model(t):
     norm of t's mode unfoldings, the driver's scale, read off each mode's
     Gram spectrum (linalg.mode_spectrum) without unfolding. x_step sets
     stack[j] to the (1/d)-weighted nuclear-norm prox of v[j] on mode
-    unfolding j (linalg.mode_svt), written straight into the stack."""
+    unfolding j (linalg.mode_svt), written straight into the stack. Odd
+    order raises ValueError, as for the square models."""
     d = t.ndim
+    if d % 2:
+        raise ValueError(f"order must be even, got {d}")
     stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
     def x_step(v, rho):
@@ -600,6 +610,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     data, so the result is exactly feasible."""
     cfg = cfg or SolverConfig()
     dims = mask.dims
+    _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
     x0 = mask.fill(b)
 
@@ -624,6 +635,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     returned split (_rpca_m_gap)."""
     cfg = cfg or SolverConfig()
     t = as_tensor(t)
+    _check_truth(truth, t.shape)
     e = _unit_exponent(t, "data")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
     # the scaled unfolding, written once into a new array: C order, like
@@ -668,6 +680,7 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
     and c = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
     cfg = cfg or SolverConfig()
+    _check_truth(truth, np.shape(t))
     t, e = _unit_scale(t, "data")
     dims = t.shape
     d = t.ndim
@@ -702,6 +715,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     if len(set(dims)) > 1 or len(dims) % 2:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
+    _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
     ids = orbit_ids(dims)
     counts = np.bincount(ids)

@@ -310,6 +310,21 @@ def test_exit_inconsistent_supersym_data(tmp_path, capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["complete", "--ratio", "0.5"],
+                                  ["complete", "--ratio", "0.5", "--model", "n"],
+                                  ["rpca"], ["rpca", "--model", "n"],
+                                  ["sym-complete", "--ratio", "0.5"]])
+def test_exit_mis_shaped_truth(tmp_path, capsys, argv):
+    # a --truth of another shape is invalid input (exit 3), named before
+    # the solve rather than by numpy's broadcast error after it
+    path, truth = tmp_path / "t.mten", tmp_path / "truth.mten"
+    write_tensor(path, gen_supersym(4, 4, 2, seed=0))
+    write_tensor(truth, np.zeros((4, 4, 4, 2)))
+    capsys.readouterr()
+    assert run([argv[0], path, *argv[1:], "--truth", truth]) == 3
+    assert "truth shape (4, 4, 4, 2) != data shape (4, 4, 4, 4)" in capsys.readouterr().err
+
+
 def test_exit_non_finite_input(tmp_path, capsys):
     # a NaN in the file is a data error (exit 3) caught on reading, before
     # it can reach LAPACK or a report

@@ -4,17 +4,21 @@ svt and complex_soft_threshold are checked against closed forms on diagonal
 or scalar inputs (where the prox is elementary) and against their defining
 identities at the extreme thresholds. Both of svt's routes (warm subspace,
 full SVD) are checked against a full-SVD reference written here, on
-sequences that keep, change and fill the warm block; mode_svt, on both of
-its routes (Gram eigendecomposition and the SVD fallback), against the same
-reference on the mode unfolding, folded back, at scales from 1e-300 to
-1e300 and into a caller's buffer; rank_project, which shares the subspace
-sweeps, against a full-SVD truncation. numerical_rank's certified sketch
-route (from any start width, forming B only where the sketch is not full)
-and mode_rank's certified Gram route, and the full-SVD fallback of each,
-are checked against a full-SVD count written here, and a spy on numpy's
-SVD tells which route ran. Every routine that reaches LAPACK must reject
-NaN and Inf first; the calls that once spun in LAPACK on an Inf are
-checked in a fresh interpreter under a timeout.
+sequences that keep, change and fill the warm block; rank_project, which
+shares the subspace sweeps, against a full-SVD truncation. The mode
+routines read one view of the mode unfolding, a row permutation of
+tensor.mode_unfold, and one matrix Gram kernel, so each is checked against
+mode_unfold itself, on tall and wide modes, in C order, Fortran order and
+neither: mode_spectrum's values and vectors against its SVD, mode_rank
+against a full-SVD count, and mode_svt on both of its routes (Gram
+eigendecomposition and the SVD fallback) against the svt reference, folded
+back, at scales from 1e-300 to 1e300 and into a caller's buffer.
+numerical_rank's certified sketch route (from any start width, forming B
+only where the sketch is not full) and mode_rank's certified Gram route,
+and the full-SVD fallback of each, are checked against a full-SVD count
+written here, and a spy on numpy's SVD tells which route ran. Every routine
+that reaches LAPACK must reject NaN and Inf first; the calls that once spun
+in LAPACK on an Inf are checked in a fresh interpreter under a timeout.
 """
 
 import os
@@ -457,6 +461,18 @@ def test_mode_rank_rank_deficient_at_default_tol_takes_full_svd(svd_shapes):
         assert svd_shapes == [(4096, 16)]
 
 
+@pytest.mark.parametrize("rel_tol", [DEFAULT_RANK_TOL, 1e-4, 0.0])
+def test_mode_rank_on_a_wide_mode(rel_tol):
+    # mode 0 of (50, 2, 2, 2) unfolds to 8 x 50, fewer rows than columns:
+    # full row rank, and rank 3, in C order, Fortran order and neither
+    rng = np.random.default_rng(26)
+    dims = (50, 2, 2, 2)
+    for t in (crandn(rng, dims), mode_fold(low_rank(rng, (8, 50), 3), dims, 0)):
+        for x in (t, np.asfortranarray(t), np.swapaxes(t, 0, 1)):
+            for j in range(4):
+                assert mode_rank(x, j, rel_tol) == svd_rank(mode_unfold(x, j), rel_tol)
+
+
 def test_mode_rank_zero_tensor_zero_tol_and_errors(svd_shapes):
     assert [mode_rank(np.zeros((4, 5, 6, 7)), j) for j in range(4)] == [0] * 4
     t = crandn(np.random.default_rng(22), (6, 7, 8))
@@ -643,7 +659,8 @@ def assert_matches_svd(t, mode):
             assert abs(abs(np.vdot(vh_ref[i], vh[i])) - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("dims", [(6, 7, 5, 8), (2, 30, 2), (7, 1), (1, 7), (3, 4, 5, 2, 3, 2)])
+@pytest.mark.parametrize("dims", [(6, 7, 5, 8), (2, 30, 2), (7, 1), (1, 7), (3, 4, 5, 2, 3, 2),
+                                  (50, 2, 2, 2)])
 def test_mode_spectrum_matches_svd(dims):
     # wide and tall unfoldings, C and Fortran order and neither
     t = crandn(np.random.default_rng(sum(dims)), dims)
@@ -721,12 +738,14 @@ def test_mode_svt_small_tau_takes_svd_fallback(svd_shapes):
     u = np.linalg.qr(crandn(rng, (400, 10)))[0]
     v = np.linalg.qr(crandn(rng, (10, 10)))[0]
     t = mode_fold((u * np.logspace(0, -10, 10)) @ v.conj().T, (8, 10, 50), 1)
-    svd_shapes.clear()
-    out = mode_svt(t, 1, 1e-9)
-    assert svd_shapes == [(400, 10)]
     ref = mode_svt_reference(t, 1, 1e-9)
-    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert np.allclose(mode_svt(t, 1, 0.0), t, atol=1e-12)
+    # mode 1 is a middle mode, in C and in Fortran order
+    for x in (t, np.asfortranarray(t)):
+        svd_shapes.clear()
+        out = mode_svt(x, 1, 1e-9)
+        assert svd_shapes == [(400, 10)]
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.allclose(mode_svt(x, 1, 0.0), t, atol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])

@@ -6,6 +6,7 @@ not a lucky draw. Failure regimes are exercised by the acceptance suite.
 """
 
 import functools
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -476,6 +477,45 @@ def test_solvers_reject_non_finite_input(bad):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+# ------------------------------------------------------- shapes at entry
+
+
+def test_solvers_reject_a_mis_shaped_truth_before_the_solve(monkeypatch):
+    # the error against the truth broadcasts: t[..., :1] read 2.23 on a
+    # recovery good to 1e-7, and a shape that cannot broadcast failed only
+    # after the whole solve
+    t = gen_cp(DIMS, 2, seed=0)
+    mask = gen_mask(DIMS, 0.5, seed=0)
+    b = mask.observe(t)
+    s = gen_supersym(6, 4, 2, seed=0)
+    for name in ("svt", "_admm"):
+        monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the solve started"))
+    calls = [
+        lambda truth: complete_m(mask, b, truth=truth),
+        lambda truth: complete_n(mask, b, truth=truth),
+        lambda truth: rpca_m(t, truth=truth),
+        lambda truth: rpca_n(t, truth=truth),
+        lambda truth: complete_supersym(mask, mask.observe(s), truth=truth),
+    ]
+    for truth in (t[..., :1], t[..., :2]):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"truth shape {truth.shape} != data shape {DIMS}")):
+                call(truth)
+
+
+def test_mode_models_reject_odd_order_before_the_solve(monkeypatch):
+    # the square models' message, before any iteration (m_ranks used to
+    # reject the order only after a full solve)
+    monkeypatch.setattr(solvers, "_admm", lambda *a, **k: pytest.fail("the solve started"))
+    t = gen_cp((6, 6, 6), 2, seed=0)
+    mask = gen_mask(t.shape, 0.5, seed=0)
+    for call in (lambda: complete_n(mask, mask.observe(t)), lambda: rpca_n(t),
+                 lambda: complete_m(mask, mask.observe(t)), lambda: rpca_m(t)):
+        with pytest.raises(ValueError, match="order must be even, got 3"):
             call()
 
 
