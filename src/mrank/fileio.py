@@ -12,6 +12,7 @@ PPM support covers binary P6 with maxval 255. A list of frames becomes a
 import csv
 import json
 import math
+import os
 import struct
 import warnings
 
@@ -47,30 +48,37 @@ def write_tensor(path, t) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read an MTEN file; validates magic, version, order, payload size, and
-    that every entry is finite."""
+    that every entry is finite. The payload size is checked against the
+    file's size before anything of the tensor's size is allocated, and the
+    entries are read straight into the returned array, so the tensor is
+    held once."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 6 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not an MTEN file (bad magic)")
-    if raw[4] != VERSION:
-        raise ValueError(f"{path}: unsupported MTEN version {raw[4]}")
-    order = raw[5]
-    if order == 0:
-        raise ValueError(f"{path}: order must be positive")
-    head = 6 + 8 * order
-    if len(raw) < head:
-        raise ValueError(f"{path}: truncated header")
-    dims = struct.unpack(f"<{order}Q", raw[6:head])
-    if any(d == 0 for d in dims):
-        raise ValueError(f"{path}: zero dimension in {dims}")
-    count = math.prod(dims)  # Python ints: a fixed-width product can wrap
-    if len(raw) != head + 16 * count:
-        raise ValueError(
-            f"{path}: payload is {len(raw) - head} bytes, expected {16 * count}"
-        )
-    flat = np.frombuffer(raw, dtype="<c16", count=count, offset=head)
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(6)
+        if len(raw) < 6 or raw[:4] != MAGIC:
+            raise ValueError(f"{path}: not an MTEN file (bad magic)")
+        if raw[4] != VERSION:
+            raise ValueError(f"{path}: unsupported MTEN version {raw[4]}")
+        order = raw[5]
+        if order == 0:
+            raise ValueError(f"{path}: order must be positive")
+        head = 6 + 8 * order
+        raw = fh.read(8 * order)
+        if len(raw) < 8 * order:
+            raise ValueError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{order}Q", raw)
+        if any(d == 0 for d in dims):
+            raise ValueError(f"{path}: zero dimension in {dims}")
+        count = math.prod(dims)  # Python ints: a fixed-width product can wrap
+        if size != head + 16 * count:
+            raise ValueError(f"{path}: payload is {size - head} bytes, expected {16 * count}")
+        flat = np.empty(count, dtype="<c16")
+        got = fh.readinto(flat)
+        if got != 16 * count:  # the file changed since its size was read
+            raise ValueError(f"{path}: payload is {got} bytes, expected {16 * count}")
     _require_finite(flat, path)
-    return flat.astype(np.complex128).reshape(dims, order="F")
+    # no copy on a little-endian machine, where <c16 is complex128
+    return flat.astype(np.complex128, copy=False).reshape(dims, order="F")
 
 
 def _ppm_tokens(raw: bytes):

@@ -25,12 +25,15 @@ scale. Where the solver owns the array, the scaling is done in place:
 rpca_m scales its own unfolding of the data, and every solver scales its
 results back (_result).
 
-complete_n, rpca_m, rpca_n and complete_supersym are one ADMM driver,
-_admm, run on the constraint x - z = c with two prox steps each (see its
-docstring for the variables of each model). It owns the penalty, the dual
-update, the stopping test and the trace, and allocates no array of the
-constraint's size per iteration: besides x and z it keeps two, the scaled
-dual and one work buffer. The initial penalty is made scale-invariant by
+complete_n, rpca_m, rpca_n and complete_supersym are one consensus ADMM
+driver, _admm, run on d blocks x_j - z = c with two prox steps each: d = 1
+for the square models, and d = the order for the mode models, whose blocks
+are the mode copies (see its docstring for the variables of each model).
+It owns the penalty, the dual update, the stopping test and the trace, and
+runs the blocks one at a time, so it allocates no array per iteration:
+besides the blocks and z it keeps the d scaled duals and two block buffers
+(one for d = 1), and the mode models' z steps take the blocks' mean from
+the driver. The initial penalty is made scale-invariant by
 dividing by the spectral norm of the data unfolding, and both stopping
 tolerances are relative to that norm, so the dimensionless defaults work,
 and a solve takes the same steps, at any data scale. From
@@ -172,7 +175,10 @@ class SolverConfig:
     1/sqrt(rows of the unfolding). rel_tol and ABS_TOL set the ADMM
     stopping test (see _admm); complete_m uses rel_tol alone, as its
     acceptance level. The solvers are deterministic and draw no
-    randomness.
+    randomness. Every solver checks the config on entry, before it reads
+    its data: rel_tol must be finite and >= 0, lam None or finite and > 0,
+    and max_iters an integer >= 0, or ValueError names the field and its
+    value.
     """
 
     max_iters: int = 2000
@@ -230,6 +236,19 @@ def _rel_err(est, truth) -> float | None:
     truth = as_tensor(truth)
     denom = np.linalg.norm(truth)
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
+
+
+def _checked(cfg: SolverConfig | None) -> SolverConfig:
+    """cfg, or the default config when None, after a check of its fields:
+    ValueError names the field and its value."""
+    cfg = cfg or SolverConfig()
+    if not (np.isfinite(cfg.rel_tol) and cfg.rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {cfg.rel_tol}")
+    if cfg.lam is not None and not (np.isfinite(cfg.lam) and cfg.lam > 0):
+        raise ValueError(f"lam must be None or finite and > 0, got {cfg.lam}")
+    if not isinstance(cfg.max_iters, (int, np.integer)) or cfg.max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {cfg.max_iters}")
+    return cfg
 
 
 def _check_truth(truth, dims) -> None:
@@ -373,7 +392,8 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     rel_err_all is always the observed-entry residual of the returned
     tensor, and residual_trace[-1] when iters > 0.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _checked(cfg)
+    mask.check(values)
     pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
     if pr.order != len(mask.dims):
         raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
@@ -438,38 +458,44 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
                    resid, trace)
 
 
-def _norm(a) -> float:
-    """||a||_F as one dot product over a's memory, in whatever order it is
+def _sq_norm(a) -> float:
+    """||a||_F^2 as one dot product over a's memory, in whatever order it is
     laid out; np.linalg.norm makes two passes over a complex array."""
     a = np.ravel(a, order="K")
-    return float(np.sqrt(np.vdot(a, a).real))
+    return float(np.vdot(a, a).real)
 
 
-def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
+def _norm(a) -> float:
+    """||a||_F through _sq_norm."""
+    return float(np.sqrt(_sq_norm(a)))
+
+
+def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
           grow: bool = False):
-    """Scaled-form ADMM for min f(x) + g(z) subject to x - z = c (Boyd et
-    al. 2011, section 3.1.1), the one loop behind complete_n, rpca_m,
-    rpca_n and complete_supersym.
+    """Scaled-form consensus ADMM for min sum_j f_j(x_j) + g(z) subject to
+    x_j - z = c for j = 0..d-1 (Boyd et al. 2011, sections 3.1.1 and 7.1),
+    the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
 
-    x_step(v, rho) = prox_{f/rho}(v) and z_step(w, rho) = prox_{g/rho}(w).
-    Both only read their input, whose buffer the driver reuses: x_step
-    returns an array that does not alias v (it may reuse its own buffer
+    x_step(j, v, rho) = prox_{f_j/rho}(v) and z_step(w, rho) =
+    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. Both only
+    read their input, whose buffer the driver reuses: x_step returns an
+    array that does not alias v (it may reuse its own buffer for block j
     from call to call), and z_step returns a new array. z0 is overwritten.
-    shape is x's shape, the constraint's full shape; v and w always have
-    it. z and c may be compact arrays that broadcast to it (a consensus
-    tensor shared by stacked mode copies), and their norms count every
-    copy. The models:
+    Every block x_j, v, w, z and c have z0's shape (c may also be the
+    scalar 0), and the constraint's norms count the d blocks. The models:
 
-        complete_n         x = the d mode copies, stacked; z = the consensus
-                           tensor with observed entries pinned; c = 0
-        rpca_m             x = Y; z = -Z; c = the data unfolding F
-        rpca_n             x = the stacked mode copies; z = -Z; c = t
-        complete_supersym  x = svt(z - u); z = the orbit projection; c = 0
+        complete_n         d = order; x_j = mode copy j (mode_svt); z = the
+                           consensus tensor with observed entries pinned; c = 0
+        rpca_m             d = 1; x = Y; z = -Z; c = the data unfolding F
+        rpca_n             d = order; x_j = W_j, the mode copies; z = -Z; c = t
+        complete_supersym  d = 1; x = svt(z - u); z = the orbit projection;
+                           c = 0
 
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
-    z steps. The loop stops when r_pri = ||x - z - c|| <= e_pri and
-    r_dua = rho * ||z - z_old|| <= e_dua, with
-        e_pri = ABS_TOL * scale + rel_tol * max(||x||, ||z||, ||c||)
+    z steps. With x and u the d blocks stacked, the loop stops when
+    r_pri = ||x - z - c|| <= e_pri and r_dua = rho * sqrt(d) * ||z - z_old||
+    <= e_dua, with
+        e_pri = ABS_TOL * scale + rel_tol * max(||x||, sqrt(d) ||z||, sqrt(d) ||c||)
         e_dua = sqrt(n) * ABS_TOL + rel_tol * rho * ||u||
     over the n constraint entries, scale being the spectral norm of the
     data that the caller passes. ABS_TOL is dimensionless in both: e_pri
@@ -477,9 +503,9 @@ def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     since rho scales as 1 / scale. So a solve takes the same steps on data
     multiplied by any factor. Each iteration logs r_pri over the relative
     part of e_pri's scale. Without an iteration to run (zero scale, which
-    means zero data, or cfg.max_iters below 1) the point (z0 + c, z0) is
-    returned after 0 iterations, converged only for zero data, where it is
-    the feasible optimum.
+    means zero data, or cfg.max_iters below 1) every block is z0 + c, z is
+    z0, and 0 iterations are returned, converged only for zero data, where
+    that is the feasible optimum.
 
     The penalty starts at rho = PENALTY_SCALE / scale and is balanced on
     the residuals (Boyd et al. 2011, section 3.4.1; He, Yang and Wang 2000;
@@ -488,15 +514,15 @@ def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     unconverged, rho steps toward the failing residual: it is multiplied
     by BALANCE_FACTOR when the primal test fails and either the dual test
     passes or the relative primal residual
-    r_pri / max(||x||, ||z||, ||c||) exceeds BALANCE_BAND times the
-    relative dual residual r_dua / (rho * ||u||), and divided by it in the
-    mirror case. u is rescaled by old/new rho at the change, so the
-    unscaled dual rho * u is continuous. The wide band moves a penalty far
-    off balance, as in the fixed-penalty complete_n, whose primal residual
-    met its tolerance long before its dual one and ran out its budget. The
-    tolerance gate (exactly one test passes) moves a penalty whose
-    residuals stay within the band but shrink at different rates, as in
-    rpca_m, whose primal residual crawled for a hundred iterations after
+    r_pri / max(||x||, sqrt(d) ||z||, sqrt(d) ||c||) exceeds BALANCE_BAND
+    times the relative dual residual r_dua / (rho * ||u||), and divided by
+    it in the mirror case. u is rescaled by old/new rho at the change, so
+    the unscaled dual rho * u is continuous. The wide band moves a penalty
+    far off balance, as in the fixed-penalty complete_n, whose primal
+    residual met its tolerance long before its dual one and ran out its
+    budget. The tolerance gate (exactly one test passes) moves a penalty
+    whose residuals stay within the band but shrink at different rates, as
+    in rpca_m, whose primal residual crawled for a hundred iterations after
     its dual test had passed.
 
     grow=True (rpca_m only) adds one rule ahead of the period: after any
@@ -509,61 +535,82 @@ def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     models it slows the solve down, and without the band gate it runs
     rpca_m on a random tensor out of its budget.
 
-    Memory: the driver allocates two complex arrays of x's shape, both
-    before the first x step, and none per iteration: the scaled dual u,
-    starting at zero, and one work buffer. The work buffer holds
-    v = z + c - u, then w = x - c + u, then the new u = w - z, while the
-    old u's buffer takes r = u_new - u_old (the primal residual x - z - c)
-    and the two swap; z - z_old is formed in z_old's buffer.
-    A scalar zero c (complete_n, complete_supersym) adds no pass at all.
-    Every norm is one dot product over the array's memory (_norm).
+    Memory: besides the blocks x_j and z, the driver keeps the d scaled
+    duals u_j, starting at zero, and two block buffers (one when d = 1),
+    all allocated before the first x step; it allocates no array per
+    iteration. Each iteration runs the blocks twice. The first pass forms
+    v = z + c - u_j in the first buffer, takes x_j = x_step(j, v, rho), and
+    adds x_j - c + u_j into the second buffer, which then holds the blocks'
+    mean w for z_step (for d = 1, w is formed in the first buffer). The
+    second pass forms r_j = x_j - z_new - c in the first buffer and adds it
+    into u_j. z - z_old is formed in z_old's buffer. A scalar zero c
+    (complete_n, complete_supersym) adds no pass at all. Every norm is one
+    dot product over the array's memory (_norm), summed over the blocks for
+    x and r.
 
-    Returns (x, z, iters, converged, trace, dual), dual being the final
-    unscaled dual rho * u, written over u's buffer (Boyd et al.'s y for
-    the constraint x - z - c = 0), or None when no iteration ran.
+    Returns (xs, z, iters, converged, trace, dual), xs the d blocks x_j and
+    dual the final unscaled dual rho * u (Boyd et al.'s y for the
+    constraint x - z - c = 0), written over u's buffer: the d-fold stack,
+    or for d = 1 the one block; None when no iteration ran.
     """
     if scale == 0.0 or cfg.max_iters < 1:
-        return z0 + c, z0, 0, scale == 0.0, [], None
+        return (z0 + c,) * d, z0, 0, scale == 0.0, [], None
     zero_c = np.isscalar(c) and c == 0.0
     rho = PENALTY_SCALE / scale
-    n = int(np.prod(shape))
-    k = np.sqrt(n / z0.size)  # copies of each z entry in the constraint
-    c_term = np.sqrt(n / np.size(c)) * _norm(c)
+    n = d * z0.size
+    k = np.sqrt(d)  # copies of each z entry in the constraint
+    c_term = k * _norm(c)
     abs_pri = ABS_TOL * scale
     abs_dua = np.sqrt(n) * ABS_TOL
     tiny = np.finfo(float).tiny
-    u = np.zeros(shape, dtype=np.complex128)  # the scaled dual
-    work = np.empty(shape, dtype=np.complex128)
+    u = np.zeros((d,) + z0.shape, dtype=np.complex128)  # the scaled duals
+    v = np.empty(z0.shape, dtype=np.complex128)
+    w = v if d == 1 else np.empty_like(v)
+    xs = [None] * d
     z, trace = z0, []
     for it in range(1, cfg.max_iters + 1):
-        if zero_c:
-            v = np.subtract(z, u, out=work)
-        else:
-            v = np.add(z, c, out=work)
-            v -= u
-        x = None  # the last x is dead, so x_step may reuse its memory
-        x = x_step(v, rho)
-        if zero_c:
-            w = np.add(x, u, out=work)
-        else:
-            w = np.subtract(x, c, out=work)
-            w += u
+        sq_x = 0.0
+        for j in range(d):
+            if zero_c:
+                np.subtract(z, u[j], out=v)
+            else:
+                np.add(z, c, out=v)
+                v -= u[j]
+            xs[j] = None  # the last x_j is dead, so x_step may reuse its memory
+            x = xs[j] = x_step(j, v, rho)
+            sq_x += _sq_norm(x)
+            # x_j - c + u_j: straight into w for the first block, then
+            # through v (read by x_step already) and added into w
+            b = v if j else w
+            if zero_c:
+                np.add(x, u[j], out=b)
+            else:
+                np.subtract(x, c, out=b)
+                b += u[j]
+            if j:
+                w += b
+        if d > 1:
+            w /= d
         z_new = z_step(w, rho)
-        w -= z_new  # the new u
-        r = np.subtract(w, u, out=u)  # x - z - c, in the old u's buffer
-        u, work = w, r
-        r_pri = _norm(r)
+        sq_pri = 0.0
+        for j in range(d):
+            r = np.subtract(xs[j], z_new, out=v)  # x_j - z - c
+            if not zero_c:
+                r -= c
+            u[j] += r
+            sq_pri += _sq_norm(r)
+        r_pri = np.sqrt(sq_pri)
         # z - z_old in the old z's buffer, which is then released
         r_dua = rho * k * _norm(np.subtract(z_new, z, out=z))
         z = z_new
-        size_pri = max(_norm(x), k * _norm(z), c_term)
+        size_pri = max(np.sqrt(sq_x), k * _norm(z), c_term)
         rel_pri = r_pri / max(size_pri, tiny)
         trace.append(rel_pri)
         size_dua = rho * _norm(u)
         pri_ok = r_pri <= abs_pri + cfg.rel_tol * size_pri
         dua_ok = r_dua <= abs_dua + cfg.rel_tol * size_dua
         if pri_ok and dua_ok:
-            return x, z, it, True, trace, np.multiply(u, rho, out=u)
+            return xs, z, it, True, trace, _dual(u, rho)
         rel_dua = r_dua / max(size_dua, tiny)
         if grow and not pri_ok and rel_dua <= BALANCE_BAND * rel_pri:
             step = BALANCE_FACTOR
@@ -577,26 +624,32 @@ def _admm(shape, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
             continue
         rho *= step
         u /= step  # rho * u, the unscaled dual, is unchanged
-    return x, z, it, False, trace, np.multiply(u, rho, out=u)
+    return xs, z, it, False, trace, _dual(u, rho)
+
+
+def _dual(u, rho):
+    """The unscaled dual rho * u over u's buffer: the stack of d blocks, or
+    the one block when d = 1."""
+    u *= rho
+    return u if len(u) > 1 else u[0]
 
 
 def _mode_model(t):
     """The x side of the mode-unfolding models on the tensor t: the d-fold
     stack of mode copies, x_step writing into it, and the largest spectral
     norm of t's mode unfoldings, the driver's scale, read off each mode's
-    Gram spectrum (linalg.mode_spectrum) without unfolding. x_step sets
-    stack[j] to the (1/d)-weighted nuclear-norm prox of v[j] on mode
-    unfolding j (linalg.mode_svt), written straight into the stack. Odd
-    order raises ValueError, as for the square models."""
+    Gram spectrum (linalg.mode_spectrum) without unfolding. x_step(j, v,
+    rho) sets stack[j] to the (1/d)-weighted nuclear-norm prox of the
+    tensor v on mode unfolding j (linalg.mode_svt), written straight into
+    the stack, and returns that slice. Odd order raises ValueError, as for
+    the square models."""
     d = t.ndim
     if d % 2:
         raise ValueError(f"order must be even, got {d}")
     stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
-    def x_step(v, rho):
-        for j in range(d):
-            mode_svt(v[j], j, (1.0 / d) / rho, out=stack[j])
-        return stack
+    def x_step(j, v, rho):
+        return mode_svt(v, j, (1.0 / d) / rho, out=stack[j])
 
     return stack, x_step, max(mode_spectrum(t, j)[0].max(initial=0.0) for j in range(d))
 
@@ -608,19 +661,24 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     (stacked, one mode_svt per mode per iteration) and z the consensus
     tensor, x_j - z = 0. The consensus keeps observed entries pinned to the
     data, so the result is exactly feasible."""
-    cfg = cfg or SolverConfig()
+    cfg = _checked(cfg)
+    mask.check(values)
     dims = mask.dims
     _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
     x0 = mask.fill(b)
 
     def z_step(w, rho):
-        zf = w.mean(axis=0).reshape(-1, order="F")
-        zf[mask.flat] = b
-        return zf.reshape(dims, order="F")
+        # a new array in Fortran order, whose flat view takes the pinning
+        z = np.array(w, order="F")
+        z.reshape(-1, order="F")[mask.flat] = b
+        return z
 
-    stack, x_step, sigma0 = _mode_model(x0)
-    _, z, it, conv, trace, _ = _admm(stack.shape, 0.0, x_step, z_step, x0, sigma0, cfg)
+    x_step, sigma0 = _mode_model(x0)[1:]
+    z, it, conv, trace = _admm(len(dims), 0.0, x_step, z_step, x0, sigma0, cfg)[1:5]
+    # the stack goes with x_step, and the dual with _admm's tuple, before
+    # the rank report
+    del x_step
     # observed entries pinned exactly
     return _result(z, e, it, conv, truth, 0.0, trace)
 
@@ -633,7 +691,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     and c = unfold(t), growing its penalty while the primal test fails
     (_admm's grow). duality_gap is the certified relative gap at the
     returned split (_rpca_m_gap)."""
-    cfg = cfg or SolverConfig()
+    cfg = _checked(cfg)
     t = as_tensor(t)
     _check_truth(truth, t.shape)
     e = _unit_exponent(t, "data")
@@ -644,8 +702,8 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     f = np.multiply(square_unfold(t, pr), 2.0 ** -e, order="C")
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
     warm = SvtWarm()
-    y, z, it, conv, trace, dual = _admm(
-        f.shape, f, lambda v, rho: svt(v, 1.0 / rho, warm),
+    (y,), z, it, conv, trace, dual = _admm(
+        1, f, lambda j, v, rho: svt(v, 1.0 / rho, warm),
         lambda w, rho: complex_soft_threshold(w, lam / rho),
         np.zeros_like(f), spectral_norm(f), cfg, grow=True)
     return _result(square_fold(y, t.shape, pr), e, it, conv, truth, _rel_err(y - z, f),
@@ -679,18 +737,19 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     over mode unfoldings plus lam * l1 of the sparse part Z, with every
     W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
     and c = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
-    cfg = cfg or SolverConfig()
+    cfg = _checked(cfg)
     _check_truth(truth, np.shape(t))
     t, e = _unit_scale(t, "data")
     dims = t.shape
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
     stack, x_step, sigma0 = _mode_model(t)
-    _, z, it, conv, trace, _ = _admm(
-        stack.shape, t, x_step,
-        lambda w, rho: complex_soft_threshold(w.mean(axis=0), lam / (d * rho)),
-        np.zeros_like(t), sigma0, cfg)
+    z, it, conv, trace = _admm(
+        d, t, x_step, lambda w, rho: complex_soft_threshold(w, lam / (d * rho)),
+        np.zeros_like(t), sigma0, cfg)[1:5]
     y = stack.mean(axis=0)
+    # the stack and, with _admm's tuple, the dual go before the rank report
+    del stack, x_step
     return _result(y, e, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
 
 
@@ -711,7 +770,8 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     Raises ValueError when observed values disagree inside one orbit beyond
     FEAS_TOL (relative): no super-symmetric tensor can match such data.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _checked(cfg)
+    mask.check(values)
     dims = mask.dims
     if len(set(dims)) > 1 or len(dims) % 2:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
@@ -744,8 +804,8 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
 
     z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
     warm = SvtWarm()
-    _, z, it, conv, trace, _ = _admm(
-        z0.shape, 0.0, lambda v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
-        spectral_norm(z0), cfg)
+    z, it, conv, trace = _admm(
+        1, 0.0, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
+        spectral_norm(z0), cfg)[1:5]
     # projection pins observed orbits exactly
     return _result(square_fold(z, dims), e, it, conv, truth, 0.0, trace)

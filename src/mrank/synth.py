@@ -170,11 +170,16 @@ class Mask:
             raise ValueError(f"tensor dims {t.shape} != mask dims {self.dims}")
         return t.reshape(-1, order="F")[self.flat]
 
+    def check(self, values) -> None:
+        """Raise ValueError unless values is a vector of one value per
+        observed entry."""
+        if np.shape(values) != (self.count,):
+            raise ValueError(f"expected {self.count} values, got shape {np.shape(values)}")
+
     def fill(self, values) -> np.ndarray:
         """Tensor with the observed values in place and zeros elsewhere."""
+        self.check(values)
         values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (self.count,):
-            raise ValueError(f"expected {self.count} values, got shape {values.shape}")
         out = np.zeros(int(np.prod(self.dims, dtype=np.int64)), dtype=np.complex128)
         out[self.flat] = values
         return out.reshape(self.dims, order="F")

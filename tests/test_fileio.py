@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,20 +72,39 @@ def test_read_tensor_validation(tmp_path):
     write_tensor(good, t)
     raw = good.read_bytes()
 
-    def expect_fail(data, name):
+    def expect_fail(data, name, message):
         p = tmp_path / name
         p.write_bytes(data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             read_tensor(p)
+        assert str(err.value) == f"{p}: {message}"
 
-    expect_fail(b"NOPE" + raw[4:], "magic.mten")
-    expect_fail(raw[:4] + bytes([9]) + raw[5:], "version.mten")
-    expect_fail(raw[:5] + bytes([0]) + raw[6:], "order.mten")
-    expect_fail(raw[:-8], "short.mten")
-    expect_fail(raw + b"\x00" * 8, "long.mten")
-    expect_fail(raw[:10], "header.mten")
+    expect_fail(b"NOPE" + raw[4:], "magic.mten", "not an MTEN file (bad magic)")
+    expect_fail(raw[:3], "tiny.mten", "not an MTEN file (bad magic)")
+    expect_fail(raw[:4] + bytes([9]) + raw[5:], "version.mten", "unsupported MTEN version 9")
+    expect_fail(raw[:5] + bytes([0]) + raw[6:], "order.mten", "order must be positive")
+    expect_fail(raw[:-8], "short.mten", "payload is 136 bytes, expected 144")
+    expect_fail(raw + b"\x00" * 8, "long.mten", "payload is 152 bytes, expected 144")
+    expect_fail(raw[:10], "header.mten", "truncated header")
     zero_dim = raw[:6] + struct.pack("<2Q", 0, 3) + raw[22:]
-    expect_fail(zero_dim, "zerodim.mten")
+    expect_fail(zero_dim, "zerodim.mten", "zero dimension in (0, 3)")
+
+
+def test_read_tensor_holds_the_tensor_once(tmp_path):
+    # the whole file's bytes plus a converted copy made the peak twice the
+    # tensor; the entries are now read straight into the returned array
+    t = crandn(np.random.default_rng(2), (30, 30, 30, 30))
+    path = tmp_path / "t.mten"
+    write_tensor(path, t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, t)
+    assert (peak - base) / t.nbytes <= 1.1
 
 
 @pytest.mark.filterwarnings("error")

@@ -519,6 +519,97 @@ def test_mode_models_reject_odd_order_before_the_solve(monkeypatch):
             call()
 
 
+def test_completion_solvers_reject_mis_sized_values_before_the_solve(monkeypatch):
+    # one value per observed entry: a single value used to broadcast over
+    # the mask and run a full solve, and a short vector failed inside the
+    # solve with numpy's messages
+    t = gen_cp(DIMS, 2, seed=0)
+    mask = gen_mask(DIMS, 0.5, seed=0)
+    s = gen_supersym(6, 4, 2, seed=0)
+    assert mask.count == 648
+    for name in ("svt", "_admm"):
+        monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the solve started"))
+    b = mask.observe(t)
+    sb = mask.observe(s)
+    for solve, vals in ((complete_m, b), (complete_n, b), (complete_supersym, sb)):
+        for bad in (vals[:-1], vals.reshape(2, -1), np.array([1.0 + 0j]), [1.0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected 648 values, got shape {np.shape(bad)}")):
+                solve(mask, bad)
+
+
+# (field, value, the reason in the message); the CLI rejects the same values
+# as usage errors before it builds a config
+BAD_CONFIGS = [
+    ("rel_tol", -1.0, "finite and >= 0"),
+    ("rel_tol", np.nan, "finite and >= 0"),
+    ("rel_tol", np.inf, "finite and >= 0"),
+    ("lam", -1.0, "None or finite and > 0"),
+    ("lam", 0.0, "None or finite and > 0"),
+    ("lam", np.nan, "None or finite and > 0"),
+    ("lam", np.inf, "None or finite and > 0"),
+    ("max_iters", -3, "an integer >= 0"),
+    ("max_iters", 2.5, "an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("field, value, reason", BAD_CONFIGS)
+def test_solvers_reject_an_invalid_config_before_scaling(monkeypatch, field, value, reason):
+    # a negative or NaN rel_tol ran every solver out of its budget, a
+    # negative lam drove the robust solvers to errors of 1e120, a negative
+    # max_iters returned 0 iterations without a word, and a fractional one
+    # failed inside the ADMM loop
+    t = gen_cp(DIMS, 2, seed=0)
+    mask = gen_mask(DIMS, 0.5, seed=0)
+    b = mask.observe(t)
+    sb = mask.observe(gen_supersym(6, 4, 2, seed=0))
+    for name in ("_unit_scale", "_unit_exponent"):
+        monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the data was scaled"))
+    cfg = SolverConfig(**{field: value})
+    calls = [
+        lambda: complete_m(mask, b, cfg=cfg),
+        lambda: complete_n(mask, b, cfg),
+        lambda: complete_supersym(mask, sb, cfg),
+        lambda: rpca_m(t, cfg=cfg),
+        lambda: rpca_n(t, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {reason}, got {value}")):
+            call()
+
+
+# iterations of the four ADMM solvers on the instances of acceptance
+# criteria 7 (complete_n), 8 (rpca_m, rpca_n) and 9 (complete_supersym),
+# seeds 0-2: the counts the driver took before it ran its consensus one
+# block at a time, which reorders its arithmetic but not its steps
+PINNED_ITERS = {
+    "complete_n": (113, 111, 100),
+    "rpca_n": (35, 40, 38),
+    "rpca_m": (27, 26, 25),
+    "complete_supersym": (83, 42, 38),
+}
+
+
+def _acceptance_solve(name, seed):
+    dims = (10, 10, 10, 10)
+    if name == "complete_n":
+        t, mask = gen_cp(dims, 6, seed=seed), gen_mask(dims, 0.3, seed=seed)
+        return complete_n(mask, mask.observe(t))
+    if name == "complete_supersym":
+        s = gen_supersym(10, 4, 8, seed=seed)
+        mask = gen_mask(s.shape, 0.4, seed=seed)
+        return complete_supersym(mask, mask.observe(s))
+    data = gen_cp(dims, 4, seed=seed) + gen_sparse_noise(dims, 0.05, seed=seed)
+    return (rpca_m if name == "rpca_m" else rpca_n)(data)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ITERS))
+def test_admm_solvers_take_their_pinned_iterations(name):
+    got = tuple(_acceptance_solve(name, seed) for seed in range(3))
+    assert [r.iters for r in got] == list(PINNED_ITERS[name])
+    assert all(r.converged for r in got)
+
+
 # ------------------------------------------------------ shared ADMM driver
 
 # each solve takes a data multiplier k (0 gives all-zero data) and a config
@@ -714,7 +805,8 @@ def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
     c = rng.standard_normal(50)
     xs, zs = [], []
 
-    def x_step(v, rho):
+    def x_step(j, v, rho):
+        assert j == 0
         x = (a + rho * v) / (1.0 + rho)
         xs.append((rho, v.copy(), x))
         return x
@@ -725,7 +817,7 @@ def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
         return z
 
     monkeypatch.setattr(solvers, "PENALTY_SCALE", PENALTY_SCALE * rho)
-    out = _admm(c.shape, c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
+    out = _admm(1, c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
                 SolverConfig(max_iters=max_iters), grow=grow)
     return out, c, xs, zs
 
@@ -842,32 +934,28 @@ def test_norm_helper_matches_numpy():
 
 def _driver_peak(c, d=None):
     """tracemalloc peak of 12 iterations of _admm on a complex toy, in
-    arrays of x's size. x is 400x400, or with d a d-fold stack of 200x200
-    copies against one consensus z, as in complete_n and rpca_n (c then
-    broadcasts too). The proxes allocate as little as the contract allows:
-    x_step writes into its own buffer, z_step returns one new array."""
+    arrays of x's size. x is one 400x400 block, or with d a d-fold stack of
+    200x200 blocks against one consensus z, as in complete_n and rpca_n.
+    The proxes allocate as little as the contract allows: x_step writes
+    into its own slice of a stack, z_step returns one new array."""
     rng = np.random.default_rng(4)
-    shape = (400, 400) if d is None else (d, 200, 200)
+    shape = (1, 400, 400) if d is None else (d, 200, 200)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     buf = np.empty(shape, dtype=np.complex128)
 
-    def x_step(v, rho):
-        np.multiply(v, rho, out=buf)
-        np.add(buf, a, out=buf)
-        return np.divide(buf, 1.0 + rho, out=buf)
+    def x_step(j, v, rho):
+        np.multiply(v, rho, out=buf[j])
+        np.add(buf[j], a[j], out=buf[j])
+        return np.divide(buf[j], 1.0 + rho, out=buf[j])
 
     def z_step(w, rho):
-        if d is None:
-            return w * (rho / (3.0 + rho))
-        z = w.mean(axis=0)
-        z *= rho / (3.0 + rho)
-        return z
+        return w * (rho / (3.0 + rho))
 
-    z0 = np.zeros(shape[1:] if d else shape, dtype=np.complex128)
+    z0 = np.zeros(shape[1:], dtype=np.complex128)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _admm(shape, c, x_step, z_step, z0, 1.0, SolverConfig(max_iters=12))
+        out = _admm(shape[0], c, x_step, z_step, z0, 1.0, SolverConfig(max_iters=12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -877,16 +965,16 @@ def _driver_peak(c, d=None):
 
 @pytest.mark.parametrize("c", ["array", 0.0, "consensus"])
 def test_admm_driver_allocates_no_temporaries(c):
-    # the driver keeps the scaled dual u and one work buffer; with z and
+    # the driver keeps the scaled dual u and one block buffer; with z and
     # the z step's new z that is four arrays of x's size at the peak. Any
     # per-iteration temporary of x's size (v = z + c - u as an expression,
     # x - 0.0, the old z held past its use) makes it five or more. Against
-    # a 4-fold stack, z and c are single tensors: u, the work buffer, z and
-    # the new z make 2.5 stacks, and a stack-sized temporary (c broadcast
-    # into a new array) makes 3.25 or more.
+    # a 4-fold stack of blocks, z, c and the two block buffers are single
+    # blocks: u, the two buffers, z and the new z make 2 stacks, and one
+    # more block (a mean of the blocks formed anew) makes 2.25 or more.
     rng = np.random.default_rng(5)
     if c == "consensus":
-        assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 2.6
+        assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 2.1
         return
     if c == "array":
         c = rng.standard_normal((400, 400)) + 0j
@@ -902,17 +990,18 @@ def test_mode_model_x_step_writes_into_the_stack():
     t = gen_cp((20,) * 4, 12, seed=0)
     stack, x_step, sigma0 = solvers._mode_model(t)
     rng = np.random.default_rng(8)
-    v = t + 0.1 * (rng.standard_normal((4,) + t.shape) + 1j * rng.standard_normal((4,) + t.shape))
+    v = t + 0.1 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
     for rho in (PENALTY_SCALE / sigma0, 1.0):  # the Gram route, then the SVD's
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = x_step(v, rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out is stack
-        assert (peak - base) / t.nbytes <= 2.1
+        for j in range(t.ndim):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = x_step(j, v, rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.base is stack and np.shares_memory(out, stack[j])
+            assert (peak - base) / t.nbytes <= 2.1
 
 
 def _mode_nuclear(t):
