@@ -183,7 +183,11 @@ def write_report(target, rows, fmt: str = "csv") -> None:
     """Write a list of row dicts as CSV (floats at %.6g) or JSON (lossless).
 
     Columns follow first-appearance order across rows; missing cells are
-    left empty. `target` is a path or a text file object."""
+    left empty. `target` is a path or a text file object. An unknown fmt
+    raises ValueError before target is opened, so an existing file keeps
+    its bytes."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r} (csv or json)")
     rows = list(rows)
     cols = []
     for row in rows:
@@ -199,15 +203,13 @@ def write_report(target, rows, fmt: str = "csv") -> None:
             writer.writerow(cols)
             for row in rows:
                 writer.writerow([_cell(row.get(c)) for c in cols])
-        elif fmt == "json":
+        else:
             json.dump(
                 [{k: _plain(v) for k, v in row.items()} for row in rows],
                 fh,
                 indent=2,
             )
             fh.write("\n")
-        else:
-            raise ValueError(f"unknown report format {fmt!r} (csv or json)")
     finally:
         if own:
             fh.close()

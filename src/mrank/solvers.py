@@ -12,18 +12,22 @@ Five solvers share one config:
     rpca_n            -- the mode-unfolding analogue of rpca_m
     complete_supersym -- completion constrained to super-symmetric tensors
 
-All are deterministic. Any finite magnitude is supported, from the
-smallest normal double to the largest: each solver runs on its data times
-2^-e, e the binary exponent of the largest modulus (tensor._unit_scale),
-and multiplies its results back by 2^e, so no square or norm inside a
-solve can overflow or underflow, and a solve takes the same steps at every
-scale (bitwise, times 2^e, for data scaled by a power of two). The pass
-that reads that modulus is also the data's finiteness check: NaN or Inf
-raises ValueError on entry, naming the count (tensor._unit_exponent).
-Errors against the truth and the rank report are taken at the solve's
-scale. Where the solver owns the array, the scaling is done in place:
-rpca_m scales its own unfolding of the data, and every solver scales its
-results back (_result).
+All are deterministic. Every array a solver iterates on is C-ordered,
+whatever the layout of its input, and observed entries are addressed by
+C-order flat indices computed once per solve: complete_m and
+complete_supersym index the square unfolding, complete_n the tensor.
+
+Any finite magnitude is supported, from the smallest normal double to the
+largest: each solver runs on its data times 2^-e, e the binary exponent of
+the largest modulus (tensor._unit_scale), and multiplies its results back
+by 2^e, so no square or norm inside a solve can overflow or underflow, and
+a solve takes the same steps at every scale (bitwise, times 2^e, for data
+scaled by a power of two). The pass that reads that modulus is also the
+data's finiteness check: NaN or Inf raises ValueError on entry, naming the
+count (tensor._unit_exponent). Errors against the truth and the rank
+report are taken at the solve's scale. rpca_m and rpca_n write their
+scaled data once, into a new C-ordered array (rpca_m its unfolding), and
+every solver scales its results back in place (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one consensus ADMM
 driver, _admm, run on d blocks x_j - z = c with two prox steps each: d = 1
@@ -92,8 +96,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (OVERSAMPLE, SvtWarm, complex_l1, complex_soft_threshold,
-                     mode_spectrum, mode_svt, rank_project, spectral_norm, svt)
+from .linalg import (OVERSAMPLE, SvtWarm, _check_rel_tol, complex_l1,
+                     complex_soft_threshold, mode_spectrum, mode_svt, rank_project,
+                     spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
@@ -242,8 +247,7 @@ def _checked(cfg: SolverConfig | None) -> SolverConfig:
     """cfg, or the default config when None, after a check of its fields:
     ValueError names the field and its value."""
     cfg = cfg or SolverConfig()
-    if not (np.isfinite(cfg.rel_tol) and cfg.rel_tol >= 0):
-        raise ValueError(f"rel_tol must be finite and >= 0, got {cfg.rel_tol}")
+    _check_rel_tol(cfg.rel_tol)
     if cfg.lam is not None and not (np.isfinite(cfg.lam) and cfg.lam > 0):
         raise ValueError(f"lam must be None or finite and > 0, got {cfg.lam}")
     if not isinstance(cfg.max_iters, (int, np.integer)) or cfg.max_iters < 0:
@@ -276,27 +280,30 @@ def _result(rec, e, iters, converged, truth, rel_err_all, trace,
 
 
 def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
-    """Observed positions as Fortran-order flat indices of the unfolding."""
+    """Observed positions as C-order flat indices of the unfolding,
+    rows * ncol + cols, with rows and cols the first-index-fastest group
+    indices that define square_unfold."""
     multi = mask.multi_indices()
     row_dims = tuple(mask.dims[a] for a in pairing.row)
     col_dims = tuple(mask.dims[a] for a in pairing.col)
     rows = np.ravel_multi_index([multi[a] for a in pairing.row], row_dims, order="F")
     cols = np.ravel_multi_index([multi[a] for a in pairing.col], col_dims, order="F")
-    nrow = int(np.prod(row_dims, dtype=np.int64))
-    return rows + nrow * cols
+    return rows * int(np.prod(col_dims, dtype=np.int64)) + cols
 
 
 def _sampled(m, flat):
-    """The entries of the unfolding m at the Fortran-order flat indices."""
-    return m.reshape(-1, order="F")[flat]
+    """The entries of the C-ordered unfolding m at the C-order flat indices,
+    read through a view of m."""
+    return m.reshape(-1)[flat]
 
 
 def _residual_grad(x, flat, b):
-    """Gradient of 0.5*||P_obs(x) - b||^2 in matrix form, plus the residual norm."""
-    g = np.zeros(x.size, dtype=x.dtype)
+    """Gradient of 0.5*||P_obs(x) - b||^2 in matrix form (C order), plus the
+    residual norm."""
+    g = np.zeros(x.shape, dtype=x.dtype)
     r = _sampled(x, flat) - b
-    g[flat] = r
-    return g.reshape(x.shape, order="F"), float(np.linalg.norm(r))
+    g.reshape(-1)[flat] = r
+    return g, float(np.linalg.norm(r))
 
 
 def _gap_candidates(s) -> list:
@@ -401,9 +408,8 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     b, e = _unit_scale(values, "observed values")
     flat = _mask_matrix_flat(mask, pr)
     nrow, ncol = pr.matrix_shape(mask.dims)
-    xf = np.zeros(nrow * ncol, dtype=np.complex128)
-    xf[flat] = b
-    x = xf.reshape((nrow, ncol), order="F")
+    x = np.zeros((nrow, ncol), dtype=np.complex128)
+    x.reshape(-1)[flat] = b
     bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
     sigma0 = spectral_norm(x)
     if sigma0 == 0.0:
@@ -482,7 +488,9 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     array that does not alias v (it may reuse its own buffer for block j
     from call to call), and z_step returns a new array. z0 is overwritten.
     Every block x_j, v, w, z and c have z0's shape (c may also be the
-    scalar 0), and the constraint's norms count the d blocks. The models:
+    scalar 0), and the constraint's norms count the d blocks. One memory
+    layout: z0, c and every x_step and z_step result are C-contiguous, as
+    are the driver's own buffers, so no pass mixes layouts. The models:
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
                            consensus tensor with observed entries pinned; c = 0
@@ -666,14 +674,14 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
-    x0 = mask.fill(b)
+    flat = np.ravel_multi_index(mask.multi_indices(), dims)
 
     def z_step(w, rho):
-        # a new array in Fortran order, whose flat view takes the pinning
-        z = np.array(w, order="F")
-        z.reshape(-1, order="F")[mask.flat] = b
+        z = w.copy()
+        z.reshape(-1)[flat] = b
         return z
 
+    x0 = z_step(np.zeros(dims, dtype=np.complex128), None)
     x_step, sigma0 = _mode_model(x0)[1:]
     z, it, conv, trace = _admm(len(dims), 0.0, x_step, z_step, x0, sigma0, cfg)[1:5]
     # the stack goes with x_step, and the dual with _admm's tuple, before
@@ -696,9 +704,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     _check_truth(truth, t.shape)
     e = _unit_exponent(t, "data")
     pr = Pairing.default(t.ndim) if pairing is None else pairing
-    # the scaled unfolding, written once into a new array: C order, like
-    # svt's outputs and the driver's buffers, so the driver's passes over f
-    # run on one layout
+    # the scaled unfolding, written once into a new C-ordered array
     f = np.multiply(square_unfold(t, pr), 2.0 ** -e, order="C")
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
     warm = SvtWarm()
@@ -736,13 +742,16 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     """Mode-unfolding analogue of rpca_m: minimize (1/d) * sum_j ||W_j||_*
     over mode unfoldings plus lam * l1 of the sparse part Z, with every
     W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
-    and c = t. lam defaults to 1/sqrt(n1*n2) as in rpca_m."""
+    and c = t, t's scaled copy written in C order. lam defaults, as in
+    rpca_m, to 1/sqrt of the square unfolding's row count, n_1 * ... *
+    n_(d/2) (n1*n2 at order 4)."""
     cfg = _checked(cfg)
-    _check_truth(truth, np.shape(t))
-    t, e = _unit_scale(t, "data")
-    dims = t.shape
+    t = as_tensor(t)
+    _check_truth(truth, t.shape)
+    e = _unit_exponent(t, "data")
+    t = np.multiply(t, 2.0 ** -e, order="C")
     d = t.ndim
-    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(dims[0] * dims[1])
+    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(np.prod(t.shape[:d // 2]))
     stack, x_step, sigma0 = _mode_model(t)
     z, it, conv, trace = _admm(
         d, t, x_step, lambda w, rho: complex_soft_threshold(w, lam / (d * rho)),
@@ -777,11 +786,14 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
     _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
+    # the orbit id of every entry of the unfolding, in C order: an entry's
+    # C-order flat index spells, in base n, a permutation of its tensor
+    # multi-index, so orbit_ids's own layout names the same orbits
     ids = orbit_ids(dims)
     counts = np.bincount(ids)
     n_orb = counts.size
 
-    ob_ids = ids[mask.flat]
+    ob_ids = ids[_mask_matrix_flat(mask, Pairing.default(len(dims)))]
     ob_cnt = np.bincount(ob_ids, minlength=n_orb)
     observed = ob_cnt > 0
     ob_val = np.zeros(n_orb, dtype=np.complex128)
@@ -798,9 +810,9 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     nrow, ncol = Pairing.default(len(dims)).matrix_shape(dims)
 
     def z_step(w, rho):
-        vals = orbit_sum(w.reshape(-1, order="F"), ids, n_orb) / counts
+        vals = orbit_sum(w.reshape(-1), ids, n_orb) / counts
         vals[observed] = ob_val[observed]
-        return vals[ids].reshape(nrow, ncol, order="F")
+        return vals[ids].reshape(nrow, ncol)
 
     z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
     warm = SvtWarm()

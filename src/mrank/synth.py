@@ -140,14 +140,20 @@ def gen_supersym(n: int, order: int, r: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Mask:
     """Observed entries of a tensor, stored as sorted Fortran-order flat
-    indices (distinct by construction)."""
+    indices (distinct by construction). flat must be a 1-D array of
+    integers (an empty list too), distinct and in range, or ValueError is
+    raised."""
 
     dims: tuple
     flat: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        flat = np.asarray(self.flat, dtype=np.int64)
+        flat = np.asarray(self.flat)
+        if flat.ndim != 1 or (flat.size and not np.issubdtype(flat.dtype, np.integer)):
+            raise ValueError(f"mask indices must be a 1-D integer array, got "
+                             f"{flat.dtype} of shape {flat.shape}")
+        flat = flat.astype(np.int64, copy=False)
         object.__setattr__(self, "flat", flat)
         total = int(np.prod(self.dims, dtype=np.int64))
         if flat.size and (flat.min() < 0 or flat.max() >= total):

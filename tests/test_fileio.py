@@ -239,8 +239,14 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_report_unknown_format(tmp_path):
+    # the format is checked before the target is opened, so an existing
+    # report keeps its bytes
+    p = tmp_path / "r.csv"
+    write_report(p, [{"a": 1}], "csv")
+    before = p.read_bytes()
     with pytest.raises(ValueError):
-        write_report(tmp_path / "r.xml", [], "xml")
+        write_report(p, [{"a": 2}], "xml")
+    assert p.read_bytes() == before
 
 
 def test_report_byte_stable(tmp_path):

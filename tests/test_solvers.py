@@ -403,6 +403,19 @@ def test_rpca_n_success_regime():
     assert res.rank_report.tucker == (2, 2, 2, 2)
 
 
+@pytest.mark.parametrize("dims", [(8, 8, 8, 8), (4,) * 6])
+def test_rpca_n_lambda_default_is_inverse_sqrt_rows(dims):
+    # as for rpca_m, the default is 1/sqrt of the square unfolding's row
+    # count: n1*n2 at order 4, n1*n2*n3 at order 6
+    f = gen_cp(dims, 2, seed=5) + gen_sparse_noise(dims, 0.05, seed=6)
+    nrow = square_unfold(f).shape[0]
+    cfg = SolverConfig(max_iters=30)
+    r1 = rpca_n(f, cfg=cfg)
+    r2 = rpca_n(f, cfg=SolverConfig(max_iters=30, lam=1.0 / np.sqrt(nrow)))
+    assert np.array_equal(r1.recovered, r2.recovered)
+    assert np.array_equal(r1.sparse, r2.sparse)
+
+
 # -------------------------------------------------------- complete_supersym
 
 
@@ -715,6 +728,62 @@ def test_in_place_scaling_leaves_the_data_alone(solve):
     assert res.iters == base.iters and res.rank_report == base.rank_report
     assert np.array_equal(res.recovered, 2.0 ** -600 * base.recovered)
     assert np.array_equal(res.sparse, 2.0 ** -600 * base.sparse)
+
+
+# every solver on small instances; the robust ones on C- and on
+# Fortran-ordered data (read_tensor returns Fortran order), the completion
+# ones on a vector of observed values
+_NOISY_C = np.ascontiguousarray(_NOISY)
+LAYOUT_SOLVES = {
+    "complete_m": lambda: complete_m(_MASK, _MASK.observe(_T)),
+    "complete_n": lambda: complete_n(_MASK, _MASK.observe(_T)),
+    "complete_supersym": lambda: complete_supersym(_SMASK, _SMASK.observe(_S)),
+    "rpca_m-C": lambda: rpca_m(_NOISY_C),
+    "rpca_m-F": lambda: rpca_m(np.asfortranarray(_NOISY)),
+    "rpca_n-C": lambda: rpca_n(_NOISY_C),
+    "rpca_n-F": lambda: rpca_n(np.asfortranarray(_NOISY)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SOLVES))
+def test_solvers_iterate_on_c_ordered_arrays(monkeypatch, name):
+    # one memory layout: z0, c and every x_step and z_step result the ADMM
+    # driver sees are C-contiguous, like its own buffers, and so is every
+    # matrix complete_m hands svt and rank_project
+    seen = []
+
+    def look(what, a):
+        seen.append((what, np.isscalar(a) or a.flags.c_contiguous))
+        return a
+
+    def admm(d, c, x_step, z_step, z0, *args, **kw):
+        look("z0", z0)
+        look("c", c)
+        return _admm(d, c, lambda j, v, rho: look("x_step", x_step(j, v, rho)),
+                     lambda w, rho: look("z_step", z_step(w, rho)), z0, *args, **kw)
+
+    def kernel(what, f):
+        return lambda m, *args: f(look(what, m), *args)
+
+    monkeypatch.setattr(solvers, "_admm", admm)
+    monkeypatch.setattr(solvers, "svt", kernel("svt", solvers.svt))
+    monkeypatch.setattr(solvers, "rank_project", kernel("rank_project", solvers.rank_project))
+    res = LAYOUT_SOLVES[name]()
+    assert res.converged and res.iters > 0
+    assert {what for what, _ in seen} >= (
+        {"svt", "rank_project"} if name == "complete_m" else {"z0", "c", "x_step", "z_step"})
+    assert sorted({what for what, ok in seen if not ok}) == []
+
+
+@pytest.mark.parametrize("pairing", [None, Pairing((0, 2), (1, 3))])
+def test_mask_matrix_flat_indexes_the_unfolding_in_c_order(pairing):
+    t = gen_cp((3, 4, 5, 6), 2, seed=1)
+    mask = gen_mask(t.shape, 0.3, seed=2)
+    pr = Pairing.default(4) if pairing is None else pairing
+    m = square_unfold(t, pr)
+    assert np.array_equal(solvers._sampled(np.ascontiguousarray(m),
+                                           solvers._mask_matrix_flat(mask, pr)),
+                          mask.observe(t))
 
 
 @functools.cache

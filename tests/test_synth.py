@@ -176,6 +176,23 @@ def test_mask_validation():
         gen_mask((2, 2), 1.5, seed=0)
 
 
+@pytest.mark.parametrize("flat", [
+    [1.5, 7.9],
+    np.array([1.0, 2.0]),
+    np.array([[0, 1], [2, 3]]),
+    [True, False],
+    3,
+])
+def test_mask_rejects_indices_that_are_not_a_1d_integer_array(flat):
+    with pytest.raises(ValueError, match="1-D integer array"):
+        Mask(dims=(3, 3), flat=flat)
+
+
+def test_mask_accepts_an_empty_list():
+    mask = Mask(dims=(3, 3), flat=[])
+    assert mask.count == 0 and mask.flat.dtype == np.int64
+
+
 # -------------------------------------------------------------- sparse noise
 
 
