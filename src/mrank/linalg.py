@@ -25,7 +25,8 @@ or Inf in M @ Omega, so a low-rank matrix certified there is read once.
 
 The mode routines read one view and one matrix kernel. _unfolding(t, mode)
 is the mode unfolding up to a row permutation (a view of t for the first
-and last modes, one copy for a middle mode); _gram forms a matrix's n x n
+and last modes, one copy for a middle mode, which mode_svt writes into its
+own output buffer); _gram forms a matrix's n x n
 Gram matrix with one BLAS zherk, rescaled by a power of two where the
 squares would overflow or underflow, and _gram_rank certifies a numerical
 rank from its eigenvalues:
@@ -104,6 +105,13 @@ class TakagiResult:
 def _check_rel_tol(rel_tol):
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+
+
+def _check_tau(tau):
+    """The prox kernels' threshold: >= 0, +inf included (its output is
+    zero); NaN fails the comparison too."""
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
 
 
 def spectrum_rank(s, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -429,8 +437,10 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     updated in place (the next block, the route and the output's
     spectrum). The caller owns it, so calls stay independent across
     threads and the result is a deterministic function of the call
-    sequence.
+    sequence. Raises ValueError for a NaN or negative tau; tau = +inf
+    gives the zero matrix.
     """
+    _check_tau(tau)
     rows, cols = np.shape(m)
     u, s, vh = _leading(
         m, warm, lambda s: int(np.count_nonzero(s > tau)),
@@ -441,14 +451,16 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     return (u * s) @ vh
 
 
-def _unfolding(t, mode):
+def _unfolding(t, mode, buf=None):
     """The mode-`mode` unfolding of the complex128 tensor t up to a row
     permutation (which moves neither singular values nor right singular
     vectors): K x n, n = t.shape[mode], the mode index as column. The
     C-ordered t is read as (a, n, b) around the mode: (a, n) for b = 1 and
     (n, b) transposed for a = 1 are views, a middle mode one (n, a * b)
-    copy, transposed. A Fortran-ordered t (as read_tensor returns it) is
-    read as t.T at mode ndim - 1 - mode, a t in neither order copied."""
+    copy, transposed, written into buf when given (a C-contiguous array of
+    t's size, not overlapping t). A Fortran-ordered t (as read_tensor
+    returns it) is read as t.T at mode ndim - 1 - mode, a t in neither
+    order copied."""
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order {t.ndim}")
     if t.flags.f_contiguous and not t.flags.c_contiguous:
@@ -459,7 +471,9 @@ def _unfolding(t, mode):
         return t.reshape(a, n)
     x = t.reshape(a, n, b)
     if a > 1:
-        x = np.ascontiguousarray(x.transpose(1, 0, 2))
+        copy = np.empty((n, a, b), dtype=t.dtype) if buf is None else buf.reshape(n, a, b)
+        np.copyto(copy, x.transpose(1, 0, 2))
+        x = copy
     return x.reshape(n, a * b).T
 
 
@@ -535,7 +549,11 @@ def mode_spectrum(t, mode: int) -> tuple[np.ndarray, np.ndarray]:
     SVD. Raises ValueError for a mode out of range or NaN or Inf entries in
     t (_gram's gate, before any LAPACK call).
     """
-    m = _unfolding(np.asarray(t, dtype=np.complex128), mode)
+    return _spectrum(_unfolding(np.asarray(t, dtype=np.complex128), mode))
+
+
+def _spectrum(m):
+    """mode_spectrum of the unfolding m (_unfolding's view or copy)."""
     k = min(m.shape)
     if k == 0:
         return np.zeros(0), np.zeros((0, m.shape[1]), dtype=np.complex128)
@@ -580,18 +598,27 @@ def mode_svt(t, mode: int, tau: float, out: np.ndarray | None = None) -> np.ndar
     instead. The product is one matmul over t viewed as (a, n, b) around
     the mode, written into out when given (a C-contiguous complex128 array
     of t's shape, not overlapping t), else into a new array; either is
-    returned. Agrees with the full-SVD svt of M to about 1e-12 relative.
+    returned. out is dead until the product overwrites it, so a middle
+    mode's unfolding copy, read by the Gram matrix and by the SVD
+    fallback, is written into out: the call allocates nothing of t's size
+    but its SVD fallback's left vectors. Agrees with the full-SVD svt of M
+    to about 1e-12 relative. Raises ValueError for a NaN or negative tau,
+    or an out of the wrong kind or overlapping t; tau = +inf gives zero.
     """
+    _check_tau(tau)
     t = np.ascontiguousarray(t, dtype=np.complex128)
     if out is None:
         out = np.empty_like(t)
     elif out.shape != t.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex128 array of t's shape")
+    elif np.may_share_memory(out, t):
+        raise ValueError("out must not overlap t")
     if t.size == 0:
         return out
-    s, vh = mode_spectrum(t, mode)
+    m = _unfolding(t, mode, out)
+    s, vh = _spectrum(m)
     if tau < GRAM_TAU_MARGIN * np.sqrt(np.finfo(float).eps) * s[0]:
-        _, s, vh = np.linalg.svd(_unfolding(t, mode), full_matrices=False)
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = int(np.count_nonzero(s > tau))
     if not keep:
         out.fill(0.0)
@@ -620,17 +647,26 @@ def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np
 
     Returns (x, u): the projection and its leading left singular vectors
     (min(r, rows, cols) orthonormal columns spanning x's column space), so
-    a caller that needs the column space runs no second SVD.
+    a caller that needs the column space runs no second SVD. Raises
+    ValueError unless r is an integer >= 0.
     """
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"r must be an integer >= 0, got {r}")
     cols = np.shape(m)[1]
     u, s, vh = _leading(m, warm, lambda s: r,
                         lambda shape: shape == (cols, r + OVERSAMPLE))
     return (u * s) @ vh, u
 
 
-def complex_soft_threshold(m, tau: float) -> np.ndarray:
+def complex_soft_threshold(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise modulus shrinkage z * max(1 - tau/|z|, 0), the proximal map
-    of tau * sum(|z_i|) with |.| the complex modulus."""
+    of tau * sum(|z_i|) with |.| the complex modulus. The result is written
+    into out when given (a complex128 array of m's shape; out = m shrinks m
+    in place), else into a new array; either is returned. With out given,
+    the factor, one real array of m's shape, is the call's only
+    allocation. Raises ValueError for a NaN or negative tau; tau = +inf
+    gives zero."""
+    _check_tau(tau)
     m = np.asarray(m, dtype=np.complex128)
     # the factor max(1 - tau / max(|m|, tiny), 0), built in place in one
     # real array: no temporary per operation, and the same rounding
@@ -640,7 +676,7 @@ def complex_soft_threshold(m, tau: float) -> np.ndarray:
         np.divide(tau, f, out=f)
     np.subtract(1.0, f, out=f)
     np.maximum(f, 0.0, out=f)
-    return m * f
+    return np.multiply(m, f, out=out)
 
 
 def complex_l1(m) -> float:

@@ -34,10 +34,13 @@ driver, _admm, run on d blocks x_j - z = c with two prox steps each: d = 1
 for the square models, and d = the order for the mode models, whose blocks
 are the mode copies (see its docstring for the variables of each model).
 It owns the penalty, the dual update, the stopping test and the trace, and
-runs the blocks one at a time, so it allocates no array per iteration:
-besides the blocks and z it keeps the d scaled duals and two block buffers
-(one for d = 1), and the mode models' z steps take the blocks' mean from
-the driver. The initial penalty is made scale-invariant by
+runs the blocks one at a time. No block-sized array is allocated per
+iteration, by _admm or by a z step, beyond the prox kernels' own work
+arrays (svt's factors, the soft threshold's real factor): besides the
+blocks _admm keeps z, the d scaled duals and two block buffers (one for
+d = 1); each z step writes its prox over the blocks' mean, which _admm
+hands it in one of its buffers, and _admm rotates z's old buffer into
+that role. The initial penalty is made scale-invariant by
 dividing by the spectral norm of the data unfolding, and both stopping
 tolerances are relative to that norm, so the dimensionless defaults work,
 and a solve takes the same steps, at any data scale. From
@@ -397,7 +400,9 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     reached with nothing accepted, the continuation iterate is returned,
     converged only if its observed residual is within cfg.rel_tol.
     rel_err_all is always the observed-entry residual of the returned
-    tensor, and residual_trace[-1] when iters > 0.
+    tensor, and residual_trace[-1] when iters > 0. Zero data, or a mask
+    that observes every entry, returns the data at once: 0 iterations,
+    converged.
     """
     cfg = _checked(cfg)
     mask.check(values)
@@ -410,10 +415,12 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     nrow, ncol = pr.matrix_shape(mask.dims)
     x = np.zeros((nrow, ncol), dtype=np.complex128)
     x.reshape(-1)[flat] = b
-    bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
-    sigma0 = spectral_norm(x)
-    if sigma0 == 0.0:
+    # zero data, whose optimum is zero, or every entry observed, where the
+    # data is the only feasible point (the masked gradient steps would
+    # crawl to it, by a factor of GRAD_STEP - 1 per step)
+    if b.size == x.size or (sigma0 := spectral_norm(x)) == 0.0:
         return _result(square_fold(x, mask.dims, pr), e, 0, True, truth, 0.0, [])
+    bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
 
     mu0, shrink, floor_frac = MU_SCHEDULE
     mu = mu0 * sigma0
@@ -483,13 +490,15 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
 
     x_step(j, v, rho) = prox_{f_j/rho}(v) and z_step(w, rho) =
-    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. Both only
-    read their input, whose buffer the driver reuses: x_step returns an
-    array that does not alias v (it may reuse its own buffer for block j
-    from call to call), and z_step returns a new array. z0 is overwritten.
-    Every block x_j, v, w, z and c have z0's shape (c may also be the
-    scalar 0), and the constraint's norms count the d blocks. One memory
-    layout: z0, c and every x_step and z_step result are C-contiguous, as
+    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. x_step
+    only reads v, whose buffer the loop reuses, and returns an array
+    that does not alias it (it may reuse its own buffer for block j from
+    call to call). z_step writes its result over w and returns w: w is a
+    buffer the loop owns, and the loop rotates its buffers rather than
+    receive a new z. z0 becomes one of those buffers, so it is
+    overwritten. Every block x_j, v, w, z and c have z0's shape (c may
+    also be the scalar 0), and the constraint's norms count the d blocks.
+    One memory layout: z0, c and every x_step result are C-contiguous, as
     are the driver's own buffers, so no pass mixes layouts. The models:
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
@@ -543,18 +552,23 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     models it slows the solve down, and without the band gate it runs
     rpca_m on a random tensor out of its budget.
 
-    Memory: besides the blocks x_j and z, the driver keeps the d scaled
-    duals u_j, starting at zero, and two block buffers (one when d = 1),
-    all allocated before the first x step; it allocates no array per
-    iteration. Each iteration runs the blocks twice. The first pass forms
-    v = z + c - u_j in the first buffer, takes x_j = x_step(j, v, rho), and
-    adds x_j - c + u_j into the second buffer, which then holds the blocks'
-    mean w for z_step (for d = 1, w is formed in the first buffer). The
-    second pass forms r_j = x_j - z_new - c in the first buffer and adds it
-    into u_j. z - z_old is formed in z_old's buffer. A scalar zero c
-    (complete_n, complete_supersym) adds no pass at all. Every norm is one
-    dot product over the array's memory (_norm), summed over the blocks for
-    x and r.
+    Memory: besides the blocks x_j, the loop keeps the d scaled duals
+    u_j, starting at zero, z, and two block buffers v and w (one, v = w,
+    when d = 1), all allocated before the first x step, z0 being z's. It
+    allocates no array per iteration, and a z step writes over w (the
+    prox kernels keep their own work arrays, such as
+    complex_soft_threshold's real factor). Each iteration runs the blocks
+    twice. The first pass forms v = z + c - u_j,
+    takes x_j = x_step(j, v, rho), and adds x_j - c + u_j into w, which
+    then holds the blocks' mean for z_step (for d = 1, w is v). z_step
+    turns w into z_new, and z_new - z_old is formed in z_old's buffer for
+    r_dua; that buffer is then the next w (and, for d = 1, the next v), and
+    z_new is z. The second pass forms r_j = x_j - z_new - c in v and adds
+    it into u_j. So complete_n and rpca_n hold the stack of mode copies,
+    the d duals and three single blocks (v, w, z); rpca_m and
+    complete_supersym hold x, u, v and z. A scalar zero c (complete_n,
+    complete_supersym) adds no pass at all. Every norm is one dot product
+    over the array's memory (_norm), summed over the blocks for x and r.
 
     Returns (xs, z, iters, converged, trace, dual), xs the d blocks x_j and
     dual the final unscaled dual rho * u (Boyd et al.'s y for the
@@ -576,6 +590,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     w = v if d == 1 else np.empty_like(v)
     xs = [None] * d
     z, trace = z0, []
+    del z0  # z's buffer, which the rotation below turns into w
     for it in range(1, cfg.max_iters + 1):
         sq_x = 0.0
         for j in range(d):
@@ -599,18 +614,21 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
                 w += b
         if d > 1:
             w /= d
-        z_new = z_step(w, rho)
+        z_new = z_step(w, rho)  # over w
+        # z - z_old in the old z's buffer, which then serves as w, and for
+        # d = 1 as v, whose old buffer z_new has taken
+        r_dua = rho * k * _norm(np.subtract(z_new, z, out=z))
+        w, z = z, z_new
+        if d == 1:
+            v = w
         sq_pri = 0.0
         for j in range(d):
-            r = np.subtract(xs[j], z_new, out=v)  # x_j - z - c
+            r = np.subtract(xs[j], z, out=v)  # x_j - z - c
             if not zero_c:
                 r -= c
             u[j] += r
             sq_pri += _sq_norm(r)
         r_pri = np.sqrt(sq_pri)
-        # z - z_old in the old z's buffer, which is then released
-        r_dua = rho * k * _norm(np.subtract(z_new, z, out=z))
-        z = z_new
         size_pri = max(np.sqrt(sq_x), k * _norm(z), c_term)
         rel_pri = r_pri / max(size_pri, tiny)
         trace.append(rel_pri)
@@ -677,16 +695,15 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     flat = np.ravel_multi_index(mask.multi_indices(), dims)
 
     def z_step(w, rho):
-        z = w.copy()
-        z.reshape(-1)[flat] = b
-        return z
+        w.reshape(-1)[flat] = b
+        return w
 
     x0 = z_step(np.zeros(dims, dtype=np.complex128), None)
     x_step, sigma0 = _mode_model(x0)[1:]
     z, it, conv, trace = _admm(len(dims), 0.0, x_step, z_step, x0, sigma0, cfg)[1:5]
-    # the stack goes with x_step, and the dual with _admm's tuple, before
-    # the rank report
-    del x_step
+    # the stack goes with x_step, the dual with _admm's tuple, and x0, a
+    # buffer of _admm's that may be dead by now, before the rank report
+    del x_step, x0
     # observed entries pinned exactly
     return _result(z, e, it, conv, truth, 0.0, trace)
 
@@ -710,7 +727,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     warm = SvtWarm()
     (y,), z, it, conv, trace, dual = _admm(
         1, f, lambda j, v, rho: svt(v, 1.0 / rho, warm),
-        lambda w, rho: complex_soft_threshold(w, lam / rho),
+        lambda w, rho: complex_soft_threshold(w, lam / rho, out=w),
         np.zeros_like(f), spectral_norm(f), cfg, grow=True)
     return _result(square_fold(y, t.shape, pr), e, it, conv, truth, _rel_err(y - z, f),
                    trace, sparse=square_fold(-z, t.shape, pr),
@@ -753,12 +770,14 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     d = t.ndim
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(np.prod(t.shape[:d // 2]))
     stack, x_step, sigma0 = _mode_model(t)
-    z, it, conv, trace = _admm(
-        d, t, x_step, lambda w, rho: complex_soft_threshold(w, lam / (d * rho)),
-        np.zeros_like(t), sigma0, cfg)[1:5]
-    y = stack.mean(axis=0)
+    xs, z, it, conv, trace = _admm(
+        d, t, x_step, lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
+        np.zeros_like(t), sigma0, cfg)[:5]
+    # without an iteration every block is the data (_admm), and the stack
+    # was never written
+    y = stack.mean(axis=0) if it else xs[0]
     # the stack and, with _admm's tuple, the dual go before the rank report
-    del stack, x_step
+    del stack, x_step, xs
     return _result(y, e, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
 
 
@@ -812,12 +831,16 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     def z_step(w, rho):
         vals = orbit_sum(w.reshape(-1), ids, n_orb) / counts
         vals[observed] = ob_val[observed]
-        return vals[ids].reshape(nrow, ncol)
+        # ids are valid by construction; numpy's default mode="raise"
+        # buffers a full-size copy to write into out
+        np.take(vals, ids, out=w.reshape(-1), mode="clip")
+        return w
 
     z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
     warm = SvtWarm()
     z, it, conv, trace = _admm(
         1, 0.0, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
         spectral_norm(z0), cfg)[1:5]
+    del z0  # a buffer of _admm's that may be dead by now
     # projection pins observed orbits exactly
     return _result(square_fold(z, dims), e, it, conv, truth, 0.0, trace)

@@ -782,6 +782,10 @@ def test_mode_svt_writes_into_out():
     assert not mode_svt(t, 0, big, out=stack[0]).any() and not stack[0].any()
     with pytest.raises(ValueError, match="out"):
         mode_svt(t, 0, 1.0, out=np.empty((7, 6, 5), dtype=np.complex128))
+    # a middle mode's unfolding copy is written into out before the product
+    # reads t, so out must not overlap t
+    with pytest.raises(ValueError, match="overlap"):
+        mode_svt(stack[1], 1, 1.0, out=stack[1])
 
 
 # log10 of the Gram margin: tau / s_max from 1e-12 to 1.2 is drawn on both
@@ -942,6 +946,18 @@ def test_complex_soft_threshold_is_the_textbook_formula():
                           complex_soft_threshold(z, 0.5).T)
 
 
+def test_complex_soft_threshold_writes_into_out():
+    # into a caller's buffer, or over its input, bitwise as into a new array
+    rng = np.random.default_rng(9)
+    z = crandn(rng, (9, 11))
+    ref = complex_soft_threshold(z, 0.7)
+    buf = np.empty_like(z)
+    assert complex_soft_threshold(z, 0.7, out=buf) is buf
+    assert np.array_equal(buf, ref)
+    assert complex_soft_threshold(z, 0.7, out=z) is z
+    assert np.array_equal(z, ref)
+
+
 def test_complex_soft_threshold_prox_optimality():
     rng = np.random.default_rng(7)
     z = crandn(rng, (4, 4))
@@ -952,6 +968,39 @@ def test_complex_soft_threshold_prox_optimality():
         y = x + 0.1 * crandn(rng, x.shape)
         obj_y = tau * complex_l1(y) + 0.5 * np.linalg.norm(y - z) ** 2
         assert obj <= obj_y + 1e-12
+
+
+# NaN and negative thresholds once passed silently: a NaN tau made svt and
+# mode_svt return zeros and complex_soft_threshold NaN entries, a negative
+# tau added |tau| to every singular value or modulus, and rank_project(m, -1)
+# returned a rank min(m.shape) - 1 projection
+_M8 = crandn(np.random.default_rng(20), (8, 8))
+_T4 = crandn(np.random.default_rng(21), (3, 4, 5, 2))
+PROX_KERNELS = {
+    "svt": lambda a: svt(_M8, a),
+    "mode_svt": lambda a: mode_svt(_T4, 1, a),
+    "complex_soft_threshold": lambda a: complex_soft_threshold(_M8, a),
+    "rank_project": lambda a: rank_project(_M8, a)[0],
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    *((name, bad) for name in ("svt", "mode_svt", "complex_soft_threshold")
+      for bad in (np.nan, -1.0, -np.inf)),
+    ("rank_project", -1), ("rank_project", 1.5), ("rank_project", np.nan),
+])
+def test_prox_kernels_reject_invalid_thresholds(name, bad):
+    with pytest.raises(ValueError, match="tau must be >= 0|r must be an integer >= 0"):
+        PROX_KERNELS[name](bad)
+
+
+@pytest.mark.parametrize("name, edge", [("svt", np.inf), ("mode_svt", np.inf),
+                                        ("complex_soft_threshold", np.inf),
+                                        ("rank_project", 0)])
+def test_prox_kernels_take_their_edge_thresholds(name, edge):
+    # tau = +inf and r = 0 are valid and give zero
+    out = PROX_KERNELS[name](edge)
+    assert out.shape == (_T4 if name == "mode_svt" else _M8).shape and not out.any()
 
 
 # ------------------------------------------------------------------- takagi

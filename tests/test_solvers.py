@@ -250,10 +250,12 @@ def test_complete_m_max_iters_caps_continuation_and_refinement(k):
 
 
 def test_complete_m_floor_stage_returns_the_continuation_iterate(monkeypatch):
-    # a fully observed 2^4 rank-4 CP tensor: its 4 x 4 unfolding has full
-    # rank, so every stage's candidates (ranks 1 to 3) plateau and are
-    # rejected, and continuation runs down to its floor stage, where the
-    # data is fitted and the iterate is returned as converged
+    # a 2^4 rank-4 CP tensor with 15 of its 16 entries observed: its 4 x 4
+    # unfolding has full rank, and on this mask no rank-3 matrix fits the
+    # samples either, so every stage's candidates (ranks 1 to 3) plateau
+    # and are rejected, and continuation runs down to its floor stage,
+    # where the data is fitted and the iterate is returned as converged.
+    # (A fully observed tensor is returned at once, without continuation.)
     tried = []
 
     def spy(x, r, *args):
@@ -264,12 +266,12 @@ def test_complete_m_floor_stage_returns_the_continuation_iterate(monkeypatch):
     monkeypatch.setattr(solvers, "_svp", spy)
     dims = (2, 2, 2, 2)
     t = gen_cp(dims, 4, seed=0)
-    mask = gen_mask(dims, 1.0, seed=0)
+    mask = gen_mask(dims, 15 / 16, seed=1)
+    assert mask.count == 15
     res = complete_m(mask, mask.observe(t), cfg=SolverConfig(max_iters=20000), truth=t)
     assert tried == [(1, True), (2, True), (3, True)]
-    assert res.iters == 5874 == len(res.residual_trace)
+    assert res.iters == 5964 == len(res.residual_trace)
     assert res.converged and res.rel_err_all == res.residual_trace[-1] <= 1e-6
-    assert res.rel_err_vs_truth <= 1e-6
 
 
 @pytest.mark.parametrize("k, calls", [(14, []), (15, []), (16, [(6, 1)])])
@@ -291,6 +293,17 @@ def test_complete_m_leaves_no_refinement_a_budget_below_two(monkeypatch, k, call
     assert seen == calls
     assert res.iters == k == len(res.residual_trace) and not res.converged
     assert res.rel_err_all == res.residual_trace[-1]
+
+
+def test_complete_m_returns_a_fully_observed_tensor_at_once():
+    # P_obs = I leaves one feasible point; the masked gradient steps took
+    # 566 iterations to reach it on this instance
+    t = gen_cp((5, 5, 5, 5), 2, seed=0)
+    mask = gen_mask(t.shape, 1.0, seed=0)
+    res = complete_m(mask, mask.observe(t), truth=t)
+    assert (res.iters, res.converged, res.rel_err_all, res.rel_err_vs_truth) == (0, True, 0.0, 0.0)
+    assert res.residual_trace == [] and np.array_equal(res.recovered, t)
+    assert res.rank_report.m_plus == 2
 
 
 def test_complete_m_crossed_pairing():
@@ -658,6 +671,11 @@ def test_admm_driver_contract(name):
     unrun = solve(1.0, SolverConfig(max_iters=0))
     assert unrun.iters == 0 and not unrun.converged
     assert unrun.duality_gap == (1.0 if gapped else None)
+    if name in ("rpca_m", "rpca_n"):
+        # every block is z0 + c = the data, and the sparse part zero (rpca_n
+        # read its unwritten stack and returned L = 0)
+        assert np.array_equal(unrun.recovered, _NOISY)
+        assert not unrun.sparse.any() and unrun.rel_err_all == 0.0
 
     r1 = solve(1.0, SolverConfig())
     r2 = solve(1.0, SolverConfig())
@@ -881,9 +899,10 @@ def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
         return x
 
     def z_step(w, rho):
-        z = rho * w / (3.0 + rho)
-        zs.append((rho, w.copy(), z.copy()))
-        return z
+        w_in = w.copy()
+        np.multiply(w, rho / (3.0 + rho), out=w)
+        zs.append((rho, w_in, w.copy()))
+        return w
 
     monkeypatch.setattr(solvers, "PENALTY_SCALE", PENALTY_SCALE * rho)
     out = _admm(1, c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
@@ -1006,7 +1025,8 @@ def _driver_peak(c, d=None):
     arrays of x's size. x is one 400x400 block, or with d a d-fold stack of
     200x200 blocks against one consensus z, as in complete_n and rpca_n.
     The proxes allocate as little as the contract allows: x_step writes
-    into its own slice of a stack, z_step returns one new array."""
+    into its own slice of a stack, z_step writes over the mean it is
+    handed."""
     rng = np.random.default_rng(4)
     shape = (1, 400, 400) if d is None else (d, 200, 200)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1018,7 +1038,7 @@ def _driver_peak(c, d=None):
         return np.divide(buf[j], 1.0 + rho, out=buf[j])
 
     def z_step(w, rho):
-        return w * (rho / (3.0 + rho))
+        return np.multiply(w, rho / (3.0 + rho), out=w)
 
     z0 = np.zeros(shape[1:], dtype=np.complex128)
     tracemalloc.start()
@@ -1034,33 +1054,38 @@ def _driver_peak(c, d=None):
 
 @pytest.mark.parametrize("c", ["array", 0.0, "consensus"])
 def test_admm_driver_allocates_no_temporaries(c):
-    # the driver keeps the scaled dual u and one block buffer; with z and
-    # the z step's new z that is four arrays of x's size at the peak. Any
+    # z0 and x's buffer exist before the count starts, and the z step
+    # writes over the mean it is handed, so _admm adds the scaled dual
+    # u and one block buffer: two arrays of x's size at the peak. Any
     # per-iteration temporary of x's size (v = z + c - u as an expression,
-    # x - 0.0, the old z held past its use) makes it five or more. Against
-    # a 4-fold stack of blocks, z, c and the two block buffers are single
-    # blocks: u, the two buffers, z and the new z make 2 stacks, and one
-    # more block (a mean of the blocks formed anew) makes 2.25 or more.
+    # x - 0.0, a new z, the old z held past its use) makes it three or
+    # more. Against a 4-fold stack of blocks, z, c and the two block
+    # buffers are single blocks: u and the two buffers make 1.5 stacks, and
+    # one more block (a new z, or a mean of the blocks formed anew) makes
+    # 1.75 or more.
     rng = np.random.default_rng(5)
     if c == "consensus":
-        assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 2.1
+        assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 1.6
         return
     if c == "array":
         c = rng.standard_normal((400, 400)) + 0j
-    assert _driver_peak(c) < 4.1
+    assert _driver_peak(c) < 2.1
 
 
 def test_mode_model_x_step_writes_into_the_stack():
     # one x step of complete_n and rpca_n at 20^4: mode_svt writes each
-    # mode straight into its slice of the stack, and a middle mode's Gram
-    # matrix needs one contiguous copy of the tensor. The peak stays near
-    # one tensor; with the SVD fallback's unfolding copy it is two. A
-    # tensordot product moved into the stack would add one more.
+    # mode straight into its slice of the stack, which also holds a middle
+    # mode's contiguous unfolding copy until the product overwrites it. On
+    # the Gram route the peak is a small fraction of a tensor (a copy of
+    # its own would make it one); the SVD fallback reads the same copy and
+    # adds the SVD's left vectors, one tensor. A tensordot product moved
+    # into the stack would add one more.
     t = gen_cp((20,) * 4, 12, seed=0)
     stack, x_step, sigma0 = solvers._mode_model(t)
     rng = np.random.default_rng(8)
     v = t + 0.1 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
-    for rho in (PENALTY_SCALE / sigma0, 1.0):  # the Gram route, then the SVD's
+    # the Gram route, then the SVD's
+    for rho, bound in ((PENALTY_SCALE / sigma0, 0.1), (1.0, 1.1)):
         for j in range(t.ndim):
             tracemalloc.start()
             try:
@@ -1070,7 +1095,44 @@ def test_mode_model_x_step_writes_into_the_stack():
             finally:
                 tracemalloc.stop()
             assert out.base is stack and np.shares_memory(out, stack[j])
-            assert (peak - base) / t.nbytes <= 2.1
+            assert (peak - base) / t.nbytes <= bound
+
+
+# the perfbench robust_supersym instances before relabelling, and the
+# complete_n instance of ROADMAP item 4 (r = 12, 30% observed)
+_D20 = (20, 20, 20, 20)
+_R20 = gen_cp(_D20, 8, seed=0) + gen_sparse_noise(_D20, 0.05, seed=0)
+_C20_MASK = gen_mask(_D20, 0.3, seed=0)
+_C20_VALUES = _C20_MASK.observe(gen_cp(_D20, 12, seed=0))
+_S20_MASK = gen_mask(_D20, 0.4, seed=0)
+_S20_VALUES = _S20_MASK.observe(gen_supersym(20, 4, 8, seed=0))
+# tracemalloc peak of each ADMM solver at 20^4, in tensors of that size
+# (14.55, 13.46, 7.59 and 7.66 while each z step returned a new z). The
+# mode models hold the 4-fold stack, the 4 duals and three blocks (v, w,
+# z); rpca_n adds its scaled data and the soft threshold's real factor
+# (12.5), complete_n its samples and their index (11.45)
+PEAK_TENSORS = {
+    "rpca_n": (12.6, lambda cfg: rpca_n(_R20, cfg=cfg)),
+    "complete_n": (11.5, lambda cfg: complete_n(_C20_MASK, _C20_VALUES, cfg)),
+    "rpca_m": (7.3, lambda cfg: rpca_m(_R20, cfg=cfg)),
+    "complete_supersym": (7.6, lambda cfg: complete_supersym(_S20_MASK, _S20_VALUES, cfg)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_TENSORS))
+def test_admm_solvers_hold_their_variables_and_no_more(name):
+    # three iterations reach the same peak as a full solve: every
+    # iteration allocates the same arrays
+    bound, solve = PEAK_TENSORS[name]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve(SolverConfig(max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iters == 3
+    assert (peak - base) / _R20.nbytes <= bound
 
 
 def _mode_nuclear(t):
