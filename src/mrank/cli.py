@@ -38,17 +38,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fileio import read_frames, read_tensor, write_frames, write_report, write_tensor
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, _check_rel_tol
 from .ranks import m_ranks
 from .solvers import (
     SolverConfig,
+    _check_lam,
+    _check_max_iters,
     complete_m,
     complete_n,
     complete_supersym,
     rpca_m,
     rpca_n,
 )
-from .synth import InstanceSpec, gen_mask, gen_sparse_noise
+from .synth import InstanceSpec, _check_fraction, gen_mask, gen_sparse_noise
 from .tensor import Pairing
 
 EXIT_OK = 0
@@ -80,25 +82,29 @@ def _parse_pairing(text: str | None, order: int) -> Pairing | None:
         raise UsageError(str(exc)) from None
 
 
+# the numeric flags whose range rule the library owns, each with the
+# validator the library itself calls on the field the flag sets
+_RANGE_RULES = (
+    ("--max-iters", _check_max_iters),
+    ("--rel-tol", _check_rel_tol),
+    ("--tol", _check_rel_tol),
+    ("--lam", _check_lam),
+    ("--ratio", _check_fraction),
+    ("--density", _check_fraction),
+)
+
+
 def _check_flags(args) -> None:
     """Reject out-of-range numeric flags of any command before it reads
     input or starts a solve: these are usage errors, not a solver that did
     not converge or data that cannot be read."""
-    max_iters = getattr(args, "max_iters", None)
-    if max_iters is not None and max_iters < 0:
-        raise UsageError(f"--max-iters must be >= 0, got {max_iters}")
-    for name in ("rel_tol", "tol"):
-        tol = getattr(args, name, None)
-        if tol is not None and not (np.isfinite(tol) and tol >= 0):
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be finite and >= 0, got {tol}")
-    lam = getattr(args, "lam", None)
-    if lam is not None and not (np.isfinite(lam) and lam > 0):
-        raise UsageError(f"--lam must be finite and > 0, got {lam}")
-    for name in ("ratio", "density"):
-        frac = getattr(args, name, None)
-        if frac is not None and not 0.0 <= frac <= 1.0:
-            raise UsageError(f"--{name} must be in [0, 1], got {frac}")
+    for flag, check in _RANGE_RULES:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            try:
+                check(value, flag)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")

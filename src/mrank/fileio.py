@@ -21,8 +21,6 @@ import numpy as np
 from .tensor import _require_finite, as_tensor
 
 __all__ = [
-    "MAGIC",
-    "VERSION",
     "read_tensor",
     "write_tensor",
     "read_frames",

@@ -65,16 +65,10 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "TakagiResult",
     "numerical_rank",
-    "spectrum_rank",
     "nuclear_norm",
     "spectral_norm",
     "takagi",
-    "SvtWarm",
     "svt",
-    "mode_rank",
-    "mode_spectrum",
-    "mode_svt",
-    "rank_project",
     "complex_soft_threshold",
     "complex_l1",
 ]
@@ -102,9 +96,11 @@ class TakagiResult:
         return (self.w * self.s) @ self.w.T
 
 
-def _check_rel_tol(rel_tol):
+def _check_rel_tol(rel_tol, name: str) -> None:
+    """The range rule of a relative rank or stopping tolerance: finite and
+    >= 0, or ValueError naming it as `name` (a field, or the CLI's flag)."""
     if not (np.isfinite(rel_tol) and rel_tol >= 0):
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+        raise ValueError(f"{name} must be finite and >= 0, got {rel_tol}")
 
 
 def _check_tau(tau):
@@ -119,7 +115,7 @@ def spectrum_rank(s, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     above rel_tol * s[0]; 0 when s is empty or s[0] is zero. For callers
     that already hold the spectrum. Raises ValueError for a negative or
     non-finite rel_tol."""
-    _check_rel_tol(rel_tol)
+    _check_rel_tol(rel_tol, "rel_tol")
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
@@ -260,7 +256,7 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
     route sees them in M @ Omega, and the gate pass over m runs before the
     fallback SVD.
     """
-    _check_rel_tol(rel_tol)
+    _check_rel_tol(rel_tol, "rel_tol")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     m = np.asarray(m)
@@ -571,7 +567,7 @@ def mode_rank(t, mode: int, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     ValueError for a negative or non-finite rel_tol, a mode out of range,
     or NaN or Inf entries in t (the gate of _gram, or of numerical_rank's
     fallback, before any LAPACK call)."""
-    _check_rel_tol(rel_tol)
+    _check_rel_tol(rel_tol, "rel_tol")
     m = _unfolding(np.asarray(t, dtype=np.complex128), mode)
     r = _gram_rank(m, rel_tol, "tensor")
     return numerical_rank(m, rel_tol) if r is None else r

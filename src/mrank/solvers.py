@@ -14,8 +14,11 @@ Five solvers share one config:
 
 All are deterministic. Every array a solver iterates on is C-ordered,
 whatever the layout of its input, and observed entries are addressed by
-C-order flat indices computed once per solve: complete_m and
-complete_supersym index the square unfolding, complete_n the tensor.
+C-order flat indices computed once per solve (_sample_flat): complete_m
+and complete_supersym index the square unfolding, complete_n the tensor.
+The square models take their pairing through _square_axes, which checks
+it against the tensor's order and gives the axis order in which the
+tensor's C layout is its C-ordered square unfolding.
 
 Any finite magnitude is supported, from the smallest normal double to the
 largest: each solver runs on its data times 2^-e, e the binary exponent of
@@ -26,8 +29,9 @@ scaled by a power of two). The pass that reads that modulus is also the
 data's finiteness check: NaN or Inf raises ValueError on entry, naming the
 count (tensor._unit_exponent). Errors against the truth and the rank
 report are taken at the solve's scale. rpca_m and rpca_n write their
-scaled data once, into a new C-ordered array (rpca_m its unfolding), and
-every solver scales its results back in place (_result).
+scaled data once, into a new C-ordered array (rpca_m reads the tensor in
+_square_axes's order, so that array is its unfolding), and every solver
+scales its results back in place (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one consensus ADMM
 driver, _admm, run on d blocks x_j - z = c with two prox steps each: d = 1
@@ -112,7 +116,6 @@ from .tensor import (
     orbit_ids,
     orbit_sum,
     square_fold,
-    square_unfold,
 )
 
 __all__ = [
@@ -246,15 +249,27 @@ def _rel_err(est, truth) -> float | None:
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
 
 
+def _check_max_iters(max_iters, name: str) -> None:
+    """An iteration budget is an integer >= 0, or ValueError names it as
+    `name` (the field, or the CLI's flag)."""
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {max_iters}")
+
+
+def _check_lam(lam, name: str) -> None:
+    """A sparsity weight is None (the default) or finite and > 0, or
+    ValueError names it as `name` (the field, or the CLI's flag)."""
+    if lam is not None and not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"{name} must be None or finite and > 0, got {lam}")
+
+
 def _checked(cfg: SolverConfig | None) -> SolverConfig:
     """cfg, or the default config when None, after a check of its fields:
     ValueError names the field and its value."""
     cfg = cfg or SolverConfig()
-    _check_rel_tol(cfg.rel_tol)
-    if cfg.lam is not None and not (np.isfinite(cfg.lam) and cfg.lam > 0):
-        raise ValueError(f"lam must be None or finite and > 0, got {cfg.lam}")
-    if not isinstance(cfg.max_iters, (int, np.integer)) or cfg.max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {cfg.max_iters}")
+    _check_rel_tol(cfg.rel_tol, "rel_tol")
+    _check_lam(cfg.lam, "lam")
+    _check_max_iters(cfg.max_iters, "max_iters")
     return cfg
 
 
@@ -282,16 +297,25 @@ def _result(rec, e, iters, converged, truth, rel_err_all, trace,
                        duality_gap=duality_gap)
 
 
-def _mask_matrix_flat(mask: Mask, pairing: Pairing) -> np.ndarray:
-    """Observed positions as C-order flat indices of the unfolding,
-    rows * ncol + cols, with rows and cols the first-index-fastest group
-    indices that define square_unfold."""
+def _square_axes(pairing: Pairing | None, order: int):
+    """(pr, axes) for a square solver on a tensor of the given order: pr is
+    the pairing, the default one when None, and ValueError is raised when
+    its order differs; axes is the axis order in which a C-ordered tensor's
+    memory is its C-ordered square unfolding under pr, each group reversed,
+    since square_unfold merges a group's indices first-index-fastest."""
+    pr = Pairing.default(order) if pairing is None else pairing
+    if pr.order != order:
+        raise ValueError(f"pairing order {pr.order} != tensor order {order}")
+    return pr, pr.row[::-1] + pr.col[::-1]
+
+
+def _sample_flat(mask: Mask, axes) -> np.ndarray:
+    """The observed entries' C-order flat indices in the tensor with its
+    axes taken in the order axes: positions in the C-ordered square
+    unfolding for _square_axes's order, in the C-ordered tensor for
+    range(order)."""
     multi = mask.multi_indices()
-    row_dims = tuple(mask.dims[a] for a in pairing.row)
-    col_dims = tuple(mask.dims[a] for a in pairing.col)
-    rows = np.ravel_multi_index([multi[a] for a in pairing.row], row_dims, order="F")
-    cols = np.ravel_multi_index([multi[a] for a in pairing.col], col_dims, order="F")
-    return rows * int(np.prod(col_dims, dtype=np.int64)) + cols
+    return np.ravel_multi_index([multi[a] for a in axes], [mask.dims[a] for a in axes])
 
 
 def _sampled(m, flat):
@@ -406,12 +430,10 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     """
     cfg = _checked(cfg)
     mask.check(values)
-    pr = Pairing.default(len(mask.dims)) if pairing is None else pairing
-    if pr.order != len(mask.dims):
-        raise ValueError(f"pairing order {pr.order} != tensor order {len(mask.dims)}")
+    pr, axes = _square_axes(pairing, len(mask.dims))
     _check_truth(truth, mask.dims)
     b, e = _unit_scale(values, "observed values")
-    flat = _mask_matrix_flat(mask, pr)
+    flat = _sample_flat(mask, axes)
     nrow, ncol = pr.matrix_shape(mask.dims)
     x = np.zeros((nrow, ncol), dtype=np.complex128)
     x.reshape(-1)[flat] = b
@@ -692,7 +714,7 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     dims = mask.dims
     _check_truth(truth, dims)
     b, e = _unit_scale(values, "observed values")
-    flat = np.ravel_multi_index(mask.multi_indices(), dims)
+    flat = _sample_flat(mask, range(len(dims)))
 
     def z_step(w, rho):
         w.reshape(-1)[flat] = b
@@ -719,10 +741,11 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     cfg = _checked(cfg)
     t = as_tensor(t)
     _check_truth(truth, t.shape)
+    pr, axes = _square_axes(pairing, t.ndim)
     e = _unit_exponent(t, "data")
-    pr = Pairing.default(t.ndim) if pairing is None else pairing
-    # the scaled unfolding, written once into a new C-ordered array
-    f = np.multiply(square_unfold(t, pr), 2.0 ** -e, order="C")
+    # the scaled unfolding, written once: t read in the order axes into a
+    # new C-ordered array, which is then square_unfold(t, pr) as it lies
+    f = np.multiply(t.transpose(axes), 2.0 ** -e, order="C").reshape(pr.matrix_shape(t.shape))
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
     warm = SvtWarm()
     (y,), z, it, conv, trace, dual = _admm(
@@ -812,7 +835,8 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     counts = np.bincount(ids)
     n_orb = counts.size
 
-    ob_ids = ids[_mask_matrix_flat(mask, Pairing.default(len(dims)))]
+    pr, axes = _square_axes(None, len(dims))
+    ob_ids = ids[_sample_flat(mask, axes)]
     ob_cnt = np.bincount(ob_ids, minlength=n_orb)
     observed = ob_cnt > 0
     ob_val = np.zeros(n_orb, dtype=np.complex128)
@@ -826,7 +850,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
             "tensor matches the data"
         )
 
-    nrow, ncol = Pairing.default(len(dims)).matrix_shape(dims)
+    nrow, ncol = pr.matrix_shape(dims)
 
     def z_step(w, rho):
         vals = orbit_sum(w.reshape(-1), ids, n_orb) / counts
@@ -843,4 +867,4 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         spectral_norm(z0), cfg)[1:5]
     del z0  # a buffer of _admm's that may be dead by now
     # projection pins observed orbits exactly
-    return _result(square_fold(z, dims), e, it, conv, truth, 0.0, trace)
+    return _result(square_fold(z, dims, pr), e, it, conv, truth, 0.0, trace)

@@ -89,10 +89,7 @@ def gen_cp(dims, r: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, _FACTORS])
     t = np.zeros(dims, dtype=np.complex128)
     for _ in range(r):
-        term = complex_normal(rng, dims[0])
-        for n in dims[1:]:
-            term = outer(term, complex_normal(rng, n))
-        t += term
+        t += outer(*[complex_normal(rng, n) for n in dims])
     return t
 
 
@@ -109,15 +106,8 @@ def gen_kron(dims, r: int, k: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, _FACTORS])
     t = np.zeros(dims, dtype=np.complex128)
     for _ in range(r):
-        mats = []
-        for j in range(0, len(dims), 2):
-            mats.append(
-                complex_normal(rng, (dims[j], k)) @ complex_normal(rng, (k, dims[j + 1]))
-            )
-        term = mats[0]
-        for m in mats[1:]:
-            term = outer(term, m)
-        t += term
+        t += outer(*[complex_normal(rng, (dims[j], k)) @ complex_normal(rng, (k, dims[j + 1]))
+                     for j in range(0, len(dims), 2)])
     return t
 
 
@@ -129,11 +119,7 @@ def gen_supersym(n: int, order: int, r: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, _FACTORS])
     t = np.zeros((n,) * order, dtype=np.complex128)
     for _ in range(r):
-        v = complex_normal(rng, n)
-        term = v
-        for _ in range(order - 1):
-            term = outer(term, v)
-        t += term
+        t += outer(*[complex_normal(rng, n)] * order)
     return t
 
 
@@ -191,12 +177,18 @@ class Mask:
         return out.reshape(self.dims, order="F")
 
 
+def _check_fraction(value, name: str) -> None:
+    """A fraction of a tensor's entries lies in [0, 1], or ValueError names
+    it as `name` (the argument, or the CLI's flag)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 def gen_mask(dims, ratio: float, seed: int) -> Mask:
     """Uniform mask without replacement observing round(ratio * prod(dims))
     entries."""
     dims = tuple(int(n) for n in dims)
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+    _check_fraction(ratio, "ratio")
     total = int(np.prod(dims, dtype=np.int64))
     count = int(round(ratio * total))
     rng = np.random.default_rng([seed, _MASK])
@@ -208,8 +200,7 @@ def gen_sparse_noise(dims, density: float, seed: int) -> np.ndarray:
     """Tensor with exactly round(density * prod(dims)) complex normal
     entries at uniform positions, zero elsewhere."""
     dims = tuple(int(n) for n in dims)
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
+    _check_fraction(density, "density")
     total = int(np.prod(dims, dtype=np.int64))
     count = int(round(density * total))
     rng = np.random.default_rng([seed, _NOISE])

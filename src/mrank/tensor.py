@@ -1,9 +1,12 @@
 """Dense complex tensors and their matricizations.
 
-Tensors are plain complex128 ndarrays. All flattening in this package is
-first-index-fastest (Fortran order), so ``vec(t) == t.reshape(-1, order="F")``
-and the entry at multi-index (i_1, ..., i_D) sits at flat position
-``i_1 + i_2*n_1 + i_3*n_1*n_2 + ...`` (0-based).
+Tensors are plain complex128 ndarrays. Every flattening that the public
+functions and the MTEN file format expose is first-index-fastest (Fortran
+order), so ``vec(t) == t.reshape(-1, order="F")`` and the entry at
+multi-index (i_1, ..., i_D) sits at flat position
+``i_1 + i_2*n_1 + i_3*n_1*n_2 + ...`` (0-based); a Mask's indices count the
+same way. Inside a solve the solvers work on C-ordered arrays and C-order
+sample indices, as the solvers module describes.
 
 Contents:
     Pairing             -- a balanced split of the 2d axes into a row group
@@ -11,7 +14,7 @@ Contents:
     canonical_pairings  -- the C(2d,d)/2 splits with axis 0 pinned to rows
     vec / unvec         -- Fortran-order flattening and its inverse
     permute             -- axis permutation (numpy transpose semantics)
-    outer               -- tensor (outer) product
+    outer               -- tensor (outer) product of any number of factors
     square_unfold/fold  -- balanced matricization for a pairing, and inverse
     mode_unfold/fold    -- single-mode matricization (mode as column index)
     orbit_ids/orbit_sum -- index-permutation orbits of a cubical tensor
@@ -20,6 +23,7 @@ Contents:
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -36,8 +40,6 @@ __all__ = [
     "square_fold",
     "mode_unfold",
     "mode_fold",
-    "orbit_ids",
-    "orbit_sum",
     "symmetrize",
     "is_super_symmetric",
 ]
@@ -156,9 +158,10 @@ def permute(t, axes) -> np.ndarray:
     return np.transpose(t, axes)
 
 
-def outer(a, b) -> np.ndarray:
-    """Tensor product: dims concatenate, entries multiply."""
-    return np.multiply.outer(as_tensor(a), as_tensor(b))
+def outer(*factors) -> np.ndarray:
+    """Tensor product of the factors, taken left to right: dims concatenate,
+    entries multiply, and outer(a, b, c) is outer(outer(a, b), c)."""
+    return reduce(np.multiply.outer, map(as_tensor, factors))
 
 
 def square_unfold(t, pairing: Pairing | None = None) -> np.ndarray:

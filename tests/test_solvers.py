@@ -794,14 +794,18 @@ def test_solvers_iterate_on_c_ordered_arrays(monkeypatch, name):
 
 
 @pytest.mark.parametrize("pairing", [None, Pairing((0, 2), (1, 3))])
-def test_mask_matrix_flat_indexes_the_unfolding_in_c_order(pairing):
+def test_sample_flat_indexes_the_unfolding_in_c_order(pairing):
     t = gen_cp((3, 4, 5, 6), 2, seed=1)
     mask = gen_mask(t.shape, 0.3, seed=2)
-    pr = Pairing.default(4) if pairing is None else pairing
+    pr, axes = solvers._square_axes(pairing, 4)
+    assert pr == (Pairing.default(4) if pairing is None else pairing)
     m = square_unfold(t, pr)
     assert np.array_equal(solvers._sampled(np.ascontiguousarray(m),
-                                           solvers._mask_matrix_flat(mask, pr)),
+                                           solvers._sample_flat(mask, axes)),
                           mask.observe(t))
+    # rpca_m's one-pass unfolding: t's axes in that order, laid out in C
+    # order, are the unfolding
+    assert np.array_equal(np.ascontiguousarray(t.transpose(axes)).reshape(m.shape), m)
 
 
 @functools.cache

@@ -138,6 +138,15 @@ def test_outer():
     assert outer(o, a).shape == (2, 3, 2)
 
 
+def test_outer_of_many_factors_reduces_left_to_right():
+    rng = np.random.default_rng(0)
+    a, b, c = (crandn(rng, n) for n in (2, 3, 4))
+    abc = outer(a, b, c)
+    assert abc.dtype == np.complex128
+    assert np.array_equal(abc, outer(outer(a, b), c))
+    assert np.array_equal(outer(a), a)
+
+
 # ----------------------------------------------------------- square unfolding
 
 
