@@ -163,17 +163,8 @@ def _cmd_rank(args) -> int:
                 json.dump(rep.to_dict(), fh, indent=2)
                 fh.write("\n")
         else:
-            row = {
-                "dims": ",".join(str(n) for n in rep.dims),
-                "m_plus": rep.m_plus,
-                "m_minus": rep.m_minus,
-                "tucker": ",".join(str(x) for x in rep.tucker),
-                "pairing_ranks": ";".join(
-                    f"{k}={v}" for k, v in rep.pairing_ranks.items()
-                ),
-                "cp_lower": rep.cp_lower,
-                "cp_upper": rep.cp_upper,
-            }
+            row = rep.to_dict()
+            del row["rel_tol"]
             write_report(args.output, [row], "csv")
     return EXIT_OK
 

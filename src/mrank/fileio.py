@@ -158,8 +158,15 @@ def write_frames(paths, t) -> None:
 
 
 def _cell(v):
+    """A CSV cell: None is empty, a float is written at %.6g, a list or
+    tuple as its cells joined by commas and a dict as k=v items joined by
+    semicolons."""
     if v is None:
         return ""
+    if isinstance(v, (list, tuple)):
+        return ",".join(map(_cell, v))
+    if isinstance(v, dict):
+        return ";".join(f"{k}={_cell(x)}" for k, x in v.items())
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (float, np.floating)):
@@ -178,7 +185,8 @@ def _plain(v):
 
 
 def write_report(target, rows, fmt: str = "csv") -> None:
-    """Write a list of row dicts as CSV (floats at %.6g) or JSON (lossless).
+    """Write a list of row dicts as CSV (cells as _cell writes them) or
+    JSON (lossless).
 
     Columns follow first-appearance order across rows; missing cells are
     left empty. `target` is a path or a text file object. An unknown fmt

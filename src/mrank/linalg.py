@@ -51,6 +51,11 @@ gate: svt a cost test on the block width, rank_project an exact width of
 r + OVERSAMPLE. The warm state (SvtWarm) belongs to the caller; there is
 no module-level cache or random state, so results are deterministic and
 independent of threading.
+
+complex_soft_threshold, the l1 prox of the robust solvers, builds its real
+factor one block of leading-axis rows at a time, at most SHRINK_BLOCK =
+2^15 entries (256 KiB of float64, or one row if a row is larger), so its
+work array is bounded by that block whatever the size of m.
 """
 
 import math
@@ -654,25 +659,38 @@ def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np
     return (u * s) @ vh, u
 
 
+# Entries of m whose real factor complex_soft_threshold builds at a time.
+SHRINK_BLOCK = 1 << 15
+
+
 def complex_soft_threshold(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise modulus shrinkage z * max(1 - tau/|z|, 0), the proximal map
     of tau * sum(|z_i|) with |.| the complex modulus. The result is written
-    into out when given (a complex128 array of m's shape; out = m shrinks m
-    in place), else into a new array; either is returned. With out given,
-    the factor, one real array of m's shape, is the call's only
-    allocation. Raises ValueError for a NaN or negative tau; tau = +inf
+    into out when given (a complex128 array of m's shape, either m itself,
+    to shrink m in place, or one that shares no memory with m), else into
+    a new array; either is returned. The work goes one block of m's
+    leading-axis rows at a time, at most SHRINK_BLOCK entries (one row if a
+    row is larger), so with out given, one real array of a block's shape is
+    the call's only allocation besides numpy's own casting buffer. A 0-d m
+    is one row. Raises ValueError for a NaN or negative tau; tau = +inf
     gives zero."""
     _check_tau(tau)
     m = np.asarray(m, dtype=np.complex128)
-    # the factor max(1 - tau / max(|m|, tiny), 0), built in place in one
-    # real array: no temporary per operation, and the same rounding
-    f = np.abs(m)
-    np.maximum(f, np.finfo(float).tiny, out=f)
-    with np.errstate(over="ignore"):  # tau / tiny -> inf clips to 0 below
-        np.divide(tau, f, out=f)
-    np.subtract(1.0, f, out=f)
-    np.maximum(f, 0.0, out=f)
-    return np.multiply(m, f, out=out)
+    out = np.empty_like(m) if out is None else out
+    rows, dst = (m, out) if m.ndim else (m[None], out[None])
+    step = max(1, SHRINK_BLOCK // max(1, math.prod(rows.shape[1:])))
+    buf = np.empty(rows[:step].shape)
+    for i in range(0, len(rows), step):
+        # the block's factor max(1 - tau / max(|m|, tiny), 0), built in
+        # place in buf: no temporary per operation, and the same rounding
+        f = np.abs(rows[i:i + step], out=buf[:len(rows) - i])
+        np.maximum(f, np.finfo(float).tiny, out=f)
+        with np.errstate(over="ignore"):  # tau / tiny -> inf clips to 0 below
+            np.divide(tau, f, out=f)
+        np.subtract(1.0, f, out=f)
+        np.maximum(f, 0.0, out=f)
+        np.multiply(rows[i:i + step], f, out=dst[i:i + step])
+    return out
 
 
 def complex_l1(m) -> float:

@@ -20,12 +20,13 @@ from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_WIDTH, mode_rank, mode
                      numerical_rank, spectrum_rank, takagi)
 from .tensor import (
     Pairing,
+    _outer_sum,
     _require_finite,
+    _resolve_pairing,
     _unit_exponent,
     as_tensor,
     canonical_pairings,
     is_super_symmetric,
-    outer,
     square_unfold,
     symmetrize,
     unvec,
@@ -162,10 +163,7 @@ class MDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         axes = self.pairing.row + self.pairing.col
-        perm_dims = tuple(self.dims[a] for a in axes)
-        acc = np.zeros(perm_dims, dtype=np.complex128)
-        for a, b in self.factors:
-            acc += outer(a, b)
+        acc = _outer_sum(self.factors, (self.dims[a] for a in axes))
         return np.transpose(acc, np.argsort(axes))
 
 
@@ -180,7 +178,7 @@ def m_decompose(t, pairing: Pairing | None = None,
     """
     t = as_tensor(t)
     _require_finite(t, "m_decompose")
-    pr = Pairing.default(t.ndim) if pairing is None else pairing
+    pr = _resolve_pairing(pairing, t.ndim)
     m = square_unfold(t, pr)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     r = spectrum_rank(s, rel_tol)

@@ -40,28 +40,28 @@ are the mode copies (see its docstring for the variables of each model).
 It owns the penalty, the dual update, the stopping test and the trace, and
 runs the blocks one at a time. No block-sized array is allocated per
 iteration, by _admm or by a z step, beyond the prox kernels' own work
-arrays (svt's factors, the soft threshold's real factor): besides the
-blocks _admm keeps z, the d scaled duals and two block buffers (one for
-d = 1); each z step writes its prox over the blocks' mean, which _admm
-hands it in one of its buffers, and _admm rotates z's old buffer into
-that role. The initial penalty is made scale-invariant by
-dividing by the spectral norm of the data unfolding, and both stopping
-tolerances are relative to that norm, so the dimensionless defaults work,
-and a solve takes the same steps, at any data scale. From
-there, residual balancing moves the penalty by factors of two when the
-primal and dual residuals drift far apart, or when one stopping test passes
-and the other does not (see _admm): the first is what lets the complete_n
-baseline meet its dual test, the second what stops rpca_m's primal residual
-from crawling once its dual test has passed. rpca_m alone moves its penalty
-faster, through _admm's grow keyword: rho doubles after every iteration
-whose primal test fails while the relative dual residual stays within
-BALANCE_BAND of the primal one, as in the inexact augmented Lagrangian
-method for this model (Lin, Chen and Ma 2010), which grows it every
-iteration. The band gate keeps inputs with no low-rank + sparse structure
-converging. rpca_m also certifies its answer: SolveResult.duality_gap is
-the relative gap between its primal value and the value of the driver's
-final dual, made dual feasible (see _rpca_m_gap). All five solvers build
-their SolveResult with _result.
+arrays (svt's factors, the soft threshold's real factor of at most
+linalg.SHRINK_BLOCK entries): besides the blocks _admm keeps z, the d
+scaled duals and two block buffers (one for d = 1); each z step writes its
+prox over the blocks' mean, which _admm hands it in one of its buffers,
+and _admm rotates z's old buffer into that role. The initial penalty is
+made scale-invariant by dividing by the spectral norm of the data
+unfolding, and both stopping tolerances are relative to that norm, so the
+dimensionless defaults work, and a solve takes the same steps, at any data
+scale. From there, residual balancing moves the penalty by factors of two
+when the primal and dual residuals drift far apart, or when one stopping
+test passes and the other does not (see _admm): the first is what lets the
+complete_n baseline meet its dual test, the second what stops rpca_m's
+primal residual from crawling once its dual test has passed. rpca_m alone
+moves its penalty faster, through _admm's grow keyword: rho doubles after
+every iteration whose primal test fails while the relative dual residual
+stays within BALANCE_BAND of the primal one, as in the inexact augmented
+Lagrangian method for this model (Lin, Chen and Ma 2010), which grows it
+every iteration. The band gate keeps inputs with no low-rank + sparse
+structure converging. rpca_m also certifies its answer:
+SolveResult.duality_gap is the relative gap between its primal value and
+the value of the driver's final dual, made dual feasible (see
+_rpca_m_gap). All five solvers build their SolveResult with _result.
 
 Every svt call site keeps its own SvtWarm, created inside the solve, so
 consecutive iterations warm-start the kernel and concurrent solves share
@@ -110,6 +110,7 @@ from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
 from .synth import Mask
 from .tensor import (
     Pairing,
+    _resolve_pairing,
     _unit_exponent,
     _unit_scale,
     as_tensor,
@@ -303,9 +304,7 @@ def _square_axes(pairing: Pairing | None, order: int):
     its order differs; axes is the axis order in which a C-ordered tensor's
     memory is its C-ordered square unfolding under pr, each group reversed,
     since square_unfold merges a group's indices first-index-fastest."""
-    pr = Pairing.default(order) if pairing is None else pairing
-    if pr.order != order:
-        raise ValueError(f"pairing order {pr.order} != tensor order {order}")
+    pr = _resolve_pairing(pairing, order)
     return pr, pr.row[::-1] + pr.col[::-1]
 
 
@@ -574,23 +573,23 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     models it slows the solve down, and without the band gate it runs
     rpca_m on a random tensor out of its budget.
 
-    Memory: besides the blocks x_j, the loop keeps the d scaled duals
-    u_j, starting at zero, z, and two block buffers v and w (one, v = w,
-    when d = 1), all allocated before the first x step, z0 being z's. It
-    allocates no array per iteration, and a z step writes over w (the
-    prox kernels keep their own work arrays, such as
-    complex_soft_threshold's real factor). Each iteration runs the blocks
-    twice. The first pass forms v = z + c - u_j,
-    takes x_j = x_step(j, v, rho), and adds x_j - c + u_j into w, which
-    then holds the blocks' mean for z_step (for d = 1, w is v). z_step
-    turns w into z_new, and z_new - z_old is formed in z_old's buffer for
-    r_dua; that buffer is then the next w (and, for d = 1, the next v), and
-    z_new is z. The second pass forms r_j = x_j - z_new - c in v and adds
-    it into u_j. So complete_n and rpca_n hold the stack of mode copies,
-    the d duals and three single blocks (v, w, z); rpca_m and
-    complete_supersym hold x, u, v and z. A scalar zero c (complete_n,
-    complete_supersym) adds no pass at all. Every norm is one dot product
-    over the array's memory (_norm), summed over the blocks for x and r.
+    Memory: besides the blocks x_j, the loop keeps the d scaled duals u_j,
+    starting at zero, z, and two block buffers v and w (one, v = w, when
+    d = 1), all allocated before the first x step, z0 being z's. It
+    allocates no array per iteration, and a z step writes over w (the prox
+    kernels keep their own work arrays, such as complex_soft_threshold's
+    real factor of at most SHRINK_BLOCK entries). Each iteration runs the
+    blocks twice. The first pass forms v = z + c - u_j, takes
+    x_j = x_step(j, v, rho), and adds x_j - c + u_j into w, which then holds
+    the blocks' mean for z_step (for d = 1, w is v). z_step turns w into
+    z_new, and z_new - z_old is formed in z_old's buffer for r_dua; that
+    buffer is then the next w (and, for d = 1, the next v), and z_new is z.
+    The second pass forms r_j = x_j - z_new - c in v and adds it into u_j.
+    So complete_n and rpca_n hold the stack of mode copies, the d duals and
+    three single blocks (v, w, z); rpca_m and complete_supersym hold x, u, v
+    and z. A scalar zero c (complete_n, complete_supersym) adds no pass at
+    all. Every norm is one dot product over the array's memory (_norm),
+    summed over the blocks for x and r.
 
     Returns (xs, z, iters, converged, trace, dual), xs the d blocks x_j and
     dual the final unscaled dual rho * u (Boyd et al.'s y for the

@@ -4,13 +4,17 @@ Every generator takes a single master seed and draws from a labeled
 sub-stream (factors=1, mask=2, noise=3), so an instance, its mask, and its
 corruption can be varied independently while staying reproducible. Complex
 entries are standard normal in each of the real and imaginary parts.
+
+gen_cp, gen_kron and gen_supersym draw their terms one at a time, each
+term's factors in mode order, and densify them through tensor._outer_sum,
+which adds the terms' outer products in draw order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_tensor, outer
+from .tensor import _outer_sum, as_tensor
 
 __all__ = [
     "InstanceSpec",
@@ -87,10 +91,7 @@ def gen_cp(dims, r: int, seed: int) -> np.ndarray:
     maximal possible rank)."""
     dims = tuple(int(n) for n in dims)
     rng = np.random.default_rng([seed, _FACTORS])
-    t = np.zeros(dims, dtype=np.complex128)
-    for _ in range(r):
-        t += outer(*[complex_normal(rng, n) for n in dims])
-    return t
+    return _outer_sum(([complex_normal(rng, n) for n in dims] for _ in range(r)), dims)
 
 
 def gen_kron(dims, r: int, k: int, seed: int) -> np.ndarray:
@@ -104,11 +105,8 @@ def gen_kron(dims, r: int, k: int, seed: int) -> np.ndarray:
     if len(dims) % 2:
         raise ValueError("gen_kron needs even order")
     rng = np.random.default_rng([seed, _FACTORS])
-    t = np.zeros(dims, dtype=np.complex128)
-    for _ in range(r):
-        t += outer(*[complex_normal(rng, (dims[j], k)) @ complex_normal(rng, (k, dims[j + 1]))
-                     for j in range(0, len(dims), 2)])
-    return t
+    return _outer_sum(([complex_normal(rng, (dims[j], k)) @ complex_normal(rng, (k, dims[j + 1]))
+                        for j in range(0, len(dims), 2)] for _ in range(r)), dims)
 
 
 def gen_supersym(n: int, order: int, r: int, seed: int) -> np.ndarray:
@@ -117,10 +115,7 @@ def gen_supersym(n: int, order: int, r: int, seed: int) -> np.ndarray:
     if order % 2 or order < 2:
         raise ValueError("gen_supersym needs even order >= 2")
     rng = np.random.default_rng([seed, _FACTORS])
-    t = np.zeros((n,) * order, dtype=np.complex128)
-    for _ in range(r):
-        t += outer(*[complex_normal(rng, n)] * order)
-    return t
+    return _outer_sum(([complex_normal(rng, n)] * order for _ in range(r)), (n,) * order)
 
 
 @dataclass(frozen=True)

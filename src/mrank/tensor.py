@@ -14,12 +14,20 @@ Contents:
     canonical_pairings  -- the C(2d,d)/2 splits with axis 0 pinned to rows
     vec / unvec         -- Fortran-order flattening and its inverse
     permute             -- axis permutation (numpy transpose semantics)
-    outer               -- tensor (outer) product of any number of factors
+    outer               -- tensor (outer) product of any number of factors;
+                           _outer_sum adds such products, in order, onto a
+                           zero tensor (the CP, Kronecker and symmetric
+                           sums of synth and ranks)
     square_unfold/fold  -- balanced matricization for a pairing, and inverse
     mode_unfold/fold    -- single-mode matricization (mode as column index)
     orbit_ids/orbit_sum -- index-permutation orbits of a cubical tensor
     symmetrize          -- orbit mean (average over all axis permutations)
     is_super_symmetric  -- invariance under every axis permutation
+
+A pairing given to square_unfold, square_fold, ranks.m_decompose or a
+square solver is checked in one place, _resolve_pairing: None means the
+default pairing, and a pairing of another order than the tensor's raises
+ValueError.
 """
 
 from dataclasses import dataclass
@@ -164,6 +172,25 @@ def outer(*factors) -> np.ndarray:
     return reduce(np.multiply.outer, map(as_tensor, factors))
 
 
+def _outer_sum(terms, dims) -> np.ndarray:
+    """The sum of outer(*factors) over terms, an iterable of factor lists,
+    each added in turn onto a zero complex128 tensor of dims."""
+    t = np.zeros(tuple(dims), dtype=np.complex128)
+    for factors in terms:
+        t += outer(*factors)
+    return t
+
+
+def _resolve_pairing(pairing: Pairing | None, order: int) -> Pairing:
+    """The pairing to use on a tensor of the given order: the default one
+    for None, else pairing itself, which must be of that order or
+    ValueError is raised."""
+    pr = Pairing.default(order) if pairing is None else pairing
+    if pr.order != order:
+        raise ValueError(f"pairing order {pr.order} != tensor order {order}")
+    return pr
+
+
 def square_unfold(t, pairing: Pairing | None = None) -> np.ndarray:
     """Balanced matricization of an even-order tensor.
 
@@ -173,11 +200,7 @@ def square_unfold(t, pairing: Pairing | None = None) -> np.ndarray:
     layout, so unfold followed by fold is a bitwise round trip.
     """
     t = as_tensor(t)
-    if t.ndim % 2:
-        raise ValueError(f"square unfolding needs even order, got {t.ndim}")
-    pr = Pairing.default(t.ndim) if pairing is None else pairing
-    if pr.order != t.ndim:
-        raise ValueError(f"pairing order {pr.order} != tensor order {t.ndim}")
+    pr = _resolve_pairing(pairing, t.ndim)
     nrow, ncol = pr.matrix_shape(t.shape)
     return np.transpose(t, pr.row + pr.col).reshape(nrow, ncol, order="F")
 
@@ -186,7 +209,7 @@ def square_fold(m, dims, pairing: Pairing | None = None) -> np.ndarray:
     """Inverse of `square_unfold` for the given dims and pairing."""
     m = as_tensor(m)
     dims = tuple(int(n) for n in dims)
-    pr = Pairing.default(len(dims)) if pairing is None else pairing
+    pr = _resolve_pairing(pairing, len(dims))
     if m.shape != pr.matrix_shape(dims):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims} under {pr}")
     perm_dims = tuple(dims[a] for a in pr.row + pr.col)

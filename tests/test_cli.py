@@ -57,6 +57,22 @@ def test_rank_report_files(tmp_path):
     assert rep["pairing_ranks"]["1,2|3,4"] == 2
 
 
+def test_rank_report_csv_row_at_order_6(tmp_path):
+    # the whole row: ten pairing ranks joined by semicolons, and an empty
+    # cp_upper, which only order 4 has
+    t_path = tmp_path / "t.mten"
+    run(["gen", "--form", "kron", "--dims", "2,3,2,3,2,3", "--r", "1", "--k", "2",
+         "--seed", "0", "--output", t_path])
+    csv_path = tmp_path / "r.csv"
+    assert run(["rank", t_path, "--output", csv_path, "--format", "csv"]) == 0
+    assert csv_path.read_text().splitlines() == [
+        "dims,m_plus,m_minus,tucker,pairing_ranks,cp_lower,cp_upper",
+        '"2,3,2,3,2,3",8,2,"2,2,2,2,2,2",'
+        '"1,2,3|4,5,6=2;1,2,4|3,5,6=2;1,2,5|3,4,6=2;1,2,6|3,4,5=2;1,3,4|2,5,6=2;'
+        '1,3,5|2,4,6=8;1,3,6|2,4,5=8;1,4,5|2,3,6=8;1,4,6|2,3,5=8;1,5,6|2,3,4=2",8,',
+    ]
+
+
 # -------------------------------------------------------------- solve paths
 
 

@@ -24,6 +24,7 @@ in LAPACK on an Inf are checked in a fresh interpreter under a timeout.
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -956,6 +957,63 @@ def test_complex_soft_threshold_writes_into_out():
     assert np.array_equal(buf, ref)
     assert complex_soft_threshold(z, 0.7, out=z) is z
     assert np.array_equal(z, ref)
+
+
+def _one_pass_shrink(z, tau):
+    with np.errstate(over="ignore"):
+        return z * np.maximum(1.0 - tau / np.maximum(np.abs(z), np.finfo(float).tiny), 0.0)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_complex_soft_threshold_in_blocks_is_the_one_pass_formula(layout):
+    # 84000 entries in rows of 1200: three blocks of SHRINK_BLOCK entries
+    # at most, the last one short
+    rng = np.random.default_rng(10)
+    z = crandn(rng, (70, 30, 40) if layout != "strided" else (140, 30, 40))
+    z[0, 0, :2] = [0.0, 1e-310]
+    z = {"C": z, "F": np.asfortranarray(z), "strided": z[::2]}[layout]
+    assert z.size > 2 * linalg.SHRINK_BLOCK
+    for tau in (0.0, 0.9, 10.0):
+        ref = _one_pass_shrink(z, tau)
+        got = complex_soft_threshold(z, tau)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        w = z.copy(order="K")  # C or F as z is
+        assert complex_soft_threshold(w, tau, out=w) is w
+        assert w.tobytes() == ref.tobytes()
+
+
+def test_complex_soft_threshold_rows_longer_than_a_block(monkeypatch):
+    # a row above SHRINK_BLOCK entries is a block of its own
+    monkeypatch.setattr(linalg, "SHRINK_BLOCK", 7)
+    z = crandn(np.random.default_rng(11), (5, 3, 4))
+    ref = _one_pass_shrink(z, 0.8)
+    assert complex_soft_threshold(z, 0.8).tobytes() == ref.tobytes()
+    assert complex_soft_threshold(z, 0.8, out=z) is z
+    assert z.tobytes() == ref.tobytes()
+
+
+def test_complex_soft_threshold_takes_0d_input():
+    # used to raise TypeError: the factor of a 0-d input was a scalar
+    for z in (np.array(3 + 4j), 3 + 4j):
+        out = complex_soft_threshold(z, 2.0)
+        assert out.shape == () and out == _one_pass_shrink(np.asarray(z), 2.0)
+    buf = np.array(0j)
+    assert complex_soft_threshold(np.array(3 + 4j), 7.0, out=buf) is buf and buf == 0
+
+
+def test_complex_soft_threshold_holds_one_block():
+    # in place on 20^4 entries (2.44 MiB): the peak is the block's real
+    # factor and numpy's casting buffer, within one block of complex entries
+    z = crandn(np.random.default_rng(12), (20,) * 4)
+    complex_soft_threshold(z.copy(), 0.5, out=None)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        complex_soft_threshold(z, 0.5, out=z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= linalg.SHRINK_BLOCK * z.itemsize
 
 
 def test_complex_soft_threshold_prox_optimality():

@@ -198,6 +198,34 @@ def test_m_decompose_reconstructs():
         assert b.shape == tuple(t.shape[ax] for ax in used.col)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reconstruct_adds_the_terms_in_order(seed):
+    # bitwise equal to a reference copy of the loop reconstruct ran before
+    # the rank-one sums moved into tensor._outer_sum
+    def loop(dec):
+        axes = dec.pairing.row + dec.pairing.col
+        acc = np.zeros(tuple(dec.dims[a] for a in axes), dtype=np.complex128)
+        for a, b in dec.factors:
+            acc += outer(a, b)
+        return np.transpose(acc, np.argsort(axes))
+
+    t = gen_cp((4, 5, 4, 5), 3, seed=seed)
+    s = gen_supersym(4, 6, 3, seed=seed)
+    sym = symmetric_m_decompose(s)
+    for dec in (m_decompose(t), m_decompose(t, Pairing.parse("1,3|2,4")),
+                m_decompose(t, Pairing.parse("2,4|3,1")), sym, strongly_symmetrize(sym, s)):
+        got, want = dec.reconstruct(), loop(dec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_m_decompose_rejects_a_pairing_of_the_wrong_order():
+    t = gen_cp((4, 5, 4, 5), 3, seed=0)
+    with pytest.raises(ValueError, match="pairing order 2 != tensor order 4"):
+        m_decompose(t, Pairing((0,), (1,)))
+    with pytest.raises(ValueError, match="pairing order 6 != tensor order 4"):
+        m_decompose(t, Pairing((0, 1, 2), (3, 4, 5)))
+
+
 def test_symmetric_m_decompose():
     t = gen_supersym(5, 4, 3, seed=6)
     dec = symmetric_m_decompose(t)

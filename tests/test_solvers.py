@@ -1116,7 +1116,7 @@ _S20_VALUES = _S20_MASK.observe(gen_supersym(20, 4, 8, seed=0))
 # z); rpca_n adds its scaled data and the soft threshold's real factor
 # (12.5), complete_n its samples and their index (11.45)
 PEAK_TENSORS = {
-    "rpca_n": (12.6, lambda cfg: rpca_n(_R20, cfg=cfg)),
+    "rpca_n": (12.3, lambda cfg: rpca_n(_R20, cfg=cfg)),
     "complete_n": (11.5, lambda cfg: complete_n(_C20_MASK, _C20_VALUES, cfg)),
     "rpca_m": (7.3, lambda cfg: rpca_m(_R20, cfg=cfg)),
     "complete_supersym": (7.6, lambda cfg: complete_supersym(_S20_MASK, _S20_VALUES, cfg)),

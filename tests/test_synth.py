@@ -21,7 +21,7 @@ from mrank.synth import (
     gen_sparse_noise,
     gen_supersym,
 )
-from mrank.tensor import is_super_symmetric
+from mrank.tensor import is_super_symmetric, outer
 
 
 def test_complex_normal_shape_and_parts():
@@ -38,6 +38,57 @@ def test_generators_deterministic():
     assert not np.array_equal(gen_cp((4, 5, 6, 7), 3, seed=1), gen_cp((4, 5, 6, 7), 3, seed=2))
     assert np.array_equal(gen_kron((4, 4, 4, 4), 2, 2, seed=3), gen_kron((4, 4, 4, 4), 2, 2, seed=3))
     assert np.array_equal(gen_supersym(4, 4, 2, seed=4), gen_supersym(4, 4, 2, seed=4))
+
+
+# Reference copies of the generators' term loops as they were written
+# before the rank-one sums moved into tensor._outer_sum: each term is
+# drawn, then added onto the running sum, in draw order. A factor-built
+# tensor is bitwise equal to a generator's only while this order holds.
+def _cp_loop(dims, r, seed):
+    rng = np.random.default_rng([seed, 1])
+    t = np.zeros(dims, dtype=np.complex128)
+    for _ in range(r):
+        t += outer(*[complex_normal(rng, n) for n in dims])
+    return t
+
+
+def _kron_loop(dims, r, k, seed):
+    rng = np.random.default_rng([seed, 1])
+    t = np.zeros(dims, dtype=np.complex128)
+    for _ in range(r):
+        t += outer(*[complex_normal(rng, (dims[j], k)) @ complex_normal(rng, (k, dims[j + 1]))
+                     for j in range(0, len(dims), 2)])
+    return t
+
+
+def _supersym_loop(n, order, r, seed):
+    rng = np.random.default_rng([seed, 1])
+    t = np.zeros((n,) * order, dtype=np.complex128)
+    for _ in range(r):
+        t += outer(*[complex_normal(rng, n)] * order)
+    return t
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make, ref", [
+    (lambda s: gen_cp((4, 5, 6, 7), 9, s), lambda s: _cp_loop((4, 5, 6, 7), 9, s)),
+    (lambda s: gen_cp((2, 3, 2, 4, 3, 2), 7, s), lambda s: _cp_loop((2, 3, 2, 4, 3, 2), 7, s)),
+    (lambda s: gen_cp((3, 4, 5, 6), 0, s), lambda s: _cp_loop((3, 4, 5, 6), 0, s)),
+    (lambda s: gen_kron((6, 7, 8, 9), 3, 2, s), lambda s: _kron_loop((6, 7, 8, 9), 3, 2, s)),
+    (lambda s: gen_kron((3, 4, 3, 4, 2, 3), 2, 2, s),
+     lambda s: _kron_loop((3, 4, 3, 4, 2, 3), 2, 2, s)),
+    (lambda s: gen_kron((3, 4, 3, 4), 0, 2, s), lambda s: _kron_loop((3, 4, 3, 4), 0, 2, s)),
+    (lambda s: gen_supersym(5, 4, 4, s), lambda s: _supersym_loop(5, 4, 4, s)),
+    (lambda s: gen_supersym(3, 6, 3, s), lambda s: _supersym_loop(3, 6, 3, s)),
+    (lambda s: gen_supersym(3, 6, 0, s), lambda s: _supersym_loop(3, 6, 0, s)),
+], ids=["cp4", "cp6", "cp_r0", "kron4", "kron6", "kron_r0", "supersym4", "supersym6",
+        "supersym_r0"])
+def test_generators_add_their_terms_in_draw_order(make, ref, seed):
+    assert _bitwise_equal(make(seed), ref(seed))
 
 
 def test_gen_cp_rank_facts():

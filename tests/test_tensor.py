@@ -212,6 +212,26 @@ def test_square_unfold_errors():
         square_fold(np.zeros((4, 4)), (2, 2, 2), Pairing.default(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    # square_fold used to return a (2, 3) array for the short pairing and
+    # raise IndexError for the long one
+    (lambda: square_fold(np.ones((2, 3)), (2, 3, 4, 5), Pairing((0,), (1,))),
+     "pairing order 2 != tensor order 4"),
+    (lambda: square_fold(np.ones((24, 30)), (2, 3, 4, 5), Pairing((0, 1, 2), (3, 4, 5))),
+     "pairing order 6 != tensor order 4"),
+    (lambda: square_unfold(np.ones((2, 3, 4, 5)), Pairing((0,), (1,))),
+     "pairing order 2 != tensor order 4"),
+    (lambda: square_unfold(np.ones((2, 3)), Pairing((0, 1), (2, 3))),
+     "pairing order 4 != tensor order 2"),
+    # an odd order has no default pairing
+    (lambda: square_unfold(np.ones((2, 2, 2))), "order must be even, got 3"),
+    (lambda: square_fold(np.ones((2, 4)), (2, 2, 2)), "order must be even, got 3"),
+], ids=["fold-short", "fold-long", "unfold-short", "unfold-long", "unfold-odd", "fold-odd"])
+def test_square_matricizations_reject_a_pairing_of_the_wrong_order(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------------------- mode unfolding
 
 
