@@ -20,6 +20,11 @@ observations no super-symmetric tensor matches), 4 solver did not converge
 (the partial result and report are still written). Table commands never
 exit 4: failed trials show up as converged=False rows.
 
+The solver flags --max-iters, --rel-tol and --lam each set the SolverConfig
+field of the same name, and each is range-checked by the rule that
+solvers._CONFIG_RULES pairs with that field, the rule every solver applies
+to its config.
+
 Reports are deterministic: same flags, seed and BLAS thread count give
 byte-identical output (table error columns move in the 10th digit with it).
 Trials of a table command run in a thread pool sized by MRANK_THREADS
@@ -28,22 +33,22 @@ completion order.
 """
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fileio import read_frames, read_tensor, write_frames, write_report, write_tensor
+from .fileio import (_cell, _write_json, read_frames, read_tensor, write_frames, write_report,
+                     write_tensor)
 from .linalg import DEFAULT_RANK_TOL, _check_rel_tol
 from .ranks import m_ranks
 from .solvers import (
+    _CONFIG_RULES,
     SolverConfig,
-    _check_lam,
-    _check_max_iters,
     complete_m,
     complete_n,
     complete_supersym,
@@ -83,15 +88,12 @@ def _parse_pairing(text: str | None, order: int) -> Pairing | None:
 
 
 # the numeric flags whose range rule the library owns, each with the
-# validator the library itself calls on the field the flag sets
-_RANGE_RULES = (
-    ("--max-iters", _check_max_iters),
-    ("--rel-tol", _check_rel_tol),
-    ("--tol", _check_rel_tol),
-    ("--lam", _check_lam),
-    ("--ratio", _check_fraction),
-    ("--density", _check_fraction),
-)
+# validator the library itself calls on the value the flag sets: a
+# SolverConfig field's flag first, then the rank tolerance and the fractions
+_RANGE_RULES = (*((f"--{name.replace('_', '-')}", check) for name, check in _CONFIG_RULES),
+                ("--tol", _check_rel_tol),
+                ("--ratio", _check_fraction),
+                ("--density", _check_fraction))
 
 
 def _check_flags(args) -> None:
@@ -116,31 +118,19 @@ def _check_flags(args) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "max_iters", None) is not None:
-        cfg.max_iters = args.max_iters
-    if getattr(args, "rel_tol", None) is not None:
-        cfg.rel_tol = args.rel_tol
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = args.lam
-    return cfg
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    """The SolverConfig each set flag of a field's name overrides."""
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                           if getattr(args, f.name, None) is not None})
 
 
 def _print_result(res, label: str) -> None:
     print(f"{label}: converged={res.converged} iters={res.iters}")
     if res.rel_err_vs_truth is not None:
-        print(f"  rel_err_vs_truth: {_fmt(res.rel_err_vs_truth)}")
+        print(f"  rel_err_vs_truth: {_cell(res.rel_err_vs_truth)}")
     if res.rel_err_all is not None:
-        print(f"  rel_err_all:      {_fmt(res.rel_err_all)}")
+        print(f"  rel_err_all:      {_cell(res.rel_err_all)}")
     rep = res.rank_report
-    print(f"  m_plus={rep.m_plus} m_minus={rep.m_minus} "
-          f"tucker={','.join(str(x) for x in rep.tucker)}")
+    print(f"  m_plus={rep.m_plus} m_minus={rep.m_minus} tucker={_cell(rep.tucker)}")
 
 
 # ---------------------------------------------------------------- rank / gen
@@ -149,19 +139,17 @@ def _print_result(res, label: str) -> None:
 def _cmd_rank(args) -> int:
     t = read_tensor(args.input)
     rep = m_ranks(t, args.tol)
-    print(f"dims: {','.join(str(n) for n in rep.dims)}")
+    print(f"dims: {_cell(rep.dims)}")
     for name, rk in rep.pairing_ranks.items():
         print(f"pairing {name}: rank {rk}")
     print(f"m_plus:  {rep.m_plus}")
     print(f"m_minus: {rep.m_minus}")
-    print(f"tucker:  {','.join(str(x) for x in rep.tucker)}")
+    print(f"tucker:  {_cell(rep.tucker)}")
     if rep.cp_upper is not None:
         print(f"cp bounds: [{rep.cp_lower}, {rep.cp_upper}]")
     if args.output:
         if args.format == "json":
-            with open(args.output, "w") as fh:
-                json.dump(rep.to_dict(), fh, indent=2)
-                fh.write("\n")
+            _write_json(args.output, rep.to_dict())
         else:
             row = rep.to_dict()
             del row["rel_tol"]
@@ -178,9 +166,7 @@ def _cmd_gen(args) -> int:
         raise UsageError(str(exc)) from None
     t = spec.generate()
     write_tensor(args.output, t)
-    with open(args.output + ".json", "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.output + ".json", spec.to_dict())
     print(f"wrote {args.output} dims={args.dims} form={args.form} "
           f"r={args.r} seed={args.seed}")
     return EXIT_OK
@@ -299,7 +285,7 @@ def _mean(rows, key):
         return None
     mean = np.mean(np.array(vals, dtype=float), axis=0)
     if isinstance(vals[0], list):
-        return ",".join(f"{x:.6g}" for x in mean)
+        return _cell(list(mean))
     return float(mean)
 
 
@@ -307,8 +293,7 @@ def _aggregate(setting: dict, rows: list) -> dict:
     """One report row per setting: the setting's values as label columns
     (dims joined by commas), then the trial counts, then the mean of every
     other trial column, in the trial rows' order."""
-    agg = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
-           for k, v in setting.items()}
+    agg = {k: _cell(v) if isinstance(v, tuple) else v for k, v in setting.items()}
     agg["trials"] = len(rows)
     agg["n_converged"] = sum(1 for r in rows if r.get("converged", True))
     agg["converged"] = agg["n_converged"] == len(rows)

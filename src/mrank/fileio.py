@@ -7,8 +7,13 @@ Read and write round-trip bitwise.
 
 PPM support covers binary P6 with maxval 255. A list of frames becomes a
 (height, width, 3, n_frames) complex tensor with values in [0, 1].
+
+Every JSON file and stream is written by _write_json in one form: indent
+2, a trailing newline, numpy scalars as the Python numbers they hold, and
+LF line endings on every platform.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -174,19 +179,29 @@ def _cell(v):
     return str(v)
 
 
-def _plain(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+@contextlib.contextmanager
+def _opened(target):
+    """A text file object for `target`: a path is opened for writing with
+    newline="" (so lines end in LF everywhere) and closed on exit; a file
+    object is passed through."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", newline="") as fh:
+            yield fh
+
+
+def _write_json(target, obj) -> None:
+    """Write obj to a path or a text file as indent-2 JSON plus a newline;
+    numpy scalars are written as the Python numbers they hold."""
+    with _opened(target) as fh:
+        json.dump(obj, fh, indent=2, default=lambda v: v.item())
+        fh.write("\n")
 
 
 def write_report(target, rows, fmt: str = "csv") -> None:
     """Write a list of row dicts as CSV (cells as _cell writes them) or
-    JSON (lossless).
+    JSON (lossless, as _write_json writes it).
 
     Columns follow first-appearance order across rows; missing cells are
     left empty. `target` is a path or a text file object. An unknown fmt
@@ -195,27 +210,16 @@ def write_report(target, rows, fmt: str = "csv") -> None:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r} (csv or json)")
     rows = list(rows)
+    if fmt == "json":
+        _write_json(target, rows)
+        return
     cols = []
     for row in rows:
         for k in row:
             if k not in cols:
                 cols.append(k)
-
-    own = not hasattr(target, "write")
-    fh = open(target, "w", newline="") if own else target
-    try:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([_cell(row.get(c)) for c in cols])
-        else:
-            json.dump(
-                [{k: _plain(v) for k, v in row.items()} for row in rows],
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-    finally:
-        if own:
-            fh.close()
+    with _opened(target) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([_cell(row.get(c)) for c in cols])

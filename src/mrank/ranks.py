@@ -12,7 +12,7 @@ applies. A rank-one super-symmetric tensor c * b^{(x) 2d} has a rank-one
 mode-0 unfolding whose row space is spanned by b (`rank_one_factorize`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,16 +84,8 @@ class RankReport:
         return vals.pop() if len(vals) == 1 else None
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "m_plus": self.m_plus,
-            "m_minus": self.m_minus,
-            "tucker": list(self.tucker),
-            "pairing_ranks": dict(self.pairing_ranks),
-            "cp_lower": self.cp_lower,
-            "cp_upper": self.cp_upper,
-            "rel_tol": self.rel_tol,
-        }
+        """The fields in order, tuples as lists."""
+        return {**asdict(self), "dims": list(self.dims), "tucker": list(self.tucker)}
 
 
 def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:

@@ -188,9 +188,10 @@ class SolverConfig:
     stopping test (see _admm); complete_m uses rel_tol alone, as its
     acceptance level. The solvers are deterministic and draw no
     randomness. Every solver checks the config on entry, before it reads
-    its data: rel_tol must be finite and >= 0, lam None or finite and > 0,
-    and max_iters an integer >= 0, or ValueError names the field and its
-    value.
+    its data, field by field in this order (solvers._CONFIG_RULES):
+    max_iters must be an integer >= 0, rel_tol finite and >= 0, and lam
+    None or finite and > 0, or ValueError names the first bad field and
+    its value.
     """
 
     max_iters: int = 2000
@@ -264,13 +265,18 @@ def _check_lam(lam, name: str) -> None:
         raise ValueError(f"{name} must be None or finite and > 0, got {lam}")
 
 
+# each SolverConfig field with its range rule, in field order: _checked
+# checks them in this order, and the CLI checks the flag of each field's
+# name with the same rule
+_CONFIG_RULES = (("max_iters", _check_max_iters), ("rel_tol", _check_rel_tol), ("lam", _check_lam))
+
+
 def _checked(cfg: SolverConfig | None) -> SolverConfig:
     """cfg, or the default config when None, after a check of its fields:
-    ValueError names the field and its value."""
+    ValueError names the first bad field and its value."""
     cfg = cfg or SolverConfig()
-    _check_rel_tol(cfg.rel_tol, "rel_tol")
-    _check_lam(cfg.lam, "lam")
-    _check_max_iters(cfg.max_iters, "max_iters")
+    for name, check in _CONFIG_RULES:
+        check(getattr(cfg, name), name)
     return cfg
 
 

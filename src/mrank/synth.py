@@ -7,10 +7,13 @@ entries are standard normal in each of the real and imaginary parts.
 
 gen_cp, gen_kron and gen_supersym draw their terms one at a time, each
 term's factors in mode order, and densify them through tensor._outer_sum,
-which adds the terms' outer products in draw order.
+which adds the terms' outer products in draw order. gen_mask and
+gen_sparse_noise share one positions draw, _positions: round(fraction *
+total) distinct flat indices without replacement from their sub-stream,
+after which gen_sparse_noise draws its values from the same stream.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,13 +57,8 @@ class InstanceSpec:
             raise ValueError("supersym form needs equal dims and even order")
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "r": self.r,
-            "form": self.form,
-            "seed": self.seed,
-            "k": self.k,
-        }
+        """The fields in order, dims as a list."""
+        return {**asdict(self), "dims": list(self.dims)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
@@ -179,27 +177,32 @@ def _check_fraction(value, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _positions(dims, fraction: float, name: str, seed: int, label: int):
+    """The positions draw of gen_mask and gen_sparse_noise: after the
+    fraction's range check (ValueError names it as `name`),
+    round(fraction * total) distinct Fortran-order flat indices in draw
+    order, drawn without replacement from the `label` sub-stream. Returns
+    (rng, total, pos); rng goes on from where the draw ended."""
+    _check_fraction(fraction, name)
+    total = int(np.prod(dims, dtype=np.int64))
+    rng = np.random.default_rng([seed, label])
+    return rng, total, rng.choice(total, size=int(round(fraction * total)), replace=False)
+
+
 def gen_mask(dims, ratio: float, seed: int) -> Mask:
     """Uniform mask without replacement observing round(ratio * prod(dims))
     entries."""
     dims = tuple(int(n) for n in dims)
-    _check_fraction(ratio, "ratio")
-    total = int(np.prod(dims, dtype=np.int64))
-    count = int(round(ratio * total))
-    rng = np.random.default_rng([seed, _MASK])
-    flat = np.sort(rng.choice(total, size=count, replace=False))
-    return Mask(dims=dims, flat=flat)
+    _, _, pos = _positions(dims, ratio, "ratio", seed, _MASK)
+    return Mask(dims=dims, flat=np.sort(pos))
 
 
 def gen_sparse_noise(dims, density: float, seed: int) -> np.ndarray:
     """Tensor with exactly round(density * prod(dims)) complex normal
-    entries at uniform positions, zero elsewhere."""
+    entries at uniform positions, zero elsewhere; the values are drawn
+    after the positions, from the same stream."""
     dims = tuple(int(n) for n in dims)
-    _check_fraction(density, "density")
-    total = int(np.prod(dims, dtype=np.int64))
-    count = int(round(density * total))
-    rng = np.random.default_rng([seed, _NOISE])
-    pos = rng.choice(total, size=count, replace=False)
+    rng, total, pos = _positions(dims, density, "density", seed, _NOISE)
     out = np.zeros(total, dtype=np.complex128)
-    out[pos] = complex_normal(rng, count)
+    out[pos] = complex_normal(rng, pos.size)
     return out.reshape(dims, order="F")

@@ -2,11 +2,12 @@
 
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mrank.cli import TABLES, _run_grid, main
+from mrank.cli import TABLES, _run_grid, _solver_config, build_parser, main
 from mrank.fileio import read_frames, read_tensor, write_frames, write_tensor
 from mrank.solvers import SolverConfig, rpca_m
 from mrank.synth import gen_supersym
@@ -71,6 +72,85 @@ def test_rank_report_csv_row_at_order_6(tmp_path):
         '"1,2,3|4,5,6=2;1,2,4|3,5,6=2;1,2,5|3,4,6=2;1,2,6|3,4,5=2;1,3,4|2,5,6=2;'
         '1,3,5|2,4,6=8;1,3,6|2,4,5=8;1,4,5|2,3,6=8;1,4,6|2,3,5=8;1,5,6|2,3,4=2",8,',
     ]
+
+
+# the whole bytes of the three JSON files the CLI writes: indent 2, key
+# order, number forms and the trailing newline
+GEN_SIDECAR = """{
+  "dims": [
+    3,
+    3,
+    3,
+    3
+  ],
+  "r": 2,
+  "form": "cp",
+  "seed": 0,
+  "k": 0
+}
+"""
+
+RANK_JSON = """{
+  "dims": [
+    3,
+    3,
+    3,
+    3
+  ],
+  "m_plus": 2,
+  "m_minus": 2,
+  "tucker": [
+    2,
+    2,
+    2,
+    2
+  ],
+  "pairing_ranks": {
+    "1,2|3,4": 2,
+    "1,3|2,4": 2,
+    "1,4|2,3": 2
+  },
+  "cp_lower": 2,
+  "cp_upper": 18,
+  "rel_tol": 1e-08
+}
+"""
+
+TABLE1_JSON = """[
+  {
+    "dims": "10,10,10,10",
+    "r": 12,
+    "trials": 1,
+    "n_converged": 1,
+    "converged": true,
+    "tucker": "10,10,10,10",
+    "m_plus": 12.0,
+    "m_minus": 12.0
+  },
+  {
+    "dims": "15,15,15,15",
+    "r": 18,
+    "trials": 1,
+    "n_converged": 1,
+    "converged": true,
+    "tucker": "15,15,15,15",
+    "m_plus": 18.0,
+    "m_minus": 18.0
+  }
+]
+"""
+
+
+def test_json_files_golden_bytes(tmp_path):
+    t_path = tmp_path / "t.mten"
+    assert run(["gen", "--form", "cp", "--dims", "3,3,3,3", "--r", "2", "--seed", "0",
+                "--output", t_path]) == 0
+    assert (tmp_path / "t.mten.json").read_bytes() == GEN_SIDECAR.encode()
+    assert run(["rank", t_path, "--format", "json", "--output", tmp_path / "r.json"]) == 0
+    assert (tmp_path / "r.json").read_bytes() == RANK_JSON.encode()
+    assert run(["table1", "--trials", "1", "--format", "json",
+                "--output", tmp_path / "t1.json"]) == 0
+    assert (tmp_path / "t1.json").read_bytes() == TABLE1_JSON.encode()
 
 
 # -------------------------------------------------------------- solve paths
@@ -159,6 +239,24 @@ def test_sym_complete(tmp_path, capsys):
     assert run(["sym-complete", t_path, "--ratio", "0.4", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "converged=True" in out
+
+
+@pytest.mark.parametrize("cmd", [["rpca", "in.mten"],
+                                 ["video-decompose", "f.ppm", "--out-dir", "d"]])
+def test_solver_config_sets_each_field_from_its_flag(cmd):
+    # every SolverConfig field has a flag of its name on these commands; a
+    # flag left out keeps the field's default
+    def config(*flags):
+        return _solver_config(build_parser().parse_args([*cmd, *flags]))
+
+    flags = {"max_iters": ["--max-iters", "7"], "rel_tol": ["--rel-tol", "1e-3"],
+             "lam": ["--lam", "0.5"]}
+    values = {"max_iters": 7, "rel_tol": 1e-3, "lam": 0.5}
+    assert list(flags) == [f.name for f in fields(SolverConfig)]
+    assert config() == SolverConfig()
+    for name, flag in flags.items():
+        assert config(*flag) == SolverConfig(**{name: values[name]})
+    assert config(*(x for flag in flags.values() for x in flag)) == SolverConfig(**values)
 
 
 # --------------------------------------------------------------- exit codes

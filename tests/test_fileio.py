@@ -1,5 +1,6 @@
 """Tensor files, PPM frame stacks, and report tables."""
 
+import io
 import json
 import struct
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mrank import fileio
 from mrank.cli import main
 from mrank.fileio import (
     MAGIC,
@@ -236,6 +238,37 @@ def test_report_json_round_trip(tmp_path):
     write_report(p, rows, "json")
     back = json.loads(p.read_text())
     assert back == [{"x": 1.0 / 3.0, "n": 3, "ok": True, "s": "hi"}]  # lossless
+
+
+# numpy scalars and the Python values json.dumps writes for them
+NUMPY_SCALARS = [
+    (np.int64(-7), -7),
+    (np.float64(1.0 / 3.0), 1.0 / 3.0),
+    (np.float32(0.1), float(np.float32(0.1))),
+    (np.bool_(False), False),
+    ([np.int64(2), {"x": np.float32(0.25), "ok": np.bool_(True)}, [np.float64(1e-300)]],
+     [2, {"x": 0.25, "ok": True}, [1e-300]]),
+    ({"n": np.int64(3), "rows": [{"err": np.float64(2.5e-7), "conv": np.bool_(True)}]},
+     {"n": 3, "rows": [{"err": 2.5e-7, "conv": True}]}),
+]
+
+
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stringio"])
+@pytest.mark.parametrize("obj, plain", NUMPY_SCALARS,
+                         ids=["int64", "float64", "float32", "bool_", "in-list", "in-dict"])
+def test_write_json_writes_numpy_scalars_as_python_numbers(tmp_path, to_path, obj, plain):
+    # the one JSON form: indent 2, a trailing newline, LF line endings, and
+    # numpy scalars written as the Python numbers they hold, at the top
+    # level and nested in lists and dicts
+    expect = json.dumps(plain, indent=2) + "\n"
+    if to_path:
+        path = tmp_path / "o.json"
+        fileio._write_json(path, obj)
+        assert path.read_bytes() == expect.encode()
+    else:
+        buf = io.StringIO()
+        fileio._write_json(buf, obj)
+        assert buf.getvalue() == expect
 
 
 def test_report_unknown_format(tmp_path):

@@ -6,6 +6,8 @@ matrix-outer-product form), so every asserted number has an oracle
 independent of the code under test.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from scipy.linalg import svdvals
 from mrank.linalg import numerical_rank, takagi
 from mrank.ranks import (
     RECOVERED_RANK_TOL,
+    RankReport,
     cp_exact_for_kron,
     m_decompose,
     m_ranks,
@@ -170,11 +173,14 @@ def test_m_ranks_tucker_is_scale_invariant(make, tol):
 
 
 def test_rank_report_to_dict():
-    rep = m_ranks(gen_cp((4, 4, 4, 4), 2, seed=3))
+    # the dataclass's fields in order, tuples as lists, the rest as they are
+    rep = m_ranks(gen_cp((3, 4, 3, 4), 2, seed=1))
     d = rep.to_dict()
-    assert d["m_plus"] == d["m_minus"] == 2
-    assert sorted(d["pairing_ranks"]) == ["1,2|3,4", "1,3|2,4", "1,4|2,3"]
-    assert d["tucker"] == [2, 2, 2, 2]
+    assert list(d) == [f.name for f in fields(RankReport)]
+    assert d == {"dims": [3, 4, 3, 4], "m_plus": 2, "m_minus": 2, "tucker": [2, 2, 2, 2],
+                 "pairing_ranks": {"1,2|3,4": 2, "1,3|2,4": 2, "1,4|2,3": 2},
+                 "cp_lower": 2, "cp_upper": 24, "rel_tol": rep.rel_tol}
+    assert d["pairing_ranks"] is not rep.pairing_ranks  # a copy
 
 
 def test_recovered_rank_tol_value():

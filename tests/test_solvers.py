@@ -604,6 +604,21 @@ def test_solvers_reject_an_invalid_config_before_scaling(monkeypatch, field, val
             call()
 
 
+def test_config_rules_cover_every_field_once():
+    # one range rule per SolverConfig field, in field order: a new field
+    # without a rule fails here
+    names = [name for name, _ in solvers._CONFIG_RULES]
+    assert names == [f.name for f in fields(SolverConfig)]
+
+
+def test_checked_names_the_first_bad_field_in_rule_order():
+    with pytest.raises(ValueError, match="^max_iters must be an integer >= 0, got -1$"):
+        solvers._checked(SolverConfig(max_iters=-1, rel_tol=-1.0))
+    with pytest.raises(ValueError, match="^rel_tol must be finite and >= 0, got -1.0$"):
+        solvers._checked(SolverConfig(rel_tol=-1.0, lam=-1.0))
+    assert solvers._checked(None) == SolverConfig()
+
+
 # iterations of the four ADMM solvers on the instances of acceptance
 # criteria 7 (complete_n), 8 (rpca_m, rpca_n) and 9 (complete_supersym),
 # seeds 0-2: the counts the driver took before it ran its consensus one

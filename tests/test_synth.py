@@ -5,6 +5,8 @@ checked over many seeds while freezing these tests; each test also pins the
 exact sizes/counts, which are deterministic.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,9 @@ def test_gen_supersym_symmetry_and_rank():
 
 def test_instance_spec_round_trip_and_validation():
     spec = InstanceSpec(dims=(6, 6, 6, 6), r=2, form="kron", seed=9, k=2)
+    # the dataclass's fields in order, with dims as a list
+    assert list(spec.to_dict()) == [f.name for f in fields(InstanceSpec)]
+    assert spec.to_dict() == {"dims": [6, 6, 6, 6], "r": 2, "form": "kron", "seed": 9, "k": 2}
     again = InstanceSpec.from_dict(spec.to_dict())
     assert again == spec
     assert np.array_equal(spec.generate(), again.generate())
@@ -255,6 +260,30 @@ def test_gen_sparse_noise():
     assert nnz == round(0.05 * 6**4)
     assert np.array_equal(z, gen_sparse_noise(dims, 0.05, seed=3))
     assert np.count_nonzero(gen_sparse_noise(dims, 0.0, seed=4)) == 0
+
+
+def _mask_and_noise_by_hand(dims, fraction, seed):
+    # the draws gen_mask and gen_sparse_noise must make, written out:
+    # positions from the labeled stream (mask 2, noise 3), then the noise
+    # values from the same stream
+    total = int(np.prod(dims, dtype=np.int64))
+    count = int(round(fraction * total))
+    flat = np.sort(np.random.default_rng([seed, 2]).choice(total, size=count, replace=False))
+    rng = np.random.default_rng([seed, 3])
+    pos = rng.choice(total, size=count, replace=False)
+    noise = np.zeros(total, dtype=np.complex128)
+    noise[pos] = complex_normal(rng, count)
+    return flat, noise.reshape(dims, order="F")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mask_and_noise_draws_are_the_positions_draw(seed):
+    for dims in [(1,), (7,), (3, 4), (5, 5, 5, 5), (4, 3, 2, 3, 2, 1)]:
+        for fraction in (0.0, 0.05, 0.3, 1.0):
+            flat, noise = _mask_and_noise_by_hand(dims, fraction, seed)
+            assert np.array_equal(gen_mask(dims, fraction, seed).flat, flat)
+            got = gen_sparse_noise(dims, fraction, seed)
+            assert got.tobytes() == noise.tobytes() and got.shape == noise.shape
 
 
 def test_noise_and_mask_streams_independent_of_factors():

@@ -1,5 +1,5 @@
-"""The measurement scripts under tools/: code line counts and paired
-benchmark statistics."""
+"""The measurement scripts under tools/: code line counts, paired
+benchmark statistics and the CLI output-parity run."""
 
 import subprocess
 import sys
@@ -83,3 +83,20 @@ def test_pairs_bound_and_spread():
     # a parent spread wider than the bound leaves the metric unresolved
     assert pairs.summarize([6.0, 8.0, 12.0, 14.0], [10.0] * 4, "lower", 0.25)["unresolved"]
     assert not pairs.summarize(parent, [10.0] * 4, "lower", 0.25)["unresolved"]
+
+
+def test_outputs_writes_every_form(tmp_path):
+    # one run of the output-parity script: every command's stdout file with
+    # its exit status, the report and tensor files, and the usage errors
+    subprocess.run([sys.executable, str(TOOLS / "outputs.py"), str(tmp_path)],
+                   check=True, capture_output=True, text=True)
+    names = {p.name for p in tmp_path.iterdir()}
+    for stem in ("cp10", "cp4x6", "sym8"):
+        assert {f"{stem}.mten", f"{stem}.mten.json", f"rank_{stem}.csv",
+                f"rank_{stem}.json"} <= names
+    for stem in ("complete_m", "complete_n", "rpca_m", "rpca_n", "sym_complete"):
+        assert {f"{stem}.csv", f"{stem}.json", f"{stem}_csv.mten"} <= names
+    assert {f"table{i}.{fmt}" for i in range(1, 6) for fmt in ("csv", "json")} <= names
+    for out in tmp_path.glob("*.out"):
+        last = out.read_text().splitlines()[-1]
+        assert last == ("exit 2" if out.name.startswith("error_") else "exit 0"), out.name
