@@ -42,23 +42,24 @@ runs the blocks one at a time. No block-sized array is allocated per
 iteration, by _admm or by a z step, beyond the prox kernels' own work
 arrays (svt's factors, the soft threshold's real factor of at most
 linalg.SHRINK_BLOCK entries): besides the blocks _admm keeps z, the d
-scaled duals and two block buffers (one for d = 1); each z step writes its
-prox over the blocks' mean, which _admm hands it in one of its buffers,
-and _admm rotates z's old buffer into that role. The initial penalty is
-made scale-invariant by dividing by the spectral norm of the data
-unfolding, and both stopping tolerances are relative to that norm, so the
-dimensionless defaults work, and a solve takes the same steps, at any data
-scale. From there, residual balancing moves the penalty by factors of two
-when the primal and dual residuals drift far apart, or when one stopping
-test passes and the other does not (see _admm): the first is what lets the
-complete_n baseline meet its dual test, the second what stops rpca_m's
-primal residual from crawling once its dual test has passed. rpca_m alone
-moves its penalty faster, through _admm's grow keyword: rho doubles after
-every iteration whose primal test fails while the relative dual residual
-stays within BALANCE_BAND of the primal one, as in the inexact augmented
-Lagrangian method for this model (Lin, Chen and Ma 2010), which grows it
-every iteration. The band gate keeps inputs with no low-rank + sparse
-structure converging. rpca_m also certifies its answer:
+scaled duals and one spare block (and for d > 1 a temp of PASS_BLOCK
+entries, through which it sums the blocks' mean one chunk at a time); each
+z step writes its prox over the blocks' mean, which _admm hands it in the
+spare, and _admm rotates z's old buffer into that role. The initial
+penalty is made scale-invariant by dividing by the spectral norm of the
+data unfolding, and both stopping tolerances are relative to that norm, so
+the dimensionless defaults work, and a solve takes the same steps, at any
+data scale. From there, residual balancing moves the penalty by factors of
+two when the primal and dual residuals drift far apart, or when one
+stopping test passes and the other does not (see _admm): the first is what
+lets the complete_n baseline meet its dual test, the second what stops
+rpca_m's primal residual from crawling once its dual test has passed.
+rpca_m alone moves its penalty faster, through _admm's grow keyword: rho
+doubles after every iteration whose primal test fails while the relative
+dual residual stays within BALANCE_BAND of the primal one, as in the
+inexact augmented Lagrangian method for this model (Lin, Chen and Ma
+2010), which grows it every iteration. The band gate keeps inputs with no
+low-rank + sparse structure converging. rpca_m also certifies its answer:
 SolveResult.duality_gap is the relative gap between its primal value and
 the value of the driver's final dual, made dual feasible (see
 _rpca_m_gap). All five solvers build their SolveResult with _result.
@@ -135,6 +136,10 @@ __all__ = [
 # converges, 40 is robustly fast). The ADMM penalty starts at PENALTY_SCALE /
 # sigma_max(data unfolding).
 PENALTY_SCALE = 40.0
+
+# Entries of the blocks' mean that _admm sums at a time when d > 1: each
+# later block's term goes through one temp of this many complex entries.
+PASS_BLOCK = 1 << 14
 
 # Absolute part of the ADMM stopping test (see _admm), dimensionless: the
 # primal test's absolute term is ABS_TOL * sigma_max(data unfolding), in
@@ -517,14 +522,15 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
 
     x_step(j, v, rho) = prox_{f_j/rho}(v) and z_step(w, rho) =
-    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. x_step
-    only reads v, whose buffer the loop reuses, and returns an array
-    that does not alias it (it may reuse its own buffer for block j from
-    call to call). z_step writes its result over w and returns w: w is a
-    buffer the loop owns, and the loop rotates its buffers rather than
-    receive a new z. z0 becomes one of those buffers, so it is
-    overwritten. Every block x_j, v, w, z and c have z0's shape (c may
-    also be the scalar 0), and the constraint's norms count the d blocks.
+    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. v and w
+    are the loop's one spare block. x_step only reads v, which the loop
+    reuses, and returns an array that does not alias it (it may reuse its
+    own buffer for block j from call to call). z_step writes its result
+    over w and returns w, and the loop rotates the spare and z rather
+    than receive a new z. z0 becomes one of those buffers, so it is
+    overwritten. Every block x_j, the spare, z and c have z0's shape (c
+    may also be the scalar 0), and the constraint's norms count the d
+    blocks.
     One memory layout: z0, c and every x_step result are C-contiguous, as
     are the driver's own buffers, so no pass mixes layouts. The models:
 
@@ -580,20 +586,23 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     rpca_m on a random tensor out of its budget.
 
     Memory: besides the blocks x_j, the loop keeps the d scaled duals u_j,
-    starting at zero, z, and two block buffers v and w (one, v = w, when
-    d = 1), all allocated before the first x step, z0 being z's. It
-    allocates no array per iteration, and a z step writes over w (the prox
-    kernels keep their own work arrays, such as complex_soft_threshold's
-    real factor of at most SHRINK_BLOCK entries). Each iteration runs the
-    blocks twice. The first pass forms v = z + c - u_j, takes
-    x_j = x_step(j, v, rho), and adds x_j - c + u_j into w, which then holds
-    the blocks' mean for z_step (for d = 1, w is v). z_step turns w into
-    z_new, and z_new - z_old is formed in z_old's buffer for r_dua; that
-    buffer is then the next w (and, for d = 1, the next v), and z_new is z.
-    The second pass forms r_j = x_j - z_new - c in v and adds it into u_j.
-    So complete_n and rpca_n hold the stack of mode copies, the d duals and
-    three single blocks (v, w, z); rpca_m and complete_supersym hold x, u, v
-    and z. A scalar zero c (complete_n, complete_supersym) adds no pass at
+    starting at zero, z, one spare block f and, for d > 1, a temp of at
+    most PASS_BLOCK entries, all allocated before the first x step, z0
+    being z's. It allocates no array per iteration, and a z step writes
+    over f (the prox kernels keep their own work arrays, such as
+    complex_soft_threshold's real factor of at most SHRINK_BLOCK entries).
+    Each iteration runs the blocks three times. The first pass forms
+    f = (z + c) - u_j and takes x_j = x_step(j, f, rho); f is dead once the
+    last x step has read it. The second writes the blocks' mean of
+    (x_j - c) + u_j into f (_mean_into): for d > 1 one chunk at a time,
+    each later block's term through the temp, with every entry's additions
+    in the order of a whole-array sum. z_step turns f into z_new, and
+    z_new - z_old is formed in z_old's buffer for r_dua; that buffer is
+    then the next f, and z_new is z. The third pass forms
+    r_j = (x_j - z_new) - c in f and adds it into u_j. So complete_n and
+    rpca_n hold the stack of mode copies, the d duals and two single
+    blocks (the spare and z); rpca_m and complete_supersym hold x, u, f and
+    z. A scalar zero c (complete_n, complete_supersym) adds no pass at
     all. Every norm is one dot product over the array's memory (_norm),
     summed over the blocks for x and r.
 
@@ -613,44 +622,31 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     abs_dua = np.sqrt(n) * ABS_TOL
     tiny = np.finfo(float).tiny
     u = np.zeros((d,) + z0.shape, dtype=np.complex128)  # the scaled duals
-    v = np.empty(z0.shape, dtype=np.complex128)
-    w = v if d == 1 else np.empty_like(v)
+    f = np.empty(z0.shape, dtype=np.complex128)  # the spare block
+    tmp = np.empty(min(PASS_BLOCK, z0.size), dtype=np.complex128) if d > 1 else None
     xs = [None] * d
     z, trace = z0, []
-    del z0  # z's buffer, which the rotation below turns into w
+    del z0  # z's buffer, which the rotation below turns into f
     for it in range(1, cfg.max_iters + 1):
         sq_x = 0.0
         for j in range(d):
             if zero_c:
-                np.subtract(z, u[j], out=v)
+                np.subtract(z, u[j], out=f)
             else:
-                np.add(z, c, out=v)
-                v -= u[j]
+                np.add(z, c, out=f)
+                f -= u[j]
             xs[j] = None  # the last x_j is dead, so x_step may reuse its memory
-            x = xs[j] = x_step(j, v, rho)
+            x = xs[j] = x_step(j, f, rho)
             sq_x += _sq_norm(x)
-            # x_j - c + u_j: straight into w for the first block, then
-            # through v (read by x_step already) and added into w
-            b = v if j else w
-            if zero_c:
-                np.add(x, u[j], out=b)
-            else:
-                np.subtract(x, c, out=b)
-                b += u[j]
-            if j:
-                w += b
-        if d > 1:
-            w /= d
-        z_new = z_step(w, rho)  # over w
-        # z - z_old in the old z's buffer, which then serves as w, and for
-        # d = 1 as v, whose old buffer z_new has taken
+        _mean_into(f, xs, u, None if zero_c else c, tmp)
+        z_new = z_step(f, rho)  # over f
+        # z - z_old in the old z's buffer, which then serves as f, whose
+        # old buffer z_new has taken
         r_dua = rho * k * _norm(np.subtract(z_new, z, out=z))
-        w, z = z, z_new
-        if d == 1:
-            v = w
+        f, z = z, z_new
         sq_pri = 0.0
         for j in range(d):
-            r = np.subtract(xs[j], z, out=v)  # x_j - z - c
+            r = np.subtract(xs[j], z, out=f)  # x_j - z - c
             if not zero_c:
                 r -= c
             u[j] += r
@@ -678,6 +674,34 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
         rho *= step
         u /= step  # rho * u, the unscaled dual, is unchanged
     return xs, z, it, False, trace, _dual(u, rho)
+
+
+def _mean_into(f, xs, u, c, tmp):
+    """Write the mean of the blocks b_j = (x_j - c) + u_j into f (x_j + u_j
+    for c None). For one block f = b_0, in one pass. For d > 1 the sum
+    ((b_0 + b_1) + b_2) + ... runs one chunk of len(tmp) entries at a time:
+    b_0 goes straight into f's chunk and each later b_j through tmp, and
+    the chunk is then divided by d. Every entry takes the additions of a
+    whole-array sum in the same order, so the mean does not depend on the
+    chunk size."""
+    d = len(xs)
+    fv, uv = f.reshape(-1), u.reshape(d, -1)
+    xv = [x.reshape(-1) for x in xs]
+    cv = None if c is None else c.reshape(-1)
+    step = fv.size if tmp is None else tmp.size
+    for s in range(0, fv.size, step):
+        part = fv[s:s + step]
+        for j in range(d):
+            b = tmp[:part.size] if j else part
+            if cv is None:
+                np.add(xv[j][s:s + step], uv[j][s:s + step], out=b)
+            else:
+                np.subtract(xv[j][s:s + step], cv[s:s + step], out=b)
+                b += uv[j][s:s + step]
+            if j:
+                part += b
+        if d > 1:
+            part /= d
 
 
 def _dual(u, rho):

@@ -13,7 +13,8 @@ total) distinct flat indices without replacement from their sub-stream,
 after which gen_sparse_noise draws its values from the same stream.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class InstanceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        for name in ("r", "seed", "k"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.form not in ("cp", "kron", "supersym"):
             raise ValueError(f"unknown form {self.form!r}")
         if any(n < 1 for n in self.dims) or not self.dims:
@@ -62,13 +68,9 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
-        return cls(
-            dims=tuple(d["dims"]),
-            r=int(d["r"]),
-            form=str(d["form"]),
-            seed=int(d["seed"]),
-            k=int(d.get("k", 0)),
-        )
+        """The spec whose to_dict is d: each field d names, the rest at
+        their defaults."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def generate(self) -> np.ndarray:
         if self.form == "cp":

@@ -1075,13 +1075,13 @@ def _driver_peak(c, d=None):
 def test_admm_driver_allocates_no_temporaries(c):
     # z0 and x's buffer exist before the count starts, and the z step
     # writes over the mean it is handed, so _admm adds the scaled dual
-    # u and one block buffer: two arrays of x's size at the peak. Any
+    # u and one spare block: two arrays of x's size at the peak. Any
     # per-iteration temporary of x's size (v = z + c - u as an expression,
     # x - 0.0, a new z, the old z held past its use) makes it three or
-    # more. Against a 4-fold stack of blocks, z, c and the two block
-    # buffers are single blocks: u and the two buffers make 1.5 stacks, and
-    # one more block (a new z, or a mean of the blocks formed anew) makes
-    # 1.75 or more.
+    # more. Against a 4-fold stack of blocks, z, c and the spare are single
+    # blocks: u and the spare make 1.25 stacks, the mean's chunk temp
+    # (PASS_BLOCK entries) about 0.1 more, and one more block (a new z,
+    # or a mean of the blocks formed anew) makes 1.6 or more.
     rng = np.random.default_rng(5)
     if c == "consensus":
         assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 1.6
@@ -1089,6 +1089,30 @@ def test_admm_driver_allocates_no_temporaries(c):
     if c == "array":
         c = rng.standard_normal((400, 400)) + 0j
     assert _driver_peak(c) < 2.1
+
+
+# the instances of criteria 7 and 8 at 10^4, seed 0, of the mode models,
+# whose blocks' mean _admm sums one chunk at a time
+CHUNKED_SOLVES = {
+    "complete_n": lambda: complete_n(_C7_MASK, _C7_MASK.observe(_C7_T)),
+    "rpca_n": lambda: rpca_n(_C8_DATA),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_SOLVES))
+def test_admm_mean_does_not_depend_on_the_chunk_size(monkeypatch, name):
+    # 7-entry chunks end mid-row and leave a short last chunk; chunks above
+    # the block's 10^4 entries make the mean one whole-array pass. Each
+    # entry takes the same additions in the same order either way.
+    got = []
+    for block in (7, 1 << 20):
+        monkeypatch.setattr(solvers, "PASS_BLOCK", block)
+        got.append(CHUNKED_SOLVES[name]())
+    a, b = got
+    assert a.iters == b.iters and a.residual_trace == b.residual_trace
+    assert np.array_equal(a.recovered, b.recovered)
+    assert (a.sparse is None) == (b.sparse is None)
+    assert a.sparse is None or np.array_equal(a.sparse, b.sparse)
 
 
 def test_mode_model_x_step_writes_into_the_stack():
@@ -1126,13 +1150,15 @@ _C20_VALUES = _C20_MASK.observe(gen_cp(_D20, 12, seed=0))
 _S20_MASK = gen_mask(_D20, 0.4, seed=0)
 _S20_VALUES = _S20_MASK.observe(gen_supersym(20, 4, 8, seed=0))
 # tracemalloc peak of each ADMM solver at 20^4, in tensors of that size
-# (14.55, 13.46, 7.59 and 7.66 while each z step returned a new z). The
-# mode models hold the 4-fold stack, the 4 duals and three blocks (v, w,
-# z); rpca_n adds its scaled data and the soft threshold's real factor
-# (12.5), complete_n its samples and their index (11.45)
+# (14.55, 13.46, 7.59 and 7.66 while each z step returned a new z, 12.15
+# and 11.46 for rpca_n and complete_n while the driver kept two block
+# buffers). The mode models hold the 4-fold stack, the 4 duals and two
+# blocks (the spare and z); rpca_n adds its scaled data and the soft
+# threshold's real factor (11.26), complete_n its samples and their index
+# (10.57)
 PEAK_TENSORS = {
-    "rpca_n": (12.3, lambda cfg: rpca_n(_R20, cfg=cfg)),
-    "complete_n": (11.5, lambda cfg: complete_n(_C20_MASK, _C20_VALUES, cfg)),
+    "rpca_n": (11.4, lambda cfg: rpca_n(_R20, cfg=cfg)),
+    "complete_n": (10.7, lambda cfg: complete_n(_C20_MASK, _C20_VALUES, cfg)),
     "rpca_m": (7.3, lambda cfg: rpca_m(_R20, cfg=cfg)),
     "complete_supersym": (7.6, lambda cfg: complete_supersym(_S20_MASK, _S20_VALUES, cfg)),
 }

@@ -5,6 +5,7 @@ checked over many seeds while freezing these tests; each test also pins the
 exact sizes/counts, which are deterministic.
 """
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrank.cli import main
+from mrank.fileio import read_tensor
 from mrank.ranks import m_ranks
 from mrank.synth import (
     InstanceSpec,
@@ -136,14 +139,29 @@ def test_gen_supersym_symmetry_and_rank():
     assert is_super_symmetric(t6, 1e-12)
 
 
+def test_instance_spec_reads_a_gen_sidecar(tmp_path):
+    out = tmp_path / "t.mten"
+    assert main(["gen", "--form", "kron", "--dims", "4,6,4,6", "--r", "2", "--k", "2",
+                 "--seed", "3", "--output", str(out)]) == 0
+    with open(str(out) + ".json") as fh:
+        spec = InstanceSpec.from_dict(json.load(fh))
+    assert spec == InstanceSpec(dims=(4, 6, 4, 6), r=2, form="kron", seed=3, k=2)
+    assert np.array_equal(spec.generate(), read_tensor(str(out)))
+
+
 def test_instance_spec_round_trip_and_validation():
-    spec = InstanceSpec(dims=(6, 6, 6, 6), r=2, form="kron", seed=9, k=2)
-    # the dataclass's fields in order, with dims as a list
-    assert list(spec.to_dict()) == [f.name for f in fields(InstanceSpec)]
-    assert spec.to_dict() == {"dims": [6, 6, 6, 6], "r": 2, "form": "kron", "seed": 9, "k": 2}
-    again = InstanceSpec.from_dict(spec.to_dict())
-    assert again == spec
-    assert np.array_equal(spec.generate(), again.generate())
+    for spec in (InstanceSpec(dims=(6, 6, 6, 6), r=2, form="kron", seed=9, k=2),
+                 InstanceSpec(dims=(3, 4, 5, 6), r=3, form="cp", seed=4),
+                 InstanceSpec(dims=(5, 5, 5, 5), r=2, form="supersym", seed=7)):
+        # the dataclass's fields in order, with dims as a list
+        assert list(spec.to_dict()) == [f.name for f in fields(InstanceSpec)]
+        again = InstanceSpec.from_dict(spec.to_dict())
+        assert again == spec
+        assert np.array_equal(spec.generate(), again.generate())
+    kron = InstanceSpec(dims=(6, 6, 6, 6), r=2, form="kron", seed=9, k=2)
+    assert kron.to_dict() == {"dims": [6, 6, 6, 6], "r": 2, "form": "kron", "seed": 9, "k": 2}
+    # k, at its default, may be left out
+    assert InstanceSpec.from_dict({k: v for k, v in spec.to_dict().items() if k != "k"}) == spec
     with pytest.raises(ValueError):
         InstanceSpec(dims=(4, 4), r=1, form="nope", seed=0)
     with pytest.raises(ValueError):
@@ -156,6 +174,12 @@ def test_instance_spec_round_trip_and_validation():
         InstanceSpec(dims=(), r=1, form="cp", seed=0)
     with pytest.raises(ValueError):
         InstanceSpec(dims=(4, 0), r=1, form="cp", seed=0)
+    # r, seed and k are integers: numpy's are taken as ints, others refused
+    spec = InstanceSpec(dims=(4, 4), r=np.int64(2), form="cp", seed=np.int32(1))
+    assert type(spec.r) is int and type(spec.seed) is int and spec.to_dict()["r"] == 2
+    for bad in ({"r": 2.0}, {"r": "2"}, {"seed": 1.5}, {"seed": True}, {"k": None}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            InstanceSpec(**{"dims": (4, 4), "r": 1, "form": "cp", "seed": 0} | bad)
 
 
 # -------------------------------------------------------------------- masks

@@ -1,8 +1,10 @@
 """The measurement scripts under tools/: code line counts, paired
 benchmark statistics and the CLI output-parity run."""
 
+import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,45 @@ def test_pairs_bound_and_spread():
     # a parent spread wider than the bound leaves the metric unresolved
     assert pairs.summarize([6.0, 8.0, 12.0, 14.0], [10.0] * 4, "lower", 0.25)["unresolved"]
     assert not pairs.summarize(parent, [10.0] * 4, "lower", 0.25)["unresolved"]
+
+
+def _fake_run(calls):
+    """A subprocess.run stand-in for pairs.run_side: records each command
+    and answers with the result line of one single-workload run."""
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        metrics = {n: {"value": 1.0 + len(calls), "unit": "s"}
+                   for n in ("setup_s", "wall_s", "peak_rss_mb")}
+        line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+        return types.SimpleNamespace(stdout=f"workload log\n{line}\n")
+    return run
+
+
+def test_pairs_runs_and_summarizes_one_workload(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(pairs.subprocess, "run", _fake_run(calls))
+    root = str(TOOLS.parent)
+    assert pairs.main([root, root, "--pairs", "2", "--seconds", "1",
+                       "--workload", "robust_supersym"]) == 0
+    assert len(calls) == 4
+    for cmd in calls:
+        assert cmd[cmd.index("--workload") + 1] == "robust_supersym"
+    out = capsys.readouterr().out.splitlines()
+    rows = [line for line in out if line.endswith(("gain met", "gain not met"))]
+    assert [row.split(" [")[0] for row in rows] == [
+        f"robust_supersym.{m}" for m in ("setup_s", "wall_s", "peak_rss_mb")]
+    assert out[-1] == "every run correct with 0 failed"
+
+
+def test_pairs_rejects_an_unknown_workload(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(pairs.subprocess, "run", _fake_run(calls))
+    root = str(TOOLS.parent)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main([root, root, "--workload", "nope"])
+    assert exc.value.code == 2 and calls == []
+    assert "--workload must be one of completion, robust_supersym, ranks or all" in \
+        capsys.readouterr().err
 
 
 def test_outputs_writes_every_form(tmp_path):

@@ -1,13 +1,16 @@
 """Compare the benchmark's end-to-end metrics of two checkouts, in pairs.
 
     python3 tools/pairs.py PARENT CHANGE [--pairs N] [--seed S] [--seconds T]
+                           [--workload NAME]
 
 PARENT and CHANGE are the roots of two checkouts. Pair i runs
-`perfbench/run.py --workload all --seed S+i --seconds T --trace 0` once in
+`perfbench/run.py --workload NAME --seed S+i --seconds T --trace 0` once in
 each, the parent first on even i and the change first on odd i, so a drift
-of the machine during the batch does not favour either side. Every pair's
-values are printed as they come, then, for each workload and end-to-end
-metric of CHANGE's BENCHMARK.json:
+of the machine during the batch does not favour either side. NAME is one
+of the workloads of CHANGE's BENCHMARK.json, or all (the default); an
+unknown name exits 2 before any run. Every pair's values are printed as
+they come, then, for each end-to-end metric of CHANGE's BENCHMARK.json on
+NAME (on each workload for all):
 
 - each side's median and quartiles over the pairs;
 - the change's win count, the pairs in which it is better than the parent;
@@ -69,13 +72,17 @@ def summarize(parent, change, better="lower", bound=None):
     return out
 
 
-def run_side(root, seed, seconds):
-    """The combined result line of one `perfbench/run.py --workload all` run
-    in the checkout at root."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+def run_side(root, seed, seconds, workload):
+    """The result line of one `perfbench/run.py --workload workload` run in
+    the checkout at root, its metrics keyed "workload.metric" as in the
+    combined line of an all run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if workload != "all":
+        result["metrics"] = {f"{workload}.{k}": v for k, v in result["metrics"].items()}
+    return result
 
 
 def end_to_end(root):
@@ -91,10 +98,17 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--workload", default="all",
+                    help="one of BENCHMARK.json's workloads, or all")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     workloads, metrics = end_to_end(args.change)
+    if args.workload != "all":
+        if args.workload not in workloads:
+            ap.error(f"--workload must be one of {', '.join(workloads)} or all, "
+                     f"got {args.workload!r}")
+        workloads = [args.workload]
     roots = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
     ok = True
@@ -102,7 +116,7 @@ def main(argv=None) -> int:
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_side(roots[side], seed, args.seconds)
+            result = run_side(roots[side], seed, args.seconds, args.workload)
             ok &= result["correct"] is True and result["failed"] == 0
             runs[side].append(result)
         cells = []
