@@ -33,36 +33,56 @@ scaled data once, into a new C-ordered array (rpca_m reads the tensor in
 _square_axes's order, so that array is its unfolding), and every solver
 scales its results back in place (_result).
 
-complete_n, rpca_m, rpca_n and complete_supersym are one consensus ADMM
-driver, _admm, run on d blocks x_j - z = c with two prox steps each: d = 1
-for the square models, and d = the order for the mode models, whose blocks
-are the mode copies (see its docstring for the variables of each model).
-It owns the penalty, the dual update, the stopping test and the trace, and
-runs the blocks one at a time. No block-sized array is allocated per
-iteration, by _admm or by a z step, beyond the prox kernels' own work
-arrays (svt's factors, the soft threshold's real factor of at most
-linalg.SHRINK_BLOCK entries): besides the blocks _admm keeps z, the d
-scaled duals and one spare block (and for d > 1 a temp of PASS_BLOCK
-entries, through which it sums the blocks' mean one chunk at a time); each
-z step writes its prox over the blocks' mean, which _admm hands it in the
-spare, and _admm rotates z's old buffer into that role. The initial
-penalty is made scale-invariant by dividing by the spectral norm of the
-data unfolding, and both stopping tolerances are relative to that norm, so
-the dimensionless defaults work, and a solve takes the same steps, at any
-data scale. From there, residual balancing moves the penalty by factors of
-two when the primal and dual residuals drift far apart, or when one
-stopping test passes and the other does not (see _admm): the first is what
-lets the complete_n baseline meet its dual test, the second what stops
-rpca_m's primal residual from crawling once its dual test has passed.
-rpca_m alone moves its penalty faster, through _admm's grow keyword: rho
-doubles after every iteration whose primal test fails while the relative
-dual residual stays within BALANCE_BAND of the primal one, as in the
-inexact augmented Lagrangian method for this model (Lin, Chen and Ma
-2010), which grows it every iteration. The band gate keeps inputs with no
-low-rank + sparse structure converging. rpca_m also certifies its answer:
-SolveResult.duality_gap is the relative gap between its primal value and
-the value of the driver's final dual, made dual feasible (see
-_rpca_m_gap). All five solvers build their SolveResult with _result.
+complete_n, rpca_m, rpca_n and complete_supersym are one convex solve,
+_convex, which runs one consensus ADMM driver, _admm, on d blocks
+x_j - z = c with two prox steps each. Each solver supplies only its model,
+its c and its z step:
+
+    complete_n         the mode copies (d = the order), c = 0; z step:
+                       pin the observed entries
+    rpca_m             the square unfolding (d = 1), c = the unfolding;
+                       z step: soft threshold at lam / rho
+    rpca_n             the mode copies, c = the tensor; z step: soft
+                       threshold at lam / (d rho)
+    complete_supersym  the square unfolding, c = 0; z step: the orbit
+                       mean, with the observed orbits pinned
+
+The square model's x step is svt of the unfolding under the solver's
+pairing, the mode model's the stacked mode copies' mode_svt (_mode_model).
+rpca_m and rpca_n share their entry and their lam default, 1/sqrt of the
+rows of the pairing's unfolding (_rpca); the sampled solvers share theirs
+(_sampled_entry). _convex owns everything else: the start point z0 (the
+pinned zeros for completion, zero for the split), the driver's scale read
+off the data, the one _admm call, the memory the solve drops before its
+rank report, and the SolveResult. _admm owns the penalty, the dual
+update, the stopping test and the trace, and runs the blocks one at a
+time.
+
+No block-sized array is allocated per iteration, by _admm or by a z step,
+beyond the prox kernels' own work arrays (svt's factors, the soft
+threshold's real factor of at most linalg.SHRINK_BLOCK entries): besides
+the blocks _admm keeps z, the d scaled duals and one spare block (and for
+d > 1 a temp of PASS_BLOCK entries, through which it sums the blocks' mean
+one chunk at a time); each z step writes its prox over the blocks' mean,
+which _admm hands it in the spare, and _admm rotates z's old buffer into
+that role. The initial penalty is made scale-invariant by dividing by the
+spectral norm of the data unfolding, and both stopping tolerances are
+relative to that norm, so the dimensionless defaults work, and a solve
+takes the same steps, at any data scale. From there, residual balancing
+moves the penalty by factors of two when the primal and dual residuals
+drift far apart, or when one stopping test passes and the other does not
+(see _admm): the first is what lets the complete_n baseline meet its dual
+test, the second what stops rpca_m's primal residual from crawling once
+its dual test has passed. rpca_m alone moves its penalty faster, through
+_admm's grow keyword: rho doubles after every iteration whose primal test
+fails while the relative dual residual stays within BALANCE_BAND of the
+primal one, as in the inexact augmented Lagrangian method for this model
+(Lin, Chen and Ma 2010), which grows it every iteration. The band gate
+keeps inputs with no low-rank + sparse structure converging. rpca_m also
+certifies its answer: SolveResult.duality_gap is the relative gap between
+its primal value and the value of the driver's final dual, made dual
+feasible (see _rpca_m_gap). complete_m and _convex build every SolveResult
+with _result.
 
 Every svt call site keeps its own SvtWarm, created inside the solve, so
 consecutive iterations warm-start the kernel and concurrent solves share
@@ -328,6 +348,21 @@ def _sample_flat(mask: Mask, axes) -> np.ndarray:
     return np.ravel_multi_index([multi[a] for a in axes], [mask.dims[a] for a in axes])
 
 
+def _sampled_entry(mask: Mask, values, cfg, truth, pairing, square: bool = True):
+    """The entry of the sampled solvers: it checks, in order, the config,
+    the values against the mask, the pairing (square models) and the
+    truth, and then scales the values. Returns (cfg, pr, b, e, flat): the
+    checked config, the pairing (None for the mode model), the observed
+    values times 2^-e (_unit_scale) and their C-order flat indices
+    (_sample_flat) in the square unfolding under pr, or in the tensor."""
+    cfg = _checked(cfg)
+    mask.check(values)
+    pr, axes = _square_axes(pairing, len(mask.dims)) if square else (None, range(len(mask.dims)))
+    _check_truth(truth, mask.dims)
+    b, e = _unit_scale(values, "observed values")
+    return cfg, pr, b, e, _sample_flat(mask, axes)
+
+
 def _sampled(m, flat):
     """The entries of the C-ordered unfolding m at the C-order flat indices,
     read through a view of m."""
@@ -438,12 +473,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     that observes every entry, returns the data at once: 0 iterations,
     converged.
     """
-    cfg = _checked(cfg)
-    mask.check(values)
-    pr, axes = _square_axes(pairing, len(mask.dims))
-    _check_truth(truth, mask.dims)
-    b, e = _unit_scale(values, "observed values")
-    flat = _sample_flat(mask, axes)
+    cfg, pr, b, e, flat = _sampled_entry(mask, values, cfg, truth, pairing)
     nrow, ncol = pr.matrix_shape(mask.dims)
     x = np.zeros((nrow, ncol), dtype=np.complex128)
     x.reshape(-1)[flat] = b
@@ -532,11 +562,13 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     may also be the scalar 0), and the constraint's norms count the d
     blocks.
     One memory layout: z0, c and every x_step result are C-contiguous, as
-    are the driver's own buffers, so no pass mixes layouts. The models:
+    are the driver's own buffers, so no pass mixes layouts. Its one caller
+    is _convex, which runs these models (the module docstring has each
+    solver's z step):
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
                            consensus tensor with observed entries pinned; c = 0
-        rpca_m             d = 1; x = Y; z = -Z; c = the data unfolding F
+        rpca_m             d = 1; x = Y (svt); z = -Z; c = the data unfolding F
         rpca_n             d = order; x_j = W_j, the mode copies; z = -Z; c = t
         complete_supersym  d = 1; x = svt(z - u); z = the orbit projection;
                            c = 0
@@ -731,6 +763,57 @@ def _mode_model(t):
     return stack, x_step, max(mode_spectrum(t, j)[0].max(initial=0.0) for j in range(d))
 
 
+def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None) -> SolveResult:
+    """The one convex solve behind complete_n, rpca_m, rpca_n and
+    complete_supersym: _admm on the model pr names, with the caller's
+    z_step, on data times 2^-e, answered through _result.
+
+    pr is a Pairing for the square model (d = 1, x = svt of the C-ordered
+    square unfolding under pr, with its own SvtWarm) or None for the mode
+    model (d = the order, x the stacked mode copies, _mode_model). c is
+    None for completion, whose constraint is x_j - z = 0 and whose z0 is
+    z_step of zeros (rho None): the observed entries pinned. Otherwise c is
+    the scaled data of the split x_j - z = c, in the model's shape, z0 is
+    zero and z = -Z, Z the sparse part. The driver's scale is read off the
+    data: z0 for completion, c for the split. Only the square split grows
+    its penalty (_admm's grow).
+
+    The duals and z0's buffer, which may be dead by now, go before the
+    stack's mean is formed, and the stack of mode copies and the blocks
+    before the rank report. Completion answers z, with rel_err_all 0, as
+    the pinned entries are exactly feasible. The split answers x (for the
+    mode model the stack's mean, once an iteration has written it) with
+    sparse = -z, rel_err_all its split residual against c and, for the
+    square model, rpca_m's certified duality gap at the sparsity weight
+    lam (_rpca_m_gap)."""
+    shape = dims if pr is None else pr.matrix_shape(dims)
+    if c is None:
+        z0 = z_step(np.zeros(shape, dtype=np.complex128), None)
+    warm = SvtWarm()  # the square model's
+    stack, x_step, scale = _mode_model(z0 if c is None else c) if pr is None else (
+        None, lambda j, v, rho: svt(v, 1.0 / rho, warm), spectral_norm(z0 if c is None else c))
+    if c is not None:
+        z0 = np.zeros(shape, dtype=np.complex128)
+    xs, z, it, conv, trace, dual = _admm(
+        len(dims) if pr is None else 1, 0.0 if c is None else c, x_step, z_step, z0, scale,
+        cfg, grow=pr is not None and c is not None)
+    gap = None if pr is None or c is None else _rpca_m_gap(c, xs[0], warm.s, dual, lam)
+    del dual, z0
+    if c is None:
+        x, err = z, 0.0
+    else:
+        # without an iteration every block is the data (_admm), and the
+        # stack was never written
+        x = stack.mean(axis=0) if stack is not None and it else xs[0]
+    del stack, x_step, xs
+    if c is not None:
+        err, z = _rel_err(x - z, c), -z
+    if pr is not None:
+        x, z = square_fold(x, dims, pr), square_fold(z, dims, pr)
+    return _result(x, e, it, conv, truth, err, trace, sparse=None if c is None else z,
+                   duality_gap=gap)
+
+
 def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
                truth=None) -> SolveResult:
     """Complete a tensor by minimizing the (1/d)-weighted sum of the mode
@@ -738,25 +821,13 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     (stacked, one mode_svt per mode per iteration) and z the consensus
     tensor, x_j - z = 0. The consensus keeps observed entries pinned to the
     data, so the result is exactly feasible."""
-    cfg = _checked(cfg)
-    mask.check(values)
-    dims = mask.dims
-    _check_truth(truth, dims)
-    b, e = _unit_scale(values, "observed values")
-    flat = _sample_flat(mask, range(len(dims)))
+    cfg, _, b, e, flat = _sampled_entry(mask, values, cfg, truth, None, square=False)
 
     def z_step(w, rho):
         w.reshape(-1)[flat] = b
         return w
 
-    x0 = z_step(np.zeros(dims, dtype=np.complex128), None)
-    x_step, sigma0 = _mode_model(x0)[1:]
-    z, it, conv, trace = _admm(len(dims), 0.0, x_step, z_step, x0, sigma0, cfg)[1:5]
-    # the stack goes with x_step, the dual with _admm's tuple, and x0, a
-    # buffer of _admm's that may be dead by now, before the rank report
-    del x_step, x0
-    # observed entries pinned exactly
-    return _result(z, e, it, conv, truth, 0.0, trace)
+    return _convex(None, mask.dims, None, z_step, cfg, truth, e)
 
 
 def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
@@ -767,23 +838,7 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
     and c = unfold(t), growing its penalty while the primal test fails
     (_admm's grow). duality_gap is the certified relative gap at the
     returned split (_rpca_m_gap)."""
-    cfg = _checked(cfg)
-    t = as_tensor(t)
-    _check_truth(truth, t.shape)
-    pr, axes = _square_axes(pairing, t.ndim)
-    e = _unit_exponent(t, "data")
-    # the scaled unfolding, written once: t read in the order axes into a
-    # new C-ordered array, which is then square_unfold(t, pr) as it lies
-    f = np.multiply(t.transpose(axes), 2.0 ** -e, order="C").reshape(pr.matrix_shape(t.shape))
-    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(f.shape[0])
-    warm = SvtWarm()
-    (y,), z, it, conv, trace, dual = _admm(
-        1, f, lambda j, v, rho: svt(v, 1.0 / rho, warm),
-        lambda w, rho: complex_soft_threshold(w, lam / rho, out=w),
-        np.zeros_like(f), spectral_norm(f), cfg, grow=True)
-    return _result(square_fold(y, t.shape, pr), e, it, conv, truth, _rel_err(y - z, f),
-                   trace, sparse=square_fold(-z, t.shape, pr),
-                   duality_gap=_rpca_m_gap(f, y, warm.s, dual, lam))
+    return _rpca(t, pairing, cfg, truth, square=True)
 
 
 def _rpca_m_gap(f, y, spectrum, dual, lam) -> float:
@@ -814,23 +869,30 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     and c = t, t's scaled copy written in C order. lam defaults, as in
     rpca_m, to 1/sqrt of the square unfolding's row count, n_1 * ... *
     n_(d/2) (n1*n2 at order 4)."""
+    return _rpca(t, None, cfg, truth, square=False)
+
+
+def _rpca(t, pairing, cfg, truth, square: bool) -> SolveResult:
+    """rpca_m (square) or rpca_n: the entry checks, in order the config,
+    the truth, the pairing (which for rpca_n, the default one, checks the
+    order) and the data's finiteness, then the split on the data times
+    2^-e. lam defaults to 1/sqrt of the rows of the pairing's unfolding, and
+    the z step soft-thresholds the mean of the d blocks at lam / (d rho)."""
     cfg = _checked(cfg)
     t = as_tensor(t)
     _check_truth(truth, t.shape)
+    pr, axes = _square_axes(pairing, t.ndim)
     e = _unit_exponent(t, "data")
-    t = np.multiply(t, 2.0 ** -e, order="C")
-    d = t.ndim
-    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(np.prod(t.shape[:d // 2]))
-    stack, x_step, sigma0 = _mode_model(t)
-    xs, z, it, conv, trace = _admm(
-        d, t, x_step, lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
-        np.zeros_like(t), sigma0, cfg)[:5]
-    # without an iteration every block is the data (_admm), and the stack
-    # was never written
-    y = stack.mean(axis=0) if it else xs[0]
-    # the stack and, with _admm's tuple, the dual go before the rank report
-    del stack, x_step, xs
-    return _result(y, e, it, conv, truth, _rel_err(y - z, t), trace, sparse=-z)
+    dims, shape = t.shape, pr.matrix_shape(t.shape)
+    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(shape[0])
+    d = 1 if square else t.ndim
+    # the scaled data, written once into a new C-ordered array: for the
+    # square split t is read in the order axes, so the array is then
+    # square_unfold(t, pr) as it lies
+    t = np.multiply(t.transpose(axes) if square else t, 2.0 ** -e, order="C")
+    return _convex(pr if square else None, dims, t.reshape(shape) if square else t,
+                   lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
+                   cfg, truth, e, lam)
 
 
 def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -847,25 +909,23 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     value. The returned tensor is therefore exactly super-symmetric and
     exactly feasible.
 
-    Raises ValueError when observed values disagree inside one orbit beyond
-    FEAS_TOL (relative): no super-symmetric tensor can match such data.
+    Raises ValueError when the mask is not cubical of even order, before
+    any other check, or when observed values disagree inside one orbit
+    beyond FEAS_TOL (relative): no super-symmetric tensor can match such
+    data.
     """
-    cfg = _checked(cfg)
-    mask.check(values)
     dims = mask.dims
     if len(set(dims)) > 1 or len(dims) % 2:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
-    _check_truth(truth, dims)
-    b, e = _unit_scale(values, "observed values")
+    cfg, pr, b, e, flat = _sampled_entry(mask, values, cfg, truth, None)
     # the orbit id of every entry of the unfolding, in C order: an entry's
     # C-order flat index spells, in base n, a permutation of its tensor
     # multi-index, so orbit_ids's own layout names the same orbits
     ids = orbit_ids(dims)
     counts = np.bincount(ids)
     n_orb = counts.size
-
-    pr, axes = _square_axes(None, len(dims))
-    ob_ids = ids[_sample_flat(mask, axes)]
+    ob_ids = ids[flat]
+    del flat  # not held through the solve
     ob_cnt = np.bincount(ob_ids, minlength=n_orb)
     observed = ob_cnt > 0
     ob_val = np.zeros(n_orb, dtype=np.complex128)
@@ -879,8 +939,6 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
             "tensor matches the data"
         )
 
-    nrow, ncol = pr.matrix_shape(dims)
-
     def z_step(w, rho):
         vals = orbit_sum(w.reshape(-1), ids, n_orb) / counts
         vals[observed] = ob_val[observed]
@@ -889,11 +947,4 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         np.take(vals, ids, out=w.reshape(-1), mode="clip")
         return w
 
-    z0 = z_step(np.zeros((nrow, ncol), dtype=np.complex128), None)
-    warm = SvtWarm()
-    z, it, conv, trace = _admm(
-        1, 0.0, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step, z0,
-        spectral_norm(z0), cfg)[1:5]
-    del z0  # a buffer of _admm's that may be dead by now
-    # projection pins observed orbits exactly
-    return _result(square_fold(z, dims, pr), e, it, conv, truth, 0.0, trace)
+    return _convex(pr, dims, None, z_step, cfg, truth, e)

@@ -34,6 +34,15 @@ __all__ = [
 _FACTORS, _MASK, _NOISE = 1, 2, 3
 
 
+def _integer(v, name: str) -> int:
+    """v as an int, or ValueError names it as `name` when it is not an
+    integer: a bool, a float or a string is refused, a numpy integer is
+    not."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Recipe for one synthetic instance."""
@@ -45,12 +54,9 @@ class InstanceSpec:
     k: int = 0  # inner factor rank, kron form only
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", tuple(_integer(n, "each dim") for n in self.dims))
         for name in ("r", "seed", "k"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.form not in ("cp", "kron", "supersym"):
             raise ValueError(f"unknown form {self.form!r}")
         if any(n < 1 for n in self.dims) or not self.dims:

@@ -379,13 +379,17 @@ def test_rpca_m_splits_low_rank_plus_sparse():
 
 
 def test_rpca_m_lambda_default_is_inverse_sqrt_rows():
-    # overriding lam with the documented default must not change the result
-    dims = (8, 8, 8, 8)
-    f = gen_cp(dims, 2, seed=5) + gen_sparse_noise(dims, 0.05, seed=6)
-    nrow = square_unfold(f).shape[0]
-    r1 = rpca_m(f)
-    r2 = rpca_m(f, cfg=SolverConfig(lam=1.0 / np.sqrt(nrow)))
-    assert np.array_equal(r1.recovered, r2.recovered)
+    # overriding lam with the documented default must not change the
+    # result; the rows are those of the pairing's own unfolding, n1*n3
+    # under 1,3|2,4, not the default's n1*n2
+    for dims, pairing, rows in (((8, 8, 8, 8), None, 64),
+                                ((3, 4, 5, 6), Pairing((0, 2), (1, 3)), 15)):
+        f = gen_cp(dims, 2, seed=5) + gen_sparse_noise(dims, 0.05, seed=6)
+        nrow = square_unfold(f, pairing).shape[0]
+        assert nrow == rows
+        r1 = rpca_m(f, pairing)
+        r2 = rpca_m(f, pairing, cfg=SolverConfig(lam=1.0 / np.sqrt(nrow)))
+        assert np.array_equal(r1.recovered, r2.recovered)
 
 
 def test_rpca_m_clean_input_gives_zero_sparse_part():
@@ -416,10 +420,10 @@ def test_rpca_n_success_regime():
     assert res.rank_report.tucker == (2, 2, 2, 2)
 
 
-@pytest.mark.parametrize("dims", [(8, 8, 8, 8), (4,) * 6])
+@pytest.mark.parametrize("dims", [(8, 8, 8, 8), (4,) * 6, (3, 4, 5, 6)])
 def test_rpca_n_lambda_default_is_inverse_sqrt_rows(dims):
     # as for rpca_m, the default is 1/sqrt of the square unfolding's row
-    # count: n1*n2 at order 4, n1*n2*n3 at order 6
+    # count: n1*n2 at order 4 (12 at (3, 4, 5, 6)), n1*n2*n3 at order 6
     f = gen_cp(dims, 2, seed=5) + gen_sparse_noise(dims, 0.05, seed=6)
     nrow = square_unfold(f).shape[0]
     cfg = SolverConfig(max_iters=30)

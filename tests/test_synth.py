@@ -180,6 +180,14 @@ def test_instance_spec_round_trip_and_validation():
     for bad in ({"r": 2.0}, {"r": "2"}, {"seed": 1.5}, {"seed": True}, {"k": None}):
         with pytest.raises(ValueError, match="must be an integer"):
             InstanceSpec(**{"dims": (4, 4), "r": 1, "form": "cp", "seed": 0} | bad)
+    # and so is each dim, which int() used to truncate or convert
+    spec = InstanceSpec(dims=(np.int64(4), np.int32(3)), r=1, form="cp", seed=0)
+    assert spec.dims == (4, 3) and all(type(n) is int for n in spec.dims)
+    for bad, first in (((4.7, 4, True, 4), "4.7"), ((4, True), "True"), (("4", 4), "'4'")):
+        with pytest.raises(ValueError, match=f"^each dim must be an integer, got {first}$"):
+            InstanceSpec(dims=bad, r=1, form="cp", seed=0)
+    with pytest.raises(ValueError, match="^each dim must be an integer, got 4.9$"):
+        InstanceSpec.from_dict({"dims": [4.9, 4], "r": 1, "form": "cp", "seed": 0})
 
 
 # -------------------------------------------------------------------- masks

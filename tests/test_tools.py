@@ -1,18 +1,24 @@
 """The measurement scripts under tools/: code line counts, paired
-benchmark statistics and the CLI output-parity run."""
+benchmark statistics, the CLI output-parity run and the solver digests."""
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
 import pairs  # noqa: E402
+import solver_digests  # noqa: E402
+from mrank.ranks import m_ranks  # noqa: E402
+from mrank.solvers import SolveResult  # noqa: E402
 
 # 7 code lines, counted by hand: the import, the constant, the class line,
 # the def line, both lines of the two-line statement and the return; the
@@ -141,3 +147,40 @@ def test_outputs_writes_every_form(tmp_path):
     for out in tmp_path.glob("*.out"):
         last = out.read_text().splitlines()[-1]
         assert last == ("exit 2" if out.name.startswith("error_") else "exit 0"), out.name
+
+
+def test_solver_digests_writes_one_line_per_solve(tmp_path):
+    # one run of the bitwise-parity script: a "name sha256" line per solve,
+    # each name once, every solver among them
+    out = tmp_path / "digests.txt"
+    subprocess.run([sys.executable, str(TOOLS / "solver_digests.py"), str(out)],
+                   check=True, capture_output=True, text=True)
+    lines = [line.split(" ") for line in out.read_text().splitlines()]
+    names = [name for name, _ in lines]
+    assert names == list(solver_digests.solves()) and len(set(names)) == len(names)
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    for solver in ("complete_m", "complete_n", "rpca_m", "rpca_n", "complete_supersym"):
+        assert any(solver in name for name in names), solver
+
+
+def test_solver_digest_sees_every_field():
+    # a change of one ulp, one flag or one count in any field moves the
+    # digest; equal results share it
+    base = SolveResult(np.zeros((2, 2, 2, 2), dtype=np.complex128), 3, True,
+                       m_ranks(np.zeros((2, 2, 2, 2))), residual_trace=[0.5, 0.25])
+    bumped = base.recovered.copy()
+    bumped[0, 0, 0, 0] = np.nextafter(0.0, 1.0)
+    variants = [
+        {"recovered": bumped},
+        {"sparse": np.zeros((2, 2, 2, 2), dtype=np.complex128)},
+        {"iters": 4},
+        {"converged": False},
+        {"residual_trace": [0.5, np.nextafter(0.25, 1.0)]},
+        {"duality_gap": 0.0},
+        {"rel_err_vs_truth": 0.0},
+        {"rel_err_all": 0.0},
+        {"rank_report": dataclasses.replace(base.rank_report, m_plus=1)},
+    ]
+    digests = [solver_digests.digest(dataclasses.replace(base, **v)) for v in variants]
+    assert solver_digests.digest(base) == solver_digests.digest(dataclasses.replace(base))
+    assert len({solver_digests.digest(base), *digests}) == len(variants) + 1
