@@ -44,8 +44,9 @@ its c and its z step:
                        z step: soft threshold at lam / rho
     rpca_n             the mode copies, c = the tensor; z step: soft
                        threshold at lam / (d rho)
-    complete_supersym  the square unfolding, c = 0; z step: the orbit
-                       mean, with the observed orbits pinned
+    complete_supersym  the symmetric compression of the square
+                       unfolding, c = 0; z step: the orbit mean, with the
+                       observed orbits pinned
 
 The square model's x step is svt of the unfolding under the solver's
 pairing, the mode model's the stacked mode copies' mode_svt (_mode_model).
@@ -57,6 +58,20 @@ off the data, the one _admm call, the memory the solve drops before its
 rank report, and the SolveResult. _admm owns the penalty, the dual
 update, the stopping test and the trace, and runs the blocks one at a
 time.
+
+complete_supersym runs on a compression of its unfolding. For an
+order-2h tensor with every dim n, its unfolding M has rows and columns in
+the symmetric tensors Sym^h, of dimension m = C(n + h - 1, h) in place of
+n^h: z is constant on index-permutation orbits, and svt and the dual
+update keep x and u in Sym^h (x) Sym^h (Comon, Golub, Lim and Mourrain
+2008 use the same space for symmetric tensors). So it runs on the
+compression A = P^T M P, P the n^h x m isometry whose column for row orbit
+o is o's indicator over sqrt(|o|): A = wt * M[reps][:, reps], reps one row
+of each orbit and wt[o, p] = sqrt(|o| |p|), and M = P A P^T. Norms,
+spectral norms and svt commute with P, so the solve takes the same steps
+on m x m matrices (210 x 210 in place of 400 x 400 at 20^4, 220 x 220 in
+place of 1000 x 1000 at 10^6); only the stopping test's absolute dual term
+still counts the whole unfolding's entries.
 
 No block-sized array is allocated per iteration, by _admm or by a z step,
 beyond the prox kernels' own work arrays (svt's factors, the soft
@@ -86,10 +101,10 @@ with _result.
 
 Every svt call site keeps its own SvtWarm, created inside the solve, so
 consecutive iterations warm-start the kernel and concurrent solves share
-nothing. In practice the square 400x400 iterates of rpca_m and
-complete_supersym, whose kept rank stays small, take the warm subspace
-route, and complete_m's 100x100 continuation iterates keep too high a rank
-for it and stay on the full SVD (see linalg.svt). complete_n and rpca_n
+nothing. In practice rpca_m's square 400x400 iterates and
+complete_supersym's 210x210 ones, whose kept rank stays small, take the
+warm subspace route, and complete_m's 100x100 continuation iterates keep
+too high a rank for it and stay on the full SVD (see linalg.svt). complete_n and rpca_n
 never unfold: their prox on mode j is linalg.mode_svt, a mode-j product
 with an n_j x n_j matrix built from the mode's Gram matrix, and their
 driver's scale, the largest spectral norm of the data's mode unfoldings,
@@ -120,6 +135,7 @@ the column space the line search needs. The gap candidates are read off
 the spectrum the continuation's last svt recorded, so no SVD is repeated.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -546,7 +562,7 @@ def _norm(a) -> float:
 
 
 def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
-          grow: bool = False):
+          grow: bool = False, entries: int | None = None):
     """Scaled-form consensus ADMM for min sum_j f_j(x_j) + g(z) subject to
     x_j - z = c for j = 0..d-1 (Boyd et al. 2011, sections 3.1.1 and 7.1),
     the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
@@ -570,8 +586,9 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
                            consensus tensor with observed entries pinned; c = 0
         rpca_m             d = 1; x = Y (svt); z = -Z; c = the data unfolding F
         rpca_n             d = order; x_j = W_j, the mode copies; z = -Z; c = t
-        complete_supersym  d = 1; x = svt(z - u); z = the orbit projection;
-                           c = 0
+        complete_supersym  d = 1; x = svt(z - u) and z = the orbit
+                           projection, both on the symmetric compression
+                           of the unfolding; c = 0
 
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
     z steps. With x and u the d blocks stacked, the loop stops when
@@ -579,10 +596,12 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     <= e_dua, with
         e_pri = ABS_TOL * scale + rel_tol * max(||x||, sqrt(d) ||z||, sqrt(d) ||c||)
         e_dua = sqrt(n) * ABS_TOL + rel_tol * rho * ||u||
-    over the n constraint entries, scale being the spectral norm of the
-    data that the caller passes. ABS_TOL is dimensionless in both: e_pri
-    is in data units through scale, and e_dua is dimensionless, like r_dua,
-    since rho scales as 1 / scale. So a solve takes the same steps on data
+    with n the constraint's entry count, `entries` (the d blocks' entries
+    when None; complete_supersym's compressed model counts the whole
+    unfolding's), scale being the spectral norm of the data that the
+    caller passes. ABS_TOL is dimensionless in both: e_pri is in data
+    units through scale, and e_dua is dimensionless, like r_dua, since rho
+    scales as 1 / scale. So a solve takes the same steps on data
     multiplied by any factor. Each iteration logs r_pri over the relative
     part of e_pri's scale. Without an iteration to run (zero scale, which
     means zero data, or cfg.max_iters below 1) every block is z0 + c, z is
@@ -647,7 +666,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
         return (z0 + c,) * d, z0, 0, scale == 0.0, [], None
     zero_c = np.isscalar(c) and c == 0.0
     rho = PENALTY_SCALE / scale
-    n = d * z0.size
+    n = d * z0.size if entries is None else entries
     k = np.sqrt(d)  # copies of each z entry in the constraint
     c_term = k * _norm(c)
     abs_pri = ABS_TOL * scale
@@ -763,20 +782,25 @@ def _mode_model(t):
     return stack, x_step, max(mode_spectrum(t, j)[0].max(initial=0.0) for j in range(d))
 
 
-def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None) -> SolveResult:
+def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
+            sym=None) -> SolveResult:
     """The one convex solve behind complete_n, rpca_m, rpca_n and
     complete_supersym: _admm on the model pr names, with the caller's
     z_step, on data times 2^-e, answered through _result.
 
     pr is a Pairing for the square model (d = 1, x = svt of the C-ordered
     square unfolding under pr, with its own SvtWarm) or None for the mode
-    model (d = the order, x the stacked mode copies, _mode_model). c is
-    None for completion, whose constraint is x_j - z = 0 and whose z0 is
-    z_step of zeros (rho None): the observed entries pinned. Otherwise c is
-    the scaled data of the split x_j - z = c, in the model's shape, z0 is
-    zero and z = -Z, Z the sparse part. The driver's scale is read off the
-    data: z0 for completion, c for the split. Only the square split grows
-    its penalty (_admm's grow).
+    model (d = the order, x the stacked mode copies, _mode_model). sym is
+    (m, answer) for complete_supersym: its square model runs on the m x m
+    symmetric compression of the unfolding (module docstring), whose
+    stopping test still counts the whole unfolding's entries (_admm's
+    entries), and the solve answers answer(), the tensor of the last z
+    step. c is None for completion, whose constraint is x_j - z = 0 and
+    whose z0 is z_step of zeros (rho None): the observed entries pinned.
+    Otherwise c is the scaled data of the split x_j - z = c, in the
+    model's shape, z0 is zero and z = -Z, Z the sparse part. The driver's
+    scale is read off the data: z0 for completion, c for the split. Only
+    the square split grows its penalty (_admm's grow).
 
     The duals and z0's buffer, which may be dead by now, go before the
     stack's mean is formed, and the stack of mode copies and the blocks
@@ -786,7 +810,8 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None) -> 
     sparse = -z, rel_err_all its split residual against c and, for the
     square model, rpca_m's certified duality gap at the sparsity weight
     lam (_rpca_m_gap)."""
-    shape = dims if pr is None else pr.matrix_shape(dims)
+    shape = dims if pr is None else (sym[0],) * 2 if sym else pr.matrix_shape(dims)
+    d = len(dims) if pr is None else 1
     if c is None:
         z0 = z_step(np.zeros(shape, dtype=np.complex128), None)
     warm = SvtWarm()  # the square model's
@@ -795,8 +820,8 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None) -> 
     if c is not None:
         z0 = np.zeros(shape, dtype=np.complex128)
     xs, z, it, conv, trace, dual = _admm(
-        len(dims) if pr is None else 1, 0.0 if c is None else c, x_step, z_step, z0, scale,
-        cfg, grow=pr is not None and c is not None)
+        d, 0.0 if c is None else c, x_step, z_step, z0, scale, cfg,
+        grow=pr is not None and c is not None, entries=d * math.prod(dims))
     gap = None if pr is None or c is None else _rpca_m_gap(c, xs[0], warm.s, dual, lam)
     del dual, z0
     if c is None:
@@ -808,7 +833,9 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None) -> 
     del stack, x_step, xs
     if c is not None:
         err, z = _rel_err(x - z, c), -z
-    if pr is not None:
+    if sym:
+        x = sym[1]()
+    elif pr is not None:
         x, z = square_fold(x, dims, pr), square_fold(z, dims, pr)
     return _result(x, e, it, conv, truth, err, trace, sparse=None if c is None else z,
                    duality_gap=gap)
@@ -874,12 +901,15 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
 
 def _rpca(t, pairing, cfg, truth, square: bool) -> SolveResult:
     """rpca_m (square) or rpca_n: the entry checks, in order the config,
-    the truth, the pairing (which for rpca_n, the default one, checks the
-    order) and the data's finiteness, then the split on the data times
-    2^-e. lam defaults to 1/sqrt of the rows of the pairing's unfolding, and
-    the z step soft-thresholds the mean of the d blocks at lam / (d rho)."""
+    the shape (order >= 2 and no zero-length axis), the truth, the pairing
+    (which for rpca_n, the default one, checks the order) and the data's
+    finiteness, then the split on the data times 2^-e. lam defaults to
+    1/sqrt of the rows of the pairing's unfolding, and the z step
+    soft-thresholds the mean of the d blocks at lam / (d rho)."""
     cfg = _checked(cfg)
     t = as_tensor(t)
+    if t.ndim < 2 or 0 in t.shape:
+        raise ValueError(f"needs order >= 2 and no zero-length axis, got shape {t.shape}")
     _check_truth(truth, t.shape)
     pr, axes = _square_axes(pairing, t.ndim)
     e = _unit_exponent(t, "data")
@@ -902,12 +932,15 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     observed entries.
 
     ADMM with x the unfolding (svt step) and z the constrained tensor,
-    x - z = 0. The projection onto {super-symmetric} intersect {observed
-    entries fixed} has a closed form because both sets are affine and
-    symmetry means constancy on index-permutation orbits (tensor.orbit_ids):
-    free orbits take their orbit mean, observed orbits take their observed
-    value. The returned tensor is therefore exactly super-symmetric and
-    exactly feasible.
+    x - z = 0, both held as the symmetric compression A = P^T M P of the
+    n^h x n^h unfolding M (h half the order), an m x m matrix with
+    m = C(n + h - 1, h), P the isometry onto Sym^h (module docstring).
+    The projection onto {super-symmetric} intersect {observed entries
+    fixed} has a closed form because both sets are affine and symmetry
+    means constancy on index-permutation orbits (tensor.orbit_ids): free
+    orbits take their orbit mean, observed orbits take their observed
+    value. The returned tensor holds the last projection's orbit values,
+    so it is exactly super-symmetric and exactly feasible.
 
     Raises ValueError when the mask is not cubical of even order, before
     any other check, or when observed values disagree inside one orbit
@@ -939,12 +972,29 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
             "tensor matches the data"
         )
 
-    def z_step(w, rho):
-        vals = orbit_sum(w.reshape(-1), ids, n_orb) / counts
-        vals[observed] = ob_val[observed]
-        # ids are valid by construction; numpy's default mode="raise"
-        # buffers a full-size copy to write into out
-        np.take(vals, ids, out=w.reshape(-1), mode="clip")
-        return w
+    # the compression A = P^T M P of the unfolding M (module docstring):
+    # with reps a representative of each row orbit, A = wt * M[reps][:, reps]
+    # and tid the tensor orbit of each entry of A
+    rid = orbit_ids(dims[:len(dims) // 2])
+    reps = np.unique(rid, return_index=True)[1]
+    root = np.sqrt(np.bincount(rid))
+    wt = np.outer(root, root)
+    tid = ids.reshape(rid.size, rid.size)[np.ix_(reps, reps)].reshape(-1)
+    vals = None  # the last z step's orbit values
 
-    return _convex(pr, dims, None, z_step, cfg, truth, e)
+    def z_step(a, rho):
+        nonlocal vals
+        # A's entry (o, p) is sqrt(|o| |p|) times each of the |o| |p|
+        # unfolding entries it stands for, so wt * A holds their sums
+        a *= wt
+        vals = orbit_sum(a.reshape(-1), tid, n_orb) / counts
+        vals[observed] = ob_val[observed]
+        # tid is valid by construction; numpy's default mode="raise"
+        # buffers a copy to write into out
+        np.take(vals, tid, out=a.reshape(-1), mode="clip")
+        a *= wt
+        return a
+
+    # the tensor is the last z step's orbit values, expanded
+    return _convex(pr, dims, None, z_step, cfg, truth, e,
+                   sym=(reps.size, lambda: np.take(vals, ids).reshape(dims)))

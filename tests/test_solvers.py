@@ -6,14 +6,17 @@ not a lucky draw. Failure regimes are exercised by the acceptance suite.
 """
 
 import functools
+import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mrank import solvers
+from mrank.linalg import SvtWarm, spectral_norm, svt
 from mrank.solvers import (
     ABS_TOL,
     BALANCE_BAND,
@@ -36,7 +39,8 @@ from mrank.solvers import (
 )
 from mrank.ranks import rank_one_factorize
 from mrank.synth import Mask, complex_normal, gen_cp, gen_mask, gen_sparse_noise, gen_supersym
-from mrank.tensor import Pairing, is_super_symmetric, mode_unfold, outer, square_unfold, vec
+from mrank.tensor import (Pairing, is_super_symmetric, mode_unfold, orbit_ids, orbit_sum, outer,
+                          square_unfold, vec)
 
 
 DIMS = (6, 6, 6, 6)
@@ -487,6 +491,57 @@ def test_complete_supersym_empty_mask():
     assert res.converged and not res.recovered.any()
 
 
+def _full_space_supersym(mask, values):
+    """complete_supersym's ADMM on the whole n^h x n^h unfolding, with the
+    orbit projection over every entry: the uncompressed model, the
+    reference for the compressed one. Returns (tensor, iters, converged)."""
+    b, e = solvers._unit_scale(values, "observed values")
+    ids = orbit_ids(mask.dims)
+    counts = np.bincount(ids)
+    ob = ids[solvers._sample_flat(mask, solvers._square_axes(None, len(mask.dims))[1])]
+    ob_cnt = np.bincount(ob, minlength=counts.size)
+    ob_val = orbit_sum(b, ob, counts.size) / np.maximum(ob_cnt, 1)
+
+    def z_step(w, rho):
+        vals = orbit_sum(w.reshape(-1), ids, counts.size) / counts
+        vals[ob_cnt > 0] = ob_val[ob_cnt > 0]
+        w.reshape(-1)[:] = vals[ids]
+        return w
+
+    rows = math.isqrt(ids.size)
+    z0 = z_step(np.zeros((rows, rows), dtype=np.complex128), None)
+    warm = SvtWarm()
+    _, z, it, conv, _, _ = _admm(1, 0.0, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step,
+                                 z0, spectral_norm(z0), SolverConfig())
+    # z is super-symmetric, so its C layout is the tensor's
+    return z.reshape(mask.dims) * 2.0 ** e, it, conv
+
+
+# criterion 9 at seeds 0-2, and an order-6 instance: (n, order, rank,
+# ratio, seed)
+FULL_SPACE_CASES = [(10, 4, 8, 0.4, 0), (10, 4, 8, 0.4, 1), (10, 4, 8, 0.4, 2),
+                    (4, 6, 2, 0.2, 0)]
+
+
+@pytest.mark.parametrize("n, order, r, ratio, seed", FULL_SPACE_CASES)
+def test_complete_supersym_matches_the_full_space_solve(monkeypatch, n, order, r, ratio, seed):
+    # every svt runs on the m x m symmetric compression, m = C(n + h - 1, h)
+    # with h half the order, and the solve takes the full-space solve's
+    # steps to the same tensor
+    s = gen_supersym(n, order, r, seed=seed)
+    mask = gen_mask(s.shape, ratio, seed=seed)
+    b = mask.observe(s)
+    shapes = []
+    monkeypatch.setattr(solvers, "svt", lambda m, *a: shapes.append(m.shape) or svt(m, *a))
+    res = complete_supersym(mask, b)
+    monkeypatch.undo()
+    ref, iters, converged = _full_space_supersym(mask, b)
+    m = math.comb(n + order // 2 - 1, order // 2)
+    assert len(shapes) == res.iters and set(shapes) == {(m, m)}
+    assert (res.iters, res.converged) == (iters, converged) and converged
+    assert np.linalg.norm(res.recovered - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 # ------------------------------------------------------- non-finite input
 
 
@@ -547,6 +602,20 @@ def test_mode_models_reject_odd_order_before_the_solve(monkeypatch):
                  lambda: complete_m(mask, mask.observe(t)), lambda: rpca_m(t)):
         with pytest.raises(ValueError, match="order must be even, got 3"):
             call()
+
+
+@pytest.mark.parametrize("solve", [rpca_m, rpca_n])
+@pytest.mark.parametrize("shape", [(0, 2, 2, 2), (2, 2, 2, 0), (2, 0), (), (3,)])
+def test_robust_solvers_refuse_degenerate_shapes_at_entry(monkeypatch, solve, shape):
+    # an empty axis warned "divide by zero" in the lam default, ran the
+    # solve and failed only in the rank report; order 0 failed in rpca_n
+    # with the bare "max() arg is an empty sequence"
+    monkeypatch.setattr(solvers, "_admm", lambda *a, **k: pytest.fail("the solve started"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"needs order >= 2 and no zero-length axis, got shape {shape}")):
+            solve(np.zeros(shape))
 
 
 def test_completion_solvers_reject_mis_sized_values_before_the_solve(monkeypatch):
@@ -1156,15 +1225,17 @@ _S20_VALUES = _S20_MASK.observe(gen_supersym(20, 4, 8, seed=0))
 # tracemalloc peak of each ADMM solver at 20^4, in tensors of that size
 # (14.55, 13.46, 7.59 and 7.66 while each z step returned a new z, 12.15
 # and 11.46 for rpca_n and complete_n while the driver kept two block
-# buffers). The mode models hold the 4-fold stack, the 4 duals and two
+# buffers, 7.56 for complete_supersym while it iterated on the whole
+# unfolding). The mode models hold the 4-fold stack, the 4 duals and two
 # blocks (the spare and z); rpca_n adds its scaled data and the soft
 # threshold's real factor (11.26), complete_n its samples and their index
-# (10.57)
+# (10.57). complete_supersym iterates on 210 x 210 matrices, so none of its
+# ADMM variables is tensor-sized (4.56)
 PEAK_TENSORS = {
     "rpca_n": (11.4, lambda cfg: rpca_n(_R20, cfg=cfg)),
     "complete_n": (10.7, lambda cfg: complete_n(_C20_MASK, _C20_VALUES, cfg)),
     "rpca_m": (7.3, lambda cfg: rpca_m(_R20, cfg=cfg)),
-    "complete_supersym": (7.6, lambda cfg: complete_supersym(_S20_MASK, _S20_VALUES, cfg)),
+    "complete_supersym": (4.7, lambda cfg: complete_supersym(_S20_MASK, _S20_VALUES, cfg)),
 }
 
 

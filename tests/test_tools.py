@@ -150,15 +150,22 @@ def test_outputs_writes_every_form(tmp_path):
 
 
 def test_solver_digests_writes_one_line_per_solve(tmp_path):
-    # one run of the bitwise-parity script: a "name sha256" line per solve,
-    # each name once, every solver among them
+    # one run of the bitwise-parity script: a "name iters converged sha256"
+    # line per solve, each name once, every solver among them; the capped
+    # and the zero-data solves show their counts and flags
     out = tmp_path / "digests.txt"
     subprocess.run([sys.executable, str(TOOLS / "solver_digests.py"), str(out)],
                    check=True, capture_output=True, text=True)
     lines = [line.split(" ") for line in out.read_text().splitlines()]
-    names = [name for name, _ in lines]
+    names = [name for name, *_ in lines]
     assert names == list(solver_digests.solves()) and len(set(names)) == len(names)
-    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    assert all(len(line) == 4 and re.fullmatch("[0-9]+", line[1])
+               and line[2] in ("True", "False") and re.fullmatch("[0-9a-f]{64}", line[3])
+               for line in lines)
+    steps = {name: (iters, conv) for name, iters, conv, _ in lines}
+    for solver in ("complete_n", "rpca_m", "rpca_n", "complete_supersym"):
+        assert steps[f"{solver}_iters3"] == ("3", "False"), solver
+        assert steps[f"{solver}_zero"] == ("0", "True"), solver
     for solver in ("complete_m", "complete_n", "rpca_m", "rpca_n", "complete_supersym"):
         assert any(solver in name for name in names), solver
 

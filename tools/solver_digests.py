@@ -3,11 +3,13 @@
     python3 tools/solver_digests.py OUTFILE
 
 Runs the `mrank` package under src/ next to this script on fixed seeds and
-writes one line per solve, "name digest", to OUTFILE. The digest covers
-the solve's `recovered` and `sparse` arrays (their shape, dtype and bytes),
-`iters`, `converged`, `residual_trace`, `duality_gap`, `rel_err_vs_truth`,
-`rel_err_all` and the rank report, so two runs agree line for line only
-when every solve is bitwise equal. The set:
+writes one line per solve, "name iters converged digest", to OUTFILE. The
+digest covers the solve's `recovered` and `sparse` arrays (their shape,
+dtype and bytes), `iters`, `converged`, `residual_trace`, `duality_gap`,
+`rel_err_vs_truth`, `rel_err_all` and the rank report, so two runs agree
+line for line only when every solve is bitwise equal. The iteration count
+and the converged flag are also written in the clear, so where a change
+moves bits a diff still shows which solves kept their steps. The set:
 
 - acceptance criteria 7 (complete_n), 8 (rpca_m, rpca_n) and 9
   (complete_supersym) at 10^4, seeds 0-2, with their truths;
@@ -116,7 +118,10 @@ def digest(res) -> str:
 def main(argv) -> int:
     if len(argv) != 1:
         sys.exit(__doc__)
-    lines = [f"{name} {digest(run())}\n" for name, run in solves().items()]
+    lines = []
+    for name, run in solves().items():
+        res = run()
+        lines.append(f"{name} {res.iters} {res.converged} {digest(res)}\n")
     Path(argv[0]).write_text("".join(lines))
     return 0
 
