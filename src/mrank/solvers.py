@@ -36,16 +36,16 @@ scales its results back in place (_result).
 complete_n, rpca_m, rpca_n and complete_supersym are one convex solve,
 _convex, which runs one consensus ADMM driver, _admm, on d blocks
 x_j - z = c with two prox steps each. Each solver supplies only its model,
-its c and its z step:
+its c (None for completion, x_j - z = 0) and its z step:
 
-    complete_n         the mode copies (d = the order), c = 0; z step:
+    complete_n         the mode copies (d = the order), c None; z step:
                        pin the observed entries
     rpca_m             the square unfolding (d = 1), c = the unfolding;
                        z step: soft threshold at lam / rho
     rpca_n             the mode copies, c = the tensor; z step: soft
                        threshold at lam / (d rho)
     complete_supersym  the symmetric compression of the square
-                       unfolding, c = 0; z step: the orbit mean, with the
+                       unfolding, c None; z step: the orbit mean, with the
                        observed orbits pinned
 
 The square model's x step is svt of the unfolding under the solver's
@@ -76,16 +76,14 @@ still counts the whole unfolding's entries.
 No block-sized array is allocated per iteration, by _admm or by a z step,
 beyond the prox kernels' own work arrays (svt's factors, the soft
 threshold's real factor of at most linalg.SHRINK_BLOCK entries): besides
-the blocks _admm keeps z, the d scaled duals and one spare block (and for
-d > 1 a temp of PASS_BLOCK entries, through which it sums the blocks' mean
-one chunk at a time); each z step writes its prox over the blocks' mean,
-which _admm hands it in the spare, and _admm rotates z's old buffer into
-that role. The initial penalty is made scale-invariant by dividing by the
-spectral norm of the data unfolding, and both stopping tolerances are
-relative to that norm, so the dimensionless defaults work, and a solve
-takes the same steps, at any data scale. From there, residual balancing
-moves the penalty by factors of two when the primal and dual residuals
-drift far apart, or when one stopping test passes and the other does not
+the blocks _admm keeps z, the d scaled duals and one spare block; each z
+step writes its prox over the blocks' mean, which _admm sums in place in
+the spare, and _admm rotates z's old buffer into that role. The initial
+penalty is made scale-invariant by dividing by the spectral norm of the
+data unfolding, and both stopping tolerances are relative to that norm, so
+the dimensionless defaults work, and a solve takes the same steps, at any
+data scale. From there, residual balancing moves the penalty by factors
+of two when the primal and dual residuals drift far apart, or when one stopping test passes and the other does not
 (see _admm): the first is what lets the complete_n baseline meet its dual
 test, the second what stops rpca_m's primal residual from crawling once
 its dual test has passed. rpca_m alone moves its penalty faster, through
@@ -172,10 +170,6 @@ __all__ = [
 # converges, 40 is robustly fast). The ADMM penalty starts at PENALTY_SCALE /
 # sigma_max(data unfolding).
 PENALTY_SCALE = 40.0
-
-# Entries of the blocks' mean that _admm sums at a time when d > 1: each
-# later block's term goes through one temp of this many complex entries.
-PASS_BLOCK = 1 << 14
 
 # Absolute part of the ADMM stopping test (see _admm), dimensionless: the
 # primal test's absolute term is ABS_TOL * sigma_max(data unfolding), in
@@ -321,6 +315,13 @@ def _checked(cfg: SolverConfig | None) -> SolverConfig:
     return cfg
 
 
+def _check_dims(dims) -> None:
+    """Reject, before the solve, order < 2 or a zero-length axis: such a
+    tensor has no unfolding to solve on."""
+    if len(dims) < 2 or 0 in dims:
+        raise ValueError(f"needs order >= 2 and no zero-length axis, got shape {tuple(dims)}")
+
+
 def _check_truth(truth, dims) -> None:
     """Reject, before the solve, a truth that would broadcast in _result."""
     if truth is not None and np.shape(truth) != tuple(dims):
@@ -366,12 +367,13 @@ def _sample_flat(mask: Mask, axes) -> np.ndarray:
 
 def _sampled_entry(mask: Mask, values, cfg, truth, pairing, square: bool = True):
     """The entry of the sampled solvers: it checks, in order, the config,
-    the values against the mask, the pairing (square models) and the
-    truth, and then scales the values. Returns (cfg, pr, b, e, flat): the
-    checked config, the pairing (None for the mode model), the observed
+    the mask's shape (_check_dims), the values against the mask, the
+    pairing (square models) and the truth, and then scales the values.
+    Returns (cfg, pr, b, e, flat): the checked config, the pairing (None for the mode model), the observed
     values times 2^-e (_unit_scale) and their C-order flat indices
     (_sample_flat) in the square unfolding under pr, or in the tensor."""
     cfg = _checked(cfg)
+    _check_dims(mask.dims)
     mask.check(values)
     pr, axes = _square_axes(pairing, len(mask.dims)) if square else (None, range(len(mask.dims)))
     _check_truth(truth, mask.dims)
@@ -562,7 +564,7 @@ def _norm(a) -> float:
 
 
 def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
-          grow: bool = False, entries: int | None = None):
+          entries: int, grow: bool = False):
     """Scaled-form consensus ADMM for min sum_j f_j(x_j) + g(z) subject to
     x_j - z = c for j = 0..d-1 (Boyd et al. 2011, sections 3.1.1 and 7.1),
     the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
@@ -574,21 +576,21 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     own buffer for block j from call to call). z_step writes its result
     over w and returns w, and the loop rotates the spare and z rather
     than receive a new z. z0 becomes one of those buffers, so it is
-    overwritten. Every block x_j, the spare, z and c have z0's shape (c
-    may also be the scalar 0), and the constraint's norms count the d
-    blocks.
+    overwritten. Every block x_j, the spare, z and c have z0's shape; c is
+    None for completion, whose constraint is x_j - z = 0. The constraint's
+    norms count the d blocks.
     One memory layout: z0, c and every x_step result are C-contiguous, as
     are the driver's own buffers, so no pass mixes layouts. Its one caller
     is _convex, which runs these models (the module docstring has each
     solver's z step):
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
-                           consensus tensor with observed entries pinned; c = 0
+                           consensus tensor with observed entries pinned; c None
         rpca_m             d = 1; x = Y (svt); z = -Z; c = the data unfolding F
         rpca_n             d = order; x_j = W_j, the mode copies; z = -Z; c = t
         complete_supersym  d = 1; x = svt(z - u) and z = the orbit
                            projection, both on the symmetric compression
-                           of the unfolding; c = 0
+                           of the unfolding; c None
 
     Soft thresholding is odd, so z = -Z needs no sign handling in the robust
     z steps. With x and u the d blocks stacked, the loop stops when
@@ -596,17 +598,17 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     <= e_dua, with
         e_pri = ABS_TOL * scale + rel_tol * max(||x||, sqrt(d) ||z||, sqrt(d) ||c||)
         e_dua = sqrt(n) * ABS_TOL + rel_tol * rho * ||u||
-    with n the constraint's entry count, `entries` (the d blocks' entries
-    when None; complete_supersym's compressed model counts the whole
-    unfolding's), scale being the spectral norm of the data that the
-    caller passes. ABS_TOL is dimensionless in both: e_pri is in data
-    units through scale, and e_dua is dimensionless, like r_dua, since rho
-    scales as 1 / scale. So a solve takes the same steps on data
-    multiplied by any factor. Each iteration logs r_pri over the relative
-    part of e_pri's scale. Without an iteration to run (zero scale, which
-    means zero data, or cfg.max_iters below 1) every block is z0 + c, z is
-    z0, and 0 iterations are returned, converged only for zero data, where
-    that is the feasible optimum.
+    with n the constraint's entry count, `entries` (the d blocks' entries;
+    complete_supersym's compressed model counts the whole unfolding's),
+    scale being the spectral norm of the data that the caller passes.
+    ABS_TOL is dimensionless in both: e_pri is in data units through
+    scale, and e_dua is dimensionless, like r_dua, since rho scales as
+    1 / scale. So a solve takes the same steps on data multiplied by any
+    factor. Each iteration logs r_pri over the relative part of e_pri's
+    scale. Without an iteration to run (zero scale, which means zero data,
+    or cfg.max_iters below 1) every block is z0 + c (z0 itself for c
+    None), z is z0, and 0 iterations are returned, converged only for zero
+    data, where that is the feasible optimum.
 
     The penalty starts at rho = PENALTY_SCALE / scale and is balanced on
     the residuals (Boyd et al. 2011, section 3.4.1; He, Yang and Wang 2000;
@@ -637,25 +639,22 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     rpca_m on a random tensor out of its budget.
 
     Memory: besides the blocks x_j, the loop keeps the d scaled duals u_j,
-    starting at zero, z, one spare block f and, for d > 1, a temp of at
-    most PASS_BLOCK entries, all allocated before the first x step, z0
-    being z's. It allocates no array per iteration, and a z step writes
-    over f (the prox kernels keep their own work arrays, such as
-    complex_soft_threshold's real factor of at most SHRINK_BLOCK entries).
-    Each iteration runs the blocks three times. The first pass forms
-    f = (z + c) - u_j and takes x_j = x_step(j, f, rho); f is dead once the
-    last x step has read it. The second writes the blocks' mean of
-    (x_j - c) + u_j into f (_mean_into): for d > 1 one chunk at a time,
-    each later block's term through the temp, with every entry's additions
-    in the order of a whole-array sum. z_step turns f into z_new, and
-    z_new - z_old is formed in z_old's buffer for r_dua; that buffer is
+    starting at zero, z and one spare block f, all allocated before the
+    first x step, z0 being z's. It allocates no array per iteration, and a
+    z step writes over f (the prox kernels keep their own work arrays, such
+    as complex_soft_threshold's real factor of at most SHRINK_BLOCK
+    entries). Each iteration runs the blocks three times. The first pass
+    forms f = (z + c) - u_j and takes x_j = x_step(j, f, rho); f is dead
+    once the last x step has read it. The second sums the blocks' mean of
+    (x_j - c) + u_j in place in f (_mean_into). z_step turns f into z_new,
+    and z_new - z_old is formed in z_old's buffer for r_dua; that buffer is
     then the next f, and z_new is z. The third pass forms
     r_j = (x_j - z_new) - c in f and adds it into u_j. So complete_n and
     rpca_n hold the stack of mode copies, the d duals and two single
     blocks (the spare and z); rpca_m and complete_supersym hold x, u, f and
-    z. A scalar zero c (complete_n, complete_supersym) adds no pass at
-    all. Every norm is one dot product over the array's memory (_norm),
-    summed over the blocks for x and r.
+    z. c None (complete_n, complete_supersym) adds no pass at all. Every
+    norm is one dot product over the array's memory (_norm), summed over
+    the blocks for x and r.
 
     Returns (xs, z, iters, converged, trace, dual), xs the d blocks x_j and
     dual the final unscaled dual rho * u (Boyd et al.'s y for the
@@ -663,25 +662,22 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     or for d = 1 the one block; None when no iteration ran.
     """
     if scale == 0.0 or cfg.max_iters < 1:
-        return (z0 + c,) * d, z0, 0, scale == 0.0, [], None
-    zero_c = np.isscalar(c) and c == 0.0
+        return (z0 if c is None else z0 + c,) * d, z0, 0, scale == 0.0, [], None
     rho = PENALTY_SCALE / scale
-    n = d * z0.size if entries is None else entries
     k = np.sqrt(d)  # copies of each z entry in the constraint
-    c_term = k * _norm(c)
+    c_term = 0.0 if c is None else k * _norm(c)
     abs_pri = ABS_TOL * scale
-    abs_dua = np.sqrt(n) * ABS_TOL
+    abs_dua = np.sqrt(entries) * ABS_TOL
     tiny = np.finfo(float).tiny
     u = np.zeros((d,) + z0.shape, dtype=np.complex128)  # the scaled duals
     f = np.empty(z0.shape, dtype=np.complex128)  # the spare block
-    tmp = np.empty(min(PASS_BLOCK, z0.size), dtype=np.complex128) if d > 1 else None
     xs = [None] * d
     z, trace = z0, []
     del z0  # z's buffer, which the rotation below turns into f
     for it in range(1, cfg.max_iters + 1):
         sq_x = 0.0
         for j in range(d):
-            if zero_c:
+            if c is None:
                 np.subtract(z, u[j], out=f)
             else:
                 np.add(z, c, out=f)
@@ -689,7 +685,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
             xs[j] = None  # the last x_j is dead, so x_step may reuse its memory
             x = xs[j] = x_step(j, f, rho)
             sq_x += _sq_norm(x)
-        _mean_into(f, xs, u, None if zero_c else c, tmp)
+        _mean_into(f, xs, u, c)
         z_new = z_step(f, rho)  # over f
         # z - z_old in the old z's buffer, which then serves as f, whose
         # old buffer z_new has taken
@@ -698,7 +694,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
         sq_pri = 0.0
         for j in range(d):
             r = np.subtract(xs[j], z, out=f)  # x_j - z - c
-            if not zero_c:
+            if c is not None:
                 r -= c
             u[j] += r
             sq_pri += _sq_norm(r)
@@ -727,32 +723,23 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     return xs, z, it, False, trace, _dual(u, rho)
 
 
-def _mean_into(f, xs, u, c, tmp):
-    """Write the mean of the blocks b_j = (x_j - c) + u_j into f (x_j + u_j
-    for c None). For one block f = b_0, in one pass. For d > 1 the sum
-    ((b_0 + b_1) + b_2) + ... runs one chunk of len(tmp) entries at a time:
-    b_0 goes straight into f's chunk and each later b_j through tmp, and
-    the chunk is then divided by d. Every entry takes the additions of a
-    whole-array sum in the same order, so the mean does not depend on the
-    chunk size."""
-    d = len(xs)
-    fv, uv = f.reshape(-1), u.reshape(d, -1)
-    xv = [x.reshape(-1) for x in xs]
-    cv = None if c is None else c.reshape(-1)
-    step = fv.size if tmp is None else tmp.size
-    for s in range(0, fv.size, step):
-        part = fv[s:s + step]
-        for j in range(d):
-            b = tmp[:part.size] if j else part
-            if cv is None:
-                np.add(xv[j][s:s + step], uv[j][s:s + step], out=b)
-            else:
-                np.subtract(xv[j][s:s + step], cv[s:s + step], out=b)
-                b += uv[j][s:s + step]
-            if j:
-                part += b
-        if d > 1:
-            part /= d
+def _mean_into(f, xs, u, c):
+    """Write the mean of the blocks (x_j - c) + u_j into f (x_j + u_j for c
+    None), summed in place: f = (x_0 - c) + u_0, then f += x_j, f -= c and
+    f += u_j for each later block, then f /= d. One block takes the one
+    expression (x - c) + u, or x + u."""
+    if c is None:
+        np.add(xs[0], u[0], out=f)
+    else:
+        np.subtract(xs[0], c, out=f)
+        f += u[0]
+    for x, uj in zip(xs[1:], u[1:]):
+        f += x
+        if c is not None:
+            f -= c
+        f += uj
+    if len(xs) > 1:
+        f /= len(xs)
 
 
 def _dual(u, rho):
@@ -819,9 +806,9 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
         None, lambda j, v, rho: svt(v, 1.0 / rho, warm), spectral_norm(z0 if c is None else c))
     if c is not None:
         z0 = np.zeros(shape, dtype=np.complex128)
-    xs, z, it, conv, trace, dual = _admm(
-        d, 0.0 if c is None else c, x_step, z_step, z0, scale, cfg,
-        grow=pr is not None and c is not None, entries=d * math.prod(dims))
+    xs, z, it, conv, trace, dual = _admm(d, c, x_step, z_step, z0, scale, cfg,
+                                         entries=d * math.prod(dims),
+                                         grow=pr is not None and c is not None)
     gap = None if pr is None or c is None else _rpca_m_gap(c, xs[0], warm.s, dual, lam)
     del dual, z0
     if c is None:
@@ -901,15 +888,14 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
 
 def _rpca(t, pairing, cfg, truth, square: bool) -> SolveResult:
     """rpca_m (square) or rpca_n: the entry checks, in order the config,
-    the shape (order >= 2 and no zero-length axis), the truth, the pairing
-    (which for rpca_n, the default one, checks the order) and the data's
-    finiteness, then the split on the data times 2^-e. lam defaults to
-    1/sqrt of the rows of the pairing's unfolding, and the z step
-    soft-thresholds the mean of the d blocks at lam / (d rho)."""
+    the shape (_check_dims), the truth, the pairing (which for rpca_n, the
+    default one, checks the order) and the data's finiteness, then the
+    split on the data times 2^-e. lam defaults to 1/sqrt of the rows of the
+    pairing's unfolding, and the z step soft-thresholds the mean of the d
+    blocks at lam / (d rho)."""
     cfg = _checked(cfg)
     t = as_tensor(t)
-    if t.ndim < 2 or 0 in t.shape:
-        raise ValueError(f"needs order >= 2 and no zero-length axis, got shape {t.shape}")
+    _check_dims(t.shape)
     _check_truth(truth, t.shape)
     pr, axes = _square_axes(pairing, t.ndim)
     e = _unit_exponent(t, "data")
@@ -943,7 +929,8 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     so it is exactly super-symmetric and exactly feasible.
 
     Raises ValueError when the mask is not cubical of even order, before
-    any other check, or when observed values disagree inside one orbit
+    any other check, when it has a zero-length axis or order 0
+    (_check_dims), or when observed values disagree inside one orbit
     beyond FEAS_TOL (relative): no super-symmetric tensor can match such
     data.
     """

@@ -11,6 +11,10 @@ which adds the terms' outer products in draw order. gen_mask and
 gen_sparse_noise share one positions draw, _positions: round(fraction *
 total) distinct flat indices without replacement from their sub-stream,
 after which gen_sparse_noise draws its values from the same stream.
+
+Mask, InstanceSpec, gen_cp, gen_kron, gen_mask and gen_sparse_noise take
+their dims through one rule, _dims: each an integer (a numpy integer too;
+a float, a bool or a string is refused) and none negative, or ValueError.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -43,6 +47,16 @@ def _integer(v, name: str) -> int:
     return int(v)
 
 
+def _dims(dims) -> tuple:
+    """dims as a tuple of ints, or ValueError: each dim must be an integer
+    (_integer) and none negative. A zero-length axis, and order 0, are
+    representable; the solvers refuse them at entry."""
+    dims = tuple(_integer(n, "each dim") for n in dims)
+    if any(n < 0 for n in dims):
+        raise ValueError(f"dims must be >= 0, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Recipe for one synthetic instance."""
@@ -54,7 +68,7 @@ class InstanceSpec:
     k: int = 0  # inner factor rank, kron form only
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(_integer(n, "each dim") for n in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         for name in ("r", "seed", "k"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.form not in ("cp", "kron", "supersym"):
@@ -95,7 +109,7 @@ def gen_cp(dims, r: int, seed: int) -> np.ndarray:
     """Sum of r outer products of independent complex normal vectors, one
     vector per mode per term. CP rank is r generically (for r within the
     maximal possible rank)."""
-    dims = tuple(int(n) for n in dims)
+    dims = _dims(dims)
     rng = np.random.default_rng([seed, _FACTORS])
     return _outer_sum(([complex_normal(rng, n) for n in dims] for _ in range(r)), dims)
 
@@ -107,7 +121,7 @@ def gen_kron(dims, r: int, k: int, seed: int) -> np.ndarray:
 
     Generic ranks at order 4: min pairing rank r, max pairing rank r*k^2,
     mode ranks min(r*k, n_j)."""
-    dims = tuple(int(n) for n in dims)
+    dims = _dims(dims)
     if len(dims) % 2:
         raise ValueError("gen_kron needs even order")
     rng = np.random.default_rng([seed, _FACTORS])
@@ -127,15 +141,15 @@ def gen_supersym(n: int, order: int, r: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Mask:
     """Observed entries of a tensor, stored as sorted Fortran-order flat
-    indices (distinct by construction). flat must be a 1-D array of
-    integers (an empty list too), distinct and in range, or ValueError is
-    raised."""
+    indices (distinct by construction). dims must pass _dims, and flat must
+    be a 1-D array of integers (an empty list too), distinct and in range,
+    or ValueError is raised."""
 
     dims: tuple
     flat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         flat = np.asarray(self.flat)
         if flat.ndim != 1 or (flat.size and not np.issubdtype(flat.dtype, np.integer)):
             raise ValueError(f"mask indices must be a 1-D integer array, got "
@@ -200,7 +214,7 @@ def _positions(dims, fraction: float, name: str, seed: int, label: int):
 def gen_mask(dims, ratio: float, seed: int) -> Mask:
     """Uniform mask without replacement observing round(ratio * prod(dims))
     entries."""
-    dims = tuple(int(n) for n in dims)
+    dims = _dims(dims)
     _, _, pos = _positions(dims, ratio, "ratio", seed, _MASK)
     return Mask(dims=dims, flat=np.sort(pos))
 
@@ -209,7 +223,7 @@ def gen_sparse_noise(dims, density: float, seed: int) -> np.ndarray:
     """Tensor with exactly round(density * prod(dims)) complex normal
     entries at uniform positions, zero elsewhere; the values are drawn
     after the positions, from the same stream."""
-    dims = tuple(int(n) for n in dims)
+    dims = _dims(dims)
     rng, total, pos = _positions(dims, density, "density", seed, _NOISE)
     out = np.zeros(total, dtype=np.complex128)
     out[pos] = complex_normal(rng, pos.size)

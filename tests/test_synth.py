@@ -6,6 +6,7 @@ exact sizes/counts, which are deterministic.
 """
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -279,6 +280,33 @@ def test_mask_rejects_indices_that_are_not_a_1d_integer_array(flat):
 def test_mask_accepts_an_empty_list():
     mask = Mask(dims=(3, 3), flat=[])
     assert mask.count == 0 and mask.flat.dtype == np.int64
+
+
+# every constructor that takes dims, each with its other arguments
+DIMS_TAKERS = {
+    "Mask": lambda dims: Mask(dims=dims, flat=[]),
+    "gen_mask": lambda dims: gen_mask(dims, 0.5, 0),
+    "gen_sparse_noise": lambda dims: gen_sparse_noise(dims, 0.5, 0),
+    "gen_cp": lambda dims: gen_cp(dims, 1, 0),
+    "gen_kron": lambda dims: gen_kron(dims, 1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMS_TAKERS))
+def test_dims_are_integers_and_none_negative(name):
+    # InstanceSpec's rule: int() used to truncate 4.7 and turn True into 1,
+    # and a negative dim passed where its product was positive
+    take = DIMS_TAKERS[name]
+    for bad, first in (((4.7, 4, 4, 4), "4.7"), ((4, 4, True, 4), "True"),
+                       ((4, "4", 4, 4), "'4'")):
+        with pytest.raises(ValueError, match=f"^each dim must be an integer, got {first}$"):
+            take(bad)
+    with pytest.raises(ValueError, match=re.escape("dims must be >= 0, got (-2, 2, 2, 2)")):
+        take((-2, 2, 2, 2))
+    # numpy integers are integers, and a zero-length axis is representable
+    for dims in ((np.int64(2), np.int32(3), 2, 3), (2, 0, 2, 2)):
+        got = take(dims)
+        assert (got.dims if isinstance(got, Mask) else got.shape) == tuple(int(n) for n in dims)
 
 
 # -------------------------------------------------------------- sparse noise

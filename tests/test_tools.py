@@ -151,14 +151,15 @@ def test_outputs_writes_every_form(tmp_path):
 
 def test_solver_digests_writes_one_line_per_solve(tmp_path):
     # one run of the bitwise-parity script: a "name iters converged sha256"
-    # line per solve, each name once, every solver among them; the capped
-    # and the zero-data solves show their counts and flags
+    # line per solve, each of the 52 names once, every solver among them;
+    # the capped and the zero-data solves show their counts and flags, and
+    # the benchmark's 20^4 solves converge
     out = tmp_path / "digests.txt"
     subprocess.run([sys.executable, str(TOOLS / "solver_digests.py"), str(out)],
                    check=True, capture_output=True, text=True)
     lines = [line.split(" ") for line in out.read_text().splitlines()]
     names = [name for name, *_ in lines]
-    assert names == list(solver_digests.solves()) and len(set(names)) == len(names)
+    assert names == list(solver_digests.solves()) and len(set(names)) == len(names) == 52
     assert all(len(line) == 4 and re.fullmatch("[0-9]+", line[1])
                and line[2] in ("True", "False") and re.fullmatch("[0-9a-f]{64}", line[3])
                for line in lines)
@@ -168,6 +169,8 @@ def test_solver_digests_writes_one_line_per_solve(tmp_path):
         assert steps[f"{solver}_zero"] == ("0", "True"), solver
     for solver in ("complete_m", "complete_n", "rpca_m", "rpca_n", "complete_supersym"):
         assert any(solver in name for name in names), solver
+    for solver in ("rpca_m", "rpca_n", "complete_supersym"):
+        assert steps[f"b20_{solver}_0"][1] == "True", solver
 
 
 def test_solver_digest_sees_every_field():

@@ -18,15 +18,22 @@ moves bits a diff still shows which solves kept their steps. The set:
 - the robust solvers with an explicit lam, and rpca_m under 1,3|2,4;
 - each ADMM solver on zero data, with max_iters 0 and 3, and on data
   scaled by 2^-600;
-- dims (3,4,5,6), the robust solvers also under 1,3|2,4, and 4^6.
+- dims (3,4,5,6), the robust solvers also under 1,3|2,4, and 4^6;
+- the benchmark's robust_supersym instances before relabelling, at 20^4,
+  seed 0: rpca_m and rpca_n on rank 8 with 5% corruption, and
+  complete_supersym on rank 8 with 40% observed.
 
 BLAS is pinned to one thread unless the environment sets its thread
-count. About 4 seconds on one core. A change that must leave every solve
+count. About 8 seconds on one core. A change that must leave every solve
 bitwise equal shows it with the same BLAS thread count on both sides:
 
     python3 tools/solver_digests.py PARENT.txt   # in a checkout of the parent
     python3 tools/solver_digests.py CHANGE.txt   # in the change's checkout
     diff PARENT.txt CHANGE.txt
+
+A change that may move bits but not steps keeps the first three columns:
+
+    diff <(cut -d' ' -f1-3 PARENT.txt) <(cut -d' ' -f1-3 CHANGE.txt)
 """
 
 import hashlib
@@ -47,6 +54,7 @@ from mrank.synth import gen_cp, gen_mask, gen_sparse_noise, gen_supersym  # noqa
 from mrank.tensor import Pairing  # noqa: E402
 
 D10 = (10, 10, 10, 10)
+D20 = (20, 20, 20, 20)
 P1324 = Pairing((0, 2), (1, 3))
 
 
@@ -100,6 +108,11 @@ def solves() -> dict:
                                        pairing=P1324)
     runs["complete_supersym_4x6"] = _completion(
         complete_supersym, gen_supersym(4, 6, 2, seed=23), 0.5, 24)
+    low = gen_cp(D20, 8, seed=0)
+    runs["b20_rpca_m_0"] = _robust(rpca_m, low, 0)
+    runs["b20_rpca_n_0"] = _robust(rpca_n, low, 0)
+    runs["b20_complete_supersym_0"] = _completion(
+        complete_supersym, gen_supersym(20, 4, 8, seed=0), 0.4, 0)
     return runs
 
 
