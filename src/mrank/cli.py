@@ -69,13 +69,12 @@ class UsageError(Exception):
 
 
 def _parse_dims(text: str) -> tuple:
+    """The integers of a comma-separated --dims; their range is
+    InstanceSpec's rule."""
     try:
-        dims = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse dims {text!r}") from None
-    if not dims or any(n < 1 for n in dims):
-        raise UsageError(f"bad dims {text!r}")
-    return dims
 
 
 def _parse_pairing(text: str | None, order: int) -> Pairing | None:

@@ -5,7 +5,10 @@ unsigned byte for the order D, D little-endian uint64 dimensions, then the
 entries as little-endian complex128 in Fortran order (first index fastest).
 Read and write round-trip bitwise.
 
-PPM support covers binary P6 with maxval 255. A list of frames becomes a
+PPM support covers binary P6 with maxval 255. The header is four fields
+(magic, width, height, maxval) separated by whitespace and "#" comments,
+each comment running to the end of its line, and one whitespace byte after
+maxval ends it; the pixel bytes follow. A list of frames becomes a
 (height, width, 3, n_frames) complex tensor with values in [0, 1].
 
 Every JSON file and stream is written by _write_json in one form: indent
@@ -18,6 +21,7 @@ import csv
 import json
 import math
 import os
+import re
 import struct
 import warnings
 
@@ -84,42 +88,29 @@ def read_tensor(path) -> np.ndarray:
     return flat.astype(np.complex128, copy=False).reshape(dims, order="F")
 
 
-def _ppm_tokens(raw: bytes):
-    """Header tokens of a PPM file: whitespace separated, # to EOL is comment.
-    Yields (token, offset just past the single whitespace that ends it)."""
-    i = 0
-    n = len(raw)
-    while i < n:
-        while i < n and raw[i : i + 1].isspace():
-            i += 1
-        if i < n and raw[i] == ord("#"):
-            while i < n and raw[i] not in (10, 13):
-                i += 1
-            continue
-        j = i
-        while j < n and not raw[j : j + 1].isspace() and raw[j] != ord("#"):
-            j += 1
-        if j > i:
-            yield raw[i:j], j + 1
-        i = j
+# One PPM header field: the whitespace and "#" comments before it, then the
+# field itself, which ends at whitespace or "#". A comment is matched to the
+# end of its line (or of the file), so no field is ever read out of one.
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\r\n]*(?:[\r\n]|\Z))*([^\s#]+)")
 
 
 def _read_ppm(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    toks = _ppm_tokens(raw)
-    try:
-        magic, _ = next(toks)
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a binary PPM (magic {magic!r})")
-        (w, _), (h, _), (maxval, data_off) = next(toks), next(toks), next(toks)
-    except StopIteration:
-        raise ValueError(f"{path}: truncated PPM header") from None
-    w, h, maxval = int(w), int(h), int(maxval)
+    fields, end = [], 0
+    for k in range(4):  # magic, width, height, maxval
+        m = _PPM_FIELD.match(raw, end)
+        if m is None:
+            raise ValueError(f"{path}: truncated PPM header")
+        if k == 0 and m[1] != b"P6":
+            raise ValueError(f"{path}: not a binary PPM (magic {m[1]!r})")
+        fields.append(m[1])
+        end = m.end()
+    w, h, maxval = map(int, fields[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     need = 3 * w * h
-    data = raw[data_off : data_off + need]
+    data = raw[end + 1 : end + 1 + need]  # one whitespace byte ends the header
     if len(data) != need:
         raise ValueError(f"{path}: expected {need} pixel bytes, got {len(data)}")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)

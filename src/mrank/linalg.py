@@ -12,16 +12,19 @@ a deterministic function of the matrix, whatever the thread, and the first
 attempt's width (m_ranks passes the previous pairing's rank plus
 OVERSAMPLE) moves only the work.
 
-Every routine here that reaches LAPACK rejects NaN and Inf entries first,
-with ValueError naming their count. A routine that reads the data's largest
-modulus anyway does it in that same pass, tensor._unit_exponent, which
-counts entries only when that modulus is not finite: takagi's symmetry
-test, _gram's rescaling (taken exactly when the Gram trace is not finite
-or tiny, so a NaN or Inf in the matrix always reaches it) and
-numerical_rank's fallback. The others make one counting pass,
-tensor._require_finite: spectral_norm, nuclear_norm and the full SVD of
-_leading (behind svt and rank_project). numerical_rank's sketch sees a NaN
-or Inf in M @ Omega, so a low-rank matrix certified there is read once.
+numerical_rank, nuclear_norm, spectral_norm and svt take one matrix: any
+other number of axes raises ValueError naming the routine and the shape
+(_matrix). Every routine here that reaches LAPACK rejects NaN and Inf
+entries first, with ValueError naming their count. A routine that reads
+the data's largest modulus anyway does it in that same pass,
+tensor._unit_exponent, which counts entries only when that modulus is not
+finite: takagi's symmetry test, _gram's rescaling (taken exactly when the
+Gram trace is not finite or tiny, so a NaN or Inf in the matrix always
+reaches it) and numerical_rank's fallback. The others make one counting
+pass, tensor._require_finite: spectral_norm, nuclear_norm and the full SVD
+of _leading (behind svt and rank_project). numerical_rank's sketch sees a
+NaN or Inf in M @ Omega, so a low-rank matrix certified there is read
+once.
 
 The mode routines read one view and one matrix kernel. _unfolding(t, mode)
 is the mode unfolding up to a row permutation (a view of t for the first
@@ -113,6 +116,16 @@ def _check_tau(tau):
     zero); NaN fails the comparison too."""
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+
+
+def _matrix(m, name: str) -> np.ndarray:
+    """m as an array, or ValueError naming `name` and m's shape unless m is
+    2-D: the gate of the public matrix kernels, which would otherwise read a
+    stack of matrices, or fail on it with an unrelated message."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise ValueError(f"{name} needs a 2-D matrix, got shape {m.shape}")
+    return m
 
 
 def spectrum_rank(s, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -257,14 +270,14 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
     m times 2^-e, e from the gate pass (tensor._unit_exponent), counts.
 
     Raises ValueError for a negative or non-finite rel_tol, a width below
-    one, or NaN or Inf entries in m, before any LAPACK call: the sketch
-    route sees them in M @ Omega, and the gate pass over m runs before the
-    fallback SVD.
+    one, an m that is not 2-D, or NaN or Inf entries in m, before any
+    LAPACK call: the sketch route sees them in M @ Omega, and the gate pass
+    over m runs before the fallback SVD.
     """
     _check_rel_tol(rel_tol, "rel_tol")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    m = np.asarray(m)
+    m = _matrix(m, "numerical_rank")
     if m.size == 0:
         return 0
     if rel_tol > 0 and SKETCH_COST * width <= min(m.shape):
@@ -279,13 +292,13 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
 
 
 def nuclear_norm(m) -> float:
-    m = np.asarray(m)
+    m = _matrix(m, "nuclear_norm")
     _require_finite(m, "nuclear_norm")
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def spectral_norm(m) -> float:
-    m = np.asarray(m)
+    m = _matrix(m, "spectral_norm")
     if m.size == 0:
         return 0.0
     _require_finite(m, "spectral_norm")
@@ -438,11 +451,11 @@ def svt(m, tau: float, warm: SvtWarm | None = None) -> np.ndarray:
     updated in place (the next block, the route and the output's
     spectrum). The caller owns it, so calls stay independent across
     threads and the result is a deterministic function of the call
-    sequence. Raises ValueError for a NaN or negative tau; tau = +inf
-    gives the zero matrix.
+    sequence. Raises ValueError for a NaN or negative tau or an m that is
+    not 2-D; tau = +inf gives the zero matrix.
     """
     _check_tau(tau)
-    rows, cols = np.shape(m)
+    rows, cols = _matrix(m, "svt").shape
     u, s, vh = _leading(
         m, warm, lambda s: int(np.count_nonzero(s > tau)),
         lambda shape: shape[0] == cols and _subspace_pays(rows, cols, shape[1]))

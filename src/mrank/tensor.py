@@ -95,11 +95,9 @@ class Pairing:
 
     @classmethod
     def parse(cls, text: str, order: int | None = None) -> "Pairing":
-        """Parse the 1-based text form, e.g. "1,3|2,4"."""
+        """Parse the 1-based text form, e.g. "1,3|2,4", the form str gives."""
         try:
-            row_s, col_s = text.split("|")
-            row = tuple(int(x) - 1 for x in row_s.replace("{", "").split(","))
-            col = tuple(int(x) - 1 for x in col_s.replace("}", "").split(","))
+            row, col = (tuple(int(x) - 1 for x in group.split(",")) for group in text.split("|"))
         except Exception as exc:
             raise ValueError(f"cannot parse pairing {text!r}") from exc
         pr = cls(row, col)

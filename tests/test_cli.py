@@ -333,7 +333,8 @@ def test_exit_pairing_with_mode_model(tmp_path, capsys, cmd, pairing):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("pairing", ["garbage", "1,2|3", "1,1|2,3", "1,2|3,5"])
+@pytest.mark.parametrize("pairing", ["garbage", "1,2|3", "1,1|2,3", "1,2|3,5", "{1,2|3,4}",
+                                     "{1,2}|{3,4}"])
 def test_exit_malformed_pairing(tmp_path, capsys, pairing):
     path = tmp_path / "t.mten"
     out = tmp_path / "rec.mten"
@@ -347,10 +348,13 @@ def test_exit_malformed_pairing(tmp_path, capsys, pairing):
 
 
 def test_exit_zero_length_dims(tmp_path, capsys):
+    # the range of --dims is InstanceSpec's rule, which gen maps to exit 2
     path = tmp_path / "t.mten"
     assert run(["gen", "--form", "cp", "--dims", "0,3", "--r", "1",
                 "--output", path]) == 2
     assert "bad dims" in capsys.readouterr().err
+    assert run(["gen", "--form", "cp", "--dims=-1,3", "--r", "1", "--output", path]) == 2
+    assert "dims must be >= 0, got (-1, 3)" in capsys.readouterr().err
     assert not path.exists()
 
 

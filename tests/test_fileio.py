@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import struct
 import tracemalloc
 
@@ -187,8 +188,108 @@ def test_frames_validation(tmp_path):
     short.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError, match="pixel"):
         read_frames([short])
+    for head in (b"", b"P6", b"P6\n2 2 # no maxval\n", b"# P6 2 2 255\n"):
+        cut = tmp_path / "f.ppm"
+        cut.write_bytes(head)
+        with pytest.raises(ValueError, match="truncated PPM header"):
+            read_frames([cut])
     with pytest.raises(ValueError):
         read_frames([])
+
+
+def _ppm_tokens(raw: bytes):
+    """Header tokens of a PPM file: whitespace separated, # to EOL is comment.
+    Yields (token, offset just past the single whitespace that ends it)."""
+    i = 0
+    n = len(raw)
+    while i < n:
+        while i < n and raw[i : i + 1].isspace():
+            i += 1
+        if i < n and raw[i] == ord("#"):
+            while i < n and raw[i] not in (10, 13):
+                i += 1
+            continue
+        j = i
+        while j < n and not raw[j : j + 1].isspace() and raw[j] != ord("#"):
+            j += 1
+        if j > i:
+            yield raw[i:j], j + 1
+        i = j
+
+
+def _read_ppm_by_hand(path):
+    # the byte-by-byte lexer that fileio's one regular expression replaced,
+    # kept as the reference its reader must agree with
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    toks = _ppm_tokens(raw)
+    try:
+        magic, _ = next(toks)
+        if magic != b"P6":
+            raise ValueError(f"{path}: not a binary PPM (magic {magic!r})")
+        (w, _), (h, _), (maxval, data_off) = next(toks), next(toks), next(toks)
+    except StopIteration:
+        raise ValueError(f"{path}: truncated PPM header") from None
+    w, h, maxval = int(w), int(h), int(maxval)
+    if maxval != 255:
+        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
+    need = 3 * w * h
+    data = raw[data_off : data_off + need]
+    if len(data) != need:
+        raise ValueError(f"{path}: expected {need} pixel bytes, got {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+
+
+def _random_ppm(rng):
+    """A PPM file's bytes drawn from random.Random rng to reach every branch
+    of the header reader: whitespace runs (CR, LF, tab and the rest),
+    comments before, between and right after fields, at the end of the file
+    and in place of a separator, headers cut at every field, a wrong magic,
+    a width that is no integer or negative, maxval 65535 or "25x", and
+    pixel data of the right length, short or long."""
+    def comment():
+        body = bytes(rng.choices(b"P6 255#x1\t\x0b", k=rng.randrange(6)))
+        return b"#" + body + rng.choice([b"\n", b"\r", b"\r\n", b""])
+
+    def gap():
+        return b"".join(
+            rng.choice([b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"  "])
+            if rng.random() < 0.7 else comment() for _ in range(rng.randrange(4)))
+
+    w, h = rng.randrange(4), rng.randrange(1, 4)
+    fields = [rng.choice([b"P6"] * 6 + [b"P5", b"P3", b"p6"]),
+              rng.choice([str(w).encode()] * 8 + [b"-1", b"x"]), str(h).encode(),
+              rng.choice([b"255"] * 8 + [b"65535", b"25x", b"0255"])]
+    fields = fields[:rng.choice([4] * 6 + [0, 1, 2, 3])]
+    head = gap() + b"".join(f + gap() for f in fields)
+    pixels = rng.randbytes(max(0, 3 * w * h + rng.choice([0] * 6 + [-1, 1, -3])))
+    return head + rng.choice([b"\n", b" ", b"#", b"\t", b"5"]) + pixels
+
+
+PPM_ERRORS = ("truncated PPM header", "not a binary PPM", "only maxval 255", "pixel bytes",
+              "invalid literal for int()")
+
+
+def test_ppm_reader_matches_the_lexer_it_replaced(tmp_path):
+    # 10,000 seeded files: the same frame, or the same error text
+    rng = random.Random(2024)
+    path = tmp_path / "f.ppm"
+    seen = set()
+
+    def outcome(read):
+        try:
+            frame = read(path)
+            return "ok", frame.shape, frame.tobytes()
+        except ValueError as exc:
+            return "error", str(exc)
+
+    for _ in range(10_000):
+        raw = _random_ppm(rng)
+        path.write_bytes(raw)
+        want = outcome(_read_ppm_by_hand)
+        assert outcome(fileio._read_ppm) == want, raw
+        seen |= {"ok"} if want[0] == "ok" else {e for e in PPM_ERRORS if e in want[1]}
+    assert seen == {"ok", *PPM_ERRORS}  # every branch of the reader was reached
 
 
 def test_write_frames_warns_on_imaginary_and_clamps(tmp_path):

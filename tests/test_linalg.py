@@ -21,7 +21,9 @@ that reaches LAPACK must reject NaN and Inf first; the calls that once spun
 in LAPACK on an Inf are checked in a fresh interpreter under a timeout.
 """
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -60,7 +62,7 @@ from mrank.ranks import (RECOVERED_RANK_TOL, m_ranks, rank_one_factorize,
                          scp_bound_interval, strongly_symmetrize, symmetric_m_decompose)
 from mrank.solvers import rpca_m
 from mrank.synth import gen_cp, gen_kron, gen_sparse_noise, gen_supersym
-from mrank.tensor import is_super_symmetric, mode_fold, mode_unfold, square_unfold
+from mrank.tensor import _unit_exponent, is_super_symmetric, mode_fold, mode_unfold, square_unfold
 
 
 def crandn(rng, shape):
@@ -327,6 +329,18 @@ def test_numerical_rank_at_the_top_of_the_range(svd_shapes):
     assert svd_shapes == [m.shape, m.shape]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("top", [1e308 + 1e308j, 1.5e308 + 1.5e308j])
+def test_unit_exponent_of_a_finite_entry_past_the_range(top):
+    # both entries are finite: 1e308(1 + i) has a modulus of 1.4e308, whose
+    # exponent 1024 is clipped, and 1.5e308(1 + i) one that overflows to
+    # inf, where the gate counts no non-finite entry. Either way the top
+    # exponent is given, and the rank comes from the SVD of m times 2^-1023
+    m = np.array([[top, 0], [0, 1]])
+    assert _unit_exponent(m, "m") == 1023
+    assert numerical_rank(m) == 1
+
+
 def test_m_ranks_checks_finiteness_once(monkeypatch):
     # one pass over the tensor: the pairings' sketches see a NaN or Inf in
     # M @ Omega, and the mode ranks run on the checked tensor (the modes'
@@ -357,6 +371,20 @@ def test_numerical_rank_graded_spectrum_at_any_scale(scale):
     m = (u * s) @ v.conj().T
     assert svd_rank(m, DEFAULT_RANK_TOL) == 56
     assert numerical_rank(scale * m, DEFAULT_RANK_TOL) == 56
+
+
+@pytest.mark.parametrize("name, call", [
+    ("numerical_rank", numerical_rank),
+    ("nuclear_norm", nuclear_norm),
+    ("spectral_norm", spectral_norm),
+    ("svt", lambda m: svt(m, 1.0)),
+])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,), (0,), ()])
+def test_matrix_kernels_take_only_matrices(name, call, shape):
+    # a stack of matrices used to give nuclear_norm the sum over its slices
+    # and the others an unrelated TypeError or ValueError
+    with pytest.raises(ValueError, match=re.escape(f"{name} needs a 2-D matrix, got shape {shape}")):
+        call(np.arange(math.prod(shape), dtype=float).reshape(shape))
 
 
 def test_size_zero_inputs():

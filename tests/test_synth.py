@@ -128,6 +128,16 @@ def test_gen_kron_single_term_matches_factor_ranks():
     assert rep.tucker == (3, 3, 3, 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_kron((4, 4, 4), 1, 1, 0), "gen_kron needs even order"),
+    (lambda: gen_supersym(4, 3, 1, 0), "gen_supersym needs even order >= 2"),
+    (lambda: gen_supersym(4, 0, 1, 0), "gen_supersym needs even order >= 2"),
+], ids=["kron-odd", "supersym-odd", "supersym-zero"])
+def test_generators_refuse_a_bad_order(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_gen_supersym_symmetry_and_rank():
     for seed in range(3):
         t = gen_supersym(6, 4, 3, seed=seed)
@@ -175,6 +185,8 @@ def test_instance_spec_round_trip_and_validation():
         InstanceSpec(dims=(), r=1, form="cp", seed=0)
     with pytest.raises(ValueError):
         InstanceSpec(dims=(4, 0), r=1, form="cp", seed=0)
+    with pytest.raises(ValueError, match="^bad term count r=-1$"):
+        InstanceSpec(dims=(4, 4), r=-1, form="cp", seed=0)
     # r, seed and k are integers: numpy's are taken as ints, others refused
     spec = InstanceSpec(dims=(4, 4), r=np.int64(2), form="cp", seed=np.int32(1))
     assert type(spec.r) is int and type(spec.seed) is int and spec.to_dict()["r"] == 2
@@ -226,6 +238,8 @@ def test_mask_observe_fill_round_trip():
     total = np.zeros(np.prod(dims), dtype=np.complex128)
     total[np.asarray(mask.flat)] = values
     assert np.array_equal(filled, total.reshape(dims, order="F"))
+    with pytest.raises(ValueError, match=re.escape("tensor dims (3, 5, 4) != mask dims (3, 4, 5)")):
+        mask.observe(t.transpose(0, 2, 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

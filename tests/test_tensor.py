@@ -210,6 +210,8 @@ def test_square_unfold_errors():
         square_unfold(np.zeros((2, 2, 2, 2)), Pairing.default(2))
     with pytest.raises(ValueError):
         square_fold(np.zeros((4, 4)), (2, 2, 2), Pairing.default(2))
+    with pytest.raises(ValueError, match="matrix shape \\(4, 4\\) does not match dims"):
+        square_fold(np.zeros((4, 4)), (2, 2, 2, 4))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -264,6 +266,9 @@ def test_mode_fold_round_trip():
         mode_unfold(t, len(dims))
     with pytest.raises(ValueError):
         mode_fold(np.zeros((5, 2)), (2, 3), 0)
+    for mode in (-1, 2):
+        with pytest.raises(ValueError, match=f"mode {mode} out of range for dims"):
+            mode_fold(np.zeros((3, 2)), (2, 3), mode)
 
 
 # ------------------------------------------------------------------ symmetry

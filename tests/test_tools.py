@@ -144,6 +144,13 @@ def test_outputs_writes_every_form(tmp_path):
     for stem in ("complete_m", "complete_n", "rpca_m", "rpca_n", "sym_complete"):
         assert {f"{stem}.csv", f"{stem}.json", f"{stem}_csv.mten"} <= names
     assert {f"table{i}.{fmt}" for i in range(1, 6) for fmt in ("csv", "json")} <= names
+    # the video runs: their frames, reports and frame sets
+    assert {f"frame_{k}.ppm" for k in range(5)} | {"video_complete.json",
+                                                  "video_decompose.json"} <= names
+    for stem, sets in (("video_complete", ("masked", "recovered")),
+                       ("video_decompose", ("background", "foreground"))):
+        assert {p.name for p in (tmp_path / stem).iterdir()} == {
+            f"{s}_{k:04d}.ppm" for s in sets for k in range(5)}
     for out in tmp_path.glob("*.out"):
         last = out.read_text().splitlines()[-1]
         assert last == ("exit 2" if out.name.startswith("error_") else "exit 0"), out.name

@@ -12,6 +12,10 @@ OUTDIR as the working directory:
   with its stdout, a CSV and a JSON `--report` and the recovered MTEN file;
 - `table1` to `table5` as CSV and JSON with `--trials 2`, and `table2` as
   JSON on stdout;
+- `video-complete` and `video-decompose`, each with its stdout, a JSON
+  `--report` and its frames under `--out-dir`, on five 6 x 5 PPM frames of
+  one seeded scene: four written by `write_frames` and one written by hand
+  with comments and CR/LF/tab runs in its header;
 - a few out-of-range flags, whose usage message shows which rule speaks
   first.
 
@@ -42,7 +46,10 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from mrank.cli import TABLES, main  # noqa: E402
+from mrank.fileio import write_frames  # noqa: E402
 
 GEN = {
     "cp10": ["--form", "cp", "--dims", "10,10,10,10", "--r", "6", "--seed", "3"],
@@ -62,6 +69,11 @@ SOLVES = {
     "sym_complete": ["sym-complete", "sym8.mten", "--ratio", "0.4", "--seed", "6"],
 }
 
+VIDEO = {
+    "video_complete": ["video-complete", "--ratio", "0.7", "--seed", "1", "--rel-tol", "2e-2"],
+    "video_decompose": ["video-decompose", "--rel-tol", "1e-4"],
+}
+
 ERRORS = {
     "error_max_iters": ["complete", "cp10.mten", "--ratio", "0.4", "--max-iters", "-1",
                         "--rel-tol", "-1"],
@@ -77,6 +89,18 @@ def run(name, argv) -> None:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
     Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n")
+
+
+def write_video() -> list:
+    """The frame files of the video runs: a seeded 6 x 5 scene written four
+    times by write_frames, then its pixels once more under a header with
+    comments before, between and right after its fields."""
+    scene = np.random.default_rng(7).uniform(0.25, 0.75, size=(6, 5, 3, 1))
+    paths = [f"frame_{k}.ppm" for k in range(5)]
+    write_frames(paths[:4], np.repeat(scene, 4, axis=3))
+    pixels = Path(paths[0]).read_bytes()[len(b"P6\n5 6\n255\n"):]
+    Path(paths[4]).write_bytes(b"# by hand\nP6#magic\r\n5\t# width\n# height:\n6 255\n" + pixels)
+    return paths
 
 
 def write_all(outdir) -> None:
@@ -97,6 +121,10 @@ def write_all(outdir) -> None:
             run(f"{table.name}_{fmt}", [table.name, "--trials", "2", "--format", fmt,
                                         "--output", f"{table.name}.{fmt}"])
     run("table2_stdout_json", ["table2", "--trials", "2", "--format", "json"])
+    frames = write_video()
+    for name, (cmd, *flags) in VIDEO.items():
+        run(name, [cmd, *frames, *flags, "--out-dir", name, "--format", "json",
+                   "--report", f"{name}.json"])
     for name, argv in ERRORS.items():
         run(name, argv)
 

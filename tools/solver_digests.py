@@ -24,7 +24,7 @@ moves bits a diff still shows which solves kept their steps. The set:
   complete_supersym on rank 8 with 40% observed.
 
 BLAS is pinned to one thread unless the environment sets its thread
-count. About 8 seconds on one core. A change that must leave every solve
+count. About 5 seconds on one core. A change that must leave every solve
 bitwise equal shows it with the same BLAS thread count on both sides:
 
     python3 tools/solver_digests.py PARENT.txt   # in a checkout of the parent
