@@ -8,8 +8,10 @@ Read and write round-trip bitwise.
 PPM support covers binary P6 with maxval 255. The header is four fields
 (magic, width, height, maxval) separated by whitespace and "#" comments,
 each comment running to the end of its line, and one whitespace byte after
-maxval ends it; the pixel bytes follow. A list of frames becomes a
-(height, width, 3, n_frames) complex tensor with values in [0, 1].
+maxval ends it; the pixel bytes follow. Width, height and maxval are ASCII
+decimal digits, and width and height are at least 1. A list of frames
+becomes a (height, width, 3, n_frames) complex tensor with values in
+[0, 1].
 
 Every JSON file and stream is written by _write_json in one form: indent
 2, a trailing newline, numpy scalars as the Python numbers they hold, and
@@ -41,11 +43,20 @@ MAGIC = b"MTEN"
 VERSION = 1
 
 
+def _check_axes(path, dims) -> None:
+    """An MTEN file holds no zero-length axis: ValueError names path."""
+    if 0 in dims:
+        raise ValueError(f"{path}: zero dimension in {tuple(dims)}")
+
+
 def write_tensor(path, t) -> None:
-    """Write a tensor to an MTEN file."""
+    """Write a tensor to an MTEN file. The order (1..255) and the axes
+    (_check_axes, the reader's rule) are checked before path is opened,
+    so an existing file keeps its bytes."""
     t = as_tensor(t)
     if t.ndim == 0 or t.ndim > 255:
         raise ValueError(f"order must be in 1..255, got {t.ndim}")
+    _check_axes(path, t.shape)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION, t.ndim]))
@@ -74,8 +85,7 @@ def read_tensor(path) -> np.ndarray:
         if len(raw) < 8 * order:
             raise ValueError(f"{path}: truncated header")
         dims = struct.unpack(f"<{order}Q", raw)
-        if any(d == 0 for d in dims):
-            raise ValueError(f"{path}: zero dimension in {dims}")
+        _check_axes(path, dims)
         count = math.prod(dims)  # Python ints: a fixed-width product can wrap
         if size != head + 16 * count:
             raise ValueError(f"{path}: payload is {size - head} bytes, expected {16 * count}")
@@ -106,6 +116,11 @@ def _read_ppm(path):
             raise ValueError(f"{path}: not a binary PPM (magic {m[1]!r})")
         fields.append(m[1])
         end = m.end()
+    for name, f in zip(("width", "height", "maxval"), fields[1:]):
+        # int() would also read "+5", "1_0" or "-1"
+        if not f.isdigit() or (name != "maxval" and not int(f)):
+            rule = "decimal digits" if name == "maxval" else "decimal digits and >= 1"
+            raise ValueError(f"{path}: PPM {name} must be {rule}, got {f!r}")
     w, h, maxval = map(int, fields[1:])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")

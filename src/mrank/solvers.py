@@ -12,13 +12,20 @@ Five solvers share one config:
     rpca_n            -- the mode-unfolding analogue of rpca_m
     complete_supersym -- completion constrained to super-symmetric tensors
 
-All are deterministic. Every array a solver iterates on is C-ordered,
-whatever the layout of its input, and observed entries are addressed by
-C-order flat indices computed once per solve (_sample_flat): complete_m
-and complete_supersym index the square unfolding, complete_n the tensor.
-The square models take their pairing through _square_axes, which checks
-it against the tensor's order and gives the axis order in which the
-tensor's C layout is its C-ordered square unfolding.
+All are deterministic. Every solver enters through _entry, which checks,
+in this order, the config (_checked), the shape (order >= 2 and no
+zero-length axis), the pairing (the default one when None, which refuses
+odd order for the mode models as for the square ones) and the truth's
+shape, raising ValueError for the first that fails, before any data is
+read. The sampled solvers then check the values against the mask
+(Mask.check); complete_supersym checks before all of these that its mask
+is cubical of even order. Every array a solver iterates on is C-ordered,
+whatever the layout of its input: _entry also gives the axis order in
+which a C-ordered tensor's memory is the model's C-ordered data, the
+square unfolding under the pairing or the tensor itself. Observed entries
+are addressed by C-order flat indices in that order, computed once per
+solve (_sampled_entry): complete_m and complete_supersym index the square
+unfolding, complete_n the tensor.
 
 Any finite magnitude is supported, from the smallest normal double to the
 largest: each solver runs on its data times 2^-e, e the binary exponent of
@@ -29,9 +36,9 @@ scaled by a power of two). The pass that reads that modulus is also the
 data's finiteness check: NaN or Inf raises ValueError on entry, naming the
 count (tensor._unit_exponent). Errors against the truth and the rank
 report are taken at the solve's scale. rpca_m and rpca_n write their
-scaled data once, into a new C-ordered array (rpca_m reads the tensor in
-_square_axes's order, so that array is its unfolding), and every solver
-scales its results back in place (_result).
+scaled data once, into a new C-ordered array, reading the tensor in
+_entry's axis order (so for rpca_m that array is its unfolding), and every
+solver scales its results back in place (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one convex solve,
 _convex, which runs one consensus ADMM driver, _admm, on d blocks
@@ -315,17 +322,23 @@ def _checked(cfg: SolverConfig | None) -> SolverConfig:
     return cfg
 
 
-def _check_dims(dims) -> None:
-    """Reject, before the solve, order < 2 or a zero-length axis: such a
-    tensor has no unfolding to solve on."""
+def _entry(cfg, dims, truth, pairing, square: bool = True):
+    """The entry checks of every solver, in this order: the config
+    (_checked); the shape, as order < 2 or a zero-length axis leaves no
+    unfolding to solve on; the pairing, the default one when None, which
+    refuses odd order (_resolve_pairing); and the truth's shape, which
+    would otherwise broadcast in _result. Returns (cfg, pr, axes): the
+    checked config, the pairing (None for the mode model) and the axis
+    order in which a C-ordered tensor's memory is the model's C-ordered
+    data: pr's groups each reversed, since square_unfold merges a group's
+    indices first-index-fastest, or range(order) for the mode model."""
+    cfg = _checked(cfg)
     if len(dims) < 2 or 0 in dims:
         raise ValueError(f"needs order >= 2 and no zero-length axis, got shape {tuple(dims)}")
-
-
-def _check_truth(truth, dims) -> None:
-    """Reject, before the solve, a truth that would broadcast in _result."""
+    pr = _resolve_pairing(pairing, len(dims))
     if truth is not None and np.shape(truth) != tuple(dims):
         raise ValueError(f"truth shape {np.shape(truth)} != data shape {tuple(dims)}")
+    return (cfg, pr, pr.row[::-1] + pr.col[::-1]) if square else (cfg, None, range(len(dims)))
 
 
 def _result(rec, e, iters, converged, truth, rel_err_all, trace,
@@ -346,39 +359,19 @@ def _result(rec, e, iters, converged, truth, rel_err_all, trace,
                        duality_gap=duality_gap)
 
 
-def _square_axes(pairing: Pairing | None, order: int):
-    """(pr, axes) for a square solver on a tensor of the given order: pr is
-    the pairing, the default one when None, and ValueError is raised when
-    its order differs; axes is the axis order in which a C-ordered tensor's
-    memory is its C-ordered square unfolding under pr, each group reversed,
-    since square_unfold merges a group's indices first-index-fastest."""
-    pr = _resolve_pairing(pairing, order)
-    return pr, pr.row[::-1] + pr.col[::-1]
-
-
-def _sample_flat(mask: Mask, axes) -> np.ndarray:
-    """The observed entries' C-order flat indices in the tensor with its
-    axes taken in the order axes: positions in the C-ordered square
-    unfolding for _square_axes's order, in the C-ordered tensor for
-    range(order)."""
-    multi = mask.multi_indices()
-    return np.ravel_multi_index([multi[a] for a in axes], [mask.dims[a] for a in axes])
-
-
 def _sampled_entry(mask: Mask, values, cfg, truth, pairing, square: bool = True):
-    """The entry of the sampled solvers: it checks, in order, the config,
-    the mask's shape (_check_dims), the values against the mask, the
-    pairing (square models) and the truth, and then scales the values.
-    Returns (cfg, pr, b, e, flat): the checked config, the pairing (None for the mode model), the observed
-    values times 2^-e (_unit_scale) and their C-order flat indices
-    (_sample_flat) in the square unfolding under pr, or in the tensor."""
-    cfg = _checked(cfg)
-    _check_dims(mask.dims)
+    """The entry of the sampled solvers: _entry's checks on the mask's
+    shape, then the values against the mask (Mask.check), then the values
+    scaled. Returns (cfg, pr, b, e, flat): _entry's config and pairing,
+    the observed values times 2^-e (_unit_scale) and their C-order flat
+    indices with the tensor's axes in _entry's order, which are positions
+    in the C-ordered square unfolding under pr, or in the tensor."""
+    cfg, pr, axes = _entry(cfg, mask.dims, truth, pairing, square)
     mask.check(values)
-    pr, axes = _square_axes(pairing, len(mask.dims)) if square else (None, range(len(mask.dims)))
-    _check_truth(truth, mask.dims)
     b, e = _unit_scale(values, "observed values")
-    return cfg, pr, b, e, _sample_flat(mask, axes)
+    multi = mask.multi_indices()
+    return cfg, pr, b, e, np.ravel_multi_index([multi[a] for a in axes],
+                                               [mask.dims[a] for a in axes])
 
 
 def _sampled(m, flat):
@@ -756,11 +749,8 @@ def _mode_model(t):
     Gram spectrum (linalg.mode_spectrum) without unfolding. x_step(j, v,
     rho) sets stack[j] to the (1/d)-weighted nuclear-norm prox of the
     tensor v on mode unfolding j (linalg.mode_svt), written straight into
-    the stack, and returns that slice. Odd order raises ValueError, as for
-    the square models."""
+    the stack, and returns that slice."""
     d = t.ndim
-    if d % 2:
-        raise ValueError(f"order must be even, got {d}")
     stack = np.zeros((d,) + t.shape, dtype=np.complex128)
 
     def x_step(j, v, rho):
@@ -784,10 +774,11 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
     entries), and the solve answers answer(), the tensor of the last z
     step. c is None for completion, whose constraint is x_j - z = 0 and
     whose z0 is z_step of zeros (rho None): the observed entries pinned.
-    Otherwise c is the scaled data of the split x_j - z = c, in the
-    model's shape, z0 is zero and z = -Z, Z the sparse part. The driver's
-    scale is read off the data: z0 for completion, c for the split. Only
-    the square split grows its penalty (_admm's grow).
+    Otherwise c is the scaled data of the split x_j - z = c, laid out in
+    C order as the model's data (reshaped here to the model's shape), z0
+    is zero and z = -Z, Z the sparse part. The driver's scale is read off
+    the data: z0 for completion, c for the split. Only the square split
+    grows its penalty (_admm's grow).
 
     The duals and z0's buffer, which may be dead by now, go before the
     stack's mean is formed, and the stack of mode copies and the blocks
@@ -801,6 +792,8 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
     d = len(dims) if pr is None else 1
     if c is None:
         z0 = z_step(np.zeros(shape, dtype=np.complex128), None)
+    else:
+        c = c.reshape(shape)
     warm = SvtWarm()  # the square model's
     stack, x_step, scale = _mode_model(z0 if c is None else c) if pr is None else (
         None, lambda j, v, rho: svt(v, 1.0 / rho, warm), spectral_norm(z0 if c is None else c))
@@ -887,27 +880,22 @@ def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
 
 
 def _rpca(t, pairing, cfg, truth, square: bool) -> SolveResult:
-    """rpca_m (square) or rpca_n: the entry checks, in order the config,
-    the shape (_check_dims), the truth, the pairing (which for rpca_n, the
-    default one, checks the order) and the data's finiteness, then the
-    split on the data times 2^-e. lam defaults to 1/sqrt of the rows of the
-    pairing's unfolding, and the z step soft-thresholds the mean of the d
-    blocks at lam / (d rho)."""
-    cfg = _checked(cfg)
+    """rpca_m (square) or rpca_n: _entry's checks and the data's
+    finiteness, then the split on the data times 2^-e. lam defaults to
+    1/sqrt of the rows of the square unfolding under the pairing (the
+    default one for rpca_n), and the z step soft-thresholds the mean of
+    the d blocks at lam / (d rho)."""
     t = as_tensor(t)
-    _check_dims(t.shape)
-    _check_truth(truth, t.shape)
-    pr, axes = _square_axes(pairing, t.ndim)
+    cfg, pr, axes = _entry(cfg, t.shape, truth, pairing, square)
     e = _unit_exponent(t, "data")
-    dims, shape = t.shape, pr.matrix_shape(t.shape)
-    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(shape[0])
-    d = 1 if square else t.ndim
-    # the scaled data, written once into a new C-ordered array: for the
-    # square split t is read in the order axes, so the array is then
-    # square_unfold(t, pr) as it lies
-    t = np.multiply(t.transpose(axes) if square else t, 2.0 ** -e, order="C")
-    return _convex(pr if square else None, dims, t.reshape(shape) if square else t,
-                   lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
+    dims, d = t.shape, t.ndim if pr is None else 1
+    # the scaled data, written once into a new C-ordered array with t's
+    # axes in the order axes, so that for the square split it is
+    # square_unfold(t, pr) as it lies; for either model the first half of
+    # its axes spans the rows of the unfolding that lam's default counts
+    t = np.multiply(t.transpose(axes), 2.0 ** -e, order="C")
+    lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(math.prod(t.shape[:t.ndim // 2]))
+    return _convex(pr, dims, t, lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
                    cfg, truth, e, lam)
 
 
@@ -930,7 +918,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
 
     Raises ValueError when the mask is not cubical of even order, before
     any other check, when it has a zero-length axis or order 0
-    (_check_dims), or when observed values disagree inside one orbit
+    (_entry), or when observed values disagree inside one orbit
     beyond FEAS_TOL (relative): no super-symmetric tensor can match such
     data.
     """

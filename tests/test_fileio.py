@@ -1,8 +1,10 @@
 """Tensor files, PPM frame stacks, and report tables."""
 
 import io
+import itertools
 import json
 import random
+import re
 import struct
 import tracemalloc
 
@@ -139,6 +141,19 @@ def test_write_tensor_rejects_scalar(tmp_path):
         write_tensor(tmp_path / "s.mten", np.complex128(3.0))
 
 
+@pytest.mark.parametrize("dims", [(2, 0), (0,), (3, 1, 0, 2)])
+def test_write_tensor_refuses_a_zero_length_axis(tmp_path, dims):
+    # the writer wrote such a file and the reader then refused it; now the
+    # writer refuses it with the reader's message, before it opens the file
+    path = tmp_path / "t.mten"
+    write_tensor(path, np.ones((2, 2)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        write_tensor(path, np.zeros(dims))
+    assert str(err.value) == f"{path}: zero dimension in {dims}"
+    assert path.read_bytes() == before
+
+
 # ------------------------------------------------------------------- frames
 
 
@@ -245,8 +260,9 @@ def _random_ppm(rng):
     of the header reader: whitespace runs (CR, LF, tab and the rest),
     comments before, between and right after fields, at the end of the file
     and in place of a separator, headers cut at every field, a wrong magic,
-    a width that is no integer or negative, maxval 65535 or "25x", and
-    pixel data of the right length, short or long."""
+    a width of 0 or one that is no integer, negative, "1_0" or "+5", a
+    height of 0 or "+5", maxval 65535, "25x" or "+255", and pixel data of
+    the right length, short or long."""
     def comment():
         body = bytes(rng.choices(b"P6 255#x1\t\x0b", k=rng.randrange(6)))
         return b"#" + body + rng.choice([b"\n", b"\r", b"\r\n", b""])
@@ -258,20 +274,39 @@ def _random_ppm(rng):
 
     w, h = rng.randrange(4), rng.randrange(1, 4)
     fields = [rng.choice([b"P6"] * 6 + [b"P5", b"P3", b"p6"]),
-              rng.choice([str(w).encode()] * 8 + [b"-1", b"x"]), str(h).encode(),
-              rng.choice([b"255"] * 8 + [b"65535", b"25x", b"0255"])]
+              rng.choice([str(w).encode()] * 8 + [b"-1", b"x", b"1_0", b"+5"]),
+              rng.choice([str(h).encode()] * 8 + [b"0", b"+5"]),
+              rng.choice([b"255"] * 8 + [b"65535", b"25x", b"0255", b"+255"])]
     fields = fields[:rng.choice([4] * 6 + [0, 1, 2, 3])]
     head = gap() + b"".join(f + gap() for f in fields)
     pixels = rng.randbytes(max(0, 3 * w * h + rng.choice([0] * 6 + [-1, 1, -3])))
     return head + rng.choice([b"\n", b" ", b"#", b"\t", b"5"]) + pixels
 
 
+def _field_error(path, raw):
+    """The reader's error for the first width, height or maxval field of
+    raw that is not ASCII decimal digits, or for a width or height of 0;
+    None when the fields pass, or when the header is cut short or its magic
+    is wrong, which the reader reports first."""
+    toks = [tok for tok, _ in itertools.islice(_ppm_tokens(raw), 4)]
+    if len(toks) < 4 or toks[0] != b"P6":
+        return None
+    for name, tok in zip(("width", "height", "maxval"), toks[1:]):
+        if not re.fullmatch(rb"[0-9]+", tok) or (name != "maxval" and int(tok) == 0):
+            rule = "decimal digits" if name == "maxval" else "decimal digits and >= 1"
+            return f"{path}: PPM {name} must be {rule}, got {tok!r}"
+    return None
+
+
 PPM_ERRORS = ("truncated PPM header", "not a binary PPM", "only maxval 255", "pixel bytes",
-              "invalid literal for int()")
+              "PPM width must be", "PPM height must be", "PPM maxval must be")
 
 
 def test_ppm_reader_matches_the_lexer_it_replaced(tmp_path):
-    # 10,000 seeded files: the same frame, or the same error text
+    # 10,000 seeded files: the same frame, or the same error text, except
+    # where the lexer's int() read a field the reader refuses ("x", "25x",
+    # "-1", "+5", "1_0", a width or height of 0): there the reader's field
+    # error
     rng = random.Random(2024)
     path = tmp_path / "f.ppm"
     seen = set()
@@ -286,7 +321,8 @@ def test_ppm_reader_matches_the_lexer_it_replaced(tmp_path):
     for _ in range(10_000):
         raw = _random_ppm(rng)
         path.write_bytes(raw)
-        want = outcome(_read_ppm_by_hand)
+        bad = _field_error(path, raw)
+        want = ("error", bad) if bad else outcome(_read_ppm_by_hand)
         assert outcome(fileio._read_ppm) == want, raw
         seen |= {"ok"} if want[0] == "ok" else {e for e in PPM_ERRORS if e in want[1]}
     assert seen == {"ok", *PPM_ERRORS}  # every branch of the reader was reached

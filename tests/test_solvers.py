@@ -495,10 +495,10 @@ def _full_space_supersym(mask, values):
     """complete_supersym's ADMM on the whole n^h x n^h unfolding, with the
     orbit projection over every entry: the uncompressed model, the
     reference for the compressed one. Returns (tensor, iters, converged)."""
-    b, e = solvers._unit_scale(values, "observed values")
+    _, _, b, e, flat = solvers._sampled_entry(mask, values, None, None, None)
     ids = orbit_ids(mask.dims)
     counts = np.bincount(ids)
-    ob = ids[solvers._sample_flat(mask, solvers._square_axes(None, len(mask.dims))[1])]
+    ob = ids[flat]
     ob_cnt = np.bincount(ob, minlength=counts.size)
     ob_val = orbit_sum(b, ob, counts.size) / np.maximum(ob_cnt, 1)
 
@@ -594,13 +594,52 @@ def test_solvers_reject_a_mis_shaped_truth_before_the_solve(monkeypatch):
 
 def test_mode_models_reject_odd_order_before_the_solve(monkeypatch):
     # the square models' message, before any iteration (m_ranks used to
-    # reject the order only after a full solve)
+    # reject the order only after a full solve), and before the data is
+    # scaled (complete_n used to scale its values first)
     monkeypatch.setattr(solvers, "_admm", lambda *a, **k: pytest.fail("the solve started"))
+    for name in ("_unit_scale", "_unit_exponent"):
+        monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the data was scaled"))
     t = gen_cp((6, 6, 6), 2, seed=0)
     mask = gen_mask(t.shape, 0.5, seed=0)
     for call in (lambda: complete_n(mask, mask.observe(t)), lambda: rpca_n(t),
                  lambda: complete_m(mask, mask.observe(t)), lambda: rpca_m(t)):
         with pytest.raises(ValueError, match="order must be even, got 3"):
+            call()
+
+
+def test_solvers_report_the_first_fault_in_entry_order(monkeypatch):
+    # two faults per call, and every solver among the calls: all five check
+    # the config, the shape, the pairing (odd order included) and the
+    # truth, in that order, and the sampled ones then the values. Before,
+    # the values spoke before the pairing and the truth, rpca_m and rpca_n
+    # checked the truth before the pairing, and complete_n found odd order
+    # only after it had scaled its values
+    for name in ("_unit_scale", "_unit_exponent"):
+        monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the data was scaled"))
+    t = gen_cp(DIMS, 2, seed=0)
+    mask = gen_mask(DIMS, 0.5, seed=0)
+    short = mask.observe(t)[:-1]
+    odd = gen_cp((6, 6, 6), 2, seed=0)
+    odd_mask = gen_mask(odd.shape, 0.5, seed=0)
+    odd_short = odd_mask.observe(odd)[:-1]
+    wrong = Pairing((0,), (1,))
+    truth = t[..., :1]
+    mis_shaped = f"truth shape {truth.shape} != data shape {DIMS}"
+    calls = [
+        # these five said "expected 648 values, got shape (647,)" before
+        # (108 and 107 at order 3)
+        (lambda: complete_m(mask, short, wrong), "pairing order 2 != tensor order 4"),
+        (lambda: complete_m(odd_mask, odd_short), "order must be even, got 3"),
+        (lambda: complete_n(mask, short, truth=truth), mis_shaped),
+        (lambda: complete_n(odd_mask, odd_short), "order must be even, got 3"),
+        (lambda: complete_supersym(mask, short, truth=truth), mis_shaped),
+        # these two said "truth shape (6, 6, 6, 1) != data shape (6, 6, 6, 6)"
+        # before ((6, 6, 1) and (6, 6, 6) for rpca_n)
+        (lambda: rpca_m(t, wrong, truth=truth), "pairing order 2 != tensor order 4"),
+        (lambda: rpca_n(odd, truth=odd[..., :1]), "order must be even, got 3"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
 
@@ -904,12 +943,11 @@ def test_solvers_iterate_on_c_ordered_arrays(monkeypatch, name):
 def test_sample_flat_indexes_the_unfolding_in_c_order(pairing):
     t = gen_cp((3, 4, 5, 6), 2, seed=1)
     mask = gen_mask(t.shape, 0.3, seed=2)
-    pr, axes = solvers._square_axes(pairing, 4)
+    _, pr, axes = solvers._entry(None, t.shape, None, pairing)
     assert pr == (Pairing.default(4) if pairing is None else pairing)
+    flat = solvers._sampled_entry(mask, mask.observe(t), None, None, pairing)[4]
     m = square_unfold(t, pr)
-    assert np.array_equal(solvers._sampled(np.ascontiguousarray(m),
-                                           solvers._sample_flat(mask, axes)),
-                          mask.observe(t))
+    assert np.array_equal(solvers._sampled(np.ascontiguousarray(m), flat), mask.observe(t))
     # rpca_m's one-pass unfolding: t's axes in that order, laid out in C
     # order, are the unfolding
     assert np.array_equal(np.ascontiguousarray(t.transpose(axes)).reshape(m.shape), m)

@@ -134,7 +134,8 @@ def test_pairs_rejects_an_unknown_workload(monkeypatch, capsys):
 
 def test_outputs_writes_every_form(tmp_path):
     # one run of the output-parity script: every command's stdout file with
-    # its exit status, the report and tensor files, and the usage errors
+    # its exit status, the report and tensor files, the usage errors and the
+    # solvers' entry refusals
     subprocess.run([sys.executable, str(TOOLS / "outputs.py"), str(tmp_path)],
                    check=True, capture_output=True, text=True)
     names = {p.name for p in tmp_path.iterdir()}
@@ -151,9 +152,15 @@ def test_outputs_writes_every_form(tmp_path):
                        ("video_decompose", ("background", "foreground"))):
         assert {p.name for p in (tmp_path / stem).iterdir()} == {
             f"{s}_{k:04d}.ppm" for s in sets for k in range(5)}
+    assert {"cp4x3.mten", "refuse_odd_order.out", "refuse_truth_shape.out"} <= names
+    assert (tmp_path / "refuse_odd_order.out").read_text() == (
+        "error: order must be even, got 3\nexit 3\n")
+    assert (tmp_path / "refuse_truth_shape.out").read_text() == (
+        "error: truth shape (4, 4, 4, 4, 4, 4) != data shape (10, 10, 10, 10)\nexit 3\n")
+    codes = {"error": 2, "refuse": 3}
     for out in tmp_path.glob("*.out"):
         last = out.read_text().splitlines()[-1]
-        assert last == ("exit 2" if out.name.startswith("error_") else "exit 0"), out.name
+        assert last == f"exit {codes.get(out.name.split('_')[0], 0)}", out.name
 
 
 def test_solver_digests_writes_one_line_per_solve(tmp_path):

@@ -17,7 +17,10 @@ OUTDIR as the working directory:
   one seeded scene: four written by `write_frames` and one written by hand
   with comments and CR/LF/tab runs in its header;
 - a few out-of-range flags, whose usage message shows which rule speaks
-  first.
+  first (exit 2);
+- two inputs the solvers refuse on entry (exit 3): `complete --model n` on
+  an order-3 CP 4^3 file, and `complete` with a `--truth` file of another
+  shape.
 
 Each command's stdout, stderr and exit status go to OUTDIR/<name>.out, next
 to the files it writes. BLAS is pinned to one thread unless the
@@ -57,6 +60,11 @@ GEN = {
     "sym8": ["--form", "supersym", "--dims", "8,8,8,8", "--r", "3", "--seed", "2"],
 }
 
+# the order-3 input of the odd-order refusal below; it has no rank report,
+# as m_ranks refuses odd order too
+ODD_GEN = ["gen", "--form", "cp", "--dims", "4,4,4", "--r", "2", "--seed", "1",
+           "--output", "cp4x3.mten"]
+
 SOLVES = {
     "complete_m": ["complete", "cp10.mten", "--ratio", "0.4", "--seed", "5",
                    "--rel-tol", "1e-7"],
@@ -80,6 +88,9 @@ ERRORS = {
     "error_lam": ["rpca", "cp10.mten", "--lam", "-1", "--density", "2"],
     "error_tol": ["rank", "cp10.mten", "--tol", "nan"],
     "error_table": ["table5", "--lam", "0", "--density", "-1", "--trials", "0"],
+    "refuse_odd_order": ["complete", "cp4x3.mten", "--ratio", "0.4", "--model", "n"],
+    "refuse_truth_shape": ["complete", "cp10.mten", "--ratio", "0.4", "--truth",
+                           "cp4x6.mten"],
 }
 
 
@@ -125,6 +136,7 @@ def write_all(outdir) -> None:
     for name, (cmd, *flags) in VIDEO.items():
         run(name, [cmd, *frames, *flags, "--out-dir", name, "--format", "json",
                    "--report", f"{name}.json"])
+    run("gen_cp4x3", ODD_GEN)
     for name, argv in ERRORS.items():
         run(name, argv)
 
