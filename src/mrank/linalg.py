@@ -174,9 +174,17 @@ def _residual_norm(m, q, b, top):
         return np.ldexp(np.sqrt(total), e)
 
 
-def _sketch_rank(m, rel_tol, k):
+def _sketch_rank(m, rel_tol, k, slack=0.0):
     """The certified count of numerical_rank's sketch route, first trying a
-    k-wide sketch, or None when no attempt within the budget certifies it."""
+    k-wide sketch, or None when no attempt within the budget certifies it.
+
+    The count holds for every matrix M' with ||M' - m||_2 <= slack (m
+    itself for slack 0): by Weyl's inequality sigma_i(M') lies within
+    slack of sigma_i(m), so in [s_i - slack, s_i + delta + slack], and
+    sigma_{k+1}(M') <= delta + slack. numerical_rank's certificate then
+    holds with delta + slack for delta in every bound and s[0] - slack for
+    s[0] where it sets the threshold's lower end, which is all the slack
+    changes: with slack 0 every formula is numerical_rank's."""
     rows, cols = m.shape
     rng = np.random.default_rng(SKETCH_SEED)
     q = np.empty((rows, 0), dtype=np.complex128)
@@ -211,12 +219,13 @@ def _sketch_rank(m, rel_tol, k):
             # no residual can certify the attempt
             if s[-1] <= rel_tol * s[0]:
                 e = _residual_norm(m, q, b, s[0])
-                if s[0] == 0.0 and e == 0.0:
+                if s[0] == 0.0 and e == 0.0 and slack == 0.0:
                     return 0
-                delta = e + SUBSPACE_TOL * s[0]
+                delta = e + SUBSPACE_TOL * s[0] + slack
+                low = s[0] - slack
                 above = int(np.count_nonzero(s > rel_tol * (s[0] + delta) + delta))
-                below = int(np.count_nonzero(s <= rel_tol * s[0] - 2 * delta))
-                if delta < rel_tol * s[0] and above + below == k:  # so s[0] > 0
+                below = int(np.count_nonzero(s <= rel_tol * low - 2 * delta))
+                if delta < rel_tol * low and above + below == k:  # so s[0] > slack
                     return above
         spent += k
         k *= 2
@@ -261,6 +270,13 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
     straight to the full SVD, and the count is the same for every width.
     m_ranks passes each pairing the previous pairing's rank plus
     OVERSAMPLE.
+
+    The same certificate with a slack (_sketch_rank's slack argument; 0
+    here) counts for every matrix within that spectral distance of m:
+    Weyl's inequality moves each singular value by at most the slack, so
+    delta + slack replaces delta in every bound and s[0] - slack replaces
+    s[0] at the threshold's lower end. m_ranks certifies one count for
+    all the square unfoldings of a nearly super-symmetric tensor this way.
 
     Fallback: the full value-only LAPACK SVD, counted by spectrum_rank. It
     runs on smaller matrices, for rel_tol = 0, and whenever the certificate

@@ -3,7 +3,9 @@
 For an order-2d tensor, every balanced pairing of the axes yields a square
 unfolding; the minimum and maximum unfolding rank over the canonical
 pairings bracket the CP rank from below (max) and, for order 4, from above
-(n1*n3 * min, dims sorted ascending). Super-symmetric tensors admit
+(n1*n3 * min, dims sorted ascending). A super-symmetric tensor has one
+square unfolding up to a permutation of its axes, so m_ranks certifies
+one count for all its pairings. Super-symmetric tensors admit
 decompositions t = sum_i B_i (x) B_i whose factors can always be made
 super-symmetric themselves without changing the term count: the
 stage-wise construction of the proof composes to the orbit mean
@@ -12,17 +14,20 @@ applies. A rank-one super-symmetric tensor c * b^{(x) 2d} has a rank-one
 mode-0 unfolding whose row space is spanned by b (`rank_one_factorize`).
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_WIDTH, mode_rank, mode_spectrum,
-                     numerical_rank, spectrum_rank, takagi)
+from .linalg import (DEFAULT_RANK_TOL, OVERSAMPLE, SKETCH_COST, SKETCH_WIDTH, _check_rel_tol,
+                     _sketch_rank, mode_rank, mode_spectrum, numerical_rank, spectrum_rank,
+                     takagi)
 from .tensor import (
     Pairing,
     _outer_sum,
     _require_finite,
     _resolve_pairing,
+    _symmetry_defect,
     _unit_exponent,
     as_tensor,
     canonical_pairings,
@@ -88,32 +93,80 @@ class RankReport:
         return {**asdict(self), "dims": list(self.dims), "tucker": list(self.tucker)}
 
 
+def _common_rank(t, rel_tol):
+    """The rank every square unfolding of t shares, certified from one
+    sketch of the default unfolding, or None when t is not close enough to
+    super-symmetric for that (m_ranks).
+
+    Applies to a cubical t of order 2h >= 4, rel_tol > 0 (a valid rel_tol
+    checked by the caller) and a default unfolding that fits the sketch
+    budget. The slice pair t[0], t[:, 0] screens first: they are equal for a super-symmetric t, and a gap
+    above rel_tol times their norms ends the route after reading 2/n of
+    t. Then, with D the largest change of t under an adjacent axis swap
+    (_symmetry_defect), every square unfolding M_p is the default one M_1
+    of t with its axes permuted, at most C(2h, 2) adjacent swaps, each an
+    isometry, so ||M_p - M_1||_2 <= ||M_p - M_1||_F <= C(2h, 2) * D = eta.
+    _sketch_rank of M_1 with slack eta certifies a count for every matrix
+    within eta of M_1, so for every M_p; eta >= rel_tol * ||t||_F leaves
+    no count to certify and ends the route before the sketch."""
+    n, order = t.shape[0], t.ndim
+    if (order < 4 or len(set(t.shape)) > 1 or rel_tol == 0
+            or SKETCH_COST * SKETCH_WIDTH > n ** (order // 2)):
+        return None
+    a, b = t[0], t[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a screen: inf or NaN passes
+        if np.linalg.norm(a - b) > rel_tol * (np.linalg.norm(a) + np.linalg.norm(b)):
+            return None
+    defect, norm, e = _symmetry_defect(t, "m_ranks")
+    slack = math.comb(order, 2) * defect
+    if not slack < rel_tol * norm:
+        return None
+    return _sketch_rank(square_unfold(t), rel_tol, SKETCH_WIDTH, slack=slack * 2.0 ** e)
+
+
 def m_ranks(t, rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Rank report over all canonical pairings and modes of an even-order
     tensor. Every entry is the count a full SVD of its unfolding gives at
-    rel_tol. Pairing ranks come from numerical_rank, which certifies large
+    rel_tol.
+
+    A super-symmetric tensor, or one within rounding of it, has one
+    square unfolding up to a permutation of its axes (the paper's M-rank,
+    symmetric and strongly symmetric M-rank coincide), and its pairing
+    ranks take one certified count (_common_rank): one range sketch of
+    the default unfolding with its bounds widened by the tensor's measured
+    symmetry defect, the Weyl argument of linalg._sketch_rank. Any other
+    tensor, or one the count cannot be certified for, takes the loop:
+    pairing ranks come from numerical_rank, which certifies large
     low-rank unfoldings from a sketch. The pairings of one tensor tend to
     share a rank, so each pairing's first sketch is the previous pairing's
     rank plus OVERSAMPLE wide (the first pairing's SKETCH_WIDTH): it
     usually certifies in one attempt, and after a near-full-rank pairing
-    the next goes straight to the full SVD. Tucker ranks come from
-    mode_rank, certified from the eigenvalues of the mode's Gram matrix
-    where they can be (not for rank-deficient modes at rel_tol 1e-8, a
-    singular value at the threshold or rel_tol = 0). Raises ValueError for
-    odd order, a zero-length axis, a negative or non-finite rel_tol, or
-    NaN or Inf entries in t (checked once, before any LAPACK call)."""
+    the next goes straight to the full SVD.
+
+    Tucker ranks come from mode_rank, certified from the eigenvalues of
+    the mode's Gram matrix where they can be (not for rank-deficient modes
+    at rel_tol 1e-8, a singular value at the threshold or rel_tol = 0).
+    Raises ValueError for odd order, a zero-length axis, a negative or
+    non-finite rel_tol, or NaN or Inf entries in t (checked once, before
+    any LAPACK call)."""
     t = as_tensor(t)
     if t.ndim % 2 or t.ndim < 2:
         raise ValueError(f"m_ranks needs even order >= 2, got order {t.ndim}")
     if 0 in t.shape:
         raise ValueError(f"m_ranks: zero dimension in {t.shape}")
     _require_finite(t, "m_ranks")
-    pranks = {}
-    width = SKETCH_WIDTH
-    for pr in canonical_pairings(t.ndim):
-        r = numerical_rank(square_unfold(t, pr), rel_tol, width=width)
-        pranks[str(pr)] = r
-        width = r + OVERSAMPLE
+    _check_rel_tol(rel_tol, "rel_tol")
+    pairings = canonical_pairings(t.ndim)
+    r = _common_rank(t, rel_tol)
+    if r is not None:
+        pranks = {str(pr): r for pr in pairings}
+    else:
+        pranks = {}
+        width = SKETCH_WIDTH
+        for pr in pairings:
+            r = numerical_rank(square_unfold(t, pr), rel_tol, width=width)
+            pranks[str(pr)] = r
+            width = r + OVERSAMPLE
     tucker = tuple(mode_rank(t, j, rel_tol) for j in range(t.ndim))
     m_plus = max(pranks.values())
     m_minus = min(pranks.values())

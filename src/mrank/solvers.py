@@ -18,11 +18,11 @@ zero-length axis), the pairing (the default one when None, which refuses
 odd order for the mode models as for the square ones) and the truth's
 shape, raising ValueError for the first that fails, before any data is
 read. The sampled solvers then check the values against the mask
-(Mask.check); complete_supersym checks before all of these that its mask
-is cubical of even order. Every array a solver iterates on is C-ordered,
-whatever the layout of its input: _entry also gives the axis order in
-which a C-ordered tensor's memory is the model's C-ordered data, the
-square unfolding under the pairing or the tensor itself. Observed entries
+(Mask.check), and complete_supersym then checks that its mask is
+cubical. Every array a solver iterates on is C-ordered, whatever the
+layout of its input: _entry also gives the axis order in which a
+C-ordered tensor's memory is the model's C-ordered data, the square
+unfolding under the pairing or the tensor itself. Observed entries
 are addressed by C-order flat indices in that order, computed once per
 solve (_sampled_entry): complete_m and complete_supersym index the square
 unfolding, complete_n the tensor.
@@ -344,9 +344,11 @@ def _entry(cfg, dims, truth, pairing, square: bool = True):
 def _result(rec, e, iters, converged, truth, rel_err_all, trace,
             sparse=None, duality_gap=None) -> SolveResult:
     """The SolveResult of a solve run on the data times 2^-e (_unit_scale):
-    the rank report is taken on rec and the error against truth times 2^-e,
-    at the solve's scale, and then rec and sparse, arrays the solver owns,
-    are multiplied by 2^e in place and returned."""
+    the rank report is taken on rec (one certified count for all pairings
+    of complete_supersym's super-symmetric answer, m_ranks) and the error
+    against truth times 2^-e, at the solve's scale, and then rec and
+    sparse, arrays the solver owns, are multiplied by 2^e in place and
+    returned."""
     if truth is not None:
         truth = as_tensor(truth) * 2.0 ** -e
     report = m_ranks(rec, RECOVERED_RANK_TOL)
@@ -916,16 +918,16 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     value. The returned tensor holds the last projection's orbit values,
     so it is exactly super-symmetric and exactly feasible.
 
-    Raises ValueError when the mask is not cubical of even order, before
-    any other check, when it has a zero-length axis or order 0
-    (_entry), or when observed values disagree inside one orbit
-    beyond FEAS_TOL (relative): no super-symmetric tensor can match such
-    data.
+    Raises ValueError, after the entry checks every sampled solver makes
+    (_sampled_entry: the config first, then the shape, odd order among
+    them, the truth and the values), when the mask is not cubical, or when
+    observed values disagree inside one orbit beyond FEAS_TOL (relative):
+    no super-symmetric tensor can match such data.
     """
-    dims = mask.dims
-    if len(set(dims)) > 1 or len(dims) % 2:
-        raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
     cfg, pr, b, e, flat = _sampled_entry(mask, values, cfg, truth, None)
+    dims = mask.dims
+    if len(set(dims)) > 1:
+        raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
     # the orbit id of every entry of the unfolding, in C order: an entry's
     # C-order flat index spells, in base n, a permutation of its tensor
     # multi-index, so orbit_ids's own layout names the same orbits

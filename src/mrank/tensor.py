@@ -22,7 +22,9 @@ Contents:
     mode_unfold/fold    -- single-mode matricization (mode as column index)
     orbit_ids/orbit_sum -- index-permutation orbits of a cubical tensor
     symmetrize          -- orbit mean (average over all axis permutations)
-    is_super_symmetric  -- invariance under every axis permutation
+    is_super_symmetric  -- invariance under every axis permutation, read off
+                           _symmetry_defect, the largest change of t under
+                           an adjacent axis swap (ranks.m_ranks's slack)
 
 A pairing given to square_unfold, square_fold, ranks.m_decompose or a
 square solver is checked in one place, _resolve_pairing: None means the
@@ -305,6 +307,12 @@ def _unit_exponent(a, name: str) -> int:
     raising ValueError for NaN or Inf and giving e = 1023 otherwise."""
     with np.errstate(over="ignore"):  # a modulus above the largest double
         top = float(np.abs(a).max(initial=0.0))
+    return _top_exponent(top, a, name)
+
+
+def _top_exponent(top, a, name: str) -> int:
+    """_unit_exponent of a given its largest modulus top, read by the
+    caller."""
     if not np.isfinite(top):
         _require_finite(a, name)
         return 1023
@@ -323,19 +331,52 @@ def _unit_scale(a, name: str):
     return a * 2.0 ** -e, e
 
 
+# Entries of t that _symmetry_defect reads per block (1 MiB of complex128),
+# or one leading-axis row where a row is larger.
+DEFECT_BLOCK = 1 << 16
+
+
+def _symmetry_defect(t, name: str) -> tuple:
+    """(defect, norm, e) for a cubical complex128 t: with s = t * 2^-e and
+    e = _unit_exponent(t, name), defect is the largest ||s - swap_j(s)||_F
+    over the adjacent axis swaps j (swap_j exchanges axes j and j + 1) and
+    norm is ||s||_F; defect * 2^e is the defect in t's units. Two passes
+    over t, each one block of leading-axis rows at a time (DEFECT_BLOCK
+    entries), so no temporary is as large as t, and the squares of s
+    neither overflow nor underflow at any scale. NaN or Inf entries raise
+    ValueError naming their count (the data gate of _unit_exponent)."""
+    t = t.reshape(1) if t.ndim == 0 else t
+    step = max(1, DEFECT_BLOCK // max(1, t[:1].size))
+    blocks = [slice(i, i + step) for i in range(0, t.shape[0], step)]
+    with np.errstate(over="ignore"):  # a modulus above the largest double
+        top = float(np.max([np.abs(t[b]).max(initial=0.0) for b in blocks], initial=0.0))
+    e = _top_exponent(top, t, name)
+    scale = 2.0 ** -e
+    swaps = [np.swapaxes(t, j, j + 1) for j in range(t.ndim - 1)]
+    sq = [0.0] * len(swaps)
+    norm2 = 0.0
+    s_buf = np.empty(t[:step].shape, dtype=np.complex128)
+    d_buf = np.empty_like(s_buf)
+    for b in blocks:
+        s = np.multiply(t[b], scale, out=s_buf[:len(t[b])])
+        norm2 += np.vdot(s, s).real
+        for j, w in enumerate(swaps):
+            d = np.multiply(w[b], scale, out=d_buf[:len(s)])
+            d -= s
+            sq[j] += np.vdot(d, d).real
+    return float(np.sqrt(max(sq, default=0.0))), float(np.sqrt(norm2)), e
+
+
 def is_super_symmetric(t, tol: float = 1e-8) -> bool:
     """True iff every adjacent-transposition image of t differs by at most
     tol * ||t||_F, a test relative to t at any scale (the zero tensor is
-    symmetric): the norms are taken of t times 2^-e (_unit_scale), where
-    they neither overflow nor underflow. Adjacent transpositions generate
-    the full permutation group, so this checks invariance under all of
-    it. A cubical t with NaN or Inf entries raises ValueError."""
+    symmetric): the largest such difference and the norm are taken of t
+    times 2^-e, one block at a time (_symmetry_defect), where they neither
+    overflow nor underflow. Adjacent transpositions generate the full
+    permutation group, so this checks invariance under all of it. A
+    cubical t with NaN or Inf entries raises ValueError."""
     t = as_tensor(t)
     if len(set(t.shape)) > 1:
         return False
-    t = _unit_scale(t, "is_super_symmetric")[0]
-    bound = tol * max(float(np.linalg.norm(t)), np.finfo(float).tiny)
-    for j in range(t.ndim - 1):
-        if np.linalg.norm(t - np.swapaxes(t, j, j + 1)) > bound:
-            return False
-    return True
+    defect, norm, _ = _symmetry_defect(t, "is_super_symmetric")
+    return defect <= tol * max(norm, np.finfo(float).tiny)

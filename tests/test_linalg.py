@@ -94,22 +94,6 @@ def svd_rank(m, rel_tol):
     return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
 
 
-@pytest.fixture
-def svd_shapes(monkeypatch):
-    """Shapes of the matrices numpy's SVD sees from here on. The sketch
-    only decomposes its narrow B; the input's own shape means the fallback
-    ran."""
-    seen = []
-    orig = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        seen.append(np.shape(a))
-        return orig(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return seen
-
-
 @pytest.mark.parametrize("shape", [(300, 300), (625, 900), (900, 625)])
 @pytest.mark.parametrize("r", [1, 12, 40])
 def test_numerical_rank_sketch_exact_low_rank(shape, r, svd_shapes):
@@ -176,6 +160,51 @@ def test_numerical_rank_near_full_rank_forms_no_b(svd_shapes):
     svd_shapes.clear()
     assert numerical_rank(m, RECOVERED_RANK_TOL) == ref == 391
     assert svd_shapes == [m.shape]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**16), st.sampled_from([1e-8, RECOVERED_RANK_TOL, 1e-2]),
+       st.floats(0.0, 2.0), st.booleans())
+def test_sketch_rank_slack_holds_within_the_slack(seed, tol, frac, aligned):
+    # a count certified with a slack is the full-SVD count of every matrix
+    # within that spectral distance: a random E, or one moving a single
+    # singular value by the whole slack (the worst case of Weyl's
+    # inequality), with values spread down to a tenth of the threshold
+    rng = np.random.default_rng(seed)
+    n, r = 120, int(rng.integers(1, 24))
+    u = np.linalg.qr(crandn(rng, (n, n)))[0]
+    v = np.linalg.qr(crandn(rng, (n, n)))[0]
+    s = np.zeros(n)
+    s[:r] = np.sort(10.0 ** rng.uniform(np.log10(tol) - 1, 0, r))[::-1]
+    s[0] = 1.0
+    m = (u * s) @ v.conj().T
+    slack = frac * tol
+    if aligned:
+        i = int(rng.integers(0, n))
+        e = rng.choice([-1.0, 1.0]) * slack * np.outer(u[:, i], v[:, i].conj())
+    else:
+        g = crandn(rng, (n, n))
+        e = g * (slack * rng.uniform() / np.linalg.norm(g, 2))
+    k = linalg._sketch_rank(m, tol, SKETCH_WIDTH, slack=slack)
+    if k is not None:
+        assert k == svd_rank(m + e, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, RECOVERED_RANK_TOL])
+def test_sketch_rank_certifies_with_a_small_slack(tol):
+    # well-separated values and a slack a tenth of the threshold: the count
+    # is certified, and holds for a perturbation of that size
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(crandn(rng, (150, 150)))[0]
+    v = np.linalg.qr(crandn(rng, (150, 150)))[0]
+    s = np.zeros(150)
+    s[:5] = [1.0, 0.5, 0.3, 0.2, 0.1]
+    m = (u * s) @ v.conj().T
+    e = 0.1 * tol * np.outer(u[:, 7], v[:, 7].conj())
+    assert linalg._sketch_rank(m, tol, SKETCH_WIDTH, slack=0.1 * tol) == 5
+    assert svd_rank(m + e, tol) == 5
+    # a slack as large as the threshold leaves nothing to certify
+    assert linalg._sketch_rank(m, tol, SKETCH_WIDTH, slack=tol) is None
 
 
 def _width_case(case, rng, shape):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+from mrank import ranks
 from mrank.linalg import numerical_rank, takagi
 from mrank.ranks import (
     RECOVERED_RANK_TOL,
@@ -114,24 +115,95 @@ def test_m_ranks_zero_tensor():
     assert rep.cp_lower == 0 and rep.cp_upper == 0
 
 
-@pytest.mark.parametrize("make", [
-    lambda: gen_cp((20,) * 4, 30, seed=0),
-    lambda: gen_cp((8,) * 6, 20, seed=0),
-    lambda: gen_kron((16,) * 4, 3, 3, seed=0),
-    lambda: gen_supersym(4, 8, 6, seed=0),
-], ids=["cp_20", "cp_order6", "kron", "supersym_order8"])
-def test_m_ranks_match_full_svd_counts(make):
-    # the benchmark's rank-report families at smaller sizes: every entry,
-    # certified by the sketch or not, equals a full-SVD count made here
+def _off_slice_asymmetry(s, rel):
+    """s plus an asymmetric term of norm rel * ||s||_F: the outer product
+    of two random order-3 tensors, zero wherever axis 0 or axis 1 is 0, so
+    the slices t[0] and t[:, 0] stay as symmetric as s's."""
+    rng = np.random.default_rng(11)
+    a = crandn(rng, s.shape[:3])
+    a[0] = a[:, 0] = 0
+    e = outer(a, crandn(rng, s.shape[3:]))
+    return s + rel * np.linalg.norm(s) / np.linalg.norm(e) * e
+
+
+# the benchmark's rank-report families at smaller sizes, then super-symmetric
+# tensors whose pairing ranks take one certified count, and one whose
+# asymmetry defeats that count's slack
+FULL_SVD_CASES = {
+    "cp_20": lambda: gen_cp((20,) * 4, 30, seed=0),
+    "cp_order6": lambda: gen_cp((8,) * 6, 20, seed=0),
+    "kron": lambda: gen_kron((16,) * 4, 3, 3, seed=0),
+    "supersym_order8": lambda: gen_supersym(4, 8, 6, seed=0),
+    "supersym_order6": lambda: gen_supersym(8, 6, 5, seed=0),
+    "supersym_nearly": lambda: _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 1e-12),
+    "supersym_perturbed": lambda: _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 1e-3),
+}
+
+
+@pytest.mark.parametrize("name, tol", [
+    pytest.param(name, tol, id=name if tol == 1e-8 else f"{name}-recovered")
+    for tol in (1e-8, RECOVERED_RANK_TOL) for name in FULL_SVD_CASES])
+def test_m_ranks_match_full_svd_counts(name, tol):
+    # every entry, certified by a sketch or not, equals a full-SVD count
+    # made here
     def count(m):
         s = svdvals(m)
-        return int(np.count_nonzero(s > 1e-8 * s[0]))
+        return int(np.count_nonzero(s > tol * s[0]))
 
-    t = make()
-    rep = m_ranks(t)
-    for name, rk in rep.pairing_ranks.items():
-        assert rk == count(square_unfold(t, Pairing.parse(name, t.ndim))), name
+    t = FULL_SVD_CASES[name]()
+    rep = m_ranks(t, tol)
+    for pname, rk in rep.pairing_ranks.items():
+        assert rk == count(square_unfold(t, Pairing.parse(pname, t.ndim))), pname
     assert rep.tucker == tuple(count(mode_unfold(t, j)) for j in range(t.ndim))
+
+
+@pytest.mark.parametrize("name, b_shape", [
+    ("supersym_order8", (16, 256)),
+    ("supersym_order6", (16, 512)),
+    ("supersym_nearly", (16, 512)),
+])
+@pytest.mark.parametrize("tol", [1e-8, RECOVERED_RANK_TOL])
+def test_m_ranks_of_a_super_symmetric_tensor_form_one_b(name, b_shape, tol, svd_shapes,
+                                                        monkeypatch):
+    # one sketch of the default unfolding certifies the count for all 35
+    # (order 8) or 10 (order 6) pairings, with a slack from a rounding-level
+    # or a 1e-12 relative asymmetry: no pairing runs numerical_rank
+    t = FULL_SVD_CASES[name]()
+    assert ranks._symmetry_defect(t, "t")[0] > 0
+    monkeypatch.setattr(ranks, "numerical_rank", lambda *a, **k: pytest.fail("loop ran"))
+    rep = m_ranks(t, tol)
+    assert len(rep.pairing_ranks) == {8: 35, 6: 10}[t.ndim]
+    assert rep.rank_m is not None
+    assert [s for s in svd_shapes if s[1] == b_shape[1]] == [b_shape]
+
+
+@pytest.mark.parametrize("t", [
+    gen_cp((20,) * 4, 30, seed=0),
+    gen_cp((8,) * 6, 20, seed=0),
+    gen_kron((16,) * 4, 3, 3, seed=0),
+], ids=["cp_20", "cp_order6", "kron"])
+def test_m_ranks_screen_keeps_asymmetric_tensors_off_the_defect_pass(t, monkeypatch):
+    # the slice pair t[0], t[:, 0] already differs: no full pass is made
+    monkeypatch.setattr(ranks, "_symmetry_defect", lambda *a: pytest.fail("defect pass"))
+    for tol in (1e-8, RECOVERED_RANK_TOL):
+        assert ranks._common_rank(t, tol) is None
+        m_ranks(t, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, RECOVERED_RANK_TOL])
+def test_m_ranks_falls_back_to_the_loop_past_the_slack(tol, monkeypatch):
+    # the asymmetry passes the slice screen but its slack exceeds what a
+    # count can carry: every pairing runs numerical_rank, and the counts
+    # differ by pairing
+    t = _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 1e-3)
+    calls = []
+    loop = ranks.numerical_rank
+    monkeypatch.setattr(ranks, "numerical_rank",
+                        lambda *a, **k: calls.append(1) or loop(*a, **k))
+    monkeypatch.setattr(ranks, "_sketch_rank", lambda *a, **k: pytest.fail("slack sketch"))
+    rep = m_ranks(t, tol)
+    assert len(calls) == 10
+    assert rep.rank_m is None
 
 
 @pytest.mark.parametrize("dims", [(0, 3, 3, 3), (2, 2, 0, 2), (0, 0)])

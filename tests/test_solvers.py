@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mrank import solvers
+from mrank import ranks, solvers
 from mrank.linalg import SvtWarm, spectral_norm, svt
 from mrank.solvers import (
     ABS_TOL,
@@ -662,18 +662,50 @@ def test_robust_solvers_refuse_degenerate_shapes_at_entry(monkeypatch, solve, sh
 def test_sampled_solvers_refuse_degenerate_masks_at_entry(monkeypatch, solve, shape):
     # an empty axis set the solve up and failed only in the rank report,
     # and order 0 failed with numpy's bare "multiple indices are not
-    # supported for 0d arrays"; complete_supersym's cubical, even-order
-    # check speaks first
+    # supported for 0d arrays"; complete_supersym's cubical check runs
+    # after the entry checks, so it gives (2, 0, 2, 2) their message too
     for name in ("svt", "_admm"):
         monkeypatch.setattr(solvers, name, lambda *a, **k: pytest.fail("the solve started"))
     mask = gen_mask(shape, 0.5, seed=0)
-    message = (f"needs a cubical even-order tensor, got dims {shape}"
-               if solve is complete_supersym and len(set(shape)) > 1 else
-               f"needs order >= 2 and no zero-length axis, got shape {shape}")
+    message = f"needs order >= 2 and no zero-length axis, got shape {shape}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             solve(mask, np.zeros(mask.count))
+
+
+def test_complete_supersym_checks_its_config_first(monkeypatch):
+    # the cubical check follows the entry checks every solver makes, the
+    # config first; it used to run before them, so a bad config on a
+    # non-cubical mask was reported as the mask's shape
+    monkeypatch.setattr(solvers, "_admm", lambda *a, **k: pytest.fail("the solve started"))
+    mask = gen_mask((4, 4, 5, 5), 0.5, seed=0)
+    values = np.zeros(mask.count)
+    with pytest.raises(ValueError, match="rel_tol must be finite and >= 0, got -1"):
+        complete_supersym(mask, values, SolverConfig(rel_tol=-1))
+    with pytest.raises(ValueError, match=re.escape(
+            "needs a cubical even-order tensor, got dims (4, 4, 5, 5)")):
+        complete_supersym(mask, values)
+    odd = gen_mask((3, 3, 3), 0.5, seed=0)
+    with pytest.raises(ValueError, match="order must be even, got 3"):
+        complete_supersym(odd, np.zeros(odd.count))
+
+
+def test_complete_supersym_report_takes_one_count(monkeypatch):
+    # the answer is super-symmetric, so its rank report certifies the 10
+    # pairings of an order-6 instance from one sketch: numerical_rank,
+    # behind the per-pairing loop, never runs
+    t = gen_supersym(5, 6, 3, seed=1)
+    mask = gen_mask(t.shape, 0.3, seed=2)
+    sketches = []
+    sketch = ranks._sketch_rank
+    monkeypatch.setattr(ranks, "numerical_rank", lambda *a, **k: pytest.fail("loop ran"))
+    monkeypatch.setattr(ranks, "_sketch_rank",
+                        lambda *a, **k: sketches.append(a[0].shape) or sketch(*a, **k))
+    res = complete_supersym(mask, mask.observe(t), truth=t)
+    assert res.converged and res.rel_err_vs_truth <= 1e-5
+    assert sketches == [(125, 125)]
+    assert len(res.rank_report.pairing_ranks) == 10 and res.rank_report.rank_m == 3
 
 
 def test_completion_solvers_reject_mis_sized_values_before_the_solve(monkeypatch):

@@ -7,6 +7,7 @@ tests draw dims, pairings and permutations with hypothesis, derandomized so
 the suite stays deterministic.
 """
 
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from mrank.tensor import (
     Pairing,
+    _symmetry_defect,
     canonical_pairings,
     is_super_symmetric,
     mode_fold,
@@ -294,6 +296,35 @@ def test_is_super_symmetric_cases():
     assert is_super_symmetric(t, 1.0)  # loose tolerance accepts it
     assert not is_super_symmetric(np.zeros((2, 3)))  # unequal dims
     assert is_super_symmetric(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("shape", [(5,) * 4, (3,) * 6, (2,) * 8, (7, 7), (4,), ()])
+def test_symmetry_defect_is_the_largest_swap_change_at_any_scale(shape, scale):
+    # the defect and the norm come back as those of t * 2^-e, so their
+    # ratio is t's own at every scale, where t's squares would underflow
+    # or overflow
+    t = crandn(np.random.default_rng(len(shape)), shape)
+    defect, norm, e = _symmetry_defect(t * scale, "t")
+    swaps = [np.linalg.norm(t - np.swapaxes(t, j, j + 1)) for j in range(t.ndim - 1)]
+    assert defect / norm == pytest.approx(max(swaps, default=0.0) / np.linalg.norm(t),
+                                          rel=1e-12, abs=0)
+    assert norm * 2.0 ** e / scale == pytest.approx(np.linalg.norm(t), rel=1e-12)
+    assert _symmetry_defect(symmetrize(t) * scale, "t")[0] == 0.0
+
+
+def test_symmetry_defect_holds_no_tensor_sized_temporary():
+    # two passes over blocks of leading-axis rows: the peak is a few blocks
+    # (here two rows of a 30^4 tensor, 1/15 of it each) and no copy of t
+    t = crandn(np.random.default_rng(5), (30,) * 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _symmetry_defect(t, "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / t.nbytes <= 0.25
 
 
 # ------------------------------------------------------- property tests

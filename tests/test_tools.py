@@ -139,7 +139,7 @@ def test_outputs_writes_every_form(tmp_path):
     subprocess.run([sys.executable, str(TOOLS / "outputs.py"), str(tmp_path)],
                    check=True, capture_output=True, text=True)
     names = {p.name for p in tmp_path.iterdir()}
-    for stem in ("cp10", "cp4x6", "sym8"):
+    for stem in ("cp10", "cp4x6", "sym8", "sym5x6"):
         assert {f"{stem}.mten", f"{stem}.mten.json", f"rank_{stem}.csv",
                 f"rank_{stem}.json"} <= names
     for stem in ("complete_m", "complete_n", "rpca_m", "rpca_n", "sym_complete"):

@@ -5,8 +5,9 @@
 Runs the `mrank` package under src/ next to this script, in-process, with
 OUTDIR as the working directory:
 
-- `gen` on a CP 10^4, a CP 4^6 and a super-symmetric 8^4 instance, each
-  with its JSON sidecar;
+- `gen` on a CP 10^4, a CP 4^6, a super-symmetric 8^4 and a
+  super-symmetric 5^6 instance, each with its JSON sidecar (the last two
+  take m_ranks's one certified count for all their pairings);
 - `rank` on each of them as text, CSV and JSON;
 - `complete` (--model m and n), `rpca` (m and n) and `sym-complete`, each
   with its stdout, a CSV and a JSON `--report` and the recovered MTEN file;
@@ -58,6 +59,7 @@ GEN = {
     "cp10": ["--form", "cp", "--dims", "10,10,10,10", "--r", "6", "--seed", "3"],
     "cp4x6": ["--form", "cp", "--dims", "4,4,4,4,4,4", "--r", "5", "--seed", "1"],
     "sym8": ["--form", "supersym", "--dims", "8,8,8,8", "--r", "3", "--seed", "2"],
+    "sym5x6": ["--form", "supersym", "--dims", "5,5,5,5,5,5", "--r", "4", "--seed", "3"],
 }
 
 # the order-3 input of the odd-order refusal below; it has no rank report,
