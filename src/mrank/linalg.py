@@ -184,7 +184,9 @@ def _sketch_rank(m, rel_tol, k, slack=0.0):
     sigma_{k+1}(M') <= delta + slack. numerical_rank's certificate then
     holds with delta + slack for delta in every bound and s[0] - slack for
     s[0] where it sets the threshold's lower end, which is all the slack
-    changes: with slack 0 every formula is numerical_rank's."""
+    changes: with slack 0 every formula is numerical_rank's. With slack > 0
+    the first attempt that forms B and fails the certificate returns None,
+    as the slack alone bounds delta from below at every width."""
     rows, cols = m.shape
     rng = np.random.default_rng(SKETCH_SEED)
     q = np.empty((rows, 0), dtype=np.complex128)
@@ -227,6 +229,10 @@ def _sketch_rank(m, rel_tol, k, slack=0.0):
                 below = int(np.count_nonzero(s <= rel_tol * low - 2 * delta))
                 if delta < rel_tol * low and above + below == k:  # so s[0] > slack
                     return above
+            # delta >= slack at every width: a wider sketch cannot clear a
+            # failure the slack causes
+            if slack:
+                return None
         spent += k
         k *= 2
     return None

@@ -20,9 +20,12 @@ shape, raising ValueError for the first that fails, before any data is
 read. The sampled solvers then check the values against the mask
 (Mask.check), and complete_supersym then checks that its mask is
 cubical. Every array a solver iterates on is C-ordered, whatever the
-layout of its input: _entry also gives the axis order in which a
-C-ordered tensor's memory is the model's C-ordered data, the square
-unfolding under the pairing or the tensor itself. Observed entries
+layout of its input. _entry also gives the solve's model (_Model), the one
+value that holds its layout: the shape of the C-ordered block the solve
+iterates on (the square unfolding under the pairing, or for the mode
+model the tensor itself), the number of blocks, the x side, the fold from
+a block back to the tensor and the square model's SvtWarm; and the axis
+order in which a C-ordered tensor's memory is that block. Observed entries
 are addressed by C-order flat indices in that order, computed once per
 solve (_sampled_entry): complete_m and complete_supersym index the square
 unfolding, complete_n the tensor.
@@ -42,8 +45,8 @@ solver scales its results back in place (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one convex solve,
 _convex, which runs one consensus ADMM driver, _admm, on d blocks
-x_j - z = c with two prox steps each. Each solver supplies only its model,
-its c (None for completion, x_j - z = 0) and its z step:
+x_j - z = c with two prox steps each. Each solver supplies only its model
+(_entry's), its c (None for completion, x_j - z = 0) and its z step:
 
     complete_n         the mode copies (d = the order), c None; z step:
                        pin the observed entries
@@ -56,7 +59,9 @@ its c (None for completion, x_j - z = 0) and its z step:
                        observed orbits pinned
 
 The square model's x step is svt of the unfolding under the solver's
-pairing, the mode model's the stacked mode copies' mode_svt (_mode_model).
+pairing, the mode model's the stacked mode copies' mode_svt (_mode_model);
+model.start gives either one from the data, and model.fold maps both
+answers back to the tensor, so _convex tests no pairing and no symmetry.
 rpca_m and rpca_n share their entry and their lam default, 1/sqrt of the
 rows of the pairing's unfolding (_rpca); the sampled solvers share theirs
 (_sampled_entry). _convex owns everything else: the start point z0 (the
@@ -78,7 +83,10 @@ of each orbit and wt[o, p] = sqrt(|o| |p|), and M = P A P^T. Norms,
 spectral norms and svt commute with P, so the solve takes the same steps
 on m x m matrices (210 x 210 in place of 400 x 400 at 20^4, 220 x 220 in
 place of 1000 x 1000 at 10^6); only the stopping test's absolute dual term
-still counts the whole unfolding's entries.
+still counts the whole unfolding's entries. Its model is the square one
+with the shape (m, m) and a fold that expands the last z step's orbit
+values to the tensor: it keeps the square model's x step, SvtWarm and
+entry count.
 
 No block-sized array is allocated per iteration, by _admm or by a z step,
 beyond the prox kernels' own work arrays (svt's factors, the soft
@@ -142,6 +150,7 @@ the spectrum the continuation's last svt recorded, so no SVD is repeated.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -322,23 +331,51 @@ def _checked(cfg: SolverConfig | None) -> SolverConfig:
     return cfg
 
 
+class _Model(NamedTuple):
+    """The layout of one convex solve (_entry): the shape of the C-ordered
+    block the solve iterates on, the number d of blocks, the tensor's entry
+    count (the stopping test's constraint counts d * size), start(data) ->
+    (stack, x_step, scale) for _admm's x side on the C-ordered data, fold(a)
+    from a block back to the tensor, and the square model's SvtWarm (None
+    for the mode model)."""
+    shape: tuple
+    d: int
+    size: int
+    start: Callable
+    fold: Callable
+    warm: SvtWarm | None
+
+
 def _entry(cfg, dims, truth, pairing, square: bool = True):
     """The entry checks of every solver, in this order: the config
     (_checked); the shape, as order < 2 or a zero-length axis leaves no
     unfolding to solve on; the pairing, the default one when None, which
     refuses odd order (_resolve_pairing); and the truth's shape, which
-    would otherwise broadcast in _result. Returns (cfg, pr, axes): the
-    checked config, the pairing (None for the mode model) and the axis
-    order in which a C-ordered tensor's memory is the model's C-ordered
-    data: pr's groups each reversed, since square_unfold merges a group's
-    indices first-index-fastest, or range(order) for the mode model."""
+    would otherwise broadcast in _result. Returns (cfg, model, axes): the
+    checked config, the solve's _Model and the axis order in which a
+    C-ordered tensor's memory is the model's C-ordered data.
+
+    The square model is the unfolding under the pairing: one block of
+    pr.matrix_shape(dims), x = svt with the model's own SvtWarm, the
+    driver's scale the block's spectral norm, folded by square_fold, and
+    axes pr's groups each reversed, since square_unfold merges a group's
+    indices first-index-fastest. The mode model (square False) is the
+    tensor itself: d = the order blocks of its shape, _mode_model's x
+    side, no fold, axes range(order)."""
     cfg = _checked(cfg)
     if len(dims) < 2 or 0 in dims:
         raise ValueError(f"needs order >= 2 and no zero-length axis, got shape {tuple(dims)}")
     pr = _resolve_pairing(pairing, len(dims))
     if truth is not None and np.shape(truth) != tuple(dims):
         raise ValueError(f"truth shape {np.shape(truth)} != data shape {tuple(dims)}")
-    return (cfg, pr, pr.row[::-1] + pr.col[::-1]) if square else (cfg, None, range(len(dims)))
+    if not square:
+        return cfg, _Model(tuple(dims), len(dims), math.prod(dims), _mode_model,
+                           lambda a: a, None), range(len(dims))
+    warm = SvtWarm()
+    return cfg, _Model(pr.matrix_shape(dims), 1, math.prod(dims),
+                       lambda data: (None, lambda j, v, rho: svt(v, 1.0 / rho, warm),
+                                     spectral_norm(data)),
+                       lambda a: square_fold(a, dims, pr), warm), pr.row[::-1] + pr.col[::-1]
 
 
 def _result(rec, e, iters, converged, truth, rel_err_all, trace,
@@ -364,15 +401,15 @@ def _result(rec, e, iters, converged, truth, rel_err_all, trace,
 def _sampled_entry(mask: Mask, values, cfg, truth, pairing, square: bool = True):
     """The entry of the sampled solvers: _entry's checks on the mask's
     shape, then the values against the mask (Mask.check), then the values
-    scaled. Returns (cfg, pr, b, e, flat): _entry's config and pairing,
+    scaled. Returns (cfg, model, b, e, flat): _entry's config and model,
     the observed values times 2^-e (_unit_scale) and their C-order flat
     indices with the tensor's axes in _entry's order, which are positions
-    in the C-ordered square unfolding under pr, or in the tensor."""
-    cfg, pr, axes = _entry(cfg, mask.dims, truth, pairing, square)
+    in the model's C-ordered block: the square unfolding, or the tensor."""
+    cfg, model, axes = _entry(cfg, mask.dims, truth, pairing, square)
     mask.check(values)
     b, e = _unit_scale(values, "observed values")
     multi = mask.multi_indices()
-    return cfg, pr, b, e, np.ravel_multi_index([multi[a] for a in axes],
+    return cfg, model, b, e, np.ravel_multi_index([multi[a] for a in axes],
                                                [mask.dims[a] for a in axes])
 
 
@@ -486,15 +523,15 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     that observes every entry, returns the data at once: 0 iterations,
     converged.
     """
-    cfg, pr, b, e, flat = _sampled_entry(mask, values, cfg, truth, pairing)
-    nrow, ncol = pr.matrix_shape(mask.dims)
-    x = np.zeros((nrow, ncol), dtype=np.complex128)
+    cfg, model, b, e, flat = _sampled_entry(mask, values, cfg, truth, pairing)
+    nrow, ncol = model.shape
+    x = np.zeros(model.shape, dtype=np.complex128)
     x.reshape(-1)[flat] = b
     # zero data, whose optimum is zero, or every entry observed, where the
     # data is the only feasible point (the masked gradient steps would
     # crawl to it, by a factor of GRAD_STEP - 1 per step)
     if b.size == x.size or (sigma0 := spectral_norm(x)) == 0.0:
-        return _result(square_fold(x, mask.dims, pr), e, 0, True, truth, 0.0, [])
+        return _result(model.fold(x), e, 0, True, truth, 0.0, [])
     bscale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
 
     mu0, shrink, floor_frac = MU_SCHEDULE
@@ -507,7 +544,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
     rejected = set()
     trace = []
     converged = False
-    warm = SvtWarm()
+    warm = model.warm
     g, rnorm = _residual_grad(x, flat, b)
     resid = rnorm / bscale
     while len(trace) < cfg.max_iters:
@@ -530,8 +567,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             y = _svp(x, r, warm.v[:, :r + OVERSAMPLE], flat, b, bscale,
                      min(REFINE_MAX_ITERS, left - 1), trace, accept)
             if y is not None:
-                return _result(square_fold(y, mask.dims, pr), e, len(trace), True,
-                               truth, trace[-1], trace)
+                return _result(model.fold(y), e, len(trace), True, truth, trace[-1], trace)
             rejected.add(r)
             # stepping back to the continuation iterate is logged as one
             # more step, so a solve that ends here ends its trace with the
@@ -542,8 +578,7 @@ def complete_m(mask: Mask, values, pairing: Pairing | None = None,
             break
         mu = max(mu * shrink, mu_floor)
 
-    return _result(square_fold(x, mask.dims, pr), e, len(trace), converged, truth,
-                   resid, trace)
+    return _result(model.fold(x), e, len(trace), converged, truth, resid, trace)
 
 
 def _sq_norm(a) -> float:
@@ -576,8 +611,9 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     norms count the d blocks.
     One memory layout: z0, c and every x_step result are C-contiguous, as
     are the driver's own buffers, so no pass mixes layouts. Its one caller
-    is _convex, which runs these models (the module docstring has each
-    solver's z step):
+    is _convex, which passes a _Model's d, z0 of the model's block shape
+    and d * size as entries, for these models (the module docstring has
+    each solver's z step):
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
                            consensus tensor with observed entries pinned; c None
@@ -761,50 +797,43 @@ def _mode_model(t):
     return stack, x_step, max(mode_spectrum(t, j)[0].max(initial=0.0) for j in range(d))
 
 
-def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
-            sym=None) -> SolveResult:
+def _convex(model: _Model, c, z_step, cfg: SolverConfig, truth, e: int,
+            lam=None) -> SolveResult:
     """The one convex solve behind complete_n, rpca_m, rpca_n and
-    complete_supersym: _admm on the model pr names, with the caller's
-    z_step, on data times 2^-e, answered through _result.
+    complete_supersym: _admm on the model's d blocks of model.shape, with
+    the caller's z_step, on data times 2^-e, answered through _result.
 
-    pr is a Pairing for the square model (d = 1, x = svt of the C-ordered
-    square unfolding under pr, with its own SvtWarm) or None for the mode
-    model (d = the order, x the stacked mode copies, _mode_model). sym is
-    (m, answer) for complete_supersym: its square model runs on the m x m
-    symmetric compression of the unfolding (module docstring), whose
-    stopping test still counts the whole unfolding's entries (_admm's
-    entries), and the solve answers answer(), the tensor of the last z
-    step. c is None for completion, whose constraint is x_j - z = 0 and
-    whose z0 is z_step of zeros (rho None): the observed entries pinned.
-    Otherwise c is the scaled data of the split x_j - z = c, laid out in
-    C order as the model's data (reshaped here to the model's shape), z0
-    is zero and z = -Z, Z the sparse part. The driver's scale is read off
-    the data: z0 for completion, c for the split. Only the square split
-    grows its penalty (_admm's grow).
+    c is None for completion, whose constraint is x_j - z = 0 and whose z0
+    is z_step of zeros (rho None): the observed entries pinned. Otherwise
+    c is the scaled data of the split x_j - z = c, laid out in C order as
+    the model's data (reshaped here to the model's shape), z0 is zero and
+    z = -Z, Z the sparse part. model.start reads the driver's scale off
+    the data, z0 for completion and c for the split, and gives the x side.
+    The stopping test counts d * model.size entries (_admm's entries),
+    which for complete_supersym's compressed model is the whole
+    unfolding's. Only a split on one block, rpca_m's, grows its penalty
+    (_admm's grow).
 
     The duals and z0's buffer, which may be dead by now, go before the
     stack's mean is formed, and the stack of mode copies and the blocks
     before the rank report. Completion answers z, with rel_err_all 0, as
     the pinned entries are exactly feasible. The split answers x (for the
     mode model the stack's mean, once an iteration has written it) with
-    sparse = -z, rel_err_all its split residual against c and, for the
-    square model, rpca_m's certified duality gap at the sparsity weight
-    lam (_rpca_m_gap)."""
-    shape = dims if pr is None else (sym[0],) * 2 if sym else pr.matrix_shape(dims)
-    d = len(dims) if pr is None else 1
+    sparse = -z, rel_err_all its split residual against c and, where the
+    model has an SvtWarm, rpca_m's certified duality gap at the sparsity
+    weight lam (_rpca_m_gap). Both answers go through model.fold."""
     if c is None:
-        z0 = z_step(np.zeros(shape, dtype=np.complex128), None)
+        z0 = z_step(np.zeros(model.shape, dtype=np.complex128), None)
     else:
-        c = c.reshape(shape)
-    warm = SvtWarm()  # the square model's
-    stack, x_step, scale = _mode_model(z0 if c is None else c) if pr is None else (
-        None, lambda j, v, rho: svt(v, 1.0 / rho, warm), spectral_norm(z0 if c is None else c))
+        c = c.reshape(model.shape)
+    stack, x_step, scale = model.start(z0 if c is None else c)
     if c is not None:
-        z0 = np.zeros(shape, dtype=np.complex128)
-    xs, z, it, conv, trace, dual = _admm(d, c, x_step, z_step, z0, scale, cfg,
-                                         entries=d * math.prod(dims),
-                                         grow=pr is not None and c is not None)
-    gap = None if pr is None or c is None else _rpca_m_gap(c, xs[0], warm.s, dual, lam)
+        z0 = np.zeros(model.shape, dtype=np.complex128)
+    xs, z, it, conv, trace, dual = _admm(model.d, c, x_step, z_step, z0, scale, cfg,
+                                         entries=model.d * model.size,
+                                         grow=model.d == 1 and c is not None)
+    gap = (None if c is None or model.warm is None
+           else _rpca_m_gap(c, xs[0], model.warm.s, dual, lam))
     del dual, z0
     if c is None:
         x, err = z, 0.0
@@ -814,13 +843,9 @@ def _convex(pr, dims, c, z_step, cfg: SolverConfig, truth, e: int, lam=None,
         x = stack.mean(axis=0) if stack is not None and it else xs[0]
     del stack, x_step, xs
     if c is not None:
-        err, z = _rel_err(x - z, c), -z
-    if sym:
-        x = sym[1]()
-    elif pr is not None:
-        x, z = square_fold(x, dims, pr), square_fold(z, dims, pr)
-    return _result(x, e, it, conv, truth, err, trace, sparse=None if c is None else z,
-                   duality_gap=gap)
+        err, z = _rel_err(x - z, c), model.fold(-z)
+    return _result(model.fold(x), e, it, conv, truth, err, trace,
+                   sparse=None if c is None else z, duality_gap=gap)
 
 
 def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -830,13 +855,13 @@ def complete_n(mask: Mask, values, cfg: SolverConfig | None = None,
     (stacked, one mode_svt per mode per iteration) and z the consensus
     tensor, x_j - z = 0. The consensus keeps observed entries pinned to the
     data, so the result is exactly feasible."""
-    cfg, _, b, e, flat = _sampled_entry(mask, values, cfg, truth, None, square=False)
+    cfg, model, b, e, flat = _sampled_entry(mask, values, cfg, truth, None, square=False)
 
     def z_step(w, rho):
         w.reshape(-1)[flat] = b
         return w
 
-    return _convex(None, mask.dims, None, z_step, cfg, truth, e)
+    return _convex(model, None, z_step, cfg, truth, e)
 
 
 def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
@@ -888,17 +913,16 @@ def _rpca(t, pairing, cfg, truth, square: bool) -> SolveResult:
     default one for rpca_n), and the z step soft-thresholds the mean of
     the d blocks at lam / (d rho)."""
     t = as_tensor(t)
-    cfg, pr, axes = _entry(cfg, t.shape, truth, pairing, square)
+    cfg, model, axes = _entry(cfg, t.shape, truth, pairing, square)
     e = _unit_exponent(t, "data")
-    dims, d = t.shape, t.ndim if pr is None else 1
     # the scaled data, written once into a new C-ordered array with t's
     # axes in the order axes, so that for the square split it is
     # square_unfold(t, pr) as it lies; for either model the first half of
     # its axes spans the rows of the unfolding that lam's default counts
     t = np.multiply(t.transpose(axes), 2.0 ** -e, order="C")
     lam = cfg.lam if cfg.lam is not None else 1.0 / np.sqrt(math.prod(t.shape[:t.ndim // 2]))
-    return _convex(pr, dims, t, lambda w, rho: complex_soft_threshold(w, lam / (d * rho), out=w),
-                   cfg, truth, e, lam)
+    return _convex(model, t, lambda w, rho: complex_soft_threshold(
+        w, lam / (model.d * rho), out=w), cfg, truth, e, lam)
 
 
 def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
@@ -924,7 +948,7 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
     observed values disagree inside one orbit beyond FEAS_TOL (relative):
     no super-symmetric tensor can match such data.
     """
-    cfg, pr, b, e, flat = _sampled_entry(mask, values, cfg, truth, None)
+    cfg, model, b, e, flat = _sampled_entry(mask, values, cfg, truth, None)
     dims = mask.dims
     if len(set(dims)) > 1:
         raise ValueError(f"needs a cubical even-order tensor, got dims {dims}")
@@ -972,6 +996,9 @@ def complete_supersym(mask: Mask, values, cfg: SolverConfig | None = None,
         a *= wt
         return a
 
-    # the tensor is the last z step's orbit values, expanded
-    return _convex(pr, dims, None, z_step, cfg, truth, e,
-                   sym=(reps.size, lambda: np.take(vals, ids).reshape(dims)))
+    # the compressed model keeps the square one's x side, warm state and
+    # entry count; its fold expands the last z step's orbit values, which
+    # are z's, to the tensor
+    return _convex(model._replace(shape=(reps.size,) * 2,
+                                  fold=lambda a: np.take(vals, ids).reshape(dims)),
+                   None, z_step, cfg, truth, e)

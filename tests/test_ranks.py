@@ -127,7 +127,8 @@ def _off_slice_asymmetry(s, rel):
 
 
 # the benchmark's rank-report families at smaller sizes, then super-symmetric
-# tensors whose pairing ranks take one certified count, and one whose
+# tensors whose pairing ranks take one certified count, one whose asymmetry
+# passes the slack's early exit but not the certificate, and one whose
 # asymmetry defeats that count's slack
 FULL_SVD_CASES = {
     "cp_20": lambda: gen_cp((20,) * 4, 30, seed=0),
@@ -136,6 +137,7 @@ FULL_SVD_CASES = {
     "supersym_order8": lambda: gen_supersym(4, 8, 6, seed=0),
     "supersym_order6": lambda: gen_supersym(8, 6, 5, seed=0),
     "supersym_nearly": lambda: _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 1e-12),
+    "supersym_slack_band": lambda: _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 3e-10),
     "supersym_perturbed": lambda: _off_slice_asymmetry(gen_supersym(8, 6, 5, seed=0), 1e-3),
 }
 
@@ -204,6 +206,16 @@ def test_m_ranks_falls_back_to_the_loop_past_the_slack(tol, monkeypatch):
     rep = m_ranks(t, tol)
     assert len(calls) == 10
     assert rep.rank_m is None
+
+
+def test_common_rank_gives_up_after_one_slack_attempt(svd_shapes):
+    # a 3e-10 relative asymmetry at 1e-8: the slack is below the early
+    # exit's rel_tol * ||t||_F but too wide to certify a count, and it
+    # enters delta at every width, so the sketch forms one B and returns
+    # None; it used to double its width up to the budget first
+    t = FULL_SVD_CASES["supersym_slack_band"]()
+    assert ranks._common_rank(t, 1e-8) is None
+    assert svd_shapes == [(16, 512)]
 
 
 @pytest.mark.parametrize("dims", [(0, 3, 3, 3), (2, 2, 0, 2), (0, 0)])

@@ -971,18 +971,43 @@ def test_solvers_iterate_on_c_ordered_arrays(monkeypatch, name):
     assert sorted({what for what, ok in seen if not ok}) == []
 
 
-@pytest.mark.parametrize("pairing", [None, Pairing((0, 2), (1, 3))])
+@pytest.mark.parametrize("pairing", [None, Pairing((0, 2), (1, 3)), "mode"])
 def test_sample_flat_indexes_the_unfolding_in_c_order(pairing):
+    # the square model under either pairing, and the mode model ("mode"),
+    # whose block is the tensor itself
+    square = pairing != "mode"
+    pairing = pairing if square else None
     t = gen_cp((3, 4, 5, 6), 2, seed=1)
     mask = gen_mask(t.shape, 0.3, seed=2)
-    _, pr, axes = solvers._entry(None, t.shape, None, pairing)
-    assert pr == (Pairing.default(4) if pairing is None else pairing)
-    flat = solvers._sampled_entry(mask, mask.observe(t), None, None, pairing)[4]
-    m = square_unfold(t, pr)
+    _, model, axes = solvers._entry(None, t.shape, None, pairing, square)
+    m = square_unfold(t, Pairing.default(4) if pairing is None else pairing) if square else t
+    assert (model.shape, model.d, model.size) == (m.shape, 1 if square else 4, t.size)
+    assert (model.warm is None) != square
+    flat = solvers._sampled_entry(mask, mask.observe(t), None, None, pairing, square)[4]
     assert np.array_equal(solvers._sampled(np.ascontiguousarray(m), flat), mask.observe(t))
     # rpca_m's one-pass unfolding: t's axes in that order, laid out in C
-    # order, are the unfolding
-    assert np.array_equal(np.ascontiguousarray(t.transpose(axes)).reshape(m.shape), m)
+    # order, are the model's block, and the model folds it back to t
+    block = np.ascontiguousarray(t.transpose(axes)).reshape(model.shape)
+    assert np.array_equal(block, m)
+    assert np.array_equal(model.fold(block), t)
+
+
+def test_complete_supersym_solves_on_the_compression(monkeypatch):
+    # at 6^4 the driver sees one 21 x 21 block, m = C(7, 2), while its
+    # stopping test counts the whole unfolding's 1296 entries
+    seen = []
+    admm = solvers._admm
+
+    def spy(d, c, x_step, z_step, z0, *args, **kwargs):
+        seen.append((d, z0.shape, kwargs["entries"]))
+        return admm(d, c, x_step, z_step, z0, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_admm", spy)
+    t = gen_supersym(6, 4, 2, seed=13)
+    mask = gen_mask(t.shape, 0.5, seed=14)
+    res = complete_supersym(mask, mask.observe(t), truth=t)
+    assert seen == [(1, (21, 21), 1296)]
+    assert res.recovered.shape == t.shape and res.converged
 
 
 @functools.cache

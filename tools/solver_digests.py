@@ -19,12 +19,15 @@ moves bits a diff still shows which solves kept their steps. The set:
 - each ADMM solver on zero data, with max_iters 0 and 3, and on data
   scaled by 2^-600;
 - dims (3,4,5,6), the robust solvers also under 1,3|2,4, and 4^6;
+- complete_m on those two shapes under the default pairing and under
+  1,3|2,4 (1,3,5|2,4,6 at order 6), and under that pairing on zero data
+  and with max_iters 0;
 - the benchmark's robust_supersym instances before relabelling, at 20^4,
   seed 0: rpca_m and rpca_n on rank 8 with 5% corruption, and
   complete_supersym on rank 8 with 40% observed.
 
 BLAS is pinned to one thread unless the environment sets its thread
-count. About 5 seconds on one core. A change that must leave every solve
+count. About 8 seconds on one core. A change that must leave every solve
 bitwise equal shows it with the same BLAS thread count on both sides:
 
     python3 tools/solver_digests.py PARENT.txt   # in a checkout of the parent
@@ -56,6 +59,7 @@ from mrank.tensor import Pairing  # noqa: E402
 D10 = (10, 10, 10, 10)
 D20 = (20, 20, 20, 20)
 P1324 = Pairing((0, 2), (1, 3))
+P135246 = Pairing((0, 2, 4), (1, 3, 5))
 
 
 def _completion(solve, t, ratio, seed, **kw):
@@ -106,6 +110,13 @@ def solves() -> dict:
         runs[f"rpca_n_{tag}"] = _robust(rpca_n, t, 22)
     runs["rpca_m_3456_1324"] = _robust(rpca_m, gen_cp((3, 4, 5, 6), 2, seed=20), 22,
                                        pairing=P1324)
+    for tag, dims, pr, alt in (("3456", (3, 4, 5, 6), P1324, "1324"),
+                               ("4x6", (4,) * 6, P135246, "135246")):
+        t = gen_cp(dims, 2, seed=20)
+        runs[f"complete_m_{tag}"] = _completion(complete_m, t, 0.6, 21)
+        run = runs[f"complete_m_{tag}_{alt}"] = _completion(complete_m, t, 0.6, 21, pairing=pr)
+        runs[f"complete_m_{tag}_{alt}_zero"] = lambda run=run: run(k=0.0)
+        runs[f"complete_m_{tag}_{alt}_iters0"] = lambda run=run: run(SolverConfig(max_iters=0))
     runs["complete_supersym_4x6"] = _completion(
         complete_supersym, gen_supersym(4, 6, 2, seed=23), 0.5, 24)
     low = gen_cp(D20, 8, seed=0)
