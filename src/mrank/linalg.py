@@ -111,6 +111,14 @@ def _check_rel_tol(rel_tol, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {rel_tol}")
 
 
+def _check_count(v, name: str, low: int = 0) -> None:
+    """The range rule of a count (an iteration budget, a width, a rank): an
+    integer >= low, or ValueError naming it as `name`. A bool is refused,
+    though Python counts it an int; a numpy integer is taken."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v}")
+
+
 def _check_tau(tau):
     """The prox kernels' threshold: >= 0, +inf included (its output is
     zero); NaN fails the comparison too."""
@@ -291,14 +299,13 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL, *, width: int = SKETCH_
     sigma_max exceeds the largest double (entries near 1e308), the SVD of
     m times 2^-e, e from the gate pass (tensor._unit_exponent), counts.
 
-    Raises ValueError for a negative or non-finite rel_tol, a width below
-    one, an m that is not 2-D, or NaN or Inf entries in m, before any
-    LAPACK call: the sketch route sees them in M @ Omega, and the gate pass
-    over m runs before the fallback SVD.
+    Raises ValueError for a negative or non-finite rel_tol, a width that
+    is not an integer >= 1 (_check_count), an m that is not 2-D, or NaN or
+    Inf entries in m, before any LAPACK call: the sketch route sees them in
+    M @ Omega, and the gate pass over m runs before the fallback SVD.
     """
     _check_rel_tol(rel_tol, "rel_tol")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    _check_count(width, "width", 1)
     m = _matrix(m, "numerical_rank")
     if m.size == 0:
         return 0
@@ -684,10 +691,10 @@ def rank_project(m, r: int, warm: SvtWarm | None = None) -> tuple[np.ndarray, np
     Returns (x, u): the projection and its leading left singular vectors
     (min(r, rows, cols) orthonormal columns spanning x's column space), so
     a caller that needs the column space runs no second SVD. Raises
-    ValueError unless r is an integer >= 0.
+    ValueError unless r is an integer >= 0 (_check_count), before any
+    work.
     """
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"r must be an integer >= 0, got {r}")
+    _check_count(r, "r")
     cols = np.shape(m)[1]
     u, s, vh = _leading(m, warm, lambda s: r,
                         lambda shape: shape == (cols, r + OVERSAMPLE))

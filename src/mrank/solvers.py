@@ -45,18 +45,23 @@ solver scales its results back in place (_result).
 
 complete_n, rpca_m, rpca_n and complete_supersym are one convex solve,
 _convex, which runs one consensus ADMM driver, _admm, on d blocks
-x_j - z = c with two prox steps each. Each solver supplies only its model
-(_entry's), its c (None for completion, x_j - z = 0) and its z step:
+x_j - z = 0 with two prox steps each. Each solver supplies only its model
+(_entry's), for the split its data c (None for completion) and its z step:
 
-    complete_n         the mode copies (d = the order), c None; z step:
-                       pin the observed entries
+    complete_n         the mode copies (d = the order); z step: pin the
+                       observed entries
     rpca_m             the square unfolding (d = 1), c = the unfolding;
                        z step: soft threshold at lam / rho
     rpca_n             the mode copies, c = the tensor; z step: soft
                        threshold at lam / (d rho)
     complete_supersym  the symmetric compression of the square
-                       unfolding, c None; z step: the orbit mean, with the
+                       unfolding; z step: the orbit mean, with the
                        observed orbits pinned
+
+The split's data lives in its z step: the split x_j - z' = c, with z' = -Z
+and Z the sparse part, is the consensus on z = z' + c = c - Z, whose z
+step is c + prox(w - c) (_convex wraps the solver's soft threshold so).
+So every model is one z step, and the driver has one constraint form.
 
 The square model's x step is svt of the unfolding under the solver's
 pairing, the mode model's the stacked mode copies' mode_svt (_mode_model);
@@ -65,11 +70,11 @@ answers back to the tensor, so _convex tests no pairing and no symmetry.
 rpca_m and rpca_n share their entry and their lam default, 1/sqrt of the
 rows of the pairing's unfolding (_rpca); the sampled solvers share theirs
 (_sampled_entry). _convex owns everything else: the start point z0 (the
-pinned zeros for completion, zero for the split), the driver's scale read
-off the data, the one _admm call, the memory the solve drops before its
-rank report, and the SolveResult. _admm owns the penalty, the dual
-update, the stopping test and the trace, and runs the blocks one at a
-time.
+pinned zeros for completion, the data for the split), the split's
+wrapped z step, the driver's scale read off z0, the one _admm call, the
+memory the solve drops before its rank report, and the SolveResult.
+_admm owns the penalty, the dual update, the stopping test and the
+trace, and runs the blocks one at a time.
 
 complete_supersym runs on a compression of its unfolding. For an
 order-2h tensor with every dim n, its unfolding M has rows and columns in
@@ -154,7 +159,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import (OVERSAMPLE, SvtWarm, _check_rel_tol, complex_l1,
+from .linalg import (OVERSAMPLE, SvtWarm, _check_count, _check_rel_tol, complex_l1,
                      complex_soft_threshold, mode_spectrum, mode_svt, rank_project,
                      spectral_norm, svt)
 from .ranks import RECOVERED_RANK_TOL, RankReport, m_ranks
@@ -240,9 +245,9 @@ class SolverConfig:
     acceptance level. The solvers are deterministic and draw no
     randomness. Every solver checks the config on entry, before it reads
     its data, field by field in this order (solvers._CONFIG_RULES):
-    max_iters must be an integer >= 0, rel_tol finite and >= 0, and lam
-    None or finite and > 0, or ValueError names the first bad field and
-    its value.
+    max_iters must be an integer >= 0 (a bool is refused), rel_tol finite
+    and >= 0, and lam None or finite and > 0, or ValueError names the
+    first bad field and its value.
     """
 
     max_iters: int = 2000
@@ -302,13 +307,6 @@ def _rel_err(est, truth) -> float | None:
     return float(np.linalg.norm(as_tensor(est) - truth) / max(denom, np.finfo(float).tiny))
 
 
-def _check_max_iters(max_iters, name: str) -> None:
-    """An iteration budget is an integer >= 0, or ValueError names it as
-    `name` (the field, or the CLI's flag)."""
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {max_iters}")
-
-
 def _check_lam(lam, name: str) -> None:
     """A sparsity weight is None (the default) or finite and > 0, or
     ValueError names it as `name` (the field, or the CLI's flag)."""
@@ -318,8 +316,8 @@ def _check_lam(lam, name: str) -> None:
 
 # each SolverConfig field with its range rule, in field order: _checked
 # checks them in this order, and the CLI checks the flag of each field's
-# name with the same rule
-_CONFIG_RULES = (("max_iters", _check_max_iters), ("rel_tol", _check_rel_tol), ("lam", _check_lam))
+# name with the same rule (an iteration budget is a count, _check_count)
+_CONFIG_RULES = (("max_iters", _check_count), ("rel_tol", _check_rel_tol), ("lam", _check_lam))
 
 
 def _checked(cfg: SolverConfig | None) -> SolverConfig:
@@ -593,53 +591,59 @@ def _norm(a) -> float:
     return float(np.sqrt(_sq_norm(a)))
 
 
-def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
-          entries: int, grow: bool = False):
+def _admm(d: int, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
+          entries: int, grow: bool = False, c_norm: float = 0.0):
     """Scaled-form consensus ADMM for min sum_j f_j(x_j) + g(z) subject to
-    x_j - z = c for j = 0..d-1 (Boyd et al. 2011, sections 3.1.1 and 7.1),
+    x_j - z = 0 for j = 0..d-1 (Boyd et al. 2011, sections 3.1.1 and 7.1),
     the one loop behind complete_n, rpca_m, rpca_n and complete_supersym.
 
     x_step(j, v, rho) = prox_{f_j/rho}(v) and z_step(w, rho) =
-    prox_{g/(d rho)}(w), w the mean of the blocks x_j - c + u_j. v and w
-    are the loop's one spare block. x_step only reads v, which the loop
-    reuses, and returns an array that does not alias it (it may reuse its
-    own buffer for block j from call to call). z_step writes its result
-    over w and returns w, and the loop rotates the spare and z rather
-    than receive a new z. z0 becomes one of those buffers, so it is
-    overwritten. Every block x_j, the spare, z and c have z0's shape; c is
-    None for completion, whose constraint is x_j - z = 0. The constraint's
-    norms count the d blocks.
-    One memory layout: z0, c and every x_step result are C-contiguous, as
-    are the driver's own buffers, so no pass mixes layouts. Its one caller
-    is _convex, which passes a _Model's d, z0 of the model's block shape
-    and d * size as entries, for these models (the module docstring has
-    each solver's z step):
+    prox_{g/(d rho)}(w), w the mean of the blocks x_j + u_j. v and w are
+    the loop's one spare block. x_step only reads v, which the loop reuses,
+    and returns an array that does not alias it (it may reuse its own
+    buffer for block j from call to call). z_step writes its result over w
+    and returns w, and the loop rotates the spare and z rather than
+    receive a new z. z0 becomes one of those buffers, so it is
+    overwritten. Every block x_j, the spare and z have z0's shape. The
+    constraint's norms count the d blocks.
+    One memory layout: z0 and every x_step result are C-contiguous, as are
+    the driver's own buffers, so no pass mixes layouts. Its one caller is
+    _convex, which passes a _Model's d, z0 of the model's block shape and
+    d * size as entries, for these models (the module docstring has each
+    solver's z step):
 
         complete_n         d = order; x_j = mode copy j (mode_svt); z = the
-                           consensus tensor with observed entries pinned; c None
-        rpca_m             d = 1; x = Y (svt); z = -Z; c = the data unfolding F
-        rpca_n             d = order; x_j = W_j, the mode copies; z = -Z; c = t
+                           consensus tensor with observed entries pinned
+        rpca_m             d = 1; x = Y (svt); z = F - Z, F the data
+                           unfolding and Z the sparse part
+        rpca_n             d = order; x_j = W_j, the mode copies; z = t - Z
         complete_supersym  d = 1; x = svt(z - u) and z = the orbit
                            projection, both on the symmetric compression
-                           of the unfolding; c None
+                           of the unfolding
 
-    Soft thresholding is odd, so z = -Z needs no sign handling in the robust
-    z steps. With x and u the d blocks stacked, the loop stops when
-    r_pri = ||x - z - c|| <= e_pri and r_dua = rho * sqrt(d) * ||z - z_old||
-    <= e_dua, with
-        e_pri = ABS_TOL * scale + rel_tol * max(||x||, sqrt(d) ||z||, sqrt(d) ||c||)
+    The split x_j - z' = c of the robust solvers (z' = -Z, c the data) is
+    this consensus in z = z' + c, whose z step is c plus the split's z step
+    on w - c: _convex wraps the split's z step so, starts z at c and passes
+    c_norm = ||c||, and the driver knows one constraint form. With x and u the d blocks
+    stacked, the loop stops when r_pri = ||x - z|| <= e_pri and
+    r_dua = rho * sqrt(d) * ||z - z_old|| <= e_dua, with
+        e_pri = ABS_TOL * scale + rel_tol * max(||x||, sqrt(d) ||z||, sqrt(d) c_norm)
         e_dua = sqrt(n) * ABS_TOL + rel_tol * rho * ||u||
     with n the constraint's entry count, `entries` (the d blocks' entries;
     complete_supersym's compressed model counts the whole unfolding's),
     scale being the spectral norm of the data that the caller passes.
-    ABS_TOL is dimensionless in both: e_pri is in data units through
-    scale, and e_dua is dimensionless, like r_dua, since rho scales as
-    1 / scale. So a solve takes the same steps on data multiplied by any
-    factor. Each iteration logs r_pri over the relative part of e_pri's
-    scale. Without an iteration to run (zero scale, which means zero data,
-    or cfg.max_iters below 1) every block is z0 + c (z0 itself for c
-    None), z is z0, and 0 iterations are returned, converged only for zero
-    data, where that is the feasible optimum.
+    c_norm (0 for completion) keeps the ||c|| term of the split's primal
+    scale as x_j - z' = c had it: z = c - Z sits near the low-rank part,
+    below the data's size, so without the term the primal test tightens,
+    and rpca_m with lam = 0.05 on a 6^4 instance took 670 iterations in
+    place of 506. ABS_TOL is dimensionless in both: e_pri is in data units
+    through scale, and e_dua is dimensionless, like r_dua, since rho
+    scales as 1 / scale. So a solve takes the same steps on data
+    multiplied by any factor. Each iteration logs r_pri over the
+    relative part of e_pri's scale. Without an iteration to run (zero
+    scale, which means zero data, or cfg.max_iters below 1) every block is
+    z0, which is z too, and 0 iterations are returned, converged only for
+    zero data, where that is the feasible optimum.
 
     The penalty starts at rho = PENALTY_SCALE / scale and is balanced on
     the residuals (Boyd et al. 2011, section 3.4.1; He, Yang and Wang 2000;
@@ -648,7 +652,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     unconverged, rho steps toward the failing residual: it is multiplied
     by BALANCE_FACTOR when the primal test fails and either the dual test
     passes or the relative primal residual
-    r_pri / max(||x||, sqrt(d) ||z||, sqrt(d) ||c||) exceeds BALANCE_BAND
+    r_pri / max(||x||, sqrt(d) ||z||, sqrt(d) c_norm) exceeds BALANCE_BAND
     times the relative dual residual r_dua / (rho * ||u||), and divided by
     it in the mirror case. u is rescaled by old/new rho at the change, so
     the unscaled dual rho * u is continuous. The wide band moves a penalty
@@ -675,28 +679,33 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     z step writes over f (the prox kernels keep their own work arrays, such
     as complex_soft_threshold's real factor of at most SHRINK_BLOCK
     entries). Each iteration runs the blocks three times. The first pass
-    forms f = (z + c) - u_j and takes x_j = x_step(j, f, rho); f is dead
-    once the last x step has read it. The second sums the blocks' mean of
-    (x_j - c) + u_j in place in f (_mean_into). z_step turns f into z_new,
-    and z_new - z_old is formed in z_old's buffer for r_dua; that buffer is
-    then the next f, and z_new is z. The third pass forms
-    r_j = (x_j - z_new) - c in f and adds it into u_j. So complete_n and
-    rpca_n hold the stack of mode copies, the d duals and two single
-    blocks (the spare and z); rpca_m and complete_supersym hold x, u, f and
-    z. c None (complete_n, complete_supersym) adds no pass at all. Every
-    norm is one dot product over the array's memory (_norm), summed over
-    the blocks for x and r.
+    forms f = z - u_j and takes x_j = x_step(j, f, rho); f is dead once the
+    last x step has read it. The second sums the blocks' mean of x_j + u_j
+    in place in f (_mean_into). z_step turns f into z_new, and
+    z_new - z_old is formed in z_old's buffer for r_dua; that buffer is
+    then the next f, and z_new is z. The third pass forms r_j = x_j - z_new
+    in f and adds it into u_j. Counted over each block, an iteration makes
+    eight passes: f, ||x_j||^2, two in-place adds into the mean, r_j, the
+    add into u_j, ||r_j||^2 and the block's share of ||u||. The split's
+    wrapped z step adds two passes over its one block (w - c and + c),
+    where the split form x_j - z' = c took three per block (c added into
+    f, subtracted in the mean and from r_j): 2 in place of 12 for rpca_n
+    at order 4, 2 in place of 3 for rpca_m. So complete_n and rpca_n hold
+    the stack of mode copies, the d duals and two single blocks (the spare
+    and z); rpca_m and complete_supersym hold x, u, f and z. Every norm is
+    one dot product over the array's memory (_norm), summed over the
+    blocks for x and r.
 
     Returns (xs, z, iters, converged, trace, dual), xs the d blocks x_j and
     dual the final unscaled dual rho * u (Boyd et al.'s y for the
-    constraint x - z - c = 0), written over u's buffer: the d-fold stack,
-    or for d = 1 the one block; None when no iteration ran.
+    constraint x - z = 0, the split's too), written over u's buffer: the
+    d-fold stack, or for d = 1 the one block; None when no iteration ran.
     """
     if scale == 0.0 or cfg.max_iters < 1:
-        return (z0 if c is None else z0 + c,) * d, z0, 0, scale == 0.0, [], None
+        return (z0,) * d, z0, 0, scale == 0.0, [], None
     rho = PENALTY_SCALE / scale
     k = np.sqrt(d)  # copies of each z entry in the constraint
-    c_term = 0.0 if c is None else k * _norm(c)
+    c_term = k * c_norm
     abs_pri = ABS_TOL * scale
     abs_dua = np.sqrt(entries) * ABS_TOL
     tiny = np.finfo(float).tiny
@@ -708,15 +717,11 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     for it in range(1, cfg.max_iters + 1):
         sq_x = 0.0
         for j in range(d):
-            if c is None:
-                np.subtract(z, u[j], out=f)
-            else:
-                np.add(z, c, out=f)
-                f -= u[j]
+            np.subtract(z, u[j], out=f)
             xs[j] = None  # the last x_j is dead, so x_step may reuse its memory
             x = xs[j] = x_step(j, f, rho)
             sq_x += _sq_norm(x)
-        _mean_into(f, xs, u, c)
+        _mean_into(f, xs, u)
         z_new = z_step(f, rho)  # over f
         # z - z_old in the old z's buffer, which then serves as f, whose
         # old buffer z_new has taken
@@ -724,9 +729,7 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
         f, z = z, z_new
         sq_pri = 0.0
         for j in range(d):
-            r = np.subtract(xs[j], z, out=f)  # x_j - z - c
-            if c is not None:
-                r -= c
+            r = np.subtract(xs[j], z, out=f)  # x_j - z
             u[j] += r
             sq_pri += _sq_norm(r)
         r_pri = np.sqrt(sq_pri)
@@ -754,20 +757,13 @@ def _admm(d: int, c, x_step, z_step, z0, scale: float, cfg: SolverConfig, *,
     return xs, z, it, False, trace, _dual(u, rho)
 
 
-def _mean_into(f, xs, u, c):
-    """Write the mean of the blocks (x_j - c) + u_j into f (x_j + u_j for c
-    None), summed in place: f = (x_0 - c) + u_0, then f += x_j, f -= c and
-    f += u_j for each later block, then f /= d. One block takes the one
-    expression (x - c) + u, or x + u."""
-    if c is None:
-        np.add(xs[0], u[0], out=f)
-    else:
-        np.subtract(xs[0], c, out=f)
-        f += u[0]
+def _mean_into(f, xs, u):
+    """Write the mean of the blocks x_j + u_j into f, summed in place:
+    f = x_0 + u_0, then f += x_j and f += u_j for each later block, then
+    f /= d. One block takes the one expression x + u."""
+    np.add(xs[0], u[0], out=f)
     for x, uj in zip(xs[1:], u[1:]):
         f += x
-        if c is not None:
-            f -= c
         f += uj
     if len(xs) > 1:
         f /= len(xs)
@@ -803,47 +799,57 @@ def _convex(model: _Model, c, z_step, cfg: SolverConfig, truth, e: int,
     complete_supersym: _admm on the model's d blocks of model.shape, with
     the caller's z_step, on data times 2^-e, answered through _result.
 
-    c is None for completion, whose constraint is x_j - z = 0 and whose z0
-    is z_step of zeros (rho None): the observed entries pinned. Otherwise
-    c is the scaled data of the split x_j - z = c, laid out in C order as
-    the model's data (reshaped here to the model's shape), z0 is zero and
-    z = -Z, Z the sparse part. model.start reads the driver's scale off
-    the data, z0 for completion and c for the split, and gives the x side.
-    The stopping test counts d * model.size entries (_admm's entries),
-    which for complete_supersym's compressed model is the whole
-    unfolding's. Only a split on one block, rpca_m's, grows its penalty
-    (_admm's grow).
+    c is None for completion, whose z0 is z_step of zeros (rho None): the
+    observed entries pinned. Otherwise c is the scaled data of the split
+    x_j - z' = c, z' = -Z with Z the sparse part, in a C-ordered array the
+    solver owns, laid out as the model's data (reshaped here to the model's
+    shape). The split runs as _admm's consensus on z = z' + c = c - Z:
+    z0 is a copy of c, the caller's z_step (a soft threshold, which is odd,
+    so z' = -Z needs no sign handling) is wrapped as c + z_step(w - c, rho)
+    over w, and _admm keeps ||c|| in its primal scale (c_norm). Either way
+    model.start reads the driver's scale off z0, the pinned samples or the
+    data, and gives the x side. The stopping test counts d * model.size
+    entries (_admm's entries), which for complete_supersym's compressed
+    model is the whole unfolding's. Only a split on one block, rpca_m's,
+    grows its penalty (_admm's grow).
 
     The duals and z0's buffer, which may be dead by now, go before the
     stack's mean is formed, and the stack of mode copies and the blocks
     before the rank report. Completion answers z, with rel_err_all 0, as
     the pinned entries are exactly feasible. The split answers x (for the
     mode model the stack's mean, once an iteration has written it) with
-    sparse = -z, rel_err_all its split residual against c and, where the
-    model has an SvtWarm, rpca_m's certified duality gap at the sparsity
-    weight lam (_rpca_m_gap). Both answers go through model.fold."""
+    rel_err_all = ||x - z|| / ||c||, its split residual, sparse = c - z,
+    written over c once nothing reads it (without an iteration x and z
+    are one buffer, the data, so the sparse part cannot go over z), and,
+    where the model has an SvtWarm, rpca_m's certified duality gap at the
+    sparsity weight lam (_rpca_m_gap). Both answers go through
+    model.fold."""
     if c is None:
-        z0 = z_step(np.zeros(model.shape, dtype=np.complex128), None)
+        z0, c_norm = z_step(np.zeros(model.shape, dtype=np.complex128), None), 0.0
     else:
         c = c.reshape(model.shape)
-    stack, x_step, scale = model.start(z0 if c is None else c)
-    if c is not None:
-        z0 = np.zeros(model.shape, dtype=np.complex128)
-    xs, z, it, conv, trace, dual = _admm(model.d, c, x_step, z_step, z0, scale, cfg,
+        z0, c_norm, prox = c.copy(), _norm(c), z_step
+
+        def z_step(w, rho):  # z = c - Z: c + prox(w - c), over w
+            return np.add(prox(np.subtract(w, c, out=w), rho), c, out=w)
+
+    stack, x_step, scale = model.start(z0)
+    xs, z, it, conv, trace, dual = _admm(model.d, x_step, z_step, z0, scale, cfg,
                                          entries=model.d * model.size,
-                                         grow=model.d == 1 and c is not None)
+                                         grow=model.d == 1 and c is not None, c_norm=c_norm)
     gap = (None if c is None or model.warm is None
            else _rpca_m_gap(c, xs[0], model.warm.s, dual, lam))
     del dual, z0
     if c is None:
         x, err = z, 0.0
     else:
-        # without an iteration every block is the data (_admm), and the
-        # stack was never written
+        # without an iteration every block is z0, the data, and so is z,
+        # and the stack was never written
         x = stack.mean(axis=0) if stack is not None and it else xs[0]
     del stack, x_step, xs
     if c is not None:
-        err, z = _rel_err(x - z, c), model.fold(-z)
+        err = _norm(x - z) / max(c_norm, np.finfo(float).tiny)
+        z = model.fold(np.subtract(c, z, out=c))
     return _result(model.fold(x), e, it, conv, truth, err, trace,
                    sparse=None if c is None else z, duality_gap=gap)
 
@@ -868,10 +874,10 @@ def rpca_m(t, pairing: Pairing | None = None, cfg: SolverConfig | None = None,
            truth=None) -> SolveResult:
     """Split a tensor into low-rank + sparse parts on a square unfolding:
     minimize ||Y||_* + lam * sum|Z_ij| subject to Y + Z = unfold(t).
-    ADMM with x = Y (svt), z = -Z (modulus soft thresholding, which is odd)
-    and c = unfold(t), growing its penalty while the primal test fails
-    (_admm's grow). duality_gap is the certified relative gap at the
-    returned split (_rpca_m_gap)."""
+    ADMM with x = Y (svt) and z = unfold(t) - Z, whose z step soft
+    thresholds (modulus shrinkage) around the data (_convex), growing its
+    penalty while the primal test fails (_admm's grow). duality_gap is the
+    certified relative gap at the returned split (_rpca_m_gap)."""
     return _rpca(t, pairing, cfg, truth, square=True)
 
 
@@ -899,8 +905,8 @@ def _rpca_m_gap(f, y, spectrum, dual, lam) -> float:
 def rpca_n(t, cfg: SolverConfig | None = None, truth=None) -> SolveResult:
     """Mode-unfolding analogue of rpca_m: minimize (1/d) * sum_j ||W_j||_*
     over mode unfoldings plus lam * l1 of the sparse part Z, with every
-    W_j + Z = t. ADMM with x the stacked W_j, z = -Z shared by all of them
-    and c = t, t's scaled copy written in C order. lam defaults, as in
+    W_j + Z = t. ADMM with x the stacked W_j and z = t - Z shared by all
+    of them, t's scaled copy written in C order. lam defaults, as in
     rpca_m, to 1/sqrt of the square unfolding's row count, n_1 * ... *
     n_(d/2) (n1*n2 at order 4)."""
     return _rpca(t, None, cfg, truth, square=False)

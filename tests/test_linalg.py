@@ -241,6 +241,27 @@ def test_numerical_rank_start_width_never_changes_the_count(case, svd_shapes):
         numerical_rank(m, tol, width=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_counts_are_integers_refused_before_any_work(monkeypatch, svd_shapes, bad):
+    # numerical_rank's width and rank_project's r take one rule: a float
+    # width raised numpy's TypeError inside the sketch of a 100 x 100
+    # matrix and passed below the sketch budget, and rank_project took
+    # True as r = 1
+    for name in ("_sketch_rank", "_leading"):
+        monkeypatch.setattr(linalg, name, lambda *a, **k: pytest.fail("the work started"))
+    m = low_rank(np.random.default_rng(31), (100, 100), 3)
+    for small in (m, m[:5, :5]):
+        with pytest.raises(ValueError, match=re.escape(f"width must be an integer >= 1, got {bad}")):
+            numerical_rank(small, width=bad)
+        with pytest.raises(ValueError, match=re.escape(f"r must be an integer >= 0, got {bad}")):
+            rank_project(small, bad)
+    assert svd_shapes == []
+    monkeypatch.undo()
+    # a numpy integer is a count
+    assert numerical_rank(m, width=np.int64(5)) == 3
+    assert rank_project(m, np.int64(3))[1].shape == (100, 3)
+
+
 @pytest.mark.parametrize("dims, r, count", [((20,) * 4, 30, 3), ((8,) * 6, 20, 10)])
 def test_m_ranks_forms_one_b_per_pairing(dims, r, count, svd_shapes):
     # the first pairing's 16-wide sketch is full and forms no B, so only

@@ -511,7 +511,7 @@ def _full_space_supersym(mask, values):
     rows = math.isqrt(ids.size)
     z0 = z_step(np.zeros((rows, rows), dtype=np.complex128), None)
     warm = SvtWarm()
-    _, z, it, conv, _, _ = _admm(1, None, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step,
+    _, z, it, conv, _, _ = _admm(1, lambda j, v, rho: svt(v, 1.0 / rho, warm), z_step,
                                  z0, spectral_norm(z0), SolverConfig(), entries=z0.size)
     # z is super-symmetric, so its C layout is the tensor's
     return z.reshape(mask.dims) * 2.0 ** e, it, conv
@@ -739,6 +739,7 @@ BAD_CONFIGS = [
     ("lam", np.inf, "None or finite and > 0"),
     ("max_iters", -3, "an integer >= 0"),
     ("max_iters", 2.5, "an integer >= 0"),
+    ("max_iters", True, "an integer >= 0"),
 ]
 
 
@@ -747,7 +748,7 @@ def test_solvers_reject_an_invalid_config_before_scaling(monkeypatch, field, val
     # a negative or NaN rel_tol ran every solver out of its budget, a
     # negative lam drove the robust solvers to errors of 1e120, a negative
     # max_iters returned 0 iterations without a word, and a fractional one
-    # failed inside the ADMM loop
+    # failed inside the ADMM loop; True, a Python int, ran rpca_m 1 iteration
     t = gen_cp(DIMS, 2, seed=0)
     mask = gen_mask(DIMS, 0.5, seed=0)
     b = mask.observe(t)
@@ -785,7 +786,8 @@ def test_checked_names_the_first_bad_field_in_rule_order():
 # iterations of the four ADMM solvers on the instances of acceptance
 # criteria 7 (complete_n), 8 (rpca_m, rpca_n) and 9 (complete_supersym),
 # seeds 0-2: the counts the driver took before it ran its consensus one
-# block at a time, which reorders its arithmetic but not its steps
+# block at a time, and before it ran the split x_j - z = c as a consensus
+# on z + c, both of which reorder its arithmetic but not its steps
 PINNED_ITERS = {
     "complete_n": (113, 111, 100),
     "rpca_n": (35, 40, 38),
@@ -943,24 +945,27 @@ LAYOUT_SOLVES = {
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_SOLVES))
 def test_solvers_iterate_on_c_ordered_arrays(monkeypatch, name):
-    # one memory layout: z0, c and every x_step and z_step result the ADMM
-    # driver sees are C-contiguous, like its own buffers, and so is every
-    # matrix complete_m hands svt and rank_project
+    # one memory layout: the split's data c, which its z step reads, and z0
+    # and every x_step and z_step result the ADMM driver sees are
+    # C-contiguous, like the driver's own buffers, and so is every matrix
+    # complete_m hands svt and rank_project
     seen = []
+    convex = solvers._convex
 
     def look(what, a):
         seen.append((what, a is None or a.flags.c_contiguous))
         return a
 
-    def admm(d, c, x_step, z_step, z0, *args, **kw):
+    def admm(d, x_step, z_step, z0, *args, **kw):
         look("z0", z0)
-        look("c", c)
-        return _admm(d, c, lambda j, v, rho: look("x_step", x_step(j, v, rho)),
+        return _admm(d, lambda j, v, rho: look("x_step", x_step(j, v, rho)),
                      lambda w, rho: look("z_step", z_step(w, rho)), z0, *args, **kw)
 
     def kernel(what, f):
         return lambda m, *args: f(look(what, m), *args)
 
+    monkeypatch.setattr(solvers, "_convex", lambda model, c, *a, **k: convex(
+        model, look("c", c), *a, **k))
     monkeypatch.setattr(solvers, "_admm", admm)
     monkeypatch.setattr(solvers, "svt", kernel("svt", solvers.svt))
     monkeypatch.setattr(solvers, "rank_project", kernel("rank_project", solvers.rank_project))
@@ -998,9 +1003,9 @@ def test_complete_supersym_solves_on_the_compression(monkeypatch):
     seen = []
     admm = solvers._admm
 
-    def spy(d, c, x_step, z_step, z0, *args, **kwargs):
+    def spy(d, x_step, z_step, z0, *args, **kwargs):
         seen.append((d, z0.shape, kwargs["entries"]))
-        return admm(d, c, x_step, z_step, z0, *args, **kwargs)
+        return admm(d, x_step, z_step, z0, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_admm", spy)
     t = gen_supersym(6, 4, 2, seed=13)
@@ -1036,6 +1041,15 @@ def test_rpca_m_grows_its_penalty_at_20_4():
     assert res.rel_err_vs_truth <= 1e-4 and res.rel_err_all <= 1e-5
     assert res.rank_report.m_plus == res.rank_report.m_minus == 8
     assert 0.0 <= res.duality_gap <= SolverConfig().rel_tol
+
+
+def test_split_solvers_take_their_pinned_iterations_at_20_4():
+    # the benchmark's robust_supersym split instances before relabelling;
+    # PINNED_ITERS holds the criterion-8 counts. The split runs in the
+    # consensus form (z = c - Z), which moves only rounding
+    assert (_rpca_m_20_4().iters, _rpca_m_20_4().converged) == (36, True)
+    res = rpca_n(_R20)
+    assert (res.iters, res.converged) == (19, True)
 
 
 def _rpca_m_objective(f, y, lam):
@@ -1089,10 +1103,12 @@ def test_rpca_m_converges_on_unstructured_data():
 
 
 def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
-    """min 0.5*||x - a||^2 + 1.5*||z||^2 subject to x - z = c through _admm,
-    with prox closures that record every call. The toy's data scale is 1,
-    so the penalty starts at PENALTY_SCALE, set here to rho times its
-    value."""
+    """min 0.5*||x - a||^2 + 1.5*||z||^2 subject to x - z = c, a split,
+    through _admm in its consensus form, as _convex runs a split: in z' =
+    z + c the constraint is x - z' = 0, z' starts at c, and the z step is
+    z' = c + prox(w - c). The prox closures record every call in the
+    driver's terms (w, z'). The toy's data scale is 1, so the penalty
+    starts at PENALTY_SCALE, set here to rho times its value."""
     rng = np.random.default_rng(0)
     a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     c = rng.standard_normal(50)
@@ -1106,26 +1122,30 @@ def _toy_admm(monkeypatch, rho, max_iters=2000, grow=False):
 
     def z_step(w, rho):
         w_in = w.copy()
+        w -= c
         np.multiply(w, rho / (3.0 + rho), out=w)
+        w += c
         zs.append((rho, w_in, w.copy()))
         return w
 
     monkeypatch.setattr(solvers, "PENALTY_SCALE", PENALTY_SCALE * rho)
-    out = _admm(1, c, x_step, z_step, np.zeros(50, dtype=np.complex128), 1.0,
-                SolverConfig(max_iters=max_iters), entries=50, grow=grow)
+    out = _admm(1, x_step, z_step, c.astype(np.complex128), 1.0,
+                SolverConfig(max_iters=max_iters), entries=50, grow=grow,
+                c_norm=np.linalg.norm(c))
     return out, c, xs, zs
 
 
 def _toy_tests(c, xs, zs, k):
     """The stopping test of the toy's iteration k + 1 (0-based k), rebuilt
     from the recorded steps: each residual relative to its scale, and
-    whether each test passes. The toy's data scale is 1."""
+    whether each test passes. The toy's data scale is 1, and z' starts at
+    c, whose norm the primal scale keeps."""
     cfg = SolverConfig()
     rho, _, x = xs[k]
     _, w, z = zs[k]
-    z_old = zs[k - 1][2] if k else np.zeros_like(z)
+    z_old = zs[k - 1][2] if k else c
     u = w - z
-    r_pri = np.linalg.norm(x - z - c)
+    r_pri = np.linalg.norm(x - z)
     r_dua = rho * np.linalg.norm(z - z_old)
     size_pri = max(np.linalg.norm(x), np.linalg.norm(z), np.linalg.norm(c))
     size_dua = rho * np.linalg.norm(u)
@@ -1159,22 +1179,21 @@ def test_admm_penalty_balancing(monkeypatch, rho):
         if rho == 0.3:
             assert pri_ok != dua_ok
             assert rel_pri < BALANCE_BAND * rel_dua and rel_dua < BALANCE_BAND * rel_pri
-    _assert_dual_carries_over(c, xs, zs, it)
+    _assert_dual_carries_over(xs, zs, it)
     capped = _toy_admm(monkeypatch, rho, max_iters=3)[0]
     assert capped[2] == 3 and not capped[3] and len(capped[4]) == 3
 
 
-def _assert_dual_carries_over(c, xs, zs, it):
+def _assert_dual_carries_over(xs, zs, it):
     """The unscaled dual rho * u carries over every iteration, across a
     change of rho too: iteration k ends with u = w_k - z_k, and iteration
-    k + 1 starts from v = z_k + c - u (recovering u from v and z cancels,
-    so the tolerance scales with the operands)."""
+    k + 1 starts from v = z_k - u (recovering u from v and z cancels, so
+    the tolerance scales with the operands)."""
     for k in range(it - 1):
         rho_k, w_k, z_k = zs[k]
         rho_next, v_next, _ = xs[k + 1]
-        gap = np.linalg.norm(rho_next * (z_k + c - v_next) - rho_k * (w_k - z_k))
-        size = max(rho_k, rho_next) * (np.linalg.norm(c) + np.linalg.norm(w_k)
-                                       + np.linalg.norm(z_k))
+        gap = np.linalg.norm(rho_next * (z_k - v_next) - rho_k * (w_k - z_k))
+        size = max(rho_k, rho_next) * (np.linalg.norm(w_k) + np.linalg.norm(z_k))
         assert gap <= 1e-12 * size
 
 
@@ -1203,7 +1222,7 @@ def test_admm_penalty_growth(monkeypatch, rho):
                 assert not dua_ok and (pri_ok or rel_dua > BALANCE_BAND * rel_pri)
             periodic += 1
     assert grown and periodic
-    _assert_dual_carries_over(c, xs, zs, it)
+    _assert_dual_carries_over(xs, zs, it)
     # the driver hands back the unscaled dual rho * u of the last iteration
     rho_end, w_end, z_end = zs[-1]
     assert np.allclose(dual, rho_end * (w_end - z_end), rtol=0, atol=1e-12 * rho_end)
@@ -1231,7 +1250,9 @@ def _driver_peak(c, d=None):
     200x200 blocks against one consensus z, as in complete_n and rpca_n.
     The proxes allocate as little as the contract allows: x_step writes
     into its own slice of a stack, z_step writes over the mean it is
-    handed."""
+    handed. With the split's data c, z starts at c and the z step is
+    wrapped around it as _convex wraps a split's: c + prox(w - c), in
+    place."""
     rng = np.random.default_rng(4)
     shape = (1, 400, 400) if d is None else (d, 200, 200)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1243,13 +1264,16 @@ def _driver_peak(c, d=None):
         return np.divide(buf[j], 1.0 + rho, out=buf[j])
 
     def z_step(w, rho):
-        return np.multiply(w, rho / (3.0 + rho), out=w)
+        if c is not None:
+            w -= c
+        np.multiply(w, rho / (3.0 + rho), out=w)
+        return w if c is None else np.add(w, c, out=w)
 
-    z0 = np.zeros(shape[1:], dtype=np.complex128)
+    z0 = np.zeros(shape[1:], dtype=np.complex128) if c is None else c.copy()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _admm(shape[0], c, x_step, z_step, z0, 1.0, SolverConfig(max_iters=12),
+        out = _admm(shape[0], x_step, z_step, z0, 1.0, SolverConfig(max_iters=12),
                     entries=shape[0] * z0.size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1263,13 +1287,13 @@ def test_admm_driver_allocates_no_temporaries(c):
     # z0 and x's buffer exist before the count starts, and the z step
     # writes over the mean it is handed, so _admm adds the scaled dual
     # u and one spare block: two arrays of x's size at the peak. Any
-    # per-iteration temporary of x's size (v = z + c - u as an expression,
-    # x - 0.0, a new z, the old z held past its use) makes it three or
-    # more. Against a 4-fold stack of blocks, z, c and the spare are single
-    # blocks: u and the spare make 1.25 stacks, and the blocks' mean is
-    # summed in place in the spare. One more block (a new z, a mean of the
-    # blocks formed anew, or a temp for each block's term) makes 1.5 or
-    # more; a chunk temp of 2^14 entries read 1.355.
+    # per-iteration temporary of x's size (v = z - u as an expression,
+    # x - 0.0, a new z, w - c in a new array, the old z held past its use)
+    # makes it three or more. Against a 4-fold stack of blocks, z, c and
+    # the spare are single blocks: u and the spare make 1.25 stacks, and
+    # the blocks' mean is summed in place in the spare. One more block (a
+    # new z, a mean of the blocks formed anew, or a temp for each block's
+    # term) makes 1.5 or more; a chunk temp of 2^14 entries read 1.355.
     rng = np.random.default_rng(5)
     if c == "consensus":
         assert _driver_peak(rng.standard_normal((200, 200)) + 0j, d=4) < 1.3
@@ -1280,17 +1304,15 @@ def test_admm_driver_allocates_no_temporaries(c):
 
 
 @pytest.mark.parametrize("d", [1, 4])
-@pytest.mark.parametrize("with_c", [False, True])
-def test_admm_mean_is_the_blocks_mean(with_c, d):
+def test_admm_mean_is_the_blocks_mean(d):
     # the z step's input at the second iteration, where the duals are the
     # first iteration's residuals, against numpy's mean of the blocks'
-    # terms (x_j - c) + u_j: bitwise for one block, whose mean is that one
+    # terms x_j + u_j: bitwise for one block, whose mean is that one
     # expression, and within a few ulps of the terms for four, summed in
     # place in another order
     rng = np.random.default_rng(9)
     shape = (d, 30, 40)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:]) if with_c else None
     xs, ws, zs = [], [], []
 
     def x_step(j, v, rho):
@@ -1304,17 +1326,16 @@ def test_admm_mean_is_the_blocks_mean(with_c, d):
         zs.append(w.copy())
         return w
 
-    _admm(d, c, x_step, z_step, np.zeros(shape[1:], dtype=np.complex128), 1.0,
+    _admm(d, x_step, z_step, np.zeros(shape[1:], dtype=np.complex128), 1.0,
           SolverConfig(max_iters=2), entries=a.size)
-    cc = 0.0 if c is None else c
     x1, x2 = np.stack(xs[:d]), np.stack(xs[d:])
-    u = (x1 - zs[0]) - cc  # the duals start at zero
+    u = x1 - zs[0]  # the duals start at zero
     assert u.any()
-    ref = ((x2 - cc) + u if with_c else x2 + u).mean(axis=0)
+    ref = (x2 + u).mean(axis=0)
     if d == 1:
         assert np.array_equal(ws[1], ref)
     else:
-        size = (np.abs(x2) + np.abs(cc) + np.abs(u)).sum(axis=0)
+        size = (np.abs(x2) + np.abs(u)).sum(axis=0)
         assert np.all(np.abs(ws[1] - ref) <= 4 * np.finfo(float).eps * size)
 
 
